@@ -5,13 +5,16 @@ Config format: plain ``key = value`` lines under ``[section]`` headers.
 Sections: [run] (command, out, seed, tolerance, threads, quad_n),
 [kernel] (family, t, x/xs, r/rs, wedges "a:b,a:b", spikes, anchor),
 [grid] (t0, x0, r0, ht, hx, hr, nt, nx, nr, r_min, r_max, r_step).
-Exit codes: 0 pass, 1 residual above tolerance, 2 usage/config error.
+Exit codes: 0 pass, 1 residual above tolerance, 2 usage/config error
+(including parameters outside a kernel's domain).  Non-finite floats in the
+JSON report are written as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields, fredholm, kpsolver, painleve, residuals, scattering
-from .kernels import KernelSpec
+from .kernels import KernelDomainError, KernelSpec
 from .residuals import GridField
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "main"]
@@ -122,6 +125,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _write_csv(path, header, rows):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -129,24 +133,32 @@ def _write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
+def _shape_kwargs(k: dict) -> dict:
+    """KernelSpec keywords of a [kernel] section other than t, xs and rs."""
+    wedges = k.get("wedges", ((0.0, 0.0),))
+    if wedges and not isinstance(wedges[0], tuple):
+        wedges = (tuple(wedges),)
+    kw = {"wedges": tuple(tuple(w) for w in wedges)}
+    if "spikes" in k:
+        kw["spikes"] = tuple(np.atleast_1d(k["spikes"]).astype(float))
+    if "anchor" in k:
+        kw["contour_anchor"] = float(k["anchor"])
+    return kw
+
+
 def _kernel_spec(cfg: ExperimentConfig, **overrides) -> KernelSpec:
     k = dict(cfg.kernel)
+    # an x / r override replaces the configured xs / rs as well
+    for one, many in (("x", "xs"), ("r", "rs")):
+        if one in overrides:
+            k.pop(many, None)
     k.update(overrides)
     family = str(k.get("family", "nw_fixed_point"))
     xs = k.get("xs", k.get("x", 0.0))
     rs = k.get("rs", k.get("r", 0.0))
     xs = tuple(np.atleast_1d(xs).astype(float))
     rs = tuple(np.atleast_1d(rs).astype(float))
-    wedges = k.get("wedges", ((0.0, 0.0),))
-    if wedges and not isinstance(wedges[0], tuple):
-        wedges = (tuple(wedges),)
-    kw = {}
-    if "spikes" in k:
-        kw["spikes"] = tuple(np.atleast_1d(k["spikes"]).astype(float))
-    if "anchor" in k:
-        kw["contour_anchor"] = float(k["anchor"])
-    return KernelSpec(family, float(k.get("t", 1.0)), xs, rs,
-                      tuple(tuple(w) for w in wedges), **kw)
+    return KernelSpec(family, float(k.get("t", 1.0)), xs, rs, **_shape_kwargs(k))
 
 
 def _grid_params(cfg, defaults):
@@ -160,18 +172,32 @@ def _field_from_cfg(cfg: ExperimentConfig, log=True) -> GridField:
                            "ht": 0.02, "hx": 0.02, "hr": 0.02,
                            "nt": 3, "nx": 3, "nr": 7})
     family = str(cfg.kernel.get("family", "nw_fixed_point"))
-    spec_kw = {}
-    if family in ("nw_fixed_point", "multiwedge_extended"):
-        spec_kw["wedges"] = ((0.0, 0.0),)
     return fields.det_field(family, g["t0"], g["x0"], g["r0"],
                             g["ht"], g["hx"], g["hr"],
                             (int(g["nt"]), int(g["nx"]), int(g["nr"])),
-                            n_quad=cfg.quad_n, log=log, spec_kw=spec_kw)
+                            n_quad=cfg.quad_n, log=log,
+                            spec_kw=_shape_kwargs(cfg.kernel))
+
+
+def _json_safe(v):
+    """Report value with non-finite floats replaced by "inf" / "-inf" / "nan"."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    return v
 
 
 def run(cfg: ExperimentConfig):
-    """Execute one experiment; returns (exit_code, artifact paths)."""
-    os.makedirs(cfg.out, exist_ok=True)
+    """Execute one experiment; returns (exit_code, artifact paths).
+
+    Raises ConfigError for quad_n outside [8, 512] and KernelDomainError for
+    kernel parameters outside their domain.
+    """
+    if not 8 <= cfg.quad_n <= 512:
+        raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
     json_path = os.path.join(cfg.out, f"{cfg.command}.json")
     threads = cfg.threads or (os.cpu_count() or 1)
@@ -437,7 +463,8 @@ def run(cfg: ExperimentConfig):
     report["tolerance"] = cfg.tolerance
     report["passed"] = bool(worst <= cfg.tolerance)
     with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_json_safe(report), fh, indent=2, sort_keys=True,
+                  default=str, allow_nan=False)
     return (0 if report["passed"] else 1), (csv_path, json_path)
 
 
@@ -466,7 +493,11 @@ def main(argv=None) -> int:
         cfg.quad_n = args.quad_n
     if args.tolerance is not None:
         cfg.tolerance = args.tolerance
-    code, paths = run(cfg)
+    try:
+        code, paths = run(cfg)
+    except (ConfigError, KernelDomainError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     status = "pass" if code == 0 else "FAIL"
     print(f"{cfg.command}: {status}; artifacts: {paths[0]}, {paths[1]}")
     return code

@@ -55,10 +55,9 @@ class Discretization:
 
 @dataclass
 class BoundaryResolvent:
-    """Boundary values Q = [(I-K)^(-1) K](0,0) and the producing config."""
+    """Boundary values Q = [(I-K)^(-1) K](0,0) and det(I - K)."""
 
     q_matrix: np.ndarray
-    config: tuple
     det_value: float
 
 
@@ -133,8 +132,7 @@ def boundary_resolvent(disc: Discretization) -> BoundaryResolvent:
             k00[a, c] = kernel.block(a, c, zero, zero)[0, 0]
     resolv = np.linalg.solve(np.eye(n * nq) - disc.matrix, col)
     q = k00 + row @ resolv
-    spec = disc.spec
-    return BoundaryResolvent(q, (spec.t, tuple(spec.xs), tuple(spec.rs)), det)
+    return BoundaryResolvent(q, det)
 
 
 # ----------------------------------------------------------------------------

@@ -49,9 +49,6 @@ __all__ = [
     "build_block_kernel",
 ]
 
-_LOG_EPS = -745.0  # exp underflow threshold
-
-
 class KernelDomainError(ValueError):
     """Parameter outside a kernel's domain (t <= 0, bad anchors, ...)."""
 
@@ -414,17 +411,17 @@ class SpikedKernel:
         # xi rule: rays at 2pi/3 anchored right of the spikes, panelled
         # densely near the anchor because the nearest Gamma pole sits only
         # 0.87*(anchor - b_max) away from the contour
-        anchor_xi = float(max(np.max(self.b) + 0.5, self.a_xi))
-        self._xi_rule = self._panelled_rays(anchor_xi, 2.0 * np.pi / 3.0,
-                                            self._ray_length(abs(self._w_min) + 2.0))
+        self._xi_nodes, self._xi_w = self._panelled_ray(
+            self.a_xi, 2.0 * np.pi / 3.0, self._ray_length(abs(self._w_min) + 2.0))
         # balance Gamma(B)-scale factors between the two sides (K is invariant
         # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
-        self._lg_offset = float(sum(log_gamma(anchor_xi - bk).real for bk in self.b))
-        self._fermi_nodes, self._fermi_logw = self._fermi_panels(spec)
+        self._lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
+        (self._y0, self._y_loc,
+         self._fermi_nodes, self._fermi_logw) = self._fermi_panels(spec)
 
     @staticmethod
-    def _panelled_rays(anchor, angle, length):
-        """Bent-ray contour with GL panels refined toward the anchor."""
+    def _panelled_ray(anchor, angle, length):
+        """Upper ray of the bent-ray contour, GL panels refined toward the anchor."""
         edges = [0.0, 0.15, 0.45, 1.2, 3.0]
         edges = [e for e in edges if e < length] + [length]
         base = gauss_legendre(72)
@@ -435,35 +432,28 @@ class SpikedKernel:
             w_list.append(base.weights * half)
         s = np.concatenate(s_list)
         w = np.concatenate(w_list)
-        up_nodes = anchor + s * np.exp(1j * angle)
-        up_w = w * np.exp(1j * angle)
-        lo_nodes = anchor + s[::-1] * np.exp(-1j * angle)
-        lo_w = -w[::-1] * np.exp(-1j * angle)
-        return QuadRule(np.concatenate([lo_nodes, up_nodes]),
-                        np.concatenate([lo_w, up_w]),
-                        "bent-rays", (anchor, angle, length))
+        return anchor + s * np.exp(1j * angle), w * np.exp(1j * angle)
 
     def _fermi_panels(self, spec):
         """Panel GL rule in y resolving the Airy-product oscillation.
 
         Both factors oscillate with local frequency ~ sqrt(|w|/t^(1/3)),
-        which fixes the per-panel node count.
+        which fixes the per-panel node count.  The panels have equal width
+        and share one GL base, so node (p, k) is y0[p] + loc[k].  Returns
+        (y0, loc, nodes, log weights including the Fermi factor).
         """
         y_lo, y_hi = self._y_lo, self._y_hi
         n_panels = max(6, int((y_hi - y_lo) / 8.0))
-        edges = np.linspace(y_lo, y_hi, n_panels + 1)
         freq = np.sqrt(max(abs(self._w_min), abs(self._w_max), 4.0) / np.cbrt(self.t))
         per = int(max(64, min(spec.fermi_n, 512),
                       1.5 * freq * (y_hi - y_lo) / n_panels))
         base = gauss_legendre(per)
-        nodes, weights = [], []
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b_ - a_)
-            nodes.append(a_ + half * (base.nodes + 1.0))
-            weights.append(base.weights * half)
-        y = np.concatenate(nodes)
-        w = np.concatenate(weights)
-        return y, np.log(w) - np.logaddexp(0.0, y)
+        half = 0.5 * (y_hi - y_lo) / n_panels
+        y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
+        loc = half * (base.nodes + 1.0)
+        y = (y0[:, None] + loc[None, :]).ravel()
+        w = np.tile(base.weights * half, n_panels)
+        return y0, loc, y, np.log(w) - np.logaddexp(0.0, y)
 
     def _ray_length(self, w_neg):
         """Smallest ray length with t L^3/3 - |x| L^2 - w_neg L/2 >= 45."""
@@ -474,7 +464,7 @@ class SpikedKernel:
 
     @staticmethod
     def _vertical_panels(anchor, big_h, n_total, t, w_bound):
-        """Vertical contour with panels spaced by equal phase increments.
+        """Upper half of the vertical contour, panels at equal phase increments.
 
         The local phase rate is ~ t*s^2 + w_bound, so panels shrink toward
         the top of the contour where the cubic phase spins fastest.
@@ -493,9 +483,7 @@ class SpikedKernel:
             w_list.append(base.weights * half)
         s = np.concatenate(s_list)
         w = np.concatenate(w_list)
-        s_full = np.concatenate([-s[::-1], s])
-        w_full = np.concatenate([w[::-1], w])
-        return anchor + 1j * s_full, 1j * w_full
+        return anchor + 1j * s, 1j * w
 
     def _gamma_factor(self, z, inverse):
         """Balanced prod_k Gamma(z - b_k) (or reciprocal) as exp of log-Gamma."""
@@ -504,71 +492,45 @@ class SpikedKernel:
             lg = lg + log_gamma(z - bk)
         return np.exp(self._lg_offset - lg) if inverse else np.exp(lg - self._lg_offset)
 
-    def f_num(self, w):
-        """Eta-side integral as (mantissa, exponent): F = m * e^E.
-
-        The contour modulus factor e^{-w*anchor} is pulled out exactly, so
-        the mantissa stays O(1) for any w.
-        """
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        z = self._eta_nodes
-        g = self._gamma_factor(z, inverse=True)
-        base = np.exp(self.t * z ** 3 / 3.0 + self.x * z * z) * g * self._eta_w
-        vals = np.exp(-w[:, None] * (z[None, :] - self.a_eta)) @ base
-        return (vals / (2j * np.pi)).real, -w * self.a_eta
-
-    def g_den(self, w):
-        """Xi-side integral as (mantissa, exponent): G = m * e^E."""
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        anchor = self._xi_rule.params[0]
-        z = self._xi_rule.nodes
-        g = self._gamma_factor(z, inverse=False)
-        base = np.exp(-self.t * z ** 3 / 3.0 - self.x * z * z) * g * self._xi_rule.weights
-        vals = np.exp(w[:, None] * (z[None, :] - anchor)) @ base
-        return (vals / (2j * np.pi)).real, w * anchor
-
     def _factor_grid(self, pts, which):
-        """(mantissa, exponent) matrices of F or G at pts[i] + r - y[q].
+        """Mantissa M[i, q] of F or G at w = pts[i] + r - y[q].
 
-        The exponential of the argument separates over (pts, y), so the
-        contour sum is a single complex matmul instead of a per-argument
-        quadrature.
+        F(w) = M e^{-w a_eta} and G(w) = M e^{w a_xi}.  The contour's
+        exponential separates over (pts, y), and over the panels of the
+        y-rule, exp(c y) = exp(c y0_p) exp(c loc_k), so the contour sum is
+        one matmul with (pts, panel) rows and loc columns.  The integrands
+        are real-analytic and the contours conjugate-symmetric, so the full
+        contour sum over 2 pi i is Im(upper half sum) / pi.
         """
-        y = self._fermi_nodes
         if which == "f":
-            z, anchor = self._eta_nodes, self.a_eta
+            z, anchor, sgn = self._eta_nodes, self.a_eta, -1.0
             g = self._gamma_factor(z, inverse=True)
             base = np.exp(self.t * z ** 3 / 3.0 + self.x * z * z) * g * self._eta_w
-            sgn = -1.0
         else:
-            z, anchor = self._xi_rule.nodes, self._xi_rule.params[0]
+            z, anchor, sgn = self._xi_nodes, self.a_xi, 1.0
             g = self._gamma_factor(z, inverse=False)
-            base = np.exp(-self.t * z ** 3 / 3.0 - self.x * z * z) * g * self._xi_rule.weights
-            sgn = 1.0
+            base = np.exp(-self.t * z ** 3 / 3.0 - self.x * z * z) * g * self._xi_w
         zc = z - anchor
-        e_pts = np.exp(sgn * (pts[:, None] + self.r) * zc[None, :])
-        e_y = np.exp(-sgn * y[:, None] * zc[None, :])
-        vals = (e_pts * base[None, :]) @ e_y.T / (2j * np.pi)
-        expo = sgn * (pts[:, None] + self.r - y[None, :]) * anchor
-        return vals.real, expo
+        e_pts = np.exp(sgn * (pts[:, None] + self.r) * zc[None, :]) * base[None, :]
+        e_y0 = np.exp(-sgn * self._y0[:, None] * zc[None, :])
+        e_loc = np.exp(-sgn * self._y_loc[:, None] * zc[None, :])
+        lhs = (e_pts[:, None, :] * e_y0[None, :, :]).reshape(-1, zc.size)
+        # Im(lhs @ e_loc^T) as two real products
+        vals = lhs.real @ e_loc.imag.T + lhs.imag @ e_loc.real.T
+        return vals.reshape(pts.size, -1) / np.pi
 
     def matrix(self, u, v):
-        """Kernel matrix K(u_i, v_j) = int dy Fermi(y) F(u+r-y) G(v+r-y); real."""
+        """Kernel matrix K(u_i, v_j) = int dy Fermi(y) F(u+r-y) G(v+r-y); real.
+
+        The exponents of F and G separate over (u, y) and (v, y), so K is
+        the contraction (L diag(mid)) R^T of the row-scaled mantissas.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        fm, fe = self._factor_grid(u, "f")
-        gm, ge = self._factor_grid(v, "g")
-        expo = fe[:, None, :] + ge[None, :, :] + self._fermi_logw[None, None, :]
-        with np.errstate(under="ignore"):
-            prod = fm[:, None, :] * gm[None, :, :] * np.exp(np.minimum(expo, 700.0))
-        return np.sum(prod, axis=2)
-
-
-def kpz_spiked_kernel(t, x, r, spikes, u, v, anchor=0.25, **kw):
-    """m-spiked KPZ kernel entries (real; conjugate symmetry is built in)."""
-    spec = KernelSpec("kpz_spiked", t, (x,), (r,), spikes=tuple(spikes),
-                      contour_anchor=anchor, **kw)
-    return SpikedKernel(spec).matrix(u, v)
+        left = self._factor_grid(u, "f") * np.exp(-(u + self.r) * self.a_eta)[:, None]
+        right = self._factor_grid(v, "g") * np.exp((v + self.r) * self.a_xi)[:, None]
+        mid = np.exp(self._fermi_nodes * (self.a_eta - self.a_xi) + self._fermi_logw)
+        return (left * mid[None, :]) @ right.T
 
 
 # ----------------------------------------------------------------------------

@@ -98,3 +98,70 @@ class TestMain:
         cfgf.write_text("[run]\ncommand = hirota-residual\ntolerance = 1e-3\n")
         out = tmp_path / "out"
         assert cli.main(["--config", str(cfgf), "--out", str(out)]) == 0
+
+
+def _run_main(tmp_path, text, *extra):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(text)
+    out = tmp_path / "out"
+    return cli.main(["--config", str(cfgf), "--out", str(out), *extra]), out
+
+
+class TestConfiguredKeys:
+    def test_det_eval_sweeps_r_over_configured_rs(self, tmp_path):
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = det-eval\nquad_n = 48\ntolerance = 1e-6\n"
+            "[kernel]\nfamily = nw_fixed_point\nrs = 0.5\n"
+            "[grid]\nr0 = -1.0\nhr = 1.0\nnr = 3\n")
+        assert code == 0
+        rows = np.genfromtxt(out / "det-eval.csv", delimiter=",", names=True)
+        assert np.all(np.diff(rows["det"]) > 0.01)
+        assert np.max(rows["abs_err"]) < 1e-6
+
+    def test_kp_residual_field_uses_configured_wedges(self):
+        # a narrow wedge at (a, b) is the wedge at (0, 0) moved by x -> x - a,
+        # r -> r - b, so the field at the moved lattice is the default field
+        grid = "[grid]\nnt = 1\nnx = 1\nnr = 2\nt0 = 1.0\nx0 = {x}\nr0 = {r}\n"
+        base = "[run]\ncommand = kp-residual\nquad_n = 32\n[kernel]\nfamily = nw_fixed_point\n"
+        wedge = base + "wedges = 0.3:0.5\n"
+        default = cli._field_from_cfg(cli.parse_config(base + grid.format(x=0.18, r=0.44)))
+        moved = cli._field_from_cfg(cli.parse_config(wedge + grid.format(x=0.48, r=0.94)))
+        same_lattice = cli._field_from_cfg(cli.parse_config(wedge + grid.format(x=0.18, r=0.44)))
+        assert np.max(np.abs(moved.values - default.values)) < 1e-10
+        assert np.min(np.abs(same_lattice.values - default.values)) > 1e-3
+
+
+class TestErrorContract:
+    def _assert_config_error(self, capsys, code):
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:")
+        assert "\n" not in err
+
+    def test_kernel_domain_error_exit_2(self, tmp_path, capsys):
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = det-eval\n[kernel]\nt = -1.0\n"
+            "[grid]\nnr = 2\n")
+        self._assert_config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_quad_n_out_of_range_exit_2(self, tmp_path, capsys, where):
+        text = "[run]\ncommand = det-eval\n[grid]\nnr = 2\n"
+        if where == "config":
+            code, out = _run_main(tmp_path, text.replace("[grid]", "quad_n = 4\n[grid]"))
+        else:
+            code, out = _run_main(tmp_path, text, "--quad-n", "1000")
+        self._assert_config_error(capsys, code)
+        assert not out.exists()
+
+    def test_report_is_strict_json(self, tmp_path):
+        code, out = _run_main(tmp_path, GOOD_CONFIG.replace("tolerance = 0.5\n", ""))
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads((out / "tw-table.json").read_text(), parse_constant=reject)
+        assert report["tolerance"] == "inf"
+        assert report["passed"] is True

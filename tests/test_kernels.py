@@ -14,7 +14,8 @@ from kpdet.kernels import (
     s_kernel,
     scattering_part_logmat,
 )
-from kpdet.quadrature import gauss_legendre, map_whole_line
+from kpdet.quadrature import gauss_legendre, map_interval, map_whole_line
+from kpdet.specfun import log_gamma
 
 
 def det_of(spec, n=64):
@@ -246,6 +247,46 @@ class TestSpiked:
         d = det_of(KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,),
                               spikes=(-0.5, 0.1)))
         assert 0.0 < d < 1.0
+
+
+def spiked_reference(sk, u, v):
+    """K(u, v) by the unfactored sums: full contours, direct complex exp of
+    the whole exponent, and the 3-D (u, v, y) sum of Fermi(y) F G."""
+    def full(z, w):
+        # the lower half is the mirror image traversed the other way
+        return np.concatenate([np.conj(z), z]), np.concatenate([-np.conj(w), w])
+
+    ze, we = full(sk._eta_nodes, sk._eta_w)
+    zx, wx = full(sk._xi_nodes, sk._xi_w)
+    lg_e = sum(log_gamma(ze - b) for b in sk.b)
+    lg_x = sum(log_gamma(zx - b) for b in sk.b)
+    f_base = np.exp(sk.t * ze ** 3 / 3 + sk.x * ze ** 2 - lg_e) * we
+    g_base = np.exp(-sk.t * zx ** 3 / 3 - sk.x * zx ** 2 + lg_x) * wx
+    y = sk._fermi_nodes
+    # one row of arguments w = u_i + r - y at a time keeps memory small
+    f = np.array([(np.exp(-np.outer(ui + sk.r - y, ze)) * f_base).sum(-1)
+                  for ui in u]) / (2j * np.pi)
+    g = np.array([(np.exp(np.outer(vj + sk.r - y, zx)) * g_base).sum(-1)
+                  for vj in v]) / (2j * np.pi)
+    fermi_w = np.exp(sk._fermi_logw)
+    return np.sum(f.real[:, None, :] * g.real[None, :, :] * fermi_w, axis=2)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"spikes": (0.0, -0.4)},
+    {"xs": (-0.5,)},              # a_eta shifted right of the anchor
+    {"contour_anchor": 0.35},
+    {"rs": (1.0,)},
+], ids=["default", "two_spikes", "x_neg", "anchor", "r1"])
+def test_spiked_matrix_matches_unfactored_sum(kw):
+    args = {"xs": (0.0,), "rs": (0.0,), "spikes": (0.0,)}
+    args.update(kw)
+    spec = KernelSpec("kpz_spiked", 1.0, args.pop("xs"), args.pop("rs"), **args)
+    sk = SpikedKernel(spec)
+    u = map_interval(gauss_legendre(8), 0.0, spec.domain_cut).nodes
+    ref = spiked_reference(sk, u, u)
+    assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestQuadratureFailureGuard:
