@@ -6,8 +6,11 @@ Sections: [run] (command, out, seed, tolerance, threads, quad_n),
 [kernel] (family, t, x/xs, r/rs, wedges "a:b,a:b", spikes, anchor),
 [grid] (t0, x0, r0, ht, hx, hr, nt, nx, nr, r_min, r_max, r_step).
 Exit codes: 0 pass, 1 residual above tolerance, 2 usage/config error
-(including parameters outside a kernel's domain).  Non-finite floats in the
-JSON report are written as the strings "inf", "-inf" and "nan".
+(including parameters outside a kernel's domain) or numerical failure (an
+unresolved quadrature tail, a singular or non-finite operator).  The JSON
+report records the Nystrom size ``quad_n`` actually used (null for commands
+that assemble no determinant).  Non-finite floats in the JSON report are
+written as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields, fredholm, kpsolver, painleve, residuals, scattering
-from .kernels import KernelDomainError, KernelSpec
+from .fredholm import SingularOperatorError
+from .kernels import KernelDomainError, KernelSpec, QuadratureFailure
 from .residuals import GridField
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "main"]
@@ -193,8 +197,9 @@ def _json_safe(v):
 def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
-    Raises ConfigError for quad_n outside [8, 512] and KernelDomainError for
-    kernel parameters outside their domain.
+    Raises ConfigError for quad_n outside [8, 512], KernelDomainError for
+    kernel parameters outside their domain, and QuadratureFailure,
+    SingularOperatorError or FloatingPointError when the numerics fail.
     """
     if not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
@@ -203,6 +208,7 @@ def run(cfg: ExperimentConfig):
     threads = cfg.threads or (os.cpu_count() or 1)
     report: dict = {"command": cfg.command, "seed": cfg.seed}
     worst = 0.0
+    quad_n = None   # Nystrom size of the command's determinants, if any
 
     if cfg.command == "tw-table":
         g = _grid_params(cfg, {"r_min": -6.0, "r_max": 4.0, "r_step": 0.1})
@@ -220,9 +226,10 @@ def run(cfg: ExperimentConfig):
         g = _grid_params(cfg, {"r0": -2.0, "hr": 0.5, "nr": 9})
         rvals = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
         spec0 = _kernel_spec(cfg)
+        quad_n = cfg.quad_n
         def one(rv):
             return fredholm.det_one_minus(
-                fredholm.assemble(_kernel_spec(cfg, r=float(rv)), cfg.quad_n))
+                fredholm.assemble(_kernel_spec(cfg, r=float(rv)), quad_n))
         with ThreadPoolExecutor(max_workers=threads) as ex:
             dets = list(ex.map(one, rvals))
         # the similarity families carry a Painleve reference for comparison
@@ -266,6 +273,7 @@ def run(cfg: ExperimentConfig):
                    list(zip(rep.extra["term_names"], rep.term_magnitudes)))
 
     elif cfg.command == "kp-residual":
+        quad_n = cfg.quad_n
         family = str(cfg.kernel.get("family", "nw_fixed_point"))
         if family == "airy_process":
             # two-point distribution as a function of (t, y, a)
@@ -280,7 +288,7 @@ def run(cfg: ExperimentConfig):
                         vals[i, j, k] = fields.airy_two_point_logdet(
                             g["t0"] + g["ht"] * i, xs, rs,
                             (j - 1) * g["hy"], (k - 3) * g["ha"],
-                            n_quad=min(cfg.quad_n, 48))
+                            n_quad=quad_n)
             fld = GridField(g["t0"], -g["hy"], -3 * g["ha"],
                             g["ht"], g["hy"], g["ha"], vals)
         else:
@@ -295,8 +303,9 @@ def run(cfg: ExperimentConfig):
         g = _grid_params(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02})
         ht, hy, ha = g["ht"], g["hy"], g["ha"]
         spec = _kernel_spec(cfg)
+        quad_n = cfg.quad_n
         q_big = fields.q_stencil(spec.t - ht, spec.xs, spec.rs, ht, hy, ha,
-                                 (3, 5, 9), n_quad=min(cfg.quad_n, 48))
+                                 (3, 5, 9), n_quad=quad_n)
         qf = (q_big[:, :, 2:] - q_big[:, :, :-2]) / (2 * ha)
         rep = residuals.matrix_kp_residual(qf, q_big[:, :, 1:-1], ht, hy, ha)
         ratio, tr_rel = residuals.rank_one_and_trace_check(qf[1, 2], ha)
@@ -312,6 +321,7 @@ def run(cfg: ExperimentConfig):
     elif cfg.command == "cyl-kdv":
         g = _grid_params(cfg, {"t0": 0.98, "r0": 0.88, "ht": 0.02,
                                "hr": 0.02, "nt": 3, "nr": 13})
+        quad_n = cfg.quad_n
         tg = g["t0"] + g["ht"] * np.arange(int(g["nt"]))
         rg = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
         vals = np.empty((tg.size, 1, rg.size))
@@ -319,15 +329,15 @@ def run(cfg: ExperimentConfig):
             for k, r in enumerate(rg):
                 spec = KernelSpec("kpz_narrow_wedge", float(t), (0.0,),
                                   (float(r - np.log(np.sqrt(np.pi * t))),))
-                vals[i, 0, k] = fields.logdet_value(spec, cfg.quad_n)
+                vals[i, 0, k] = fields.logdet_value(spec, quad_n)
         rep = residuals.cylindrical_kdv_residual(
             GridField(tg[0], 0.0, rg[0], g["ht"], 0.0, g["hr"], vals))
         report.update(rep.to_dict())
         shift = np.log(np.sqrt(np.pi))
         xa = fields.logdet_value(KernelSpec("kpz_narrow_wedge", 1.0, (0.0,),
-                                            (1.0 - shift,)), cfg.quad_n)
+                                            (1.0 - shift,)), quad_n)
         xb = fields.logdet_value(KernelSpec("kpz_narrow_wedge", 1.0, (0.5,),
-                                            (0.75 - shift,)), cfg.quad_n)
+                                            (0.75 - shift,)), quad_n)
         report["x_independence"] = abs(xa - xb)
         worst = rep.normalized_sup if report["x_independence"] < 1e-4 else float("inf")
         _write_csv(csv_path, ["term", "magnitude"],
@@ -337,8 +347,9 @@ def run(cfg: ExperimentConfig):
         g = _grid_params(cfg, {"r_min": -7.0, "r_max": -5.0, "r_step": 0.25})
         r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
         spec0 = _kernel_spec(cfg)
-        lf = np.array([fields.logdet_value(_kernel_spec(cfg, r=float(rv)),
-                                           max(cfg.quad_n, 96)) for rv in r])
+        quad_n = max(cfg.quad_n, 96)
+        lf = np.array([fields.logdet_value(_kernel_spec(cfg, r=float(rv)), quad_n)
+                       for rv in r])
         slope, r2 = residuals.tail_slope_fit(r, lf)
         expect = 1.0 / 6.0 if spec0.family == "flat_fixed_point" else 1.0 / 12.0
         report.update({"slope": slope, "r2": r2, "expected": expect,
@@ -347,9 +358,10 @@ def run(cfg: ExperimentConfig):
         _write_csv(csv_path, ["r", "log_f"], list(zip(r.tolist(), lf.tolist())))
 
     elif cfg.command == "scattering-limit":
+        quad_n = cfg.quad_n
         cfgw = scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
         rows = scattering.rk_limit_check(cfgw, (0.1, 0.05, 0.02, 0.01),
-                                         n_quad=cfg.quad_n)
+                                         n_quad=quad_n)
         table = []
         for rw in rows:
             n_pts = rw["q"].shape[0]
@@ -366,10 +378,10 @@ def run(cfg: ExperimentConfig):
         c_fit, r2 = scattering.t0_kernel_decay_check(2.0, 0.0, -1.0, 1.0)
         report["decay_c"] = c_fit
         report["decay_r2"] = r2
-        d_one = scattering.initial_data_determinant(cfgw)
+        d_one = scattering.initial_data_determinant(cfgw, quad_n)
         cfg0 = scattering.WedgeConfig(((0.0, 0.5),), (-1.0, 0.0, 1.0),
                                       (1.0, -0.2, 1.2))
-        d_zero = scattering.initial_data_determinant(cfg0)
+        d_zero = scattering.initial_data_determinant(cfg0, quad_n)
         report["initial_data_errs"] = [abs(d_one - 1.0), abs(d_zero)]
         ok = (report["monotone_decrease"] and c_fit > 0 and r2 > 0.99
               and max(report["initial_data_errs"]) < 1e-8)
@@ -379,11 +391,12 @@ def run(cfg: ExperimentConfig):
         configs = [((-0.3, 0.4), (0.5, 0.8), 1.0),
                    ((-0.5, 0.2), (0.0, 0.3), 1.0),
                    ((0.1, 0.9), (1.0, 0.6), 2.0)]
+        quad_n = cfg.quad_n
         rows = []
         for xs, rs, t in configs:
             fp = scattering.path_integral_determinant(t, xs, rs)
             spec = KernelSpec("multiwedge_extended", t, xs, rs, ((0.0, 0.0),))
-            fe = fredholm.det_one_minus(fredholm.assemble(spec, cfg.quad_n))
+            fe = fredholm.det_one_minus(fredholm.assemble(spec, quad_n))
             rows.append((t, str(xs), str(rs), fp, fe, abs(fp - fe)))
         _write_csv(csv_path, ["t", "xs", "rs", "path_integral", "extended", "abs_err"],
                    rows)
@@ -431,34 +444,40 @@ def run(cfg: ExperimentConfig):
                 return (c * np.exp(-u * u)[:, None]
                         * (-2 * v * np.exp(-v * v))[None, :])
             return f
+        quad_n = max(cfg.quad_n, 96)
         res = fredholm.boundary_bracket_product_check(
             [[gau(1.0)]], [[gau_d2(1.0)]], [[gau(1.0)]], [[gau_d1(1.0)]],
-            max(cfg.quad_n, 96))
+            quad_n)
         report["residual"] = res
         worst = res
         _write_csv(csv_path, ["quantity", "value"], [("residual", res)])
 
     elif cfg.command == "spiked-check":
-        spikes = tuple(np.atleast_1d(cfg.kernel.get("spikes", (0.0,))).astype(float))
-        def sdet(r, anchor=0.25):
-            spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (float(r),),
-                              spikes=spikes, contour_anchor=anchor)
-            return fredholm.det_one_minus(fredholm.assemble(spec, cfg.quad_n))
-        d0, d1 = sdet(0.0), sdet(1.0)
-        anchor_dev = abs(d0 - sdet(0.0, anchor=0.35))
+        k = cfg.kernel
+        t, x = float(k.get("t", 1.0)), float(k.get("x", 0.0))
+        anchor = float(k.get("anchor", 0.25))
+        spikes = tuple(np.atleast_1d(k.get("spikes", (0.0,))).astype(float))
+        quad_n = cfg.quad_n
+        def sdet(r, anc):
+            spec = KernelSpec("kpz_spiked", t, (x,), (float(r),),
+                              spikes=spikes, contour_anchor=anc)
+            return fredholm.det_one_minus(fredholm.assemble(spec, quad_n))
+        d0, d1 = sdet(0.0, anchor), sdet(1.0, anchor)
+        anchor_dev = abs(d0 - sdet(0.0, anchor + 0.1))
         h = 0.02
-        fld = fields.det_field("kpz_spiked", 1.0 - h, 0.2 - h, 0.3 - 3 * h,
-                               h, h, h, (3, 3, 7), n_quad=cfg.quad_n,
-                               spec_kw={"spikes": spikes})
+        fld = fields.det_field("kpz_spiked", t - h, x + 0.2 - h, 0.3 - 3 * h,
+                               h, h, h, (3, 3, 7), n_quad=quad_n,
+                               spec_kw={"spikes": spikes, "contour_anchor": anchor})
         res = residuals.kp_scalar_residual(fld).normalized_sup
         report.update({"det_r0": d0, "det_r1": d1, "anchor_dev": anchor_dev,
                        "imag_part": 0.0, "kp_residual": res})
         ok = (0.0 < d0 < d1 < 1.0) and anchor_dev < 1e-8
         worst = res if ok else float("inf")
         _write_csv(csv_path, ["quantity", "value"],
-                   [(k, v) for k, v in report.items()
-                    if isinstance(v, (int, float)) and k != "seed"])
+                   [(key, v) for key, v in report.items()
+                    if isinstance(v, (int, float)) and key != "seed"])
 
+    report["quad_n"] = quad_n
     report["worst"] = float(worst)
     report["tolerance"] = cfg.tolerance
     report["passed"] = bool(worst <= cfg.tolerance)
@@ -497,6 +516,9 @@ def main(argv=None) -> int:
         code, paths = run(cfg)
     except (ConfigError, KernelDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (QuadratureFailure, SingularOperatorError, FloatingPointError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     status = "pass" if code == 0 else "FAIL"
     print(f"{cfg.command}: {status}; artifacts: {paths[0]}, {paths[1]}")

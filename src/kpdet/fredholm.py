@@ -111,7 +111,12 @@ def det_one_minus(disc: Discretization) -> float:
 
 
 def boundary_resolvent(disc: Discretization) -> BoundaryResolvent:
-    """Q[a,b] = K_ab(0,0) + sum_c int K_ac(0,s) [(I-K)^(-1)K]_cb(s,0) ds."""
+    """Q[a,b] = K_ab(0,0) + sum_c int K_ac(0,s) [(I-K)^(-1)K]_cb(s,0) ds.
+
+    The boundary blocks come from the assembled kernel, so a factored
+    kernel reuses the factors it cached on the nodes and adds only those
+    at the boundary point 0.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         det = det_one_minus(disc)

@@ -16,6 +16,11 @@ with S[-t, x](u) = S[t, x](-u), composed with heat kernels and level
 cutoffs.  Compositions are evaluated in log space so that the huge opposing
 exponentials appearing at small t cancel analytically before exponentiation.
 
+The narrow-wedge / multiwedge blocks are factored kernels L_a H R_b^T: the
+S-factors L_a, R_b of each observation point and the heat chain H of each
+wedge subset are evaluated once per kernel and cached, and each chain is
+contracted by one BLAS product of row-scaled mantissas (``log_matmul``).
+
 Blocks are shifted per observation point: entry (a, b) is evaluated at
 (u + r_a, v + r_b) and lives on L^2[0, inf).
 """
@@ -23,6 +28,8 @@ Blocks are shifted per observation point: entry (a, b) is evaluated at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+
 import numpy as np
 
 from .quadrature import (
@@ -78,17 +85,28 @@ def heat_kernel_log(l, u, v):
     return -((u - v) ** 2) / (4.0 * l) - 0.5 * np.log(4.0 * np.pi * l)
 
 
+def _s_log_pm(t, x, u):
+    """(log|S[t,x](u)|, log|S[t,-x](u)|, sign) for t > 0.
+
+    The Airy argument depends on x only through x^2, so one Airy evaluation
+    serves both and they share the sign.
+    """
+    arg = -u / np.cbrt(t) + x * x / np.cbrt(t ** 4)
+    la, sg = airy_ai_log_abs(arg)
+    lt = np.log(t) / 3.0
+    plus = la + 2.0 * x ** 3 / (3.0 * t * t) - u * x / t - lt
+    minus = la + 2.0 * (-x) ** 3 / (3.0 * t * t) - u * (-x) / t - lt
+    return plus, minus, sg
+
+
 def s_kernel_log(t, x, u):
     """(log|S[t,x](u)|, sign).  Valid for any t != 0."""
     if t == 0:
         raise KernelDomainError("s_kernel needs t != 0")
     if t < 0:
         return s_kernel_log(-t, x, -np.asarray(u, dtype=float))
-    u = np.asarray(u, dtype=float)
-    arg = -u / np.cbrt(t) + x * x / np.cbrt(t ** 4)
-    la, sg = airy_ai_log_abs(arg)
-    logv = la + 2.0 * x ** 3 / (3.0 * t * t) - u * x / t - np.log(t) / 3.0
-    return logv, sg
+    plus, _, sg = _s_log_pm(t, x, np.asarray(u, dtype=float))
+    return plus, sg
 
 
 def s_kernel(t, x, u):
@@ -114,17 +132,48 @@ class LogMat:
             return self.sign * np.exp(np.minimum(self.logabs, 700.0))
 
 
+# a scaled product below this may have lost its largest terms to subnormal
+# underflow; such entries are recomputed by the exact log-sum-exp
+_SCALED_TINY = 1e-280
+
+
+def _line_max(logabs, axis):
+    """Largest log|entry| along axis; 0 for lines that are all zero."""
+    m = np.max(logabs, axis=axis)
+    return np.where(np.isfinite(m), m, 0.0)
+
+
 def log_matmul(a: LogMat, b: LogMat) -> LogMat:
-    """Signed log-sum-exp matrix product."""
-    t = a.logabs[:, :, None] + b.logabs[None, :, :]
-    s = a.sign[:, :, None] * b.sign[None, :, :]
-    m = np.max(t, axis=1)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    acc = np.sum(s * np.exp(t - m_safe[:, None, :]), axis=1)
+    """Signed log-space matrix product a @ b.
+
+    Each row of a and column of b is scaled by its largest entry, so the
+    product is one BLAS matmul of mantissas in [-1, 1]:
+    log|a b| = m_a + m_b + log|A_s B_s|.  Entries whose scaled product falls
+    below _SCALED_TINY are recomputed by an exact log-sum-exp over the inner
+    index.
+    """
+    ma = _line_max(a.logabs, 1)
+    mb = _line_max(b.logabs, 0)
+    with np.errstate(under="ignore"):
+        acc = ((a.sign * np.exp(a.logabs - ma[:, None]))
+               @ (b.sign * np.exp(b.logabs - mb[None, :])))
+    mag = np.abs(acc)
     with np.errstate(divide="ignore"):
-        logabs = m_safe + np.log(np.abs(acc))
-    logabs = np.where(np.isfinite(m), logabs, -np.inf)
-    return LogMat(logabs, np.sign(acc))
+        logabs = ma[:, None] + mb[None, :] + np.log(mag)
+    sign = np.sign(acc)
+    i, j = np.nonzero(mag < _SCALED_TINY)
+    if i.size:
+        t = a.logabs[i] + b.logabs[:, j].T
+        s = a.sign[i] * b.sign[:, j].T
+        m = np.max(t, axis=1)
+        live = np.isfinite(m)
+        m_safe = np.where(live, m, 0.0)
+        with np.errstate(under="ignore"):
+            exact = np.sum(s * np.exp(t - m_safe[:, None]), axis=1)
+        with np.errstate(divide="ignore"):
+            logabs[i, j] = np.where(live, m_safe + np.log(np.abs(exact)), -np.inf)
+        sign[i, j] = np.sign(exact)
+    return LogMat(logabs, sign)
 
 
 # ----------------------------------------------------------------------------
@@ -192,39 +241,79 @@ class KernelSpec:
 # narrow wedge / multiwedge blocks
 # ----------------------------------------------------------------------------
 
-def _s_logmat(t, x, lam, pts):
-    """LogMat of S[t, x](lam_q - p_i) with shape (len(pts), len(lam))."""
-    logv, sg = s_kernel_log(t, x, lam[None, :] - pts[:, None])
-    return LogMat(logv, sg)
+def _memo(cache, key, make):
+    """cache[key], computed by make() on first use."""
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
 
 
-def _chain_logmat(t, subset, x_i, x_j, U, V, lam_rules):
-    """One inclusion-exclusion summand of the multiwedge scattering part.
+def _wedge_rules(spec: KernelSpec, cache):
+    """Cutoff rule on (-inf, b_p] of each wedge p, cached."""
+    def make():
+        base = gauss_legendre(spec.inner_n)
+        scale = spec.inner_scale * np.cbrt(spec.t)
+        rules = []
+        for (a, b) in spec.wedges:
+            r = map_half_line_down(base, b, scale)
+            rules.append({"a": a, "b": b, "nodes": r.nodes, "weights": r.weights})
+        return rules
+    return _memo(cache, "rules", make)
 
-    subset is a tuple of wedge indices; lam_rules[p] is the cutoff rule on
-    (-inf, b_p].  Returns LogMat over (U, V).  Raises QuadratureFailure when
-    the deepest cutoff node still carries weight relative to the result,
-    i.e. the algebraic tail map has not resolved the integrand's decay.
+
+def _s_factors(spec, cache, p, i, pts):
+    """(L, R^T) of point i and wedge p on the absolute points pts, cached.
+
+    L[k, q] = S[t, a_p - x_i](lam_q - pts_k) w_q (the cutoff weights folded
+    in) and R^T[q, k] = S[t, x_i - a_p](lam_q - pts_k), on the cutoff nodes
+    lam of wedge p; both come from one Airy evaluation.
     """
-    p0 = subset[0]
-    pn = subset[-1]
-    lam0 = lam_rules[p0]
-    left = _s_logmat(t, lam0["a"] - x_i, lam0["nodes"], U)
-    left = LogMat(left.logabs + np.log(lam0["weights"])[None, :], left.sign)
-    cur = left
-    for s in range(1, len(subset)):
-        p_prev, p_cur = subset[s - 1], subset[s]
-        rp, rc = lam_rules[p_prev], lam_rules[p_cur]
-        dl = rc["a"] - rp["a"]
-        hk = heat_kernel_log(dl, rp["nodes"][:, None], rc["nodes"][None, :])
-        hk = hk + np.log(rc["weights"])[None, :]
-        cur = log_matmul(cur, LogMat(hk, np.ones_like(hk)))
-    lamn = lam_rules[pn]
-    right = _s_logmat(t, x_j - lamn["a"], lamn["nodes"], V)
-    out = log_matmul(cur, LogMat(right.logabs.T, right.sign.T))
+    def make():
+        rule = _wedge_rules(spec, cache)[p]
+        plus, minus, sg = _s_log_pm(spec.t, rule["a"] - spec.xs[i],
+                                    rule["nodes"][None, :] - pts[:, None])
+        left = LogMat(plus + np.log(rule["weights"])[None, :], sg)
+        return left, LogMat(minus.T, sg.T)
+    return _memo(cache, ("S", p, i, pts.tobytes()), make)
+
+
+def _heat_chain(spec, cache, subset):
+    """H of a wedge subset: the product of its weighted heat matrices, cached."""
+    def make():
+        rules = _wedge_rules(spec, cache)
+        out = None
+        for p_prev, p_cur in zip(subset[:-1], subset[1:]):
+            rp, rc = rules[p_prev], rules[p_cur]
+            hk = heat_kernel_log(rc["a"] - rp["a"], rp["nodes"][:, None],
+                                 rc["nodes"][None, :])
+            hk = LogMat(hk + np.log(rc["weights"])[None, :], np.ones_like(hk))
+            out = hk if out is None else log_matmul(out, hk)
+        return out
+    return _memo(cache, ("H", subset), make)
+
+
+def _left_chain(spec, cache, subset, i, pts):
+    """L_a H of a wedge subset on pts (L_a alone for one wedge), cached."""
+    def make():
+        left = _s_factors(spec, cache, subset[0], i, pts)[0]
+        if len(subset) == 1:
+            return left
+        return log_matmul(left, _heat_chain(spec, cache, subset))
+    return _memo(cache, ("LH", subset, i, pts.tobytes()), make)
+
+
+def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
+    """One inclusion-exclusion summand L_a H R_b^T of the multiwedge part.
+
+    left is L_a H over (U, cutoff nodes of the subset's last wedge), right_t
+    is R_b^T over (those nodes, V).  Raises QuadratureFailure when the
+    deepest cutoff node still carries weight relative to the result, i.e.
+    the algebraic tail map has not resolved the integrand's decay.
+    """
+    out = log_matmul(left, right_t)
     # tail estimate: contribution of the deepest lambda node of the last
     # cutoff integral (node 0 of the half-line-down rule)
-    tail = cur.logabs[:, 0:1] + right.logabs.T[0:1, :]
+    tail = left.logabs[:, 0:1] + right_t.logabs[0:1, :]
     live = np.isfinite(out.logabs) & np.isfinite(tail)
     if np.any(tail[live] - out.logabs[live] > np.log(1e-12)):
         raise QuadratureFailure(
@@ -233,33 +322,24 @@ def _chain_logmat(t, subset, x_i, x_j, U, V, lam_rules):
     return out
 
 
-def _wedge_rules(spec: KernelSpec):
-    base = gauss_legendre(spec.inner_n)
-    scale = spec.inner_scale * np.cbrt(spec.t)
-    rules = []
-    for (a, b) in spec.wedges:
-        r = map_half_line_down(base, b, scale)
-        rules.append({"a": a, "b": b, "nodes": r.nodes, "weights": r.weights})
-    return rules
-
-
-def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V) -> LogMat:
+def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V,
+                           cache: dict | None = None) -> LogMat:
     """log-space value of block (i, j) of e^{-x_i d^2} K_t e^{x_j d^2}.
 
     U, V are absolute coordinates (the level shifts r_i, r_j must already be
-    folded in by the caller).
+    folded in by the caller).  cache keeps the factors of one spec between
+    calls (BlockKernel passes its own); without it they are built afresh.
     """
     U = np.atleast_1d(np.asarray(U, dtype=float))
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    rules = _wedge_rules(spec)
+    cache = {} if cache is None else cache
     k = len(spec.wedges)
     acc = None
-    from itertools import combinations
-
     for n in range(1, k + 1):
         sgn = 1.0 if n % 2 == 1 else -1.0  # inclusion-exclusion (-1)^(n+1)
         for subset in combinations(range(k), n):
-            term = _chain_logmat(spec.t, subset, spec.xs[i], spec.xs[j], U, V, rules)
+            term = _chain_logmat(_left_chain(spec, cache, subset, i, U),
+                                 _s_factors(spec, cache, subset[-1], j, V)[1])
             if acc is None:
                 acc = LogMat(term.logabs.copy(), term.sign * sgn)
             else:
@@ -273,16 +353,18 @@ def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V) -> LogMat:
     return acc
 
 
-def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v, include_heat=True):
+def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v, include_heat=True,
+                     cache: dict | None = None):
     """Block (i, j) of the shifted extended kernel, linear values.
 
-    u, v live on [0, inf); levels rs are folded in here.
+    u, v live on [0, inf); levels rs are folded in here.  cache is passed
+    on to scattering_part_logmat.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     U = u + spec.rs[i]
     V = v + spec.rs[j]
-    part = scattering_part_logmat(spec, i, j, U, V).to_linear()
+    part = scattering_part_logmat(spec, i, j, U, V, cache).to_linear()
     if include_heat and i < j:
         part = part - heat_kernel(spec.xs[j] - spec.xs[i], U[:, None], V[None, :])
     return part
@@ -539,12 +621,18 @@ class SpikedKernel:
 
 @dataclass
 class BlockKernel:
-    """n x n operator-valued kernel with a uniform block evaluator."""
+    """n x n operator-valued kernel with a uniform block evaluator.
+
+    The factored families keep their factors in _factors, keyed by the
+    points they were evaluated on, so each factor is computed once per
+    kernel: assembly evaluates them on the quadrature nodes and the
+    boundary resolvent reuses those, adding only the boundary point 0.
+    """
 
     spec: KernelSpec
     n_blocks: int
     _spiked: SpikedKernel | None = None
-    _kpz_factor_cache: dict = field(default_factory=dict)
+    _factors: dict = field(default_factory=dict)
 
     def block(self, a: int, b: int, u, v) -> np.ndarray:
         spec = self.spec
@@ -552,16 +640,15 @@ class BlockKernel:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if fam in ("nw_fixed_point", "multiwedge_extended"):
-            return multiwedge_block(spec, a, b, u, v)
+            return multiwedge_block(spec, a, b, u, v, cache=self._factors)
         if fam == "flat_fixed_point":
             return flat_kernel(spec.t, u[:, None] + spec.rs[0], v[None, :] + spec.rs[0])
         if fam == "kpz_narrow_wedge":
-            key_u, key_v = u.tobytes(), v.tobytes()
-            if key_u not in self._kpz_factor_cache:
-                self._kpz_factor_cache[key_u] = kpz_nw_half_factor(spec, u)
-            if key_v not in self._kpz_factor_cache:
-                self._kpz_factor_cache[key_v] = kpz_nw_half_factor(spec, v)
-            return self._kpz_factor_cache[key_u].T @ self._kpz_factor_cache[key_v]
+            au = _memo(self._factors, ("kpz", u.tobytes()),
+                       lambda: kpz_nw_half_factor(spec, u))
+            av = _memo(self._factors, ("kpz", v.tobytes()),
+                       lambda: kpz_nw_half_factor(spec, v))
+            return au.T @ av
         if fam == "kpz_spiked":
             return self._spiked.matrix(u, v)
         raise KernelDomainError(fam)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from kpdet import cli
+from kpdet import cli, fields, fredholm
+from kpdet.kernels import KernelSpec, QuadratureFailure
 
 
 GOOD_CONFIG = """
@@ -130,6 +131,30 @@ class TestConfiguredKeys:
         assert np.max(np.abs(moved.values - default.values)) < 1e-10
         assert np.min(np.abs(same_lattice.values - default.values)) > 1e-3
 
+    def test_matrix_kp_uses_configured_quad_n(self, tmp_path):
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = matrix-kp\nquad_n = 56\n"
+            "[kernel]\nfamily = multiwedge_extended\nxs = -0.3,0.4\nrs = 0.5,0.8\n")
+        assert code == 0
+        report = json.loads((out / "matrix-kp.json").read_text())
+        assert report["quad_n"] == 56
+
+    def test_spiked_check_uses_configured_t_x_anchor(self, tmp_path):
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = spiked-check\nquad_n = 16\n"
+            "[kernel]\nspikes = 0.0\nt = 1.2\nx = 0.1\nanchor = 0.3\n")
+        assert code == 0
+        report = json.loads((out / "spiked-check.json").read_text())
+
+        def det(t, x, anchor):
+            spec = KernelSpec("kpz_spiked", t, (x,), (0.0,), spikes=(0.0,),
+                              contour_anchor=anchor)
+            return fredholm.det_one_minus(fredholm.assemble(spec, 16))
+
+        assert abs(report["det_r0"] - det(1.2, 0.1, 0.3)) < 1e-13
+        assert abs(report["det_r0"] - det(1.0, 0.0, 0.25)) > 1e-3
+        assert report["quad_n"] == 16
+
 
 class TestErrorContract:
     def _assert_config_error(self, capsys, code):
@@ -154,6 +179,31 @@ class TestErrorContract:
             code, out = _run_main(tmp_path, text, "--quad-n", "1000")
         self._assert_config_error(capsys, code)
         assert not out.exists()
+
+    def test_spiked_check_x_outside_light_cone_exit_2(self, tmp_path, capsys):
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = spiked-check\nquad_n = 16\n"
+            "[kernel]\nspikes = 0.0\nt = 0.5\nx = 0.6\n")
+        self._assert_config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [QuadratureFailure, fredholm.SingularOperatorError,
+                                       FloatingPointError])
+    @pytest.mark.parametrize("target", ["assemble", "boundary_resolvent"])
+    def test_numerical_error_exit_2(self, tmp_path, capsys, monkeypatch, target, error):
+        def fail(*args, **kwargs):
+            raise error("forced failure")
+
+        # matrix-kp reaches the resolvent through the name bound in fields
+        monkeypatch.setattr(fredholm, target, fail)
+        monkeypatch.setattr(fields, target, fail)
+        config = ("[run]\ncommand = det-eval\n[grid]\nnr = 1\n" if target == "assemble"
+                  else "[run]\ncommand = matrix-kp\n[kernel]\n"
+                       "family = multiwedge_extended\nxs = -0.3,0.4\nrs = 0.5,0.8\n")
+        code, out = _run_main(tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "numerical error: forced failure"
 
     def test_report_is_strict_json(self, tmp_path):
         code, out = _run_main(tmp_path, GOOD_CONFIG.replace("tolerance = 0.5\n", ""))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kpdet import fredholm, painleve
-from kpdet.kernels import KernelSpec
+from kpdet import fredholm, kernels, painleve
+from kpdet.kernels import KernelSpec, multiwedge_block
 
 
 class RankOneToy:
@@ -115,6 +115,43 @@ class TestBoundaryResolvent:
         row = kern.block(0, 0, np.zeros(1), rule.nodes)[0] * sw
         q_interp = kern.block(0, 0, np.zeros(1), np.zeros(1))[0, 0] + row @ resolv_nodes
         assert abs(q_interp - br.q_matrix[0, 0]) < 1e-10
+
+    def test_two_point_resolvent_matches_direct_blocks(self):
+        # reference: every block evaluated afresh (no factor cache), the
+        # boundary ones directly at 0
+        spec = KernelSpec("multiwedge_extended", 1.0, (-0.3, 0.4), (0.5, 0.8),
+                          ((0.0, 0.0),))
+        disc = fredholm.assemble(spec, 48)
+        br = fredholm.boundary_resolvent(disc)
+        nodes, sw, zero = disc.rule.nodes, np.sqrt(disc.rule.weights), np.zeros(1)
+        m = np.block([[sw[:, None] * multiwedge_block(spec, a, b, nodes, nodes) * sw
+                       for b in range(2)] for a in range(2)])
+        row = np.block([[multiwedge_block(spec, a, c, zero, nodes) * sw
+                         for c in range(2)] for a in range(2)])
+        col = np.block([[multiwedge_block(spec, c, b, nodes, zero) * sw[:, None]
+                         for b in range(2)] for c in range(2)])
+        k00 = np.array([[multiwedge_block(spec, a, b, zero, zero)[0, 0]
+                         for b in range(2)] for a in range(2)])
+        q = k00 + row @ np.linalg.solve(np.eye(96) - m, col)
+        assert np.max(np.abs(disc.matrix - m)) < 1e-15
+        assert np.max(np.abs(br.q_matrix - q)) < 1e-13
+
+    def test_resolvent_reuses_assembly_factors(self, monkeypatch):
+        # after assembly only the boundary point 0 needs new Airy values:
+        # one cutoff rule (inner_n nodes) per observation point
+        spec = KernelSpec("multiwedge_extended", 1.0, (-0.3, 0.4), (0.5, 0.8),
+                          ((0.0, 0.0),))
+        disc = fredholm.assemble(spec, 48)
+        points = []
+        airy_ai_log_abs = kernels.airy_ai_log_abs
+
+        def counting(arg):
+            points.append(np.size(arg))
+            return airy_ai_log_abs(arg)
+
+        monkeypatch.setattr(kernels, "airy_ai_log_abs", counting)
+        fredholm.boundary_resolvent(disc)
+        assert sum(points) == 2 * spec.inner_n
 
     def test_singularity_guard(self):
         class UnitKernel(ZeroKernel):

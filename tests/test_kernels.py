@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import quad
+from scipy.special import airy
 
 from kpdet import fredholm
 from kpdet.kernels import (
     KernelDomainError,
     KernelSpec,
+    LogMat,
     SpikedKernel,
     flat_kernel,
     heat_kernel,
     kpz_nw_kernel,
+    log_matmul,
     multiwedge_block,
     nw_fixed_point_kernel,
     s_kernel,
@@ -165,6 +171,98 @@ class TestMultiwedge:
         far = disc.rule.nodes[disc.rule.nodes > cut][:3]
         k = multiwedge_block(spec, 0, 0, far, far)
         assert np.max(np.abs(k)) < 1e-10
+
+
+def s_airy_reference(t, x, w):
+    """S[t, x](w) straight from scipy's Airy function."""
+    return (np.exp(2 * x ** 3 / (3 * t * t) - w * x / t) / np.cbrt(t)
+            * airy(-w / np.cbrt(t) + x * x / np.cbrt(t ** 4))[0])
+
+
+def two_point_block_reference(t, xs, rs, i, j, u, v):
+    """Block (i, j) of the one-wedge (0, 0) extended kernel by adaptive
+    quadrature: int_{-inf}^0 S[t, -x_i](l - u - r_i) S[t, x_j](l - v - r_j) dl,
+    minus the heat kernel above the diagonal.  Below -25 t^(1/3) the
+    integrand is under 1e-30."""
+    big_u, big_v = u + rs[i], v + rs[j]
+    val = quad(lambda lam: (s_airy_reference(t, -xs[i], lam - big_u)
+                            * s_airy_reference(t, xs[j], lam - big_v)),
+               -25 * np.cbrt(t), 0.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    if i < j:
+        d = xs[j] - xs[i]
+        val -= np.exp(-(big_u - big_v) ** 2 / (4 * d)) / np.sqrt(4 * np.pi * d)
+    return val
+
+
+@pytest.mark.parametrize("t", [1.0, 0.1])
+def test_two_point_block_matches_scipy_quadrature(t):
+    xs, rs = (-0.3, 0.4), (0.5, 0.8)
+    spec = KernelSpec("multiwedge_extended", t, xs, rs, ((0.0, 0.0),))
+    u, v = np.array([0.0, 0.4, 1.3]), np.array([0.0, 0.7, 2.0])
+    for i in range(2):
+        for j in range(2):
+            ref = np.array([[two_point_block_reference(t, xs, rs, i, j, a, b)
+                             for b in v] for a in u])
+            err = np.max(np.abs(multiwedge_block(spec, i, j, u, v) - ref))
+            assert err <= 1e-9 * np.max(np.abs(ref)) + 1e-15
+
+
+def log_matmul_reference(a, b):
+    """(sum, scale, sum of moduli) of a @ b by the exact 3-D log-sum-exp:
+    the product is scale * sum, and |error| of sum is judged against the
+    sum of moduli of its terms."""
+    t = a.logabs[:, :, None] + b.logabs[None, :, :]
+    s = a.sign[:, :, None] * b.sign[None, :, :]
+    m = np.max(t, axis=1)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(t - m[:, None, :])
+    return np.sum(s * e, axis=1), m, np.sum(e, axis=1)
+
+
+@st.composite
+def log_factor_pairs(draw):
+    """Random signed log matrices with zeros, spreads of e^+-800, and rows
+    forced onto the underflow fallback."""
+    r, k, c = (draw(st.integers(1, 6)) for _ in range(3))
+    logs = st.floats(-800.0, 800.0)
+    signs = st.sampled_from([-1.0, 0.0, 1.0])
+    la = draw(hnp.arrays(float, (r, k), elements=logs))
+    lb = draw(hnp.arrays(float, (k, c), elements=logs))
+    sa = draw(hnp.arrays(float, (r, k), elements=signs))
+    sb = draw(hnp.arrays(float, (k, c), elements=signs))
+    forced = draw(hnp.arrays(bool, r)) if k > 1 else np.zeros(r, bool)
+    if forced.any():
+        # a forced row peaks at inner index 0 by e^800 and b's row 0 sits
+        # e^800 below its other entries, so every scaled term is < e^-800
+        sa[forced] = np.where(sa[forced] == 0.0, 1.0, sa[forced])
+        sb[sb == 0.0] = 1.0
+        la[forced, 0] = la[forced].max(axis=1) + 800.0
+        lb[0] = lb.min() - 800.0
+    a = LogMat(np.where(sa == 0.0, -np.inf, la), sa)
+    b = LogMat(np.where(sb == 0.0, -np.inf, lb), sb)
+    return a, b
+
+
+class TestLogMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(log_factor_pairs())
+    def test_matches_exact_log_sum_exp(self, pair):
+        a, b = pair
+        out = log_matmul(a, b)
+        acc, scale, moduli = log_matmul_reference(a, b)
+        assert out.logabs.shape == acc.shape
+        got = out.sign * np.exp(out.logabs - scale)
+        # a log carries a few ulps of |log| absolute, i.e. that much relative
+        assert np.all(np.abs(got - acc) <= (1e-13 + 1e-15 * np.abs(scale)) * moduli)
+        assert np.all((out.sign == 0) == (out.logabs == -np.inf))
+
+    def test_underflowing_scaled_product_is_recovered(self):
+        # scaled mantissas 1 * e^-800 + e^-800 * 1 underflow to 0 in double
+        a = LogMat(np.array([[0.0, -800.0]]), np.ones((1, 2)))
+        b = LogMat(np.array([[-800.0], [0.0]]), np.ones((2, 1)))
+        out = log_matmul(a, b)
+        assert abs(out.logabs[0, 0] - (np.log(2.0) - 800.0)) < 1e-12
+        assert out.sign[0, 0] == 1.0
 
 
 class TestKPZNarrowWedge:
