@@ -197,9 +197,10 @@ def _json_safe(v):
 def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
-    Raises ConfigError for quad_n outside [8, 512], KernelDomainError for
-    kernel parameters outside their domain, and QuadratureFailure,
-    SingularOperatorError or FloatingPointError when the numerics fail.
+    Raises ConfigError for quad_n outside [8, 512] or a [kernel] point that
+    kp-residual would ignore, KernelDomainError for kernel parameters
+    outside their domain, and QuadratureFailure, SingularOperatorError or
+    FloatingPointError when the numerics fail.
     """
     if not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
@@ -275,6 +276,16 @@ def run(cfg: ExperimentConfig):
     elif cfg.command == "kp-residual":
         quad_n = cfg.quad_n
         family = str(cfg.kernel.get("family", "nw_fixed_point"))
+        # the lattice is placed by [grid]; a kernel point would be ignored
+        if family == "airy_process":
+            placed_by = {"t": "[grid] t0", "x": "[kernel] xs", "r": "[kernel] rs"}
+        else:
+            placed_by = {"t": "[grid] t0", "x": "[grid] x0", "r": "[grid] r0",
+                         "xs": "[grid] x0", "rs": "[grid] r0"}
+        for key, use in placed_by.items():
+            if key in cfg.kernel:
+                raise ConfigError(f"kp-residual does not read [kernel] {key}; "
+                                  f"set {use} instead")
         if family == "airy_process":
             # two-point distribution as a function of (t, y, a)
             g = _grid_params(cfg, {"t0": 0.98, "ht": 0.02, "hy": 0.02,
@@ -405,11 +416,12 @@ def run(cfg: ExperimentConfig):
 
     elif cfg.command == "solve-kp":
         # line-soliton accuracy plus the determinant-field closure test
-        c, big_t, dt = 0.5, 2.0, 5e-3
-        solver = kpsolver.KPSolver((-20, 20), (-0.5, 0.5), 512, 4, dt)
+        c, big_t, dt, n_r, n_x = 0.5, 2.0, 5e-3, 512, 4
+        n_steps = int(big_t / dt)
+        solver = kpsolver.KPSolver((-20, 20), (-0.5, 0.5), n_r, n_x, dt)
         phi0 = np.broadcast_to(
-            kpsolver.soliton_profile(solver.r, c)[None, :], (4, 512)).copy()
-        out = solver.evolve(phi0, int(big_t / dt))
+            kpsolver.soliton_profile(solver.r, c)[None, :], (n_x, n_r)).copy()
+        out = solver.evolve(phi0, n_steps)
         ref = kpsolver.soliton_profile(
             (solver.r - c * big_t + 20.0) % 40.0 - 20.0, c)
         soliton_err = float(np.max(np.abs(out - ref[None, :])))
@@ -419,7 +431,9 @@ def run(cfg: ExperimentConfig):
             1.0, 1.1, return_fields=True)
         grid = rep.pop("fields")
         report.update(rep)
-        report["soliton_sup_error"] = soliton_err
+        report.update({"soliton_sup_error": soliton_err, "soliton_n_x": n_x,
+                       "soliton_n_r": n_r, "soliton_n_steps": n_steps,
+                       "soliton_dt": dt})
         worst = rep["sup_error"] if soliton_err < 1e-6 else float("inf")
         table = [(float(xv), float(rv), float(pe), float(pt), float(abs(pe - pt)))
                  for (xv, rv, pe, pt) in grid]

@@ -6,7 +6,9 @@ The equation
 
 is integrated with a fourth-order exponential (ETDRK4) scheme: the linear
 phase exp(dt (i k_r^3/12 - i k_x^2/(4 k_r))) is applied exactly, the
-nonlinear term -(1/2) d_r(phi^2) is dealiased by the 2/3 rule.
+nonlinear term -(1/2) d_r(phi^2) is dealiased by the 2/3 rule.  phi is
+real, so the state is its rfft2 half spectrum (k_r >= 0 columns only) and
+each stage costs one irfft2 and one rfft2.
 
 Determinant-derived fields ride on a ramp (phi ~ r/(2t) as r -> -inf), so
 the plain zero-mean spectral antiderivative would misrepresent dr^{-1} by a
@@ -14,7 +16,8 @@ column mean.  Instead dr^{-1} is anchored at the top of the box, where
 d_r log F -> 0: the mean-free part is inverted spectrally and shifted to
 vanish at the anchor row, and the per-column mean of phi_xx is carried by
 an explicit smooth pseudo-ramp that is exact over the trusted window and
-returns to periodicity inside the pads.
+returns to periodicity inside the pads.  Both corrections are rank one in
+(x, r) and are added in Fourier space.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 __all__ = [
     "SpectralState",
@@ -32,6 +36,11 @@ __all__ = [
     "evolve_and_compare",
 ]
 
+# Kassam-Trefethen contour: the full circle of radius 1 around each
+# lambda.  The linear phases are imaginary, so the upper half circle (which
+# suffices for real lambda, taking the real part) would not do.
+_CONTOUR = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+
 
 class BlowUpError(RuntimeError):
     """Solution sup-norm exceeded the blow-up guard."""
@@ -39,13 +48,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SpectralState:
-    """Fourier modes of phi on the periodic (x, r) box."""
+    """rfft2 modes of phi on the periodic (x, r) box, and phi itself once known."""
 
-    phi_hat: np.ndarray     # shape (n_x, n_r), complex
+    phi_hat: np.ndarray     # shape (n_x, n_r // 2 + 1), complex
     time: float
+    phi: np.ndarray | None = None   # irfft2(phi_hat), shape (n_x, n_r)
 
     def copy(self):
-        return SpectralState(self.phi_hat.copy(), self.time)
+        return SpectralState(self.phi_hat.copy(), self.time,
+                             None if self.phi is None else self.phi.copy())
 
 
 def soliton_profile(r, c, r0=0.0):
@@ -63,8 +74,32 @@ def smooth_window(xi):
     return f / (f + g)
 
 
+def _etd_coeffs(lam, dt):
+    """ETDRK4 coefficients (e^lam, e^{lam/2}, q_half, f1, f2, f3) at lam = dt L.
+
+    q_half = dt (e^{lam/2} - 1)/lam and the Cox-Matthews f1, f2, f3 (dt
+    times (-4 - lam + e^lam (4 - 3 lam + lam^2))/lam^3, (2 + lam + e^lam
+    (lam - 2))/lam^3, (-4 - 3 lam - lam^2 + e^lam (4 - lam))/lam^3) are
+    means over the contour around each lam, which removes the cancellation
+    near lam = 0.  e^{lr} factors as e^lam e^{contour point}.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    e_full = np.exp(lam)
+    e_half = np.exp(lam / 2.0)
+    lr = lam[..., None] + _CONTOUR
+    e_lr = e_full[..., None] * np.exp(_CONTOUR)
+    eh_lr = e_half[..., None] * np.exp(_CONTOUR / 2.0)
+    lr2 = lr * lr
+    inv3 = 1.0 / (lr2 * lr)
+    q_half = dt * ((eh_lr - 1.0) / lr).mean(axis=-1)
+    f1 = dt * ((-4.0 - lr + e_lr * (4.0 - 3.0 * lr + lr2)) * inv3).mean(axis=-1)
+    f2 = dt * ((2.0 + lr + e_lr * (lr - 2.0)) * inv3).mean(axis=-1)
+    f3 = dt * ((-4.0 - 3.0 * lr - lr2 + e_lr * (4.0 - lr)) * inv3).mean(axis=-1)
+    return e_full, e_half, q_half, f1, f2, f3
+
+
 class KPSolver:
-    """ETDRK4 stepper on a fixed periodic box."""
+    """ETDRK4 stepper on a fixed periodic box, on the rfft2 half spectrum."""
 
     def __init__(self, box_r, box_x, n_r, n_x, dt, anchor_r=None):
         self.r_lo, self.r_hi = box_r
@@ -75,28 +110,42 @@ class KPSolver:
         self.r = self.r_lo + self.len_r * np.arange(n_r) / n_r
         self.x = self.x_lo + self.len_x * np.arange(n_x) / n_x
         self.dt = dt
-        kr = 2.0 * np.pi * np.fft.fftfreq(n_r, d=self.len_r / n_r)
+        n_h = n_r // 2 + 1
+        # fftfreq's kr on the rfft columns: for even n_r the Nyquist column
+        # carries the negative frequency, as in the full spectrum (the
+        # linear operator is odd in kr)
+        kr = 2.0 * np.pi * np.fft.fftfreq(n_r, d=self.len_r / n_r)[:n_h]
         kx = 2.0 * np.pi * np.fft.fftfreq(n_x, d=self.len_x / n_x)
-        self.kr = kr[None, :]
-        self.kx = kx[:, None]
+        self._kx2 = kx ** 2
+        # the linear operator depends on kx through kx^2: its coefficients
+        # are evaluated on the rows kx >= 0 and shared with the rows -kx
+        kx2_u = self._kx2[:n_x // 2 + 1, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            lin = 1j * self.kr ** 3 / 12.0 - 1j * self.kx ** 2 / (4.0 * self.kr)
+            lin = 1j * kr ** 3 / 12.0 - 1j * kx2_u / (4.0 * kr)
         lin[:, 0] = 0.0
-        self.lin = np.broadcast_to(lin, (n_x, n_r)).copy()
-        self._etd_coeffs()
-        # 2/3 dealiasing mask
+        # one row at a time keeps the (n_r/2 + 1) x 64 contour arrays in cache
+        per_row = [_etd_coeffs(dt * row, dt) for row in lin]
+        rows = np.minimum(np.arange(n_x), n_x - np.arange(n_x))
+        (self.e_full, self.e_half, self.q_half,
+         self.f1, self.f2, self.f3) = (np.array(c)[rows] for c in zip(*per_row))
+        # -(1/2) d_r with the 2/3 dealiasing mask
         mask_r = np.abs(kr) <= (2.0 / 3.0) * np.max(np.abs(kr))
         mask_x = np.abs(kx) <= (2.0 / 3.0) * np.max(np.abs(kx)) if n_x > 3 else np.ones(n_x, bool)
-        self.dealias = mask_x[:, None] & mask_r[None, :]
+        self._half_dr = (-0.5j * kr) * (mask_x[:, None] & mask_r[None, :])
         # anchored antiderivative machinery; the anchor row sits just below
         # the pseudo-ramp's return dip (top ~10% of the box)
         self.anchor_r = self.r_lo + 0.88 * self.len_r if anchor_r is None else anchor_r
         self._anchor_idx = int(np.argmin(np.abs(self.r - self.anchor_r)))
         self.pseudo_ramp = self._build_pseudo_ramp()
+        self._ramp_hat = fft.rfft(self.pseudo_ramp)
+        # irfft weights of the anchor row times 1/(i kr): the anchor row of
+        # dr^{-1} of a field with half spectrum Y is Re ifft_x(Y @ w)
+        w = 2.0 * np.exp(2j * np.pi * np.arange(n_h) * self._anchor_idx / n_r) / n_r
+        if n_r % 2 == 0:
+            w[-1] = (-1.0) ** self._anchor_idx / n_r
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv_ikr = 1.0 / (1j * self.kr)
-        inv_ikr[:, 0] = 0.0
-        self.inv_ikr = inv_ikr
+            self._w_anchor = w / (1j * kr)
+        self._w_anchor[0] = 0.0
 
     def _build_pseudo_ramp(self):
         """Periodic pseudo-ramp with slope 1 everywhere except a C-infinity
@@ -118,60 +167,47 @@ class KPSolver:
         ramp = ramp / slope
         return ramp - ramp[self._anchor_idx]
 
-    def _etd_coeffs(self):
-        """Kassam-Trefethen contour evaluation of the ETDRK4 coefficients."""
-        dt = self.dt
-        lam = dt * self.lin.ravel()
-        m = 32
-        pts = np.exp(1j * np.pi * (np.arange(m) + 0.5) / m)
-        lr = lam[:, None] + pts[None, :]
-        self.e_full = np.exp(lam).reshape(self.lin.shape)
-        self.e_half = np.exp(lam / 2.0).reshape(self.lin.shape)
-        def mean(f):
-            return np.real_if_close(f.mean(axis=1), tol=1e6).reshape(self.lin.shape)
-        self.q_half = dt * mean((np.exp(lr / 2.0) - 1.0) / lr)
-        self.f1 = dt * mean((-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3)
-        self.f2 = dt * mean((2.0 + lr + np.exp(lr) * (lr - 2.0)) / lr ** 3)
-        self.f3 = dt * mean((-4.0 - 3.0 * lr - lr ** 2 + np.exp(lr) * (4.0 - lr)) / lr ** 3)
+    def _nonlinear(self, phi_hat, phi=None):
+        """-(1/2) d_r phi^2 plus the anchored-dr^{-1} corrections, in Fourier.
 
-    def _nonlinear(self, phi_hat):
-        """-(1/2) d_r phi^2 plus the anchored-dr^{-1} corrections, in Fourier."""
-        phi = np.fft.ifft2(phi_hat).real
-        nl_hat = -0.5j * self.kr * np.fft.fft2(phi * phi)
-        nl_hat *= self.dealias
-        # corrections making dr^{-1}(phi_xx) anchored at the top row:
-        # column means of phi_xx ride the pseudo-ramp, the mean-free spectral
-        # antiderivative is shifted to vanish at the anchor row
-        pxx_hat = -self.kx ** 2 * phi_hat
-        means = np.fft.ifft(pxx_hat[:, 0], axis=0).real / self.n_r  # per-column mean over r
-        a_perp_hat = pxx_hat * self.inv_ikr
-        a_perp_anchor = np.fft.ifft2(a_perp_hat).real[:, self._anchor_idx]
-        corr = -(0.25) * (means[:, None] * self.pseudo_ramp[None, :]
-                          - a_perp_anchor[:, None])
-        nl_hat += np.fft.fft2(corr)
+        phi, if given, is irfft2(phi_hat).
+        """
+        if phi is None:
+            phi = fft.irfft2(phi_hat, s=(self.n_x, self.n_r))
+        nl_hat = self._half_dr * fft.rfft2(phi * phi)
+        # corrections making dr^{-1}(phi_xx) anchored at the top row,
+        # -(1/4)(means (x) pseudo_ramp - a_anchor (x) 1): column means of
+        # phi_xx ride the pseudo-ramp, the mean-free spectral antiderivative
+        # is shifted to vanish at the anchor row
+        means = fft.ifft(-self._kx2 * phi_hat[:, 0]).real / self.n_r
+        a_anchor = fft.ifft(-self._kx2 * (phi_hat @ self._w_anchor)).real
+        nl_hat -= 0.25 * fft.fft(means)[:, None] * self._ramp_hat
+        nl_hat[:, 0] += (0.25 * self.n_r) * fft.fft(a_anchor)
         return nl_hat
 
     def step(self, state: SpectralState) -> SpectralState:
         v = state.phi_hat
-        n0 = self._nonlinear(v)
-        a = self.e_half * v + self.q_half * n0
+        n0 = self._nonlinear(v, state.phi)
+        ev = self.e_half * v
+        a = ev + self.q_half * n0
         na = self._nonlinear(a)
-        b = self.e_half * v + self.q_half * na
+        b = ev + self.q_half * na
         nb = self._nonlinear(b)
         c = self.e_half * a + self.q_half * (2.0 * nb - n0)
         nc = self._nonlinear(c)
         out = (self.e_full * v + self.f1 * n0 + 2.0 * self.f2 * (na + nb)
                + self.f3 * nc)
-        phi = np.fft.ifft2(out).real
+        phi = fft.irfft2(out, s=(self.n_x, self.n_r))
         if np.max(np.abs(phi)) > 1e6:
             raise BlowUpError(f"|phi| = {np.max(np.abs(phi)):.3g} at t={state.time}")
-        return SpectralState(out, state.time + self.dt)
+        return SpectralState(out, state.time + self.dt, phi)
 
     def evolve(self, phi0: np.ndarray, n_steps: int) -> np.ndarray:
-        state = SpectralState(np.fft.fft2(phi0.astype(float)), 0.0)
+        phi = phi0.astype(float)
+        state = SpectralState(fft.rfft2(phi), 0.0, phi)
         for _ in range(n_steps):
             state = self.step(state)
-        return np.fft.ifft2(state.phi_hat).real
+        return state.phi
 
     def invariants(self, phi: np.ndarray):
         """(int phi, int phi^2) over the box."""
@@ -196,6 +232,9 @@ def evolve_and_compare(phi_builder, t0: float, t1: float,
     box_r = (window_r[0] - pad_lo, window_r[1] + pad_hi)
     if kdv:
         box_x, n_x = (-0.5, 0.5), 4
+    n_steps = int(round((t1 - t0) / dt))
+    if n_steps:
+        dt = (t1 - t0) / n_steps
     solver = KPSolver(box_r, box_x, n_r, n_x, dt)
     r, x = solver.r, solver.x
 
@@ -205,14 +244,9 @@ def evolve_and_compare(phi_builder, t0: float, t1: float,
     taper = (smooth_window((r - box_r[0]) / lo_w)
              * smooth_window((box_r[1] - r) / hi_w))
 
-    phi0 = phi_builder(t0, x, r) * taper[None, :]
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps == 0:
-        phi_end = phi0
-    else:
-        solver.dt = (t1 - t0) / n_steps
-        solver._etd_coeffs()
-        phi_end = solver.evolve(phi0, n_steps)
+    phi_raw = phi_builder(t0, x, r)
+    phi0 = phi_raw * taper[None, :]
+    phi_end = solver.evolve(phi0, n_steps) if n_steps else phi0
 
     target = phi_builder(t1, x, r)
     r_span = window_r[1] - window_r[0]
@@ -224,11 +258,13 @@ def evolve_and_compare(phi_builder, t0: float, t1: float,
     out = {
         "sup_error": float(np.max(np.abs(diff))),
         "l2_error": float(np.sqrt(np.mean(diff ** 2))),
+        "n_x": n_x,
+        "n_r": n_r,
         "n_steps": n_steps,
         "dt": float(solver.dt),
         "box_r": box_r,
         "interior_r": (float(r[mask_r][0]), float(r[mask_r][-1])),
-        "edge_taper_max_change": float(np.max(np.abs(phi0 - phi_builder(t0, x, r))
+        "edge_taper_max_change": float(np.max(np.abs(phi0 - phi_raw)
                                               [np.ix_(mask_x, mask_r)])),
     }
     if return_fields:

@@ -155,6 +155,15 @@ class TestConfiguredKeys:
         assert abs(report["det_r0"] - det(1.0, 0.0, 0.25)) > 1e-3
         assert report["quad_n"] == 16
 
+    def test_solve_kp_report_records_sizes(self, tmp_path):
+        code, out = _run_main(tmp_path, "[run]\ncommand = solve-kp\ntolerance = 5e-3\n")
+        assert code == 0
+        report = json.loads((out / "solve-kp.json").read_text())
+        assert (report["n_x"], report["n_r"], report["n_steps"]) == (64, 512, 50)
+        assert abs(report["dt"] - 2e-3) < 1e-15
+        assert (report["soliton_n_x"], report["soliton_n_r"],
+                report["soliton_n_steps"], report["soliton_dt"]) == (4, 512, 400, 5e-3)
+
 
 class TestErrorContract:
     def _assert_config_error(self, capsys, code):
@@ -162,6 +171,7 @@ class TestErrorContract:
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:")
         assert "\n" not in err
+        return err
 
     def test_kernel_domain_error_exit_2(self, tmp_path, capsys):
         code, out = _run_main(
@@ -178,6 +188,21 @@ class TestErrorContract:
         else:
             code, out = _run_main(tmp_path, text, "--quad-n", "1000")
         self._assert_config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, key, use", [
+        ("nw_fixed_point", "t", "[grid] t0"),
+        ("kpz_narrow_wedge", "x", "[grid] x0"),
+        ("nw_fixed_point", "rs", "[grid] r0"),
+        ("airy_process", "t", "[grid] t0"),
+        ("airy_process", "r", "[kernel] rs"),
+    ])
+    def test_kp_residual_kernel_point_exit_2(self, tmp_path, capsys, family, key, use):
+        # kp-residual places its lattice by [grid]; the key would be ignored
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = kp-residual\nquad_n = 24\n"
+            f"[kernel]\nfamily = {family}\n{key} = 2.0\n")
+        assert use in self._assert_config_error(capsys, code)
         assert not out.exists()
 
     def test_spiked_check_x_outside_light_cone_exit_2(self, tmp_path, capsys):

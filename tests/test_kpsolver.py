@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from kpdet import fields, kpsolver, painleve
@@ -13,6 +15,113 @@ def hm_wide():
 def periodic_shift(r, shift, box):
     lo, hi = box
     return (r - shift - lo) % (hi - lo) + lo
+
+
+def etd_oracle(lam, dt):
+    """(e^lam, e^{lam/2}, q_half, f1, f2, f3) from their closed forms in mpmath."""
+    lam = mpmath.mpc(lam)
+    if lam == 0:
+        return [1, 1, dt / 2, dt / 6, dt / 6, dt / 6]
+    e, eh = mpmath.exp(lam), mpmath.exp(lam / 2)
+    return [e, eh, dt * (eh - 1) / lam,
+            dt * (-4 - lam + e * (4 - 3 * lam + lam ** 2)) / lam ** 3,
+            dt * (2 + lam + e * (lam - 2)) / lam ** 3,
+            dt * (-4 - 3 * lam - lam ** 2 + e * (4 - lam)) / lam ** 3]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_etd_coeffs_match_closed_forms(sign):
+    # the linear phases of KP-II are imaginary: lam = i s
+    s_values = np.array([0.0, 1e-3, 0.5, 3.0, 200.0])
+    dt = 0.25
+    got = kpsolver._etd_coeffs(1j * sign * s_values, dt)
+    with mpmath.workdps(30):
+        for i, s in enumerate(s_values):
+            want = etd_oracle(1j * sign * s, mpmath.mpf(dt))
+            for name, g, w in zip(("e_full", "e_half", "q_half", "f1", "f2", "f3"),
+                                  got, want):
+                w = complex(w)
+                assert abs(g[i] - w) <= 1e-14 * abs(w), (name, sign * s, g[i], w)
+
+
+def full_spectrum_reference(solver):
+    """(nonlinear, step) of the same ETDRK4 scheme on the full fft2 spectrum.
+
+    Full-circle contour coefficients evaluated directly on every (kx, kr),
+    and the anchored-dr^{-1} correction built as a physical-space array.
+    """
+    n_x, n_r, dt = solver.n_x, solver.n_r, solver.dt
+    kr = 2.0 * np.pi * np.fft.fftfreq(n_r, d=solver.len_r / n_r)[None, :]
+    kx = 2.0 * np.pi * np.fft.fftfreq(n_x, d=solver.len_x / n_x)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lin = 1j * kr ** 3 / 12.0 - 1j * kx ** 2 / (4.0 * kr)
+        inv_ikr = np.where(kr != 0, 1.0 / (1j * kr), 0.0)
+    lin[:, 0] = 0.0
+    lr = dt * lin[..., None] + np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    e_lr = np.exp(lr)
+    e_full, e_half = np.exp(dt * lin), np.exp(dt * lin / 2.0)
+    q = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1)
+    f1 = dt * np.mean((-4.0 - lr + e_lr * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3, axis=-1)
+    f2 = dt * np.mean((2.0 + lr + e_lr * (lr - 2.0)) / lr ** 3, axis=-1)
+    f3 = dt * np.mean((-4.0 - 3.0 * lr - lr ** 2 + e_lr * (4.0 - lr)) / lr ** 3, axis=-1)
+    dealias = ((np.abs(kx) <= (2.0 / 3.0) * np.max(np.abs(kx))) | (n_x <= 3)) & (
+        np.abs(kr) <= (2.0 / 3.0) * np.max(np.abs(kr)))
+
+    def nonlinear(v):
+        phi = np.fft.ifft2(v).real
+        nl = -0.5j * kr * np.fft.fft2(phi * phi) * dealias
+        pxx = -kx ** 2 * v
+        means = np.fft.ifft(pxx[:, 0]).real / n_r
+        a_anchor = np.fft.ifft2(pxx * inv_ikr).real[:, solver._anchor_idx]
+        corr = -0.25 * (means[:, None] * solver.pseudo_ramp[None, :] - a_anchor[:, None])
+        return nl + np.fft.fft2(corr)
+
+    def step(v):
+        n0 = nonlinear(v)
+        a = e_half * v + q * n0
+        na = nonlinear(a)
+        b = e_half * v + q * na
+        nb = nonlinear(b)
+        c = e_half * a + q * (2.0 * nb - n0)
+        nc = nonlinear(c)
+        return e_full * v + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+
+    return nonlinear, step
+
+
+# The anchored-dr^{-1} corrections are linear in phi but stepped explicitly,
+# with a gain of about S = kx_max^2 len_r dt / 4 per stage, and both
+# formulations amplify their rounding by it.  The boxes here keep S <= 50
+# (the solve-kp runs have S of 6 and 8); at S ~ 100 the two drift apart by
+# 2e-12 of max|.|.
+@settings(max_examples=20, deadline=None)
+@given(n_x=st.sampled_from([4, 16]), len_r=st.floats(10.0, 60.0),
+       len_x=st.floats(2.0, 10.0), dt=st.floats(1e-4, 5e-3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_half_spectrum_matches_full_spectrum(n_x, len_r, len_x, dt, seed):
+    n_r = 64
+    solver = kpsolver.KPSolver((-0.6 * len_r, 0.4 * len_r), (-len_x / 2, len_x / 2),
+                               n_r, n_x, dt)
+    # a random smooth real field: Gaussian-damped low modes
+    rng = np.random.default_rng(seed)
+    kx = np.fft.fftfreq(n_x, 1.0 / n_x)[:, None]
+    kr = np.fft.rfftfreq(n_r, 1.0 / n_r)[None, :]
+    modes = ((rng.normal(size=(n_x, n_r // 2 + 1))
+              + 1j * rng.normal(size=(n_x, n_r // 2 + 1)))
+             * np.exp(-0.5 * (kx ** 2 + (kr / 3.0) ** 2)))
+    phi = np.fft.irfft2(modes, s=(n_x, n_r))
+    phi *= 2.0 / np.max(np.abs(phi))
+    nonlinear, step = full_spectrum_reference(solver)
+    v_full = np.fft.fft2(phi)
+    n_half = n_r // 2 + 1
+
+    want = nonlinear(v_full)[:, :n_half]
+    got = solver._nonlinear(np.fft.rfft2(phi))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    want = step(v_full)[:, :n_half]
+    got = solver.step(kpsolver.SpectralState(np.fft.rfft2(phi), 0.0)).phi_hat
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStepper:
@@ -108,6 +217,18 @@ class TestEvolveAndCompare:
             return np.broadcast_to(phi[None, :], (x.size, r.size)).copy()
         rep = kpsolver.evolve_and_compare(builder, 1.0, 1.1, kdv=True)
         assert rep["sup_error"] < 5e-3
+
+    def test_builder_called_once_per_time(self):
+        calls = []
+
+        def builder(t, x, r):
+            calls.append(t)
+            return np.exp(-r[None, :] ** 2) * np.ones((x.size, 1))
+
+        rep = kpsolver.evolve_and_compare(builder, 1.0, 1.01, n_r=64, n_x=8, dt=5e-3)
+        assert calls == [1.0, 1.01]
+        assert (rep["n_x"], rep["n_r"], rep["n_steps"]) == (8, 64, 2)
+        assert rep["dt"] == (1.01 - 1.0) / 2
 
     def test_horizon_guard(self, hm_wide):
         with pytest.raises(ValueError):
