@@ -36,7 +36,9 @@ from .quadrature import (
     QuadRule,
     gauss_legendre,
     map_half_line_down,
+    map_interval,
     map_whole_line,
+    panel_rule,
 )
 from .specfun import airy_ai, airy_ai_log_abs, log_gamma
 
@@ -193,10 +195,8 @@ class KernelSpec:
     inner_n: int = 48
     inner_scale: float = 4.0
     contour_anchor: float = 0.25
-    contour_half_height: float = 0.0   # 0 -> auto
     fermi_n: int = 256
     fermi_scale: float = 7.0
-    domain_cut: float = 0.0            # spiked family: finite domain [0, cut]
 
     def __post_init__(self):
         if self.family not in ("nw_fixed_point", "flat_fixed_point",
@@ -216,12 +216,6 @@ class KernelSpec:
         if self.family == "multiwedge_extended" and len(self.wedges) > 3:
             raise KernelDomainError("at most 3 wedges supported")
         if self.family == "kpz_spiked":
-            if self.domain_cut == 0.0:
-                # the xi-side factor tends to 1 far off-diagonal, so the
-                # determinant is taken on a finite [0, cut] domain; the
-                # exponentially decaying column profile makes cut = 18
-                # accurate to ~1e-8
-                object.__setattr__(self, "domain_cut", 18.0)
             sp = np.asarray(self.spikes, dtype=float)
             if sp.size == 0:
                 raise KernelDomainError("kpz_spiked needs at least one spike")
@@ -235,6 +229,16 @@ class KernelSpec:
     @property
     def n_points(self) -> int:
         return len(self.xs)
+
+    @property
+    def domain_cut(self) -> float:
+        """Right end of the finite domain [0, cut]; 0 means the half-line.
+
+        The spiked xi-side factor tends to 1 far off-diagonal, so that
+        determinant is taken on [0, cut]; the exponentially decaying column
+        profile makes cut = 18 accurate to ~1e-8.
+        """
+        return 18.0 if self.family == "kpz_spiked" else 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -481,11 +485,8 @@ class SpikedKernel:
         self._w_max = spec.domain_cut + self.r - self._y_lo   # most positive
         # vertical eta rule: half-height from the decay profile, node count
         # from the total phase (rate s^2 + |w|)
-        if spec.contour_half_height > 0:
-            big_h = spec.contour_half_height
-        else:
-            c2 = t * a + x
-            big_h = (m * np.pi / 4 + np.sqrt((m * np.pi / 4) ** 2 + 42.0 * c2)) / c2
+        c2 = t * a + x
+        big_h = (m * np.pi / 4 + np.sqrt((m * np.pi / 4) ** 2 + 42.0 * c2)) / c2
         w_bound = max(abs(self._w_min), abs(self._w_max))
         n_vert = int(max(256, 1.3 * (t * big_h ** 3 / 3 + w_bound * big_h) / np.pi))
         self._eta_nodes, self._eta_w = self._vertical_panels(a, big_h, n_vert, t, w_bound)
@@ -504,17 +505,10 @@ class SpikedKernel:
     @staticmethod
     def _panelled_ray(anchor, angle, length):
         """Upper ray of the bent-ray contour, GL panels refined toward the anchor."""
-        edges = [0.0, 0.15, 0.45, 1.2, 3.0]
-        edges = [e for e in edges if e < length] + [length]
-        base = gauss_legendre(72)
-        s_list, w_list = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            s_list.append(lo + half * (base.nodes + 1.0))
-            w_list.append(base.weights * half)
-        s = np.concatenate(s_list)
-        w = np.concatenate(w_list)
-        return anchor + s * np.exp(1j * angle), w * np.exp(1j * angle)
+        edges = [e for e in (0.0, 0.15, 0.45, 1.2, 3.0) if e < length] + [length]
+        ray = panel_rule(edges, 72)
+        rot = np.exp(1j * angle)
+        return anchor + ray.nodes * rot, ray.weights * rot
 
     def _fermi_panels(self, spec):
         """Panel GL rule in y resolving the Airy-product oscillation.
@@ -529,13 +523,11 @@ class SpikedKernel:
         freq = np.sqrt(max(abs(self._w_min), abs(self._w_max), 4.0) / np.cbrt(self.t))
         per = int(max(64, min(spec.fermi_n, 512),
                       1.5 * freq * (y_hi - y_lo) / n_panels))
-        base = gauss_legendre(per)
-        half = 0.5 * (y_hi - y_lo) / n_panels
+        loc = map_interval(gauss_legendre(per), 0.0, (y_hi - y_lo) / n_panels)
         y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
-        loc = half * (base.nodes + 1.0)
-        y = (y0[:, None] + loc[None, :]).ravel()
-        w = np.tile(base.weights * half, n_panels)
-        return y0, loc, y, np.log(w) - np.logaddexp(0.0, y)
+        y = (y0[:, None] + loc.nodes[None, :]).ravel()
+        w = np.tile(loc.weights, n_panels)
+        return y0, loc.nodes, y, np.log(w) - np.logaddexp(0.0, y)
 
     def _ray_length(self, w_neg):
         """Smallest ray length with t L^3/3 - |x| L^2 - w_neg L/2 >= 45."""
@@ -557,15 +549,8 @@ class SpikedKernel:
         targets = np.linspace(0.0, phase[-1], n_panels + 1)
         edges = np.interp(targets, phase, sgrid)
         per = max(32, int(n_total / n_panels) + 8)
-        base = gauss_legendre(min(per, 512))
-        s_list, w_list = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            s_list.append(lo + half * (base.nodes + 1.0))
-            w_list.append(base.weights * half)
-        s = np.concatenate(s_list)
-        w = np.concatenate(w_list)
-        return anchor + 1j * s, 1j * w
+        half = panel_rule(edges, min(per, 512))
+        return anchor + 1j * half.nodes, 1j * half.weights
 
     def _gamma_factor(self, z, inverse):
         """Balanced prod_k Gamma(z - b_k) (or reciprocal) as exp of log-Gamma."""

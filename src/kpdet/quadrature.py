@@ -1,14 +1,16 @@
-"""Gauss-Legendre rules and the domain maps used by every kernel integral.
+"""Gauss-Legendre rules, the domain maps used by every kernel integral, and
+composite (panelled) rules built from them.
 
-Half-lines use the algebraic map u = r0 + scale*(1+xi)/(1-xi), the whole
-line uses u = center + scale*tan(pi*xi/2), and vertical complex contours
-carry the i*ds orientation in their weights.  Rules are immutable and safe
-to share across threads.
+Half-lines use the algebraic map u = r0 + scale*(1+xi)/(1-xi) and the whole
+line uses u = center + scale*tan(pi*xi/2).  ``panel_rule`` is the one
+constructor of composite rules: callers that integrate along a complex
+contour map its real parameter rule onto the contour themselves.  Rules are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,9 +23,7 @@ __all__ = [
     "map_half_line",
     "map_half_line_down",
     "map_whole_line",
-    "contour_vertical",
-    "contour_bent_rays",
-    "composite_line_rule",
+    "panel_rule",
 ]
 
 
@@ -33,18 +33,10 @@ class QuadratureSizeError(ValueError):
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes and weights on a tagged domain.
-
-    ``domain`` is one of ``reference``, ``interval``, ``half-line``,
-    ``half-line-down``, ``whole-line``, ``vertical-contour``, ``bent-rays``
-    or ``composite-line``; ``params`` records the map parameters that
-    produced the rule.
-    """
+    """Nodes and weights of a quadrature rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str = "reference"
-    params: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape:
@@ -58,26 +50,27 @@ class QuadRule:
         return np.tensordot(np.asarray(values), self.weights, axes=([-1], [0]))
 
 
+def _legendre(x, n: int):
+    """(P_n(x), P_n'(x)) by the three-term recurrence."""
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gl_nodes_weights(n: int):
     """Legendre nodes by Newton iteration on the three-term recurrence."""
     k = np.arange(n)
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
     for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
+        p, dp = _legendre(x, n)
+        dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
+    _, dp = _legendre(x, n)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return x[order], w[order]
@@ -88,16 +81,15 @@ def gauss_legendre(n: int) -> QuadRule:
     if not (1 <= n <= 512):
         raise QuadratureSizeError(f"n={n} outside [1, 512]")
     if n == 1:
-        return QuadRule(np.zeros(1), np.full(1, 2.0), "reference", (1,))
+        return QuadRule(np.zeros(1), np.full(1, 2.0))
     x, w = _gl_nodes_weights(int(n))
-    return QuadRule(x.copy(), w.copy(), "reference", (int(n),))
+    return QuadRule(x.copy(), w.copy())
 
 
 def map_interval(rule: QuadRule, a: float, b: float) -> QuadRule:
     """Affine image of a reference rule on [a, b]."""
     half = 0.5 * (b - a)
-    return QuadRule(a + half * (rule.nodes + 1.0), rule.weights * half,
-                    "interval", (a, b))
+    return QuadRule(a + half * (rule.nodes + 1.0), rule.weights * half)
 
 
 def map_half_line(rule: QuadRule, r0: float, scale: float) -> QuadRule:
@@ -107,14 +99,13 @@ def map_half_line(rule: QuadRule, r0: float, scale: float) -> QuadRule:
     xi = rule.nodes
     u = r0 + scale * (1.0 + xi) / (1.0 - xi)
     w = rule.weights * 2.0 * scale / (1.0 - xi) ** 2
-    return QuadRule(u, w, "half-line", (r0, scale))
+    return QuadRule(u, w)
 
 
 def map_half_line_down(rule: QuadRule, b: float, scale: float) -> QuadRule:
     """Algebraic map onto (-inf, b], increasing nodes, positive weights."""
     up = map_half_line(rule, 0.0, scale)
-    return QuadRule((b - up.nodes)[::-1].copy(), up.weights[::-1].copy(),
-                    "half-line-down", (b, scale))
+    return QuadRule((b - up.nodes)[::-1].copy(), up.weights[::-1].copy())
 
 
 def map_whole_line(rule: QuadRule, center: float, scale: float) -> QuadRule:
@@ -124,62 +115,34 @@ def map_whole_line(rule: QuadRule, center: float, scale: float) -> QuadRule:
     theta = 0.5 * np.pi * rule.nodes
     u = center + scale * np.tan(theta)
     w = rule.weights * scale * 0.5 * np.pi / np.cos(theta) ** 2
-    return QuadRule(u, w, "whole-line", (center, scale))
+    return QuadRule(u, w)
 
 
-def contour_vertical(anchor: float, half_height: float, n: int) -> QuadRule:
-    """Upward vertical contour anchor + i*s, s in [-H, H]; weights carry i*ds."""
-    if half_height <= 0:
-        raise ValueError("half_height must be positive")
-    base = gauss_legendre(n)
-    s = half_height * base.nodes
-    w = 1j * half_height * base.weights
-    return QuadRule(anchor + 1j * s, w, "vertical-contour", (anchor, half_height))
+def panel_rule(edges, n: int, tail_scale: float | None = None) -> QuadRule:
+    """n-point Gauss-Legendre rule on each panel between increasing edges.
 
-
-def contour_bent_rays(anchor: float, angle: float, n: int, length: float) -> QuadRule:
-    """Contour anchor + s*e^{-i*angle} (s<0 branch) then anchor + s*e^{+i*angle},
-    truncated at ray length ``length``.
-
-    Orientation matches an upward vertical (lower ray inward, upper ray
-    outward).  Used for integrands with cubic decay along e^{+-i*angle},
-    which makes a finite truncation exact to machine precision.
+    Panels narrower than 1e-10 are dropped.  An infinite first or last edge
+    maps its panel onto the half-line by the algebraic map with scale
+    ``tail_scale``, which is needed only then.  No node straddles an edge,
+    so indicators that jump at an edge are integrated exactly.
     """
+    edges = [float(e) for e in edges]
+    if len(edges) < 2 or any(b < a for a, b in zip(edges[:-1], edges[1:])):
+        raise ValueError("need at least two increasing edges")
+    if tail_scale is None and (np.isinf(edges[0]) or np.isinf(edges[-1])):
+        raise ValueError("an infinite panel needs tail_scale")
     base = gauss_legendre(n)
-    ray = map_interval(base, 0.0, length)
-    up_nodes = anchor + ray.nodes * np.exp(1j * angle)
-    up_w = ray.weights * np.exp(1j * angle)
-    # lower ray runs from the far end in toward the anchor: ds flips sign
-    lo_nodes = anchor + ray.nodes[::-1] * np.exp(-1j * angle)
-    lo_w = -ray.weights[::-1] * np.exp(-1j * angle)
-    return QuadRule(np.concatenate([lo_nodes, up_nodes]),
-                    np.concatenate([lo_w, up_w]),
-                    "bent-rays", (anchor, angle, length))
-
-
-def composite_line_rule(breakpoints, n_panel: int, tail_scale: float) -> QuadRule:
-    """Whole-line rule split into panels at ``breakpoints``.
-
-    Finite panels get Gauss-Legendre rules, the two tails get algebraic
-    half-line maps.  Nodes never straddle a breakpoint, so projection
-    indicators at those levels are quadrature-exact.
-    """
-    bp = np.sort(np.asarray(breakpoints, dtype=float))
-    if bp.size == 0:
-        raise ValueError("need at least one breakpoint")
-    base = gauss_legendre(n_panel)
-    pieces_u, pieces_w = [], []
-    low = map_half_line_down(base, bp[0], tail_scale)
-    pieces_u.append(low.nodes)
-    pieces_w.append(low.weights)
-    for a, b in zip(bp[:-1], bp[1:]):
-        if b - a < 1e-12:
-            continue
-        mid = map_interval(base, a, b)
-        pieces_u.append(mid.nodes)
-        pieces_w.append(mid.weights)
-    high = map_half_line(base, bp[-1], tail_scale)
-    pieces_u.append(high.nodes)
-    pieces_w.append(high.weights)
-    return QuadRule(np.concatenate(pieces_u), np.concatenate(pieces_w),
-                    "composite-line", (tuple(bp), n_panel, tail_scale))
+    panels = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if np.isinf(a) and np.isinf(b):
+            raise ValueError("a panel needs a finite edge")
+        if np.isinf(a):
+            panels.append(map_half_line_down(base, b, tail_scale))
+        elif np.isinf(b):
+            panels.append(map_half_line(base, a, tail_scale))
+        elif b - a >= 1e-10:
+            panels.append(map_interval(base, a, b))
+    # edges within 1e-10 of each other leave no panel and an empty rule
+    empty = [np.zeros(0)]
+    return QuadRule(np.concatenate(empty + [p.nodes for p in panels]),
+                    np.concatenate(empty + [p.weights for p in panels]))

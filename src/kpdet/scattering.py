@@ -22,12 +22,7 @@ from .kernels import (
     heat_kernel,
     scattering_part_logmat,
 )
-from .quadrature import (
-    gauss_legendre,
-    map_half_line,
-    map_half_line_down,
-    map_interval,
-)
+from .quadrature import gauss_legendre, map_half_line, map_half_line_down, panel_rule
 
 __all__ = [
     "WedgeConfig",
@@ -174,7 +169,6 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int, n_inner: int = 
     if cfg.profile_at(xi) > ri or cfg.profile_at(xj) > rj:
         return 0.0
     pts = _interior_constraints(cfg, i, j)
-    base = gauss_legendre(n_inner)
     width = 3.0 * np.sqrt(2.0 * (xj - xi))
 
     vec = np.ones(1)
@@ -185,12 +179,7 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int, n_inner: int = 
             return 0.0
         if np.isinf(lo) and np.isinf(hi):
             continue
-        if np.isinf(hi):
-            rule = map_half_line(base, lo, width)
-        elif np.isinf(lo):
-            rule = map_half_line_down(base, hi, width)
-        else:
-            rule = map_interval(base, lo, hi)
+        rule = panel_rule((lo, hi), n_inner, width)
         hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
         vec = vec @ (hk * rule.weights[None, :])
         prev_nodes, prev_x = rule.nodes, x
@@ -304,22 +293,6 @@ def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64, scale: float = 
 # path-integral determinant (whole-line form)
 # ----------------------------------------------------------------------------
 
-def _panel_line_rule(breaks, left_edge, n_panel, tail_scale):
-    base = gauss_legendre(n_panel)
-    bp = np.unique(np.concatenate([[left_edge], np.asarray(breaks, dtype=float)]))
-    nodes, weights = [], []
-    for a, b in zip(bp[:-1], bp[1:]):
-        if b - a < 1e-10:
-            continue
-        r = map_interval(base, a, b)
-        nodes.append(r.nodes)
-        weights.append(r.weights)
-    tail = map_half_line(base, bp[-1], tail_scale)
-    nodes.append(tail.nodes)
-    weights.append(tail.weights)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def path_integral_determinant(t: float, xs, rs, n_panel: int = 72,
                               inner_n: int = 64, tail_scale: float = 4.0):
     """Fixed point distribution for a narrow wedge at the origin via the
@@ -344,7 +317,8 @@ def path_integral_determinant(t: float, xs, rs, n_panel: int = 72,
         raise OrderingError("xs must be strictly increasing")
     span = (xs[-1] - xs[0]) if m > 1 else 0.0
     left = min(min(rs), 0.0) - max(5.0, 8.0 * np.sqrt(2.0 * span) if m > 1 else 0.0)
-    nodes, weights = _panel_line_rule(sorted(set(rs)), left, n_panel, tail_scale)
+    rule = panel_rule([left, *sorted(set(rs)), np.inf], n_panel, tail_scale)
+    nodes, weights = rule.nodes, rule.weights
 
     if m == 1:
         spec1 = KernelSpec("nw_fixed_point", t, (xs[0],), (0.0,), ((0.0, 0.0),),

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
+from kpdet.kernels import KernelSpec, SpikedKernel
 from kpdet.quadrature import (
     QuadratureSizeError,
-    composite_line_rule,
-    contour_bent_rays,
-    contour_vertical,
     gauss_legendre,
     map_half_line,
     map_half_line_down,
     map_interval,
     map_whole_line,
+    panel_rule,
 )
 
 
@@ -106,47 +107,145 @@ class TestWholeLine:
 
 
 class TestContours:
+    """The spiked kernel's contour rules, summed as Im(upper half) / pi."""
+
     def test_residue_theorem(self):
         # closed CCW loop around z = 0: up at anchor 1, top cap leftward,
-        # down at anchor -1, bottom cap rightward
+        # down at anchor -1, bottom cap rightward; 1/z is real-analytic, so
+        # each vertical side and the caps pair up with their mirror images
         big_h, n = 8.0, 180
-        right = contour_vertical(1.0, big_h, n)
-        left = contour_vertical(-1.0, big_h, n)
-        cap = map_interval(gauss_legendre(n), -1.0, 1.0)
+        right = SpikedKernel._vertical_panels(1.0, big_h, n, 1.0, 0.0)
+        left = SpikedKernel._vertical_panels(-1.0, big_h, n, 1.0, 0.0)
+        cap = panel_rule([-1.0, 1.0], n)
         f = lambda z: 1.0 / z
-        total = np.sum(f(right.nodes) * right.weights)
-        total -= np.sum(f(left.nodes) * left.weights)
-        total -= np.sum(f(cap.nodes + 1j * big_h) * cap.weights)
-        total += np.sum(f(cap.nodes - 1j * big_h) * cap.weights)
-        assert abs(total / (2j * np.pi) - 1.0) < 1e-8
+        total = (np.sum(f(right[0]) * right[1]).imag
+                 - np.sum(f(left[0]) * left[1]).imag
+                 - np.sum(f(cap.nodes + 1j * big_h) * cap.weights).imag)
+        assert abs(total / np.pi - 1.0) < 1e-12
 
     def test_conjugate_cancellation(self):
-        cv = contour_vertical(0.5, 6.0, 64)
-        vals = np.exp(-(cv.nodes.imag ** 2))  # even in s
-        assert abs(np.sum(vals * cv.weights).real) < 1e-14
+        # the full contour is the upper half plus its mirror image (same
+        # i*ds weights); a real-analytic integrand's real part cancels and
+        # the full sum over 2 pi i is Im(upper) / pi
+        z, w = SpikedKernel._vertical_panels(0.5, 6.0, 400, 1.0, 2.0)
+        full_z = np.concatenate([np.conj(z[::-1]), z])
+        full_w = np.concatenate([w[::-1], w])
+        f = lambda z: np.exp(z ** 3 / 3.0 - 1.5 * z)
+        full = np.sum(f(full_z) * full_w)
+        upper = np.sum(f(z) * w)
+        assert abs(full.real) < 1e-14 * abs(full)
+        assert abs(full / (2j * np.pi) - upper.imag / np.pi) < 1e-15
 
     def test_cubic_decay_at_endpoints(self):
         # |e^{t z^3/3}| at anchor 1/4, |s| = H = 12, t = 1
         z = 0.25 + 12.0j
         assert np.exp((z ** 3).real / 3.0) < 1e-15
 
+    def test_vertical_airy(self):
+        z, dz = SpikedKernel._vertical_panels(0.6, 9.0, 600, 1.0, 3.0)
+        for w in (-3.0, -1.0, 0.0, 2.0):
+            val = np.sum(np.exp(z ** 3 / 3.0 - w * z) * dz).imag / np.pi
+            assert abs(val - sp.airy(w)[0]) < 1e-14
+
     def test_bent_rays_airy(self):
-        import scipy.special as sp
-        br = contour_bent_rays(0.6, 2 * np.pi / 3, 120, 10.0)
-        for w in (0.0, 2.0, -1.0):
-            val = np.sum(np.exp(-br.nodes ** 3 / 3 + w * br.nodes) * br.weights) / (2j * np.pi)
-            assert abs(val - sp.airy(w)[0]) < 1e-10
-            assert abs(val.imag) < 1e-12
+        z, dz = SpikedKernel._panelled_ray(0.6, 2 * np.pi / 3, 10.0)
+        for w in (-3.0, -1.0, 0.0, 2.0):
+            val = np.sum(np.exp(-z ** 3 / 3.0 + w * z) * dz).imag / np.pi
+            assert abs(val - sp.airy(w)[0]) < 1e-14
 
 
 class TestCompositeLine:
     def test_panel_split_indicator_exactness(self):
-        rule = composite_line_rule([0.0, 1.0], 48, 4.0)
+        rule = panel_rule([-np.inf, 0.0, 1.0, np.inf], 48, 4.0)
         # integrate exp(-|u|) restricted to u <= 1: breakpoints keep the
         # indicator exact
         f = np.exp(-np.abs(rule.nodes)) * (rule.nodes <= 1.0)
         exact = 2.0 - np.exp(-1.0)
         assert abs(rule.integrate(f) - exact) < 1e-9
+
+
+@st.composite
+def panel_edges(draw):
+    """Increasing finite edges, optionally with an infinite first/last edge."""
+    start = draw(st.floats(-20.0, 20.0))
+    widths = draw(st.lists(st.floats(1e-2, 10.0), min_size=1, max_size=5))
+    edges = list(start + np.cumsum([0.0] + widths))
+    if draw(st.booleans()):
+        edges = [-np.inf] + edges
+    if draw(st.booleans()):
+        edges = edges + [np.inf]
+    return edges
+
+
+def _same_bits(rule, ref):
+    return (rule.nodes.tobytes() == ref.nodes.tobytes()
+            and rule.weights.tobytes() == ref.weights.tobytes())
+
+
+class TestPanelRule:
+    @settings(max_examples=150, deadline=None)
+    @given(panel_edges(), st.integers(1, 12), st.floats(0.5, 8.0))
+    def test_each_panel_holds_an_exact_rule(self, edges, n, scale):
+        rule = panel_rule(edges, n, scale)
+        x = rule.nodes
+        assert rule.n == n * (len(edges) - 1)
+        assert np.all(np.diff(x) > 0)
+        for a, b in zip(edges[:-1], edges[1:]):
+            # every node lies strictly inside its panel, so the indicator
+            # of the panel cuts out exactly its n nodes
+            inside = (x > a) & (x < b)
+            assert inside.sum() == n
+            if np.isinf(a) or np.isinf(b):
+                continue
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            tol = 1e-14 * (2 * n) * (h + abs(a) + abs(b))
+            for deg in range(2 * n):
+                exact = 2.0 * h / (deg + 1) if deg % 2 == 0 else 0.0
+                val = rule.integrate(inside * ((x - c) / h) ** deg)
+                assert abs(val - exact) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(1e-6, 50.0), st.integers(1, 64),
+           st.floats(0.1, 10.0))
+    def test_single_panel_is_the_map(self, a, width, n, scale):
+        base = gauss_legendre(n)
+        b = a + width
+        assert _same_bits(panel_rule([a, b], n), map_interval(base, a, b))
+        assert _same_bits(panel_rule([a, np.inf], n, scale),
+                          map_half_line(base, a, scale))
+        assert _same_bits(panel_rule([-np.inf, a], n, scale),
+                          map_half_line_down(base, a, scale))
+
+    def test_narrow_panels_dropped(self):
+        rule = panel_rule([0.0, 1.0, 1.0 + 1e-12, 2.0], 4)
+        assert rule.n == 8 and np.all((rule.nodes < 1.0) | (rule.nodes > 1.0 + 1e-12))
+        assert panel_rule([0.5, 0.5], 4).n == 0
+
+    def test_invalid_edges(self):
+        with pytest.raises(ValueError):
+            panel_rule([1.0, 0.0], 4)
+        with pytest.raises(ValueError):
+            panel_rule([0.0], 4)
+        with pytest.raises(ValueError):
+            panel_rule([0.0, np.inf], 4)
+        with pytest.raises(ValueError):
+            panel_rule([-np.inf, np.inf], 4, 1.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(-0.9, 0.9), st.floats(-1.0, 1.0),
+           st.floats(-1.0, 0.1))
+    def test_spiked_fermi_panels_share_one_base(self, t, x_frac, r, spike):
+        k = SpikedKernel(KernelSpec("kpz_spiked", t, (x_frac * t,), (r,),
+                                    spikes=(spike,)))
+        y = k._fermi_nodes
+        assert y.tobytes() == (k._y0[:, None] + k._y_loc[None, :]).ravel().tobytes()
+        # the shared-base form is the panel rule on equal-width panels, to
+        # rounding of the node positions
+        edges = np.linspace(k._y_lo, k._y_hi, k._y0.size + 1)
+        ref = panel_rule(edges, k._y_loc.size)
+        assert np.max(np.abs(y - ref.nodes)) <= 8 * np.spacing(np.max(np.abs(edges)))
+        w = np.exp(k._fermi_logw + np.logaddexp(0.0, y))
+        assert np.allclose(w, ref.weights, rtol=1e-13, atol=0.0)
 
 
 class TestHalfLineConvergence:
