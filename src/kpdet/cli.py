@@ -48,7 +48,7 @@ class ExperimentConfig:
     seed: int = 0
     tolerance: float = float("inf")
     threads: int = 0
-    quad_n: int = 64
+    quad_n: int | None = None   # None: the command's own default (_quad_n)
     kernel: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
@@ -58,8 +58,9 @@ class ExperimentConfig:
                  f"out = {self.out}",
                  f"seed = {self.seed}",
                  f"tolerance = {self.tolerance!r}",
-                 f"threads = {self.threads}",
-                 f"quad_n = {self.quad_n}"]
+                 f"threads = {self.threads}"]
+        if self.quad_n is not None:
+            lines.append(f"quad_n = {self.quad_n}")
         for name, sect in (("kernel", self.kernel), ("grid", self.grid)):
             if sect:
                 lines.append(f"[{name}]")
@@ -122,7 +123,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=int(run.get("seed", 0)),
         tolerance=float(run.get("tolerance", float("inf"))),
         threads=int(run.get("threads", 0)),
-        quad_n=int(run.get("quad_n", 64)),
+        quad_n=int(run["quad_n"]) if "quad_n" in run else None,
         kernel=data["kernel"],
         grid=data["grid"],
     )
@@ -171,6 +172,11 @@ def _grid_params(cfg, defaults):
     return g
 
 
+def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
+    """The configured Nystrom size, or the command's default if unset."""
+    return default if cfg.quad_n is None else cfg.quad_n
+
+
 def _field_from_cfg(cfg: ExperimentConfig, log=True) -> GridField:
     g = _grid_params(cfg, {"t0": 0.98, "x0": 0.18, "r0": 0.44,
                            "ht": 0.02, "hx": 0.02, "hr": 0.02,
@@ -179,7 +185,7 @@ def _field_from_cfg(cfg: ExperimentConfig, log=True) -> GridField:
     return fields.det_field(family, g["t0"], g["x0"], g["r0"],
                             g["ht"], g["hx"], g["hr"],
                             (int(g["nt"]), int(g["nx"]), int(g["nr"])),
-                            n_quad=cfg.quad_n, log=log,
+                            n_quad=_quad_n(cfg), log=log,
                             spec_kw=_shape_kwargs(cfg.kernel))
 
 
@@ -197,16 +203,18 @@ def _json_safe(v):
 def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
-    Raises ConfigError for quad_n outside [8, 512] or a [kernel] point that
-    kp-residual would ignore, KernelDomainError for kernel parameters
-    outside their domain, and QuadratureFailure, SingularOperatorError or
-    FloatingPointError when the numerics fail.
+    Raises ConfigError for quad_n outside [8, 512], threads < 0 or a
+    [kernel] point that kp-residual would ignore, KernelDomainError for
+    kernel parameters outside their domain, and QuadratureFailure,
+    SingularOperatorError or FloatingPointError when the numerics fail.
     """
-    if not 8 <= cfg.quad_n <= 512:
+    if cfg.quad_n is not None and not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
+    if cfg.threads < 0:
+        raise ConfigError(f"threads = {cfg.threads} is negative; use 0 for one "
+                          "thread per CPU")
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
     json_path = os.path.join(cfg.out, f"{cfg.command}.json")
-    threads = cfg.threads or (os.cpu_count() or 1)
     report: dict = {"command": cfg.command, "seed": cfg.seed}
     worst = 0.0
     quad_n = None   # Nystrom size of the command's determinants, if any
@@ -227,12 +235,11 @@ def run(cfg: ExperimentConfig):
         g = _grid_params(cfg, {"r0": -2.0, "hr": 0.5, "nr": 9})
         rvals = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
         spec0 = _kernel_spec(cfg)
-        quad_n = cfg.quad_n
-        def one(rv):
-            return fredholm.det_one_minus(
-                fredholm.assemble(_kernel_spec(cfg, r=float(rv)), quad_n))
+        quad_n = _quad_n(cfg)
+        threads = cfg.threads or (os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            dets = list(ex.map(one, rvals))
+            dets = fields.sweep([_kernel_spec(cfg, r=float(rv)) for rv in rvals],
+                                quad_n, fredholm.det_one_minus, ex.map).tolist()
         # the similarity families carry a Painleve reference for comparison
         refs = None
         if spec0.family == "nw_fixed_point" and spec0.wedges == ((0.0, 0.0),):
@@ -274,7 +281,7 @@ def run(cfg: ExperimentConfig):
                    list(zip(rep.extra["term_names"], rep.term_magnitudes)))
 
     elif cfg.command == "kp-residual":
-        quad_n = cfg.quad_n
+        quad_n = _quad_n(cfg)
         family = str(cfg.kernel.get("family", "nw_fixed_point"))
         # the lattice is placed by [grid]; a kernel point would be ignored
         if family == "airy_process":
@@ -292,14 +299,10 @@ def run(cfg: ExperimentConfig):
                                    "ha": 0.02})
             xs = tuple(np.atleast_1d(cfg.kernel.get("xs", (-0.3, 0.4))).astype(float))
             rs = tuple(np.atleast_1d(cfg.kernel.get("rs", (0.5, 0.8))).astype(float))
-            vals = np.empty((3, 3, 7))
-            for i in range(3):
-                for j in range(3):
-                    for k in range(7):
-                        vals[i, j, k] = fields.airy_two_point_logdet(
-                            g["t0"] + g["ht"] * i, xs, rs,
-                            (j - 1) * g["hy"], (k - 3) * g["ha"],
-                            n_quad=quad_n)
+            specs = [fields.airy_two_point_spec(g["t0"] + g["ht"] * i, xs, rs,
+                                                (j - 1) * g["hy"], (k - 3) * g["ha"])
+                     for i in range(3) for j in range(3) for k in range(7)]
+            vals = fields.sweep(specs, quad_n).reshape(3, 3, 7)
             fld = GridField(g["t0"], -g["hy"], -3 * g["ha"],
                             g["ht"], g["hy"], g["ha"], vals)
         else:
@@ -314,7 +317,7 @@ def run(cfg: ExperimentConfig):
         g = _grid_params(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02})
         ht, hy, ha = g["ht"], g["hy"], g["ha"]
         spec = _kernel_spec(cfg)
-        quad_n = cfg.quad_n
+        quad_n = _quad_n(cfg)
         q_big = fields.q_stencil(spec.t - ht, spec.xs, spec.rs, ht, hy, ha,
                                  (3, 5, 9), n_quad=quad_n)
         qf = (q_big[:, :, 2:] - q_big[:, :, :-2]) / (2 * ha)
@@ -332,23 +335,21 @@ def run(cfg: ExperimentConfig):
     elif cfg.command == "cyl-kdv":
         g = _grid_params(cfg, {"t0": 0.98, "r0": 0.88, "ht": 0.02,
                                "hr": 0.02, "nt": 3, "nr": 13})
-        quad_n = cfg.quad_n
+        quad_n = _quad_n(cfg)
         tg = g["t0"] + g["ht"] * np.arange(int(g["nt"]))
         rg = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
-        vals = np.empty((tg.size, 1, rg.size))
-        for i, t in enumerate(tg):
-            for k, r in enumerate(rg):
-                spec = KernelSpec("kpz_narrow_wedge", float(t), (0.0,),
-                                  (float(r - np.log(np.sqrt(np.pi * t))),))
-                vals[i, 0, k] = fields.logdet_value(spec, quad_n)
+        shift = np.log(np.sqrt(np.pi))
+        specs = [KernelSpec("kpz_narrow_wedge", float(t), (0.0,),
+                            (float(r - np.log(np.sqrt(np.pi * t))),))
+                 for t in tg for r in rg]
+        # and the two points at t = 1 of the x-independence check
+        specs += [KernelSpec("kpz_narrow_wedge", 1.0, (0.0,), (1.0 - shift,)),
+                  KernelSpec("kpz_narrow_wedge", 1.0, (0.5,), (0.75 - shift,))]
+        *lf, xa, xb = fields.sweep(specs, quad_n).tolist()
+        vals = np.reshape(lf, (tg.size, 1, rg.size))
         rep = residuals.cylindrical_kdv_residual(
             GridField(tg[0], 0.0, rg[0], g["ht"], 0.0, g["hr"], vals))
         report.update(rep.to_dict())
-        shift = np.log(np.sqrt(np.pi))
-        xa = fields.logdet_value(KernelSpec("kpz_narrow_wedge", 1.0, (0.0,),
-                                            (1.0 - shift,)), quad_n)
-        xb = fields.logdet_value(KernelSpec("kpz_narrow_wedge", 1.0, (0.5,),
-                                            (0.75 - shift,)), quad_n)
         report["x_independence"] = abs(xa - xb)
         worst = rep.normalized_sup if report["x_independence"] < 1e-4 else float("inf")
         _write_csv(csv_path, ["term", "magnitude"],
@@ -358,9 +359,8 @@ def run(cfg: ExperimentConfig):
         g = _grid_params(cfg, {"r_min": -7.0, "r_max": -5.0, "r_step": 0.25})
         r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
         spec0 = _kernel_spec(cfg)
-        quad_n = max(cfg.quad_n, 96)
-        lf = np.array([fields.logdet_value(_kernel_spec(cfg, r=float(rv)), quad_n)
-                       for rv in r])
+        quad_n = _quad_n(cfg, 96)
+        lf = fields.sweep([_kernel_spec(cfg, r=float(rv)) for rv in r], quad_n)
         slope, r2 = residuals.tail_slope_fit(r, lf)
         expect = 1.0 / 6.0 if spec0.family == "flat_fixed_point" else 1.0 / 12.0
         report.update({"slope": slope, "r2": r2, "expected": expect,
@@ -369,7 +369,7 @@ def run(cfg: ExperimentConfig):
         _write_csv(csv_path, ["r", "log_f"], list(zip(r.tolist(), lf.tolist())))
 
     elif cfg.command == "scattering-limit":
-        quad_n = cfg.quad_n
+        quad_n = _quad_n(cfg)
         cfgw = scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
         rows = scattering.rk_limit_check(cfgw, (0.1, 0.05, 0.02, 0.01),
                                          n_quad=quad_n)
@@ -402,7 +402,7 @@ def run(cfg: ExperimentConfig):
         configs = [((-0.3, 0.4), (0.5, 0.8), 1.0),
                    ((-0.5, 0.2), (0.0, 0.3), 1.0),
                    ((0.1, 0.9), (1.0, 0.6), 2.0)]
-        quad_n = cfg.quad_n
+        quad_n = _quad_n(cfg)
         rows = []
         for xs, rs, t in configs:
             fp = scattering.path_integral_determinant(t, xs, rs)
@@ -458,7 +458,7 @@ def run(cfg: ExperimentConfig):
                 return (c * np.exp(-u * u)[:, None]
                         * (-2 * v * np.exp(-v * v))[None, :])
             return f
-        quad_n = max(cfg.quad_n, 96)
+        quad_n = _quad_n(cfg, 96)
         res = fredholm.boundary_bracket_product_check(
             [[gau(1.0)]], [[gau_d2(1.0)]], [[gau(1.0)]], [[gau_d1(1.0)]],
             quad_n)
@@ -471,13 +471,13 @@ def run(cfg: ExperimentConfig):
         t, x = float(k.get("t", 1.0)), float(k.get("x", 0.0))
         anchor = float(k.get("anchor", 0.25))
         spikes = tuple(np.atleast_1d(k.get("spikes", (0.0,))).astype(float))
-        quad_n = cfg.quad_n
-        def sdet(r, anc):
-            spec = KernelSpec("kpz_spiked", t, (x,), (float(r),),
-                              spikes=spikes, contour_anchor=anc)
-            return fredholm.det_one_minus(fredholm.assemble(spec, quad_n))
-        d0, d1 = sdet(0.0, anchor), sdet(1.0, anchor)
-        anchor_dev = abs(d0 - sdet(0.0, anchor + 0.1))
+        quad_n = _quad_n(cfg)
+        d0, d1, d0_moved = fields.sweep(
+            [KernelSpec("kpz_spiked", t, (x,), (r,), spikes=spikes,
+                        contour_anchor=anc)
+             for r, anc in ((0.0, anchor), (1.0, anchor), (0.0, anchor + 0.1))],
+            quad_n, fredholm.det_one_minus).tolist()
+        anchor_dev = abs(d0 - d0_moved)
         h = 0.02
         fld = fields.det_field("kpz_spiked", t - h, x + 0.2 - h, 0.3 - 3 * h,
                                h, h, h, (3, 3, 7), n_quad=quad_n,

@@ -1,8 +1,17 @@
-"""Builders for determinant-derived lattice fields used by the residual checks.
+"""Determinant sweeps and the lattice fields built from them.
 
-All builders keep quadrature rules fixed across the sweep, so discretization
-errors vary smoothly with (t, x, r) and pass through finite-difference
-stencils without noise amplification.
+Every stencil of determinants (the fields below and the CLI's r-sweeps)
+goes through ``sweep``, which keeps the quadrature fixed across its points,
+so discretization errors vary smoothly with (t, x, r) and pass through
+finite-difference stencils without noise amplification:
+
+* kpz_spiked: all contour rules (eta contour and its anchor, xi rays, Fermi
+  y-rule, log-Gamma offset) are built once per sweep, sized for its worst
+  point, together with every contour factor that does not depend on
+  (t, x, r); each determinant adds only a diagonal on the contour nodes.
+* the other families keep their node counts (Nystrom n, inner_n, fermi_n)
+  fixed; the multiwedge cutoff map's scale inner_scale * t^(1/3) moves
+  smoothly with t, with no integer jumps.
 """
 
 from __future__ import annotations
@@ -10,14 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from .fredholm import assemble, boundary_resolvent, log_det_one_minus
-from .kernels import KernelSpec
+from .kernels import KernelSpec, SpikedRules, build_block_kernel
 from .painleve import HMSolution, log_f_gue
 from .residuals import GridField
 
 __all__ = [
+    "sweep",
     "similarity_gue_field",
     "det_field",
     "logdet_value",
+    "airy_two_point_spec",
     "airy_two_point_logdet",
     "q_stencil",
     "phi_window_narrow_wedge",
@@ -29,11 +40,46 @@ def _lattice(start, step, n):
     return start + step * np.arange(n)
 
 
-def logdet_value(spec: KernelSpec, n_quad: int = 64) -> float:
-    sign, logdet = log_det_one_minus(assemble(spec, n_quad))
+def _logdet(disc) -> float:
+    sign, logdet = log_det_one_minus(disc)
     if sign <= 0:
         raise FloatingPointError("non-positive determinant in a field sweep")
     return logdet
+
+
+def _q_matrix(disc) -> np.ndarray:
+    return boundary_resolvent(disc).q_matrix
+
+
+def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
+    """value(assemble(kernel, n_quad)) for each spec, in order, as an array.
+
+    value defaults to log det(I - K) (raising FloatingPointError unless the
+    determinant is positive).  The kpz_spiked specs that share spikes,
+    anchor and fermi_n form one contour group with one set of rules
+    (``kernels.SpikedRules``); the groups are evaluated one after another,
+    so only one group's rules are held at a time.  Every other kernel is
+    built per point.  mapper maps the per-point evaluation over a group's
+    specs: the builtin map, or a thread pool's map (values do not change).
+    """
+    specs = list(specs)
+    groups: dict = {}
+    for i, s in enumerate(specs):
+        key = SpikedRules.group_key(s) if s.family == "kpz_spiked" else None
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(specs)
+    for key, idx in groups.items():
+        group = [specs[i] for i in idx]
+        rules = SpikedRules(group) if key is not None else None
+        vals = mapper(lambda spec: value(assemble(build_block_kernel(spec, rules),
+                                                  n_quad)), group)
+        for i, v in zip(idx, vals):
+            out[i] = v
+    return np.array(out)
+
+
+def logdet_value(spec: KernelSpec, n_quad: int = 64) -> float:
+    return _logdet(assemble(spec, n_quad))
 
 
 def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims,
@@ -49,24 +95,26 @@ def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims,
 
 def det_field(family: str, t0, x0, r0, ht, hx, hr, dims, n_quad: int = 64,
               log: bool = True, spec_kw: dict | None = None) -> GridField:
-    """log F (or F) from determinants of a one-point kernel family."""
+    """log F (or F) from one sweep of determinants of a one-point family."""
     spec_kw = dict(spec_kw or {})
-    vals = np.empty(dims)
-    for i, t in enumerate(_lattice(t0, ht, dims[0])):
-        for j, x in enumerate(_lattice(x0, hx, dims[1])):
-            for k, r in enumerate(_lattice(r0, hr, dims[2])):
-                spec = KernelSpec(family, float(t), (float(x),), (float(r),),
-                                  **spec_kw)
-                vals[i, j, k] = logdet_value(spec, n_quad)
+    specs = [KernelSpec(family, float(t), (float(x),), (float(r),), **spec_kw)
+             for t in _lattice(t0, ht, dims[0])
+             for x in _lattice(x0, hx, dims[1])
+             for r in _lattice(r0, hr, dims[2])]
+    vals = sweep(specs, n_quad).reshape(dims)
     return GridField(t0, x0, r0, ht, hx, hr, vals if log else np.exp(vals))
+
+
+def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
+    """Spec of the two-point narrow-wedge determinant F(t, xs + y, rs + a)."""
+    return KernelSpec("multiwedge_extended", float(t),
+                      tuple(x + y for x in xs), tuple(r + a for r in rs),
+                      ((0.0, 0.0),))
 
 
 def airy_two_point_logdet(t, xs, rs, y, a, n_quad: int = 64) -> float:
     """log F(t, xs + y, rs + a) for the two-point narrow-wedge determinant."""
-    spec = KernelSpec("multiwedge_extended", float(t),
-                      tuple(x + y for x in xs), tuple(r + a for r in rs),
-                      ((0.0, 0.0),))
-    return logdet_value(spec, n_quad)
+    return logdet_value(airy_two_point_spec(t, xs, rs, y, a), n_quad)
 
 
 def q_stencil(t0, xs, rs, ht, hy, ha, dims, n_quad: int = 64):
@@ -75,15 +123,11 @@ def q_stencil(t0, xs, rs, ht, hy, ha, dims, n_quad: int = 64):
     Returns an array of shape dims + (n, n).
     """
     n = len(xs)
-    out = np.empty(dims + (n, n))
-    for i, t in enumerate(_lattice(t0, ht, dims[0])):
-        for j, y in enumerate(_lattice(0.0, hy, dims[1]) - hy * (dims[1] // 2)):
-            for k, a in enumerate(_lattice(0.0, ha, dims[2]) - ha * (dims[2] // 2)):
-                spec = KernelSpec("multiwedge_extended", float(t),
-                                  tuple(x + y for x in xs),
-                                  tuple(r + a for r in rs), ((0.0, 0.0),))
-                out[i, j, k] = boundary_resolvent(assemble(spec, n_quad)).q_matrix
-    return out
+    specs = [airy_two_point_spec(t, xs, rs, y, a)
+             for t in _lattice(t0, ht, dims[0])
+             for y in _lattice(0.0, hy, dims[1]) - hy * (dims[1] // 2)
+             for a in _lattice(0.0, ha, dims[2]) - ha * (dims[2] // 2)]
+    return sweep(specs, n_quad, _q_matrix).reshape(dims + (n, n))
 
 
 def phi_window_narrow_wedge(hm: HMSolution, t: float, x_grid, r_grid) -> np.ndarray:

@@ -86,24 +86,20 @@ def assemble(spec_or_kernel, n_quad: int = 64, scale: float = 4.0) -> Discretiza
     return Discretization(kernel, rule, m, n_quad)
 
 
-def log_det_one_minus(disc: Discretization) -> tuple[float, float]:
-    """(sign, log|det(I - K)|) via LU."""
-    a = np.eye(disc.matrix.shape[0]) - disc.matrix
-    sign, logdet = np.linalg.slogdet(a)
+def _slogdet(disc: Discretization) -> tuple[float, float]:
+    sign, logdet = np.linalg.slogdet(np.eye(disc.matrix.shape[0]) - disc.matrix)
     return float(sign), float(logdet)
 
 
+def log_det_one_minus(disc: Discretization) -> tuple[float, float]:
+    """(sign, log|det(I - K)|) via LU."""
+    return _slogdet(disc)
+
+
 def det_one_minus(disc: Discretization) -> float:
-    """det(I - K); for complex assemblies checks the imaginary part is tiny."""
-    a = np.eye(disc.matrix.shape[0]) - disc.matrix
-    if np.iscomplexobj(a):
-        det = np.linalg.det(a)
-        if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
-            raise FloatingPointError(f"determinant imaginary part {det.imag}")
-        value = float(det.real)
-    else:
-        sign, logdet = np.linalg.slogdet(a)
-        value = float(sign * np.exp(logdet))
+    """det(I - K) via LU; warns when it falls below 1e-14."""
+    sign, logdet = _slogdet(disc)
+    value = float(sign * np.exp(logdet))
     if abs(value) < 1e-14:
         warnings.warn("det(I-K) below 1e-14: operator nearly singular",
                       RuntimeWarning, stacklevel=2)

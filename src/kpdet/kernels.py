@@ -21,6 +21,10 @@ S-factors L_a, R_b of each observation point and the heat chain H of each
 wedge subset are evaluated once per kernel and cached, and each chain is
 contracted by one BLAS product of row-scaled mantissas (``log_matmul``).
 
+The spiked kernels of one determinant sweep share one ``SpikedRules``: the
+contour rules sized for the sweep's worst point and every contour factor
+that does not depend on (t, x, r).
+
 Blocks are shifted per observation point: entry (a, b) is evaluated at
 (u + r_a, v + r_b) and lives on L^2[0, inf).
 """
@@ -53,6 +57,7 @@ __all__ = [
     "nw_fixed_point_kernel",
     "flat_kernel",
     "kpz_nw_kernel",
+    "SpikedRules",
     "SpikedKernel",
     "BlockKernel",
     "build_block_kernel",
@@ -436,6 +441,194 @@ def kpz_nw_kernel(t, x, r, u, v, fermi_n=160, fermi_scale=6.0):
 # spiked KPZ kernel
 # ----------------------------------------------------------------------------
 
+ETA_PANELS = 14     # panels of the vertical eta contour's upper half
+
+
+class SpikedRules:
+    """Contour rules of a kpz_spiked sweep and its factors that do not move.
+
+    One set of rules serves every point (t, x, r) of a sweep whose specs
+    share the spikes, the contour anchor and fermi_n (``group_key``):
+
+    * the vertical eta contour, anchored at the largest a_eta of the points,
+    * the xi rays, anchored at a_xi = contour_anchor + 1/2,
+    * the Fermi y-rule and the log-Gamma offset.
+
+    Each size (eta half-height, ray length, y range, y-panel node count) is
+    the largest any point asks for, and the rules do not jump between the
+    points of a finite-difference stencil.  A point's own eta rule spends
+    nodes at a rate proportional to its phase rate t s^2 + |w| up to its
+    half-height; the shared eta panels follow the largest of these node
+    rates at each height s (``eta_profiles``), so every point gets at least
+    as many nodes on each stretch of the contour as from rules of its own
+    (up to the 512-node panel cap).  With the rules and the Nystrom nodes
+    fixed, (t, x, r) enter only as a diagonal on the contour nodes; the
+    rest of each side's contour sum (Gamma factors times weights, the
+    ``exp(-y loc zc)`` grid and the ``(pts, panel)`` rows) is computed here
+    once.  A single spec is a one-point sweep.
+    """
+
+    def __init__(self, specs):
+        specs = tuple(specs)
+        if not specs:
+            raise KernelDomainError("a spiked sweep needs at least one point")
+        key = self.group_key(specs[0])
+        if any(self.group_key(s) != key for s in specs):
+            raise KernelDomainError("spiked sweep points differ in spikes, anchor or fermi_n")
+        self.specs = specs
+        spec = specs[0]
+        self.b = np.asarray(key[0])
+        self.m = self.b.size
+        # the vertical eta contour needs t*anchor + x > 0 for Gaussian decay;
+        # shift the anchor right for negative x (the eta side has no poles)
+        self.a_eta = max(max(spec.contour_anchor, -s.xs[0] / s.t + 0.25) for s in specs)
+        self.a_xi = spec.contour_anchor + 0.5
+        if self.a_xi <= np.max(self.b):
+            raise KernelDomainError("xi anchor not right of all spikes")
+        if np.min(np.abs(self.a_eta - self.b)) < 1e-9 or np.min(np.abs(self.a_xi - self.b)) < 1e-9:
+            raise KernelDomainError("contour anchor collides with a spike")
+        # y range: Fermi weight kills y -> +inf, Airy decay of F kills y -> -inf
+        self.y_hi = 36.0
+        self.y_lo = min(min(s.rs[0], 0.0) for s in specs) - 16.0
+        sizes = [self._sizes(s) for s in specs]
+        self.eta_profiles = [sz[:4] for sz in sizes]
+        self.half_height, _, _, _, ray, freq = np.max(sizes, axis=0)
+        self.eta_edges, count = self._eta_edges(self.eta_profiles)
+        # the 1e-12 keeps a one-point sweep's count from rounding up
+        per = int(np.ceil(count * (1.0 - 1e-12) / ETA_PANELS))
+        self.eta_nodes, self.eta_w = self._vertical_panels(
+            self.a_eta, self.eta_edges, min(per, 512))
+        # xi rule: rays at 2pi/3 anchored right of the spikes, panelled
+        # densely near the anchor because the nearest Gamma pole sits only
+        # 0.87*(anchor - b_max) away from the contour
+        self.xi_nodes, self.xi_w = self._panelled_ray(self.a_xi, 2.0 * np.pi / 3.0, ray)
+        # balance Gamma(B)-scale factors between the two sides (K is invariant
+        # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
+        self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
+        self.y0, self.y_loc, self.fermi_nodes, self.fermi_logw = self._fermi_panels(
+            spec.fermi_n, freq)
+        self.mid = np.exp(self.fermi_nodes * (self.a_eta - self.a_xi) + self.fermi_logw)
+        self._sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
+                       "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
+        self._rows: dict = {}
+
+    @staticmethod
+    def group_key(spec: KernelSpec):
+        """The spec fields that fix the contours; equal keys can share rules."""
+        return (tuple(np.sort(np.asarray(spec.spikes, dtype=float))),
+                spec.contour_anchor, spec.fermi_n)
+
+    def _sizes(self, spec):
+        """(eta half-height H, t, |w| bound, eta nodes per unit phase of its
+        own rule, ray length, y-rule frequency) that the point spec asks for."""
+        t, x, r = spec.t, spec.xs[0], spec.rs[0]
+        w_min = min(r, 0.0) - self.y_hi               # most negative argument
+        w_max = spec.domain_cut + r - self.y_lo       # most positive
+        w_bound = max(abs(w_min), abs(w_max))
+        # vertical eta rule: half-height from the decay profile, node count
+        # from the total phase (rate s^2 + |w|)
+        c2 = t * self.a_eta + x
+        m = self.m
+        big_h = (m * np.pi / 4 + np.sqrt((m * np.pi / 4) ** 2 + 42.0 * c2)) / c2
+        n_vert = max(256, 1.3 * (t * big_h ** 3 / 3 + w_bound * big_h) / np.pi)
+        per = min(max(32, int(n_vert / ETA_PANELS) + 8), 512)
+        phase = self._eta_edges([(big_h, t, w_bound, 1.0)])[1]
+        ray = _ray_length(t, x, abs(w_min) + 2.0)
+        freq = np.sqrt(max(w_bound, 4.0) / np.cbrt(t))
+        return big_h, t, w_bound, ETA_PANELS * per / phase, ray, freq
+
+    @staticmethod
+    def _panelled_ray(anchor, angle, length):
+        """Upper ray of the bent-ray contour, GL panels refined toward the anchor."""
+        edges = [e for e in (0.0, 0.15, 0.45, 1.2, 3.0) if e < length] + [length]
+        ray = panel_rule(edges, 72)
+        rot = np.exp(1j * angle)
+        return anchor + ray.nodes * rot, ray.weights * rot
+
+    @staticmethod
+    def _eta_edges(profiles):
+        """Edges of ETA_PANELS panels in s holding equal node counts, and
+        the total count, for the profiles (H, t, w, density).
+
+        The node rate at s is the largest density * (t s^2 + w) of the
+        profiles with s <= H: the local phase rate of the vertical contour
+        is ~ t s^2 + w, so panels shrink toward the top of the contour
+        where the cubic phase spins fastest.  The trapezoid sum on a grid
+        holding every H never undercounts that rate's integral.
+        """
+        heights = [h for h, _, _, _ in profiles]
+        s = np.union1d(np.linspace(0.0, max(heights), 2048), heights)
+        rate = np.max([np.where(s <= h, d * (t * s * s + w), 0.0)
+                       for h, t, w, d in profiles], axis=0)
+        count = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(s))])
+        edges = np.interp(np.linspace(0.0, count[-1], ETA_PANELS + 1), count, s)
+        return edges, count[-1]
+
+    @staticmethod
+    def _vertical_panels(anchor, edges, per):
+        """Upper half of the vertical contour: per GL nodes on each panel."""
+        half = panel_rule(edges, per)
+        return anchor + 1j * half.nodes, 1j * half.weights
+
+    def _fermi_panels(self, fermi_n, freq):
+        """Panel GL rule in y resolving the Airy-product oscillation.
+
+        Both factors oscillate with local frequency ~ sqrt(|w|/t^(1/3)) =
+        freq, which fixes the per-panel node count.  The panels have equal
+        width and share one GL base, so node (p, k) is y0[p] + loc[k].
+        Returns (y0, loc, nodes, log weights including the Fermi factor).
+        """
+        y_lo, y_hi = self.y_lo, self.y_hi
+        n_panels = max(6, int((y_hi - y_lo) / 8.0))
+        per = int(max(64, min(fermi_n, 512), 1.5 * freq * (y_hi - y_lo) / n_panels))
+        loc = map_interval(gauss_legendre(per), 0.0, (y_hi - y_lo) / n_panels)
+        y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
+        y = (y0[:, None] + loc.nodes[None, :]).ravel()
+        w = np.tile(loc.weights, n_panels)
+        return y0, loc.nodes, y, np.log(w) - np.logaddexp(0.0, y)
+
+    def _side(self, z, w, anchor, sgn):
+        """Point-independent factors of one contour: Gamma factors times
+        weights, and e_loc = exp(-sgn loc zc) on (loc, contour node)."""
+        lg = np.zeros_like(z)
+        for bk in self.b:
+            lg = lg + log_gamma(z - bk)
+        gw = np.exp(sgn * (lg - self.lg_offset)) * w
+        zc = z - anchor
+        return {"z": z, "zc": zc, "sgn": sgn, "gw": gw,
+                "e_loc": np.exp(-sgn * self.y_loc[:, None] * zc[None, :])}
+
+    def side(self, pts, which):
+        """Factors of side which ("f": eta, "g": xi) on the points pts.
+
+        Returns (rows, factors): rows holds exp(sgn pts zc) exp(-sgn y0 zc)
+        on (pts, panel) rows as interleaved (Im, Re) pairs per contour node,
+        computed once per sweep for each pts.
+        """
+        side = self._sides[which]
+        key = (which, pts.tobytes())
+        rows = self._rows.get(key)
+        if rows is None:
+            # kernels on a thread pool may build the same rows twice; either
+            # copy is the same array of values
+            zc, sgn = side["zc"], side["sgn"]
+            e_pts = np.exp(sgn * pts[:, None] * zc[None, :])
+            rows = np.empty((pts.size, self.y0.size, zc.size, 2))
+            for p, y0 in enumerate(self.y0):
+                lhs = e_pts * np.exp(-sgn * y0 * zc)[None, :]
+                rows[:, p, :, 0], rows[:, p, :, 1] = lhs.imag, lhs.real
+            rows = self._rows[key] = rows.reshape(-1, 2 * zc.size)
+        return rows, side
+
+
+def _ray_length(t, x, w_neg):
+    """Smallest ray length with t L^3/3 - |x| L^2 - w_neg L/2 >= 45."""
+    for el in np.arange(4.0, 60.0, 0.25):
+        if t * el ** 3 / 3.0 - abs(x) * el ** 2 - w_neg * el / 2.0 >= 45.0:
+            return float(el)
+    return 60.0
+
+
 class SpikedKernel:
     """m-spiked KPZ kernel via the Fermi split of the sine coupling.
 
@@ -457,107 +650,23 @@ class SpikedKernel:
 
     Both F and G are real by conjugate symmetry, so the assembled kernel is
     real and the determinant's imaginary part is identically zero.
+
+    rules are the SpikedRules of the sweep the spec belongs to; without
+    them the spec is a one-point sweep.
     """
 
-    def __init__(self, spec: KernelSpec):
+    def __init__(self, spec: KernelSpec, rules: SpikedRules | None = None):
         if spec.family != "kpz_spiked":
             raise KernelDomainError("expected a kpz_spiked spec")
+        if rules is None:
+            rules = SpikedRules((spec,))
+        elif not any(spec is s for s in rules.specs):
+            raise KernelDomainError("spec is not a point of the rules' sweep")
         self.spec = spec
+        self.rules = rules
         self.t = spec.t
         self.x = spec.xs[0]
         self.r = spec.rs[0]
-        self.b = np.sort(np.asarray(spec.spikes, dtype=float))
-        self.m = self.b.size
-        # the vertical eta contour needs t*anchor + x > 0 for Gaussian decay;
-        # shift the anchor right for negative x (the eta side has no poles)
-        self.a_eta = max(spec.contour_anchor, (-spec.xs[0] / spec.t) + 0.25)
-        self.a_xi = spec.contour_anchor + 0.5
-        if self.a_xi <= np.max(self.b):
-            raise KernelDomainError("xi anchor not right of all spikes")
-        if np.min(np.abs(self.a_eta - self.b)) < 1e-9 or np.min(np.abs(self.a_xi - self.b)) < 1e-9:
-            raise KernelDomainError("contour anchor collides with a spike")
-        t, x, m = self.t, self.x, self.m
-        a = self.a_eta
-        # y range: Fermi weight kills y -> +inf, Airy decay of F kills y -> -inf
-        self._y_hi = 36.0
-        self._y_lo = min(self.r, 0.0) - 16.0
-        self._w_min = min(self.r, 0.0) - self._y_hi           # most negative argument
-        self._w_max = spec.domain_cut + self.r - self._y_lo   # most positive
-        # vertical eta rule: half-height from the decay profile, node count
-        # from the total phase (rate s^2 + |w|)
-        c2 = t * a + x
-        big_h = (m * np.pi / 4 + np.sqrt((m * np.pi / 4) ** 2 + 42.0 * c2)) / c2
-        w_bound = max(abs(self._w_min), abs(self._w_max))
-        n_vert = int(max(256, 1.3 * (t * big_h ** 3 / 3 + w_bound * big_h) / np.pi))
-        self._eta_nodes, self._eta_w = self._vertical_panels(a, big_h, n_vert, t, w_bound)
-        self.half_height = big_h
-        # xi rule: rays at 2pi/3 anchored right of the spikes, panelled
-        # densely near the anchor because the nearest Gamma pole sits only
-        # 0.87*(anchor - b_max) away from the contour
-        self._xi_nodes, self._xi_w = self._panelled_ray(
-            self.a_xi, 2.0 * np.pi / 3.0, self._ray_length(abs(self._w_min) + 2.0))
-        # balance Gamma(B)-scale factors between the two sides (K is invariant
-        # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
-        self._lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
-        (self._y0, self._y_loc,
-         self._fermi_nodes, self._fermi_logw) = self._fermi_panels(spec)
-
-    @staticmethod
-    def _panelled_ray(anchor, angle, length):
-        """Upper ray of the bent-ray contour, GL panels refined toward the anchor."""
-        edges = [e for e in (0.0, 0.15, 0.45, 1.2, 3.0) if e < length] + [length]
-        ray = panel_rule(edges, 72)
-        rot = np.exp(1j * angle)
-        return anchor + ray.nodes * rot, ray.weights * rot
-
-    def _fermi_panels(self, spec):
-        """Panel GL rule in y resolving the Airy-product oscillation.
-
-        Both factors oscillate with local frequency ~ sqrt(|w|/t^(1/3)),
-        which fixes the per-panel node count.  The panels have equal width
-        and share one GL base, so node (p, k) is y0[p] + loc[k].  Returns
-        (y0, loc, nodes, log weights including the Fermi factor).
-        """
-        y_lo, y_hi = self._y_lo, self._y_hi
-        n_panels = max(6, int((y_hi - y_lo) / 8.0))
-        freq = np.sqrt(max(abs(self._w_min), abs(self._w_max), 4.0) / np.cbrt(self.t))
-        per = int(max(64, min(spec.fermi_n, 512),
-                      1.5 * freq * (y_hi - y_lo) / n_panels))
-        loc = map_interval(gauss_legendre(per), 0.0, (y_hi - y_lo) / n_panels)
-        y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
-        y = (y0[:, None] + loc.nodes[None, :]).ravel()
-        w = np.tile(loc.weights, n_panels)
-        return y0, loc.nodes, y, np.log(w) - np.logaddexp(0.0, y)
-
-    def _ray_length(self, w_neg):
-        """Smallest ray length with t L^3/3 - |x| L^2 - w_neg L/2 >= 45."""
-        for el in np.arange(4.0, 60.0, 0.25):
-            if self.t * el ** 3 / 3.0 - abs(self.x) * el ** 2 - w_neg * el / 2.0 >= 45.0:
-                return float(el)
-        return 60.0
-
-    @staticmethod
-    def _vertical_panels(anchor, big_h, n_total, t, w_bound):
-        """Upper half of the vertical contour, panels at equal phase increments.
-
-        The local phase rate is ~ t*s^2 + w_bound, so panels shrink toward
-        the top of the contour where the cubic phase spins fastest.
-        """
-        sgrid = np.linspace(0.0, big_h, 2048)
-        phase = t * sgrid ** 3 / 3.0 + w_bound * sgrid
-        n_panels = 14
-        targets = np.linspace(0.0, phase[-1], n_panels + 1)
-        edges = np.interp(targets, phase, sgrid)
-        per = max(32, int(n_total / n_panels) + 8)
-        half = panel_rule(edges, min(per, 512))
-        return anchor + 1j * half.nodes, 1j * half.weights
-
-    def _gamma_factor(self, z, inverse):
-        """Balanced prod_k Gamma(z - b_k) (or reciprocal) as exp of log-Gamma."""
-        lg = np.zeros_like(z)
-        for bk in self.b:
-            lg = lg + log_gamma(z - bk)
-        return np.exp(self._lg_offset - lg) if inverse else np.exp(lg - self._lg_offset)
 
     def _factor_grid(self, pts, which):
         """Mantissa M[i, q] of F or G at w = pts[i] + r - y[q].
@@ -565,25 +674,19 @@ class SpikedKernel:
         F(w) = M e^{-w a_eta} and G(w) = M e^{w a_xi}.  The contour's
         exponential separates over (pts, y), and over the panels of the
         y-rule, exp(c y) = exp(c y0_p) exp(c loc_k), so the contour sum is
-        one matmul with (pts, panel) rows and loc columns.  The integrands
-        are real-analytic and the contours conjugate-symmetric, so the full
-        contour sum over 2 pi i is Im(upper half sum) / pi.
+        one matmul with (pts, panel) rows and loc columns.  Only the
+        diagonal d = exp(sgn (r zc - t z^3/3 - x z^2)) on the contour nodes
+        depends on the point; it scales the loc columns.  The integrands are
+        real-analytic and the contours conjugate-symmetric, so the full
+        contour sum over 2 pi i is Im(upper half sum) / pi, taken as one
+        real product.
         """
-        if which == "f":
-            z, anchor, sgn = self._eta_nodes, self.a_eta, -1.0
-            g = self._gamma_factor(z, inverse=True)
-            base = np.exp(self.t * z ** 3 / 3.0 + self.x * z * z) * g * self._eta_w
-        else:
-            z, anchor, sgn = self._xi_nodes, self.a_xi, 1.0
-            g = self._gamma_factor(z, inverse=False)
-            base = np.exp(-self.t * z ** 3 / 3.0 - self.x * z * z) * g * self._xi_w
-        zc = z - anchor
-        e_pts = np.exp(sgn * (pts[:, None] + self.r) * zc[None, :]) * base[None, :]
-        e_y0 = np.exp(-sgn * self._y0[:, None] * zc[None, :])
-        e_loc = np.exp(-sgn * self._y_loc[:, None] * zc[None, :])
-        lhs = (e_pts[:, None, :] * e_y0[None, :, :]).reshape(-1, zc.size)
-        # Im(lhs @ e_loc^T) as two real products
-        vals = lhs.real @ e_loc.imag.T + lhs.imag @ e_loc.real.T
+        rows, side = self.rules.side(pts, which)
+        z, zc, sgn = side["z"], side["zc"], side["sgn"]
+        c = side["gw"] * np.exp(sgn * (self.r * zc - self.t * z ** 3 / 3.0 - self.x * z * z))
+        # the complex columns viewed as interleaved (Re, Im) pairs meet the
+        # rows' (Im, Re) pairs: one real product gives the imaginary part
+        vals = rows @ (side["e_loc"] * c[None, :]).view(np.float64).T
         return vals.reshape(pts.size, -1) / np.pi
 
     def matrix(self, u, v):
@@ -594,10 +697,10 @@ class SpikedKernel:
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        left = self._factor_grid(u, "f") * np.exp(-(u + self.r) * self.a_eta)[:, None]
-        right = self._factor_grid(v, "g") * np.exp((v + self.r) * self.a_xi)[:, None]
-        mid = np.exp(self._fermi_nodes * (self.a_eta - self.a_xi) + self._fermi_logw)
-        return (left * mid[None, :]) @ right.T
+        rules = self.rules
+        left = self._factor_grid(u, "f") * np.exp(-(u + self.r) * rules.a_eta)[:, None]
+        right = self._factor_grid(v, "g") * np.exp((v + self.r) * rules.a_xi)[:, None]
+        return (left * rules.mid[None, :]) @ right.T
 
 
 # ----------------------------------------------------------------------------
@@ -639,7 +742,8 @@ class BlockKernel:
         raise KernelDomainError(fam)
 
 
-def build_block_kernel(spec: KernelSpec) -> BlockKernel:
-    spiked = SpikedKernel(spec) if spec.family == "kpz_spiked" else None
+def build_block_kernel(spec: KernelSpec, rules: SpikedRules | None = None) -> BlockKernel:
+    """BlockKernel of spec; a kpz_spiked spec uses the sweep's rules if given."""
+    spiked = SpikedKernel(spec, rules) if spec.family == "kpz_spiked" else None
     n = spec.n_points if spec.family in ("nw_fixed_point", "multiwedge_extended") else 1
     return BlockKernel(spec, n, spiked)

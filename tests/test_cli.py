@@ -34,6 +34,11 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("[run]\ncommand = frobnicate\n")
 
+    def test_unset_threads_and_quad_n_defaults(self):
+        cfg = cli.parse_config("[run]\ncommand = tw-table\n")
+        assert cfg.threads == 0 and cfg.quad_n is None
+        assert cli.parse_config(cfg.to_text()) == cfg
+
     def test_kernel_values(self):
         cfg = cli.parse_config(
             "[run]\ncommand = det-eval\n[kernel]\nfamily = flat_fixed_point\n"
@@ -155,6 +160,42 @@ class TestConfiguredKeys:
         assert abs(report["det_r0"] - det(1.0, 0.0, 0.25)) > 1e-3
         assert report["quad_n"] == 16
 
+    @pytest.mark.parametrize("command, kernel", [
+        ("tail-fit", "[kernel]\nfamily = nw_fixed_point\n"),
+        ("bracket-check", ""),
+    ])
+    def test_configured_quad_n_is_used(self, tmp_path, command, kernel):
+        code, out = _run_main(tmp_path, f"[run]\ncommand = {command}\nquad_n = 48\n{kernel}")
+        assert code == 0
+        report = json.loads((out / f"{command}.json").read_text())
+        assert report["quad_n"] == 48
+
+    @pytest.mark.parametrize("command, kernel", [
+        ("tail-fit", "[kernel]\nfamily = flat_fixed_point\n"),
+        ("bracket-check", ""),
+    ])
+    def test_unset_quad_n_defaults_to_96(self, tmp_path, command, kernel):
+        # a flat tail-fit needs about 96 nodes for a positive determinant
+        code, out = _run_main(tmp_path, f"[run]\ncommand = {command}\n{kernel}")
+        assert code == 0
+        report = json.loads((out / f"{command}.json").read_text())
+        assert report["quad_n"] == 96
+
+    @pytest.mark.parametrize("threads", ["0", "1", "2"])
+    @pytest.mark.parametrize("kernel", ["family = nw_fixed_point",
+                                        "family = kpz_spiked\nspikes = 0.0"])
+    def test_threads_do_not_change_outputs(self, tmp_path, threads, kernel):
+        # det-eval maps its r values over a pool of that many threads; the
+        # spiked points share one set of rules across the pool
+        text = ("[run]\ncommand = det-eval\nquad_n = 16\nthreads = {}\n"
+                f"[kernel]\n{kernel}\n[grid]\nnr = 3\n")
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "pool").mkdir()
+        code, out = _run_main(tmp_path / "serial", text.format(1))
+        code_n, out_n = _run_main(tmp_path / "pool", text.format(threads))
+        assert code == code_n == 0
+        assert (out / "det-eval.csv").read_bytes() == (out_n / "det-eval.csv").read_bytes()
+
     def test_solve_kp_report_records_sizes(self, tmp_path):
         code, out = _run_main(tmp_path, "[run]\ncommand = solve-kp\ntolerance = 5e-3\n")
         assert code == 0
@@ -188,6 +229,16 @@ class TestErrorContract:
         else:
             code, out = _run_main(tmp_path, text, "--quad-n", "1000")
         self._assert_config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_threads_exit_2(self, tmp_path, capsys, where):
+        text = "[run]\ncommand = det-eval\n[grid]\nnr = 2\n"
+        if where == "config":
+            code, out = _run_main(tmp_path, text.replace("[grid]", "threads = -1\n[grid]"))
+        else:
+            code, out = _run_main(tmp_path, text, "--threads", "-1")
+        assert "threads" in self._assert_config_error(capsys, code)
         assert not out.exists()
 
     @pytest.mark.parametrize("family, key, use", [

@@ -5,12 +5,14 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import airy
 
-from kpdet import fredholm
+from kpdet import fields, fredholm
 from kpdet.kernels import (
     KernelDomainError,
+    ETA_PANELS,
     KernelSpec,
     LogMat,
     SpikedKernel,
+    SpikedRules,
     flat_kernel,
     heat_kernel,
     kpz_nw_kernel,
@@ -354,19 +356,20 @@ def spiked_reference(sk, u, v):
         # the lower half is the mirror image traversed the other way
         return np.concatenate([np.conj(z), z]), np.concatenate([-np.conj(w), w])
 
-    ze, we = full(sk._eta_nodes, sk._eta_w)
-    zx, wx = full(sk._xi_nodes, sk._xi_w)
-    lg_e = sum(log_gamma(ze - b) for b in sk.b)
-    lg_x = sum(log_gamma(zx - b) for b in sk.b)
+    rules = sk.rules
+    ze, we = full(rules.eta_nodes, rules.eta_w)
+    zx, wx = full(rules.xi_nodes, rules.xi_w)
+    lg_e = sum(log_gamma(ze - b) for b in rules.b)
+    lg_x = sum(log_gamma(zx - b) for b in rules.b)
     f_base = np.exp(sk.t * ze ** 3 / 3 + sk.x * ze ** 2 - lg_e) * we
     g_base = np.exp(-sk.t * zx ** 3 / 3 - sk.x * zx ** 2 + lg_x) * wx
-    y = sk._fermi_nodes
+    y = rules.fermi_nodes
     # one row of arguments w = u_i + r - y at a time keeps memory small
     f = np.array([(np.exp(-np.outer(ui + sk.r - y, ze)) * f_base).sum(-1)
                   for ui in u]) / (2j * np.pi)
     g = np.array([(np.exp(np.outer(vj + sk.r - y, zx)) * g_base).sum(-1)
                   for vj in v]) / (2j * np.pi)
-    fermi_w = np.exp(sk._fermi_logw)
+    fermi_w = np.exp(rules.fermi_logw)
     return np.sum(f.real[:, None, :] * g.real[None, :, :] * fermi_w, axis=2)
 
 
@@ -383,6 +386,84 @@ def test_spiked_matrix_matches_unfactored_sum(kw):
     spec = KernelSpec("kpz_spiked", 1.0, args.pop("xs"), args.pop("rs"), **args)
     sk = SpikedKernel(spec)
     u = map_interval(gauss_legendre(8), 0.0, spec.domain_cut).nodes
+    ref = spiked_reference(sk, u, u)
+    assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def c13_stencil_specs():
+    """The 63 points of the c13 spiked KP stencil around (t, x, r) = (1, 0.2, 0.3)."""
+    h = 0.02
+    return [KernelSpec("kpz_spiked", float(t), (float(x),), (float(r),), spikes=(0.0,))
+            for t in 1.0 + h * np.arange(-1, 2)
+            for x in 0.2 + h * np.arange(-1, 2)
+            for r in 0.3 + h * np.arange(-3, 4)]
+
+
+def assert_resolves_every_point(swept, own):
+    per = swept.eta_nodes.size / ETA_PANELS
+    for r in own:
+        # each shared eta panel holds at least the nodes the point's own
+        # rule spends on that stretch: its own count spread uniformly over
+        # its phase t s^3/3 + |w| s up to its half-height
+        (h, t, w, _), = r.eta_profiles
+        phase = lambda s: t * s ** 3 / 3.0 + w * s
+        need = r.eta_nodes.size * np.diff(phase(np.minimum(swept.eta_edges, h))) / phase(h)
+        assert np.all(per >= (1.0 - 1e-6) * need)
+        assert r.half_height <= swept.half_height
+        assert abs(r.xi_nodes[-1] - r.a_xi) <= abs(swept.xi_nodes[-1] - swept.a_xi)
+        assert r.y_lo >= swept.y_lo and r.y_loc.size <= swept.y_loc.size
+        assert r.a_eta <= swept.a_eta
+
+
+def test_spiked_sweep_shares_one_rule_set_sized_for_every_point():
+    specs = c13_stencil_specs()
+    # rules of each point's own vary over the stencil; the shared ones
+    # resolve every one of them, in either order of the points
+    own = [SpikedRules([s]) for s in specs]
+    assert len({r.eta_nodes.size for r in own}) > 1
+    for order in (specs, specs[::-1]):
+        used = fields.sweep(order, 8, lambda disc: disc.kernel._spiked.rules)
+        swept = used[0]
+        assert all(rules is swept for rules in used)
+        assert_resolves_every_point(swept, own)
+
+
+def test_spiked_rules_resolve_every_point_of_a_wide_t_range():
+    # the largest half-height comes from the smallest t and the largest
+    # phase rate from the largest t
+    specs = [KernelSpec("kpz_spiked", t, (0.0,), (0.0,), spikes=(0.0,))
+             for t in (0.5, 1.0, 2.0, 4.0)]
+    swept = SpikedRules(specs)
+    own = [SpikedRules([s]) for s in specs]
+    assert swept.eta_nodes.size < sum(r.eta_nodes.size for r in own)
+    assert_resolves_every_point(swept, own)
+
+
+def test_spiked_kernel_accepts_list_valued_spikes():
+    spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=[0.0])
+    want = SpikedKernel(KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,)))
+    u = np.array([0.0, 1.0])
+    assert np.array_equal(SpikedKernel(spec).matrix(u, u), want.matrix(u, u))
+
+
+def test_spiked_kernel_rejects_a_point_outside_its_sweep():
+    specs = c13_stencil_specs()
+    rules = SpikedRules(specs[:5])
+    with pytest.raises(KernelDomainError):
+        SpikedKernel(specs[-1], rules)
+    with pytest.raises(KernelDomainError):
+        SpikedRules([specs[0], KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,),
+                                          spikes=(0.0,), contour_anchor=0.35)])
+
+
+def test_spiked_sweep_matrix_matches_unfactored_sum():
+    # a point away from the one the rules' anchors and y range come from,
+    # evaluated with the sweep's shared rules and factors
+    specs = c13_stencil_specs() + [
+        KernelSpec("kpz_spiked", 1.0, (-0.5,), (-1.0,), spikes=(0.0,))]
+    rules = SpikedRules(specs)
+    sk = SpikedKernel(specs[-2], rules)    # t = 1.02, x = 0.22, r = 0.36
+    u = map_interval(gauss_legendre(8), 0.0, specs[0].domain_cut).nodes
     ref = spiked_reference(sk, u, u)
     assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
 

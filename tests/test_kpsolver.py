@@ -125,6 +125,30 @@ def test_half_spectrum_matches_full_spectrum(n_x, len_r, len_x, dt, seed):
 
 
 class TestStepper:
+    @pytest.mark.parametrize("box_r, box_x, n_x, dt, gain", [
+        ((-20.0, 20.0), (-0.5, 0.5), 4, 5e-3, 7.9),     # c12 line soliton
+        ((-14.0, 9.5), (-4.5, 4.5), 64, 2e-3, 5.9),     # c12 closure
+    ], ids=["soliton", "closure"])
+    def test_c12_sizes_construct(self, box_r, box_x, n_x, dt, gain):
+        solver = kpsolver.KPSolver(box_r, box_x, 512, n_x, dt)
+        assert abs(solver.step_gain - gain) < 0.05
+
+    @pytest.mark.parametrize("gain", [39.0, 41.0])
+    def test_step_gain_guard(self, gain):
+        # n_x = 4 on a unit box: kx_max = 4 pi; len_r = 40
+        dt = 4.0 * gain / ((4.0 * np.pi) ** 2 * 40.0)
+        solver = kpsolver.KPSolver((-20.0, 20.0), (-0.5, 0.5), 64, 4, dt)
+        bump = 0.1 * np.exp(-solver.r ** 2)
+        flat = np.broadcast_to(bump[None, :], (4, 64)).copy()
+        wavy = flat * (1.0 + 0.5 * np.cos(2.0 * np.pi * solver.x))[:, None]
+        # the corrections vanish on x-independent fields, whatever the gain
+        solver.evolve(flat, 1)
+        if gain > 40.0:
+            with pytest.raises(ValueError, match="step gain"):
+                solver.evolve(wavy, 1)
+        else:
+            solver.evolve(wavy, 1)
+
     def test_zero_field(self):
         solver = kpsolver.KPSolver((-10, 10), (-1, 1), 128, 8, 1e-2)
         out = solver.evolve(np.zeros((8, 128)), 20)

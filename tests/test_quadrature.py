@@ -3,7 +3,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from kpdet.kernels import KernelSpec, SpikedKernel
+from kpdet.kernels import KernelSpec, SpikedRules
 from kpdet.quadrature import (
     QuadratureSizeError,
     gauss_legendre,
@@ -106,6 +106,11 @@ class TestWholeLine:
         assert errs[2] < errs[1] / 100 or errs[2] < 1e-12
 
 
+def eta_edges(big_h, t, w):
+    """Eta panel edges at equal increments of the phase t s^3/3 + w s."""
+    return SpikedRules._eta_edges([(big_h, t, w, 1.0)])[0]
+
+
 class TestContours:
     """The spiked kernel's contour rules, summed as Im(upper half) / pi."""
 
@@ -114,8 +119,9 @@ class TestContours:
         # down at anchor -1, bottom cap rightward; 1/z is real-analytic, so
         # each vertical side and the caps pair up with their mirror images
         big_h, n = 8.0, 180
-        right = SpikedKernel._vertical_panels(1.0, big_h, n, 1.0, 0.0)
-        left = SpikedKernel._vertical_panels(-1.0, big_h, n, 1.0, 0.0)
+        edges = eta_edges(big_h, 1.0, 0.0)
+        right = SpikedRules._vertical_panels(1.0, edges, 32)
+        left = SpikedRules._vertical_panels(-1.0, edges, 32)
         cap = panel_rule([-1.0, 1.0], n)
         f = lambda z: 1.0 / z
         total = (np.sum(f(right[0]) * right[1]).imag
@@ -127,7 +133,7 @@ class TestContours:
         # the full contour is the upper half plus its mirror image (same
         # i*ds weights); a real-analytic integrand's real part cancels and
         # the full sum over 2 pi i is Im(upper) / pi
-        z, w = SpikedKernel._vertical_panels(0.5, 6.0, 400, 1.0, 2.0)
+        z, w = SpikedRules._vertical_panels(0.5, eta_edges(6.0, 1.0, 2.0), 36)
         full_z = np.concatenate([np.conj(z[::-1]), z])
         full_w = np.concatenate([w[::-1], w])
         f = lambda z: np.exp(z ** 3 / 3.0 - 1.5 * z)
@@ -142,13 +148,13 @@ class TestContours:
         assert np.exp((z ** 3).real / 3.0) < 1e-15
 
     def test_vertical_airy(self):
-        z, dz = SpikedKernel._vertical_panels(0.6, 9.0, 600, 1.0, 3.0)
+        z, dz = SpikedRules._vertical_panels(0.6, eta_edges(9.0, 1.0, 3.0), 50)
         for w in (-3.0, -1.0, 0.0, 2.0):
             val = np.sum(np.exp(z ** 3 / 3.0 - w * z) * dz).imag / np.pi
             assert abs(val - sp.airy(w)[0]) < 1e-14
 
     def test_bent_rays_airy(self):
-        z, dz = SpikedKernel._panelled_ray(0.6, 2 * np.pi / 3, 10.0)
+        z, dz = SpikedRules._panelled_ray(0.6, 2 * np.pi / 3, 10.0)
         for w in (-3.0, -1.0, 0.0, 2.0):
             val = np.sum(np.exp(-z ** 3 / 3.0 + w * z) * dz).imag / np.pi
             assert abs(val - sp.airy(w)[0]) < 1e-14
@@ -235,16 +241,16 @@ class TestPanelRule:
     @given(st.floats(0.5, 2.0), st.floats(-0.9, 0.9), st.floats(-1.0, 1.0),
            st.floats(-1.0, 0.1))
     def test_spiked_fermi_panels_share_one_base(self, t, x_frac, r, spike):
-        k = SpikedKernel(KernelSpec("kpz_spiked", t, (x_frac * t,), (r,),
-                                    spikes=(spike,)))
-        y = k._fermi_nodes
-        assert y.tobytes() == (k._y0[:, None] + k._y_loc[None, :]).ravel().tobytes()
+        k = SpikedRules([KernelSpec("kpz_spiked", t, (x_frac * t,), (r,),
+                                    spikes=(spike,))])
+        y = k.fermi_nodes
+        assert y.tobytes() == (k.y0[:, None] + k.y_loc[None, :]).ravel().tobytes()
         # the shared-base form is the panel rule on equal-width panels, to
         # rounding of the node positions
-        edges = np.linspace(k._y_lo, k._y_hi, k._y0.size + 1)
-        ref = panel_rule(edges, k._y_loc.size)
+        edges = np.linspace(k.y_lo, k.y_hi, k.y0.size + 1)
+        ref = panel_rule(edges, k.y_loc.size)
         assert np.max(np.abs(y - ref.nodes)) <= 8 * np.spacing(np.max(np.abs(edges)))
-        w = np.exp(k._fermi_logw + np.logaddexp(0.0, y))
+        w = np.exp(k.fermi_logw + np.logaddexp(0.0, y))
         assert np.allclose(w, ref.weights, rtol=1e-13, atol=0.0)
 
 
