@@ -27,12 +27,9 @@ __all__ = [
     "sweep",
     "similarity_gue_field",
     "det_field",
-    "logdet_value",
     "airy_two_point_spec",
-    "airy_two_point_logdet",
     "q_stencil",
     "phi_window_narrow_wedge",
-    "phi_window_flat",
 ]
 
 
@@ -78,10 +75,6 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     return np.array(out)
 
 
-def logdet_value(spec: KernelSpec, n_quad: int = 64) -> float:
-    return _logdet(assemble(spec, n_quad))
-
-
 def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims,
                          log: bool = False) -> GridField:
     """F(t,x,r) = F_GUE(t^(-1/3) r + t^(-4/3) x^2) on the lattice."""
@@ -94,15 +87,15 @@ def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims,
 
 
 def det_field(family: str, t0, x0, r0, ht, hx, hr, dims, n_quad: int = 64,
-              log: bool = True, spec_kw: dict | None = None) -> GridField:
-    """log F (or F) from one sweep of determinants of a one-point family."""
+              spec_kw: dict | None = None) -> GridField:
+    """log F from one sweep of determinants of a one-point family."""
     spec_kw = dict(spec_kw or {})
     specs = [KernelSpec(family, float(t), (float(x),), (float(r),), **spec_kw)
              for t in _lattice(t0, ht, dims[0])
              for x in _lattice(x0, hx, dims[1])
              for r in _lattice(r0, hr, dims[2])]
     vals = sweep(specs, n_quad).reshape(dims)
-    return GridField(t0, x0, r0, ht, hx, hr, vals if log else np.exp(vals))
+    return GridField(t0, x0, r0, ht, hx, hr, vals)
 
 
 def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
@@ -110,11 +103,6 @@ def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
     return KernelSpec("multiwedge_extended", float(t),
                       tuple(x + y for x in xs), tuple(r + a for r in rs),
                       ((0.0, 0.0),))
-
-
-def airy_two_point_logdet(t, xs, rs, y, a, n_quad: int = 64) -> float:
-    """log F(t, xs + y, rs + a) for the two-point narrow-wedge determinant."""
-    return logdet_value(airy_two_point_spec(t, xs, rs, y, a), n_quad)
 
 
 def q_stencil(t0, xs, rs, ht, hy, ha, dims, n_quad: int = 64):
@@ -136,12 +124,3 @@ def phi_window_narrow_wedge(hm: HMSolution, t: float, x_grid, r_grid) -> np.ndar
          + (x_grid[:, None] ** 2) / np.cbrt(t ** 4))
     q = hm.q_at(s.ravel()).reshape(s.shape)
     return -q * q / np.cbrt(t * t)
-
-
-def phi_window_flat(hm: HMSolution, t: float, r_grid) -> np.ndarray:
-    """Flat-data phi(t, r) via the Miura form (q' - q^2)/2 of the reduction."""
-    c = np.cbrt(4.0 / t)
-    s = c * r_grid
-    q = hm.q_at(s)
-    qp = hm._q_spline.derivative()(np.clip(s, hm.left, hm.right))
-    return c * c * 0.5 * (qp - q * q)

@@ -52,11 +52,7 @@ __all__ = [
     "QuadratureFailure",
     "heat_kernel",
     "heat_kernel_log",
-    "s_kernel",
-    "s_kernel_log",
-    "nw_fixed_point_kernel",
     "flat_kernel",
-    "kpz_nw_kernel",
     "SpikedRules",
     "SpikedKernel",
     "BlockKernel",
@@ -104,23 +100,6 @@ def _s_log_pm(t, x, u):
     plus = la + 2.0 * x ** 3 / (3.0 * t * t) - u * x / t - lt
     minus = la + 2.0 * (-x) ** 3 / (3.0 * t * t) - u * (-x) / t - lt
     return plus, minus, sg
-
-
-def s_kernel_log(t, x, u):
-    """(log|S[t,x](u)|, sign).  Valid for any t != 0."""
-    if t == 0:
-        raise KernelDomainError("s_kernel needs t != 0")
-    if t < 0:
-        return s_kernel_log(-t, x, -np.asarray(u, dtype=float))
-    plus, _, sg = _s_log_pm(t, x, np.asarray(u, dtype=float))
-    return plus, sg
-
-
-def s_kernel(t, x, u):
-    """Airy group convolution kernel S[t, x](u), evaluated through log space."""
-    logv, sg = s_kernel_log(t, x, u)
-    with np.errstate(under="ignore"):
-        return sg * np.exp(np.minimum(logv, 700.0))
 
 
 # ----------------------------------------------------------------------------
@@ -362,7 +341,7 @@ def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V,
     return acc
 
 
-def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v, include_heat=True,
+def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v,
                      cache: dict | None = None):
     """Block (i, j) of the shifted extended kernel, linear values.
 
@@ -374,21 +353,9 @@ def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v, include_heat=True,
     U = u + spec.rs[i]
     V = v + spec.rs[j]
     part = scattering_part_logmat(spec, i, j, U, V, cache).to_linear()
-    if include_heat and i < j:
+    if i < j:
         part = part - heat_kernel(spec.xs[j] - spec.xs[i], U[:, None], V[None, :])
     return part
-
-
-def nw_fixed_point_kernel(t, x, a, b, u, v, inner_n=48, inner_scale=4.0):
-    """One-point narrow wedge kernel at position x, wedge (a, b), levels folded in.
-
-    K(u, v) = int_{-inf}^{b} S[t, a-x](lam - u) S[t, x-a](lam - v) dlam
-    """
-    if t <= 0:
-        raise KernelDomainError("t must be positive")
-    spec = KernelSpec("nw_fixed_point", t, (x,), (0.0,), ((a, b),),
-                      inner_n=inner_n, inner_scale=inner_scale)
-    return multiwedge_block(spec, 0, 0, u, v, include_heat=False)
 
 
 def flat_kernel(t, u, v):
@@ -422,19 +389,6 @@ def kpz_nw_half_factor(spec: KernelSpec, pts):
     w = rule.weights * fermi / np.cbrt(t * t)
     arg = (pts[None, :] + r - y[:, None]) / np.cbrt(t) + x * x / np.cbrt(t ** 4)
     return np.sqrt(w)[:, None] * airy_ai(arg)
-
-
-def kpz_nw_kernel(t, x, r, u, v, fermi_n=160, fermi_scale=6.0):
-    """KPZ narrow-wedge generating function kernel on L^2[0, inf)."""
-    if t <= 0:
-        raise KernelDomainError("t must be positive")
-    spec = KernelSpec("kpz_narrow_wedge", t, (x,), (r,),
-                      fermi_n=fermi_n, fermi_scale=fermi_scale)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    au = kpz_nw_half_factor(spec, u)
-    av = kpz_nw_half_factor(spec, v)
-    return au.T @ av
 
 
 # ----------------------------------------------------------------------------

@@ -54,10 +54,6 @@ class SpectralState:
     time: float
     phi: np.ndarray | None = None   # irfft2(phi_hat), shape (n_x, n_r)
 
-    def copy(self):
-        return SpectralState(self.phi_hat.copy(), self.time,
-                             None if self.phi is None else self.phi.copy())
-
 
 def soliton_profile(r, c, r0=0.0):
     """Line soliton 3c sech^2(sqrt(3c)(r - r0)) of the KdV reduction."""
@@ -224,11 +220,6 @@ class KPSolver:
         for _ in range(n_steps):
             state = self.step(state)
         return state.phi
-
-    def invariants(self, phi: np.ndarray):
-        """(int phi, int phi^2) over the box."""
-        cell = (self.len_r / self.n_r) * (self.len_x / self.n_x)
-        return float(np.sum(phi) * cell), float(np.sum(phi * phi) * cell)
 
 
 def evolve_and_compare(phi_builder, t0: float, t1: float,

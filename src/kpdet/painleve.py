@@ -36,7 +36,6 @@ __all__ = [
     "f_goe",
     "log_f_gue",
     "log_f_goe",
-    "selfsimilar_ode_residuals",
 ]
 
 
@@ -231,34 +230,3 @@ def log_f_goe(s, hm: HMSolution):
 def f_goe(s, hm: HMSolution):
     """Tracy-Widom GOE distribution function."""
     return np.exp(log_f_goe(s, hm))
-
-
-def selfsimilar_ode_residuals(hm: HMSolution, lo: float = -5.0, hi: float = 5.0):
-    """Sup-norm residuals of the two self-similar ODE reductions on [lo, hi].
-
-    GUE: psi''' + 12 psi psi' - 4 r psi' - 2 psi = 0 with psi = -q^2.
-    GOE: psi''' + 12 psi psi' - r psi' - 2 psi = 0 with psi = (q' - q^2)/2.
-    Derivatives are 5-point finite differences on the collocation grid.
-    """
-    g, h = hm.grid, hm.grid[1] - hm.grid[0]
-
-    def d1(f):
-        out = np.full_like(f, np.nan)
-        out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-        return out
-
-    def d3(f):
-        out = np.full_like(f, np.nan)
-        out[2:-2] = (-f[:-4] + 2 * f[1:-3] - 2 * f[3:-1] + f[4:]) / (2 * h ** 3)
-        return out
-
-    mask = (g >= lo) & (g <= hi)
-
-    psi = -hm.q ** 2
-    res_gue = d3(psi) + 12 * psi * d1(psi) - 4 * g * d1(psi) - 2 * psi
-    gue = float(np.nanmax(np.abs(res_gue[mask])))
-
-    psi2 = 0.5 * (hm.q_prime - hm.q ** 2)
-    res_goe = d3(psi2) + 12 * psi2 * d1(psi2) - g * d1(psi2) - 2 * psi2
-    goe = float(np.nanmax(np.abs(res_goe[mask])))
-    return gue, goe

@@ -46,16 +46,6 @@ class GridField:
     hr: float
     values: np.ndarray   # shape (n_t, n_x, n_r, ...)
 
-    @property
-    def dims(self):
-        return self.values.shape[:3]
-
-    def axis_coords(self, axis: int):
-        n = self.values.shape[axis]
-        start = (self.t0, self.x0, self.r0)[axis]
-        step = (self.ht, self.hx, self.hr)[axis]
-        return start + step * np.arange(n)
-
 
 @dataclass
 class ResidualReport:

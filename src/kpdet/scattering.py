@@ -30,7 +30,6 @@ __all__ = [
     "hit_kernel",
     "no_hit_kernel",
     "constrained_bridge_density",
-    "mc_bridge_density",
     "rk_limit_check",
     "t0_kernel_decay_check",
     "initial_data_determinant",
@@ -185,28 +184,6 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int, n_inner: int = 
         prev_nodes, prev_x = rule.nodes, x
     hk = heat_kernel(xj - prev_x, prev_nodes, rj)
     return float(vec @ hk)
-
-
-def mc_bridge_density(cfg: WedgeConfig, i: int, j: int, n_paths: int = 100_000,
-                      seed: int = 0):
-    """Monte-Carlo oracle for constrained_bridge_density.
-
-    Samples the Brownian motion exactly at the constraint points (Gaussian
-    increments with variance 2*dx) and weights accepted paths by the final
-    heat kernel, so the estimator is unbiased; returns (estimate, stderr).
-    """
-    xi, xj = cfg.xs[i], cfg.xs[j]
-    rng = np.random.default_rng(seed)
-    pts = _interior_constraints(cfg, i, j)
-    pos = np.full(n_paths, float(cfg.rs[i]))
-    alive = np.ones(n_paths, dtype=bool)
-    prev_x = xi
-    for (x, (lo, hi)) in pts:
-        pos = pos + rng.normal(0.0, np.sqrt(2.0 * (x - prev_x)), n_paths)
-        alive &= (pos >= lo) & (pos <= hi)
-        prev_x = x
-    w = np.where(alive, heat_kernel(xj - prev_x, pos, cfg.rs[j]), 0.0)
-    return float(np.mean(w)), float(np.std(w) / np.sqrt(n_paths))
 
 
 # ----------------------------------------------------------------------------

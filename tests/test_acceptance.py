@@ -1,244 +1,100 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: every committed acceptance config through ``cli.run``.
 
-Run with  pytest tests/test_acceptance.py -v -s  to see one line per
-criterion.  Each test prints its measured numbers next to the threshold it
-must beat, and fails hard if the threshold is not met.
+Each case runs one config of ``configs/acceptance`` (plus the x = 0 row of
+criterion 1, which no committed config covers) in process and asserts
+that it exits 0 with ``passed``, i.e. ``worst`` is within the config's
+tolerance, and that every sub-check the command folds into ``worst`` holds
+in its report.  An assertion message carries the criterion's label.
 """
 
-import numpy as np
+import json
+import pathlib
+
 import pytest
 
-from kpdet import fields, fredholm, kpsolver, painleve, residuals, scattering
-from kpdet.kernels import KernelSpec
-from kpdet.residuals import GridField
+from kpdet import cli
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance"
+
+CASES = {path.stem: path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg"))}
+CASES["c01_gue_x0"] = """\
+# criterion 1, x = 0 row: narrow-wedge determinant equals F_GUE(r), tol 1e-6
+[run]
+command = det-eval
+tolerance = 1e-6
+quad_n = 64
+[kernel]
+family = nw_fixed_point
+t = 1.0
+x = 0.0
+wedges = 0:0
+[grid]
+r0 = -2.0
+hr = 2.0
+nr = 3
+"""
+
+# label of the number each case holds against its tolerance (``worst``)
+WORST_LABELS = {
+    "c01_gue": "1 GUE similarity (x = 0.5, 3 points)",
+    "c01_gue_x0": "1 GUE similarity (x = 0, 3 points)",
+    "c02_goe": "2 GOE similarity (3 points)",
+    "c03_hirota": "3 Hirota residual @ h=0.02",
+    "c04a_kp_fixed_point": "4a scalar KP (fixed point, determinants)",
+    "c04b_kp_kpz": "4b scalar KP (KPZ generating function)",
+    "c05_matrix_kp": "5 matrix KP residual (n=2)",
+    "c06_airy_process": "6 two-point KP in (t, y, a)",
+    "c07_cyl_kdv": "7 cylindrical KdV residual",
+    "c08a_tail_flat": "8 flat tail slope deviation",
+    "c08b_tail_nw": "8 narrow-wedge tail slope deviation",
+    "c09_scattering": "9 rk-limit final error (t=0.01)",
+    "c10_path_integral": "10 path-integral vs extended (3 configs)",
+    "c11_bracket": "11 bracket identity residual",
+    "c12_solve_kp": "12 closure: evolved vs determinant field",
+    "c13_spiked": "13 spiked scalar KP residual",
+}
+
+# the sub-checks each command folds into worst: (label, test on the report)
+SUB_CHECKS = {
+    "hirota-residual": [
+        ("3 Hirota halving factor >= 3", lambda r: r["halving_factor"] >= 3.0),
+    ],
+    "matrix-kp": [
+        ("5 rank-one sigma2/sigma1 < 1e-4", lambda r: r["sv_ratio"] < 1e-4),
+        ("5 trace identity (relative) < 1e-4", lambda r: r["trace_identity_rel"] < 1e-4),
+    ],
+    "cyl-kdv": [
+        ("7 x-independence of shifted field < 1e-4", lambda r: r["x_independence"] < 1e-4),
+    ],
+    "scattering-limit": [
+        ("9 rk-limit errors decrease", lambda r: r["monotone_decrease"]),
+        ("9 decay fit: c > 0, r2 > 0.99",
+         lambda r: r["decay_c"] > 0 and r["decay_r2"] > 0.99),
+        ("9 initial-data determinant |1 - det| < 1e-8",
+         lambda r: r["initial_data_errs"][0] < 1e-8),
+        ("9 initial-data determinant |det| < 1e-8",
+         lambda r: r["initial_data_errs"][1] < 1e-8),
+    ],
+    "solve-kp": [
+        ("12 line-soliton sup error (t=2) < 1e-6", lambda r: r["soliton_sup_error"] < 1e-6),
+    ],
+    "spiked-check": [
+        ("13 determinant imaginary part", lambda r: r["imag_part"] == 0.0),
+        ("13 anchor independence < 1e-8", lambda r: r["anchor_dev"] < 1e-8),
+        ("13 determinant a probability, monotone in r: 0 < det(r=0) < det(r=1) < 1",
+         lambda r: 0.0 < r["det_r0"] < r["det_r1"] < 1.0),
+    ],
+}
 
 
-@pytest.fixture(scope="module")
-def hm():
-    return painleve.hastings_mcleod()
-
-
-@pytest.fixture(scope="module")
-def hm_wide():
-    return painleve.hastings_mcleod(L=16.0, R=10.0, n=4001)
-
-
-def _report(name, value, threshold, unit=""):
-    status = "PASS" if value < threshold else "FAIL"
-    print(f"[{status}] {name}: {value:.3e} < {threshold:.1e} {unit}")
-    assert value < threshold, f"{name}: {value} !< {threshold}"
-
-
-def test_01_gue_similarity(hm):
-    """Narrow-wedge determinant equals F_GUE(r + x^2) at t = 1."""
-    worst = 0.0
-    for x in (0.0, 0.5):
-        for r in (-2.0, 0.0, 2.0):
-            spec = KernelSpec("nw_fixed_point", 1.0, (x,), (r,), ((0.0, 0.0),))
-            det = fredholm.det_one_minus(fredholm.assemble(spec, 64))
-            ref = float(painleve.f_gue(r + x * x, hm))
-            worst = max(worst, abs(det - ref))
-    _report("1 GUE similarity (6 points)", worst, 1e-6)
-
-
-def test_02_goe_similarity(hm):
-    """Flat-kernel determinant equals F_GOE(4^(1/3) r) at t = 1."""
-    worst = 0.0
-    for r in (-1.0, 0.0, 1.0):
-        spec = KernelSpec("flat_fixed_point", 1.0, (0.0,), (r,))
-        det = fredholm.det_one_minus(fredholm.assemble(spec, 64))
-        ref = float(painleve.f_goe(np.cbrt(4.0) * r, hm))
-        worst = max(worst, abs(det - ref))
-    _report("2 GOE similarity (3 points)", worst, 1e-6)
-
-
-def test_03_hirota(hm):
-    """Bilinear residual on the GUE field, with step-halving factor >= 3."""
-    def at(h):
-        fld = fields.similarity_gue_field(hm, 1.0 - 2 * h, 0.2 - 2 * h,
-                                          0.5 - 3 * h, h, h, h, (5, 5, 7))
-        return residuals.hirota_residual(fld).normalized_sup
-    r1, r2 = at(0.02), at(0.01)
-    _report("3 Hirota residual @ h=0.02", r1, 1e-3)
-    print(f"[{'PASS' if r1 / r2 >= 3 else 'FAIL'}] 3 Hirota halving factor: "
-          f"{r1 / r2:.2f} >= 3")
-    assert r1 / r2 >= 3.0
-
-
-def test_04_scalar_kp():
-    """Scalar KP residual for the fixed point and the KPZ-equation fields."""
-    h = 0.02
-    fld_a = fields.det_field("nw_fixed_point", 1.0 - h, 0.2 - h, 0.5 - 3 * h,
-                             h, h, h, (3, 3, 7), n_quad=64,
-                             spec_kw={"wedges": ((0.0, 0.0),)})
-    res_a = residuals.kp_scalar_residual(fld_a).normalized_sup
-    _report("4a scalar KP (fixed point, determinants)", res_a, 5e-3)
-    fld_b = fields.det_field("kpz_narrow_wedge", 1.0 - h, 0.1 - h, 1.0 - 3 * h,
-                             h, h, h, (3, 3, 7), n_quad=64)
-    res_b = residuals.kp_scalar_residual(fld_b).normalized_sup
-    _report("4b scalar KP (KPZ generating function)", res_b, 5e-3)
-
-
-def test_05_matrix_kp():
-    """Matrix KP at n=2, plus rank-one and trace identities."""
-    ht = hy = ha = 0.02
-    q_big = fields.q_stencil(1.0 - ht, (-0.3, 0.4), (0.5, 0.8), ht, hy, ha,
-                             (3, 5, 9), n_quad=48)
-    qf = (q_big[:, :, 2:] - q_big[:, :, :-2]) / (2 * ha)
-    rep = residuals.matrix_kp_residual(qf, q_big[:, :, 1:-1], ht, hy, ha)
-    _report("5 matrix KP residual (n=2)", rep.normalized_sup, 1e-2)
-    ratio, tr_rel = residuals.rank_one_and_trace_check(qf[1, 2], ha)
-    _report("5 rank-one sigma2/sigma1", ratio, 1e-4)
-    _report("5 trace identity (relative)", tr_rel, 1e-4)
-
-
-def test_06_airy_process_kp():
-    """Scalar KP in (t, y, a) for the two-point narrow-wedge distribution."""
-    ht = hy = ha = 0.02
-    xs, rs = (-0.3, 0.4), (0.5, 0.8)
-    vals = np.empty((3, 3, 7))
-    for i, t in enumerate((1.0 - ht, 1.0, 1.0 + ht)):
-        for j, y in enumerate((-hy, 0.0, hy)):
-            for k, a in enumerate(ha * np.arange(-3, 4)):
-                vals[i, j, k] = fields.airy_two_point_logdet(t, xs, rs, y, a,
-                                                             n_quad=48)
-    fld = GridField(1.0 - ht, -hy, -3 * ha, ht, hy, ha, vals)
-    res = residuals.kp_scalar_residual(fld).normalized_sup
-    _report("6 two-point KP in (t, y, a)", res, 1e-2)
-
-
-def test_07_cylindrical_kdv():
-    """Cylindrical KdV for the shifted KPZ field; x-independence of the shift."""
-    ht, hr = 0.02, 0.02
-    tg = 1.0 + ht * np.arange(-1, 2)
-    rg = 1.0 + hr * np.arange(-6, 7)
-    vals = np.empty((3, 1, 13))
-    for i, t in enumerate(tg):
-        for k, r in enumerate(rg):
-            spec = KernelSpec("kpz_narrow_wedge", float(t), (0.0,),
-                              (float(r - np.log(np.sqrt(np.pi * t))),))
-            vals[i, 0, k] = fields.logdet_value(spec, 64)
-    rep = residuals.cylindrical_kdv_residual(
-        GridField(tg[0], 0.0, rg[0], ht, 0.0, hr, vals))
-    _report("7 cylindrical KdV residual", rep.normalized_sup, 5e-3)
-    shift = np.log(np.sqrt(np.pi))
-    a = fields.logdet_value(KernelSpec("kpz_narrow_wedge", 1.0, (0.0,),
-                                       (1.0 - shift,)), 64)
-    b = fields.logdet_value(KernelSpec("kpz_narrow_wedge", 1.0, (0.5,),
-                                       (1.0 - 0.25 - shift,)), 64)
-    _report("7 x-independence of shifted field", abs(a - b), 1e-4)
-
-
-def test_08_lower_tails():
-    """Cubic lower-tail slopes: 1/6 (flat) and 1/12 (narrow wedge)."""
-    r = np.arange(-7.0, -4.99, 0.25)
-    lf_flat = np.array([fields.logdet_value(
-        KernelSpec("flat_fixed_point", 1.0, (0.0,), (float(rr),)), 96)
-        for rr in r])
-    slope_f, _ = residuals.tail_slope_fit(r, lf_flat)
-    _report("8 flat tail slope deviation", abs(slope_f * 6.0 - 1.0), 0.15)
-    lf_nw = np.array([fields.logdet_value(
-        KernelSpec("nw_fixed_point", 1.0, (0.0,), (float(rr),), ((0.0, 0.0),)),
-        96) for rr in r])
-    slope_n, _ = residuals.tail_slope_fit(r, lf_nw)
-    _report("8 narrow-wedge tail slope deviation", abs(slope_n * 12.0 - 1.0), 0.15)
-
-
-def test_09_small_time_limits():
-    """Small-time resolvent limit, decay exponent fit, initial-data product."""
-    cfg = scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
-    rows = scattering.rk_limit_check(cfg, (0.1, 0.05, 0.02, 0.01))
-    errs = [row["max_err"] for row in rows]
-    mono = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-    print(f"[{'PASS' if mono else 'FAIL'}] 9 rk-limit errors decrease: "
-          + " > ".join(f"{e:.2e}" for e in errs))
-    assert mono
-    _report("9 rk-limit final error (t=0.01)", errs[-1], 5e-3)
-    c, r2 = scattering.t0_kernel_decay_check(2.0, 0.0, -1.0, 1.0)
-    print(f"[{'PASS' if c > 0 and r2 > 0.99 else 'FAIL'}] 9 decay fit: "
-          f"c={c:.3f} > 0, r2={r2:.5f} > 0.99")
-    assert c > 0 and r2 > 0.99
-    d1 = scattering.initial_data_determinant(cfg)
-    cfg0 = scattering.WedgeConfig(((0.0, 0.5),), (-1.0, 0.0, 1.0),
-                                  (1.0, -0.2, 1.2))
-    d0 = scattering.initial_data_determinant(cfg0)
-    _report("9 initial-data determinant |1 - det|", abs(d1 - 1.0), 1e-8)
-    _report("9 initial-data determinant |det|", abs(d0), 1e-8)
-
-
-def test_10_path_integral():
-    """Whole-line path-integral determinant equals the extended one (m = 2)."""
-    worst = 0.0
-    for xs, rs, t in [((-0.3, 0.4), (0.5, 0.8), 1.0),
-                      ((-0.5, 0.2), (0.0, 0.3), 1.0),
-                      ((0.1, 0.9), (1.0, 0.6), 2.0)]:
-        fp = scattering.path_integral_determinant(t, xs, rs)
-        spec = KernelSpec("multiwedge_extended", t, xs, rs, ((0.0, 0.0),))
-        fe = fredholm.det_one_minus(fredholm.assemble(spec, 64))
-        worst = max(worst, abs(fp - fe))
-    _report("10 path-integral vs extended (3 configs)", worst, 1e-6)
-
-
-def test_11_bracket_identity():
-    """Integration-by-parts identity [A][B] = -[A D1B + D2A B]."""
-    def gau(c):
-        def f(u, v):
-            u, v = np.atleast_1d(u), np.atleast_1d(v)
-            return c * np.exp(-u * u)[:, None] * np.exp(-v * v)[None, :]
-        return f
-    def gau_d1(c):
-        def f(u, v):
-            u, v = np.atleast_1d(u), np.atleast_1d(v)
-            return c * (-2 * u * np.exp(-u * u))[:, None] * np.exp(-v * v)[None, :]
-        return f
-    def gau_d2(c):
-        def f(u, v):
-            u, v = np.atleast_1d(u), np.atleast_1d(v)
-            return c * np.exp(-u * u)[:, None] * (-2 * v * np.exp(-v * v))[None, :]
-        return f
-    blocks = [[gau(1.0)]]
-    res = fredholm.boundary_bracket_product_check(
-        blocks, [[gau_d2(1.0)]], blocks, [[gau_d1(1.0)]], 96)
-    _report("11 bracket identity residual", res, 1e-7)
-
-
-def test_12_kp_solver(hm_wide):
-    """Line-soliton accuracy and the determinant-field closure under KP-II."""
-    c, big_t, dt = 0.5, 2.0, 5e-3
-    solver = kpsolver.KPSolver((-20, 20), (-0.5, 0.5), 512, 4, dt)
-    phi0 = np.broadcast_to(
-        kpsolver.soliton_profile(solver.r, c)[None, :], (4, 512)).copy()
-    out = solver.evolve(phi0, int(big_t / dt))
-    ref = kpsolver.soliton_profile(
-        (solver.r - c * big_t + 20.0) % 40.0 - 20.0, c)
-    _report("12 line-soliton sup error (t=2)", float(np.max(np.abs(out - ref))),
-            1e-6)
-    rep = kpsolver.evolve_and_compare(
-        lambda t, x, r: fields.phi_window_narrow_wedge(hm_wide, t, x, r),
-        1.0, 1.1)
-    _report("12 closure: evolved vs determinant field", rep["sup_error"], 5e-3)
-
-
-def test_13_spiked():
-    """Spiked kernel (stretch): reality, anchor independence, monotonicity,
-    scalar KP residual on a small stencil."""
-    spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,))
-    d0 = fredholm.det_one_minus(fredholm.assemble(spec, 64))
-    # the kernel is real by conjugate symmetry: imaginary part identically 0
-    _report("13 determinant imaginary part", 0.0, 1e-9)
-    assert 0.0 < d0 < 1.0
-    spec_a = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,),
-                        contour_anchor=0.35)
-    da = fredholm.det_one_minus(fredholm.assemble(spec_a, 64))
-    _report("13 anchor independence", abs(d0 - da), 1e-8)
-    d1 = fredholm.det_one_minus(fredholm.assemble(
-        KernelSpec("kpz_spiked", 1.0, (0.0,), (1.0,), spikes=(0.0,)), 64))
-    print(f"[{'PASS' if d1 > d0 else 'FAIL'}] 13 monotone in r: "
-          f"{d0:.6f} < {d1:.6f}")
-    assert d1 > d0
-    h = 0.02
-    fld = fields.det_field("kpz_spiked", 1.0 - h, 0.2 - h, 0.3 - 3 * h,
-                           h, h, h, (3, 3, 7), n_quad=64,
-                           spec_kw={"spikes": (0.0,)})
-    res = residuals.kp_scalar_residual(fld).normalized_sup
-    _report("13 spiked scalar KP residual", res, 1e-2)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_acceptance_config(name, tmp_path):
+    cfg = cli.parse_config(CASES[name])
+    cfg.out = str(tmp_path)
+    code, (_, json_path) = cli.run(cfg)
+    report = json.loads(pathlib.Path(json_path).read_text())
+    label = WORST_LABELS.get(name, name)
+    assert code == 0 and report["passed"] is True, (
+        f"[FAIL] {label}: {report['worst']} !<= {report['tolerance']}")
+    for label, ok in SUB_CHECKS.get(cfg.command, []):
+        assert ok(report), f"[FAIL] {label}: {report}"

@@ -256,6 +256,30 @@ class TestErrorContract:
         assert use in self._assert_config_error(capsys, code)
         assert not out.exists()
 
+    def test_unread_run_key_exit_2(self, tmp_path, capsys):
+        # a misspelt tolerance would otherwise leave the default inf in force
+        code, out = _run_main(tmp_path, "[run]\ncommand = tw-table\ntolerence = 1e-30\n")
+        err = self._assert_config_error(capsys, code)
+        assert "line 3" in err and "tolerence" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kernel, key", [
+        ("tw-table", "", "r0"),
+        ("det-eval", "", "t0"),
+        ("kp-residual", "family = nw_fixed_point", "hy"),
+        ("kp-residual", "family = airy_process", "nr"),
+        ("cyl-kdv", "", "x0"),
+        ("bracket-check", "", "nr"),
+        ("spiked-check", "spikes = 0.0", "h"),
+    ])
+    def test_unread_grid_key_exit_2(self, tmp_path, capsys, command, kernel, key):
+        code, out = _run_main(
+            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n"
+            f"[kernel]\n{kernel}\n[grid]\n{key} = 0.5\n")
+        err = self._assert_config_error(capsys, code)
+        assert f"{command} does not read [grid] {key};" in err
+        assert not out.exists()
+
     def test_spiked_check_x_outside_light_cone_exit_2(self, tmp_path, capsys):
         code, out = _run_main(
             tmp_path, "[run]\ncommand = spiked-check\nquad_n = 16\n"

@@ -13,13 +13,11 @@ from kpdet.kernels import (
     LogMat,
     SpikedKernel,
     SpikedRules,
+    build_block_kernel,
     flat_kernel,
     heat_kernel,
-    kpz_nw_kernel,
     log_matmul,
     multiwedge_block,
-    nw_fixed_point_kernel,
-    s_kernel,
     scattering_part_logmat,
 )
 from kpdet.quadrature import gauss_legendre, map_interval, map_whole_line
@@ -28,6 +26,29 @@ from kpdet.specfun import log_gamma
 
 def det_of(spec, n=64):
     return fredholm.det_one_minus(fredholm.assemble(spec, n))
+
+
+def nw_block(t, x, a, b, u, v, **kw):
+    """One-point narrow-wedge kernel at x, wedge (a, b), level 0, on (u, v):
+    K(u, v) = int_{-inf}^{b} S[t, a - x](l - u) S[t, x - a](l - v) dl."""
+    spec = KernelSpec("nw_fixed_point", t, (x,), (0.0,), ((a, b),), **kw)
+    return build_block_kernel(spec).block(0, 0, u, v)
+
+
+def kpz_block(t, x, r, u, v, fermi_n=160, fermi_scale=6.0):
+    """KPZ narrow-wedge generating-function kernel on (u, v)."""
+    spec = KernelSpec("kpz_narrow_wedge", t, (x,), (r,),
+                      fermi_n=fermi_n, fermi_scale=fermi_scale)
+    return build_block_kernel(spec).block(0, 0, u, v)
+
+
+def airy_kernel(a, b):
+    """Airy kernel (Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b) from scipy,
+    Ai'(a)^2 - a Ai(a)^2 on the diagonal."""
+    (ai_a, aip_a, _, _), (ai_b, aip_b, _, _) = airy(a), airy(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (ai_a * aip_b - aip_a * ai_b) / (a - b)
+    return np.where(a == b, aip_a ** 2 - a * ai_a ** 2, off)
 
 
 class TestHeatKernel:
@@ -47,35 +68,64 @@ class TestHeatKernel:
 
 
 class TestSKernel:
+    """S[t, x] as the library evaluates it: through the narrow-wedge block."""
+
     def test_at_origin(self):
-        assert abs(s_kernel(1.0, 0.0, 0.0) - 0.3550280538878172) < 1e-13
+        # at t = 1, x = 0 the block is the Airy kernel: K(0, 0) = Ai'(0)^2
+        k = nw_block(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)[0, 0]
+        assert abs(k - airy(0.0)[1] ** 2) < 1e-13
+
+    @pytest.mark.parametrize("t, x", [(1.0, 0.0), (0.5, 0.3), (2.0, -0.4)])
+    def test_airy_kernel_closed_form(self, t, x):
+        # K(u, v) = e^{(v - u) x / t} t^(-1/3) K_Ai(t^(-1/3) u + c, t^(-1/3) v + c)
+        # with c = t^(-4/3) x^2
+        u = np.array([0.0, 0.3, 1.1])[:, None]
+        v = np.array([0.0, 0.7, 2.0])[None, :]
+        c = x * x / np.cbrt(t ** 4)
+        ref = (np.exp((v - u) * x / t) / np.cbrt(t)
+               * airy_kernel(u / np.cbrt(t) + c, v / np.cbrt(t) + c))
+        assert np.max(np.abs(nw_block(t, x, 0.0, 0.0, u[:, 0], v[0]) - ref)) < 1e-13
 
     def test_negative_time_reflection(self):
-        assert abs(s_kernel(-1.0, 0.0, 2.0) - s_kernel(1.0, 0.0, -2.0)) < 1e-15
+        # S[-t, x](u) = S[t, x](-u) writes both factors of the block at
+        # positive time; reflecting the point about the wedge, x -> 2a - x,
+        # swaps them, which transposes the block
+        u = np.array([0.1, 0.5, 1.7])
+        v = np.array([0.0, 0.9, 1.3])
+        k = nw_block(1.0, 0.5, 0.2, 0.1, u, v)
+        k_reflected = nw_block(1.0, 2 * 0.2 - 0.5, 0.2, 0.1, v, u)
+        assert np.max(np.abs(k - k_reflected.T)) < 1e-14
 
     def test_semigroup(self):
+        # S[t, x] e^{y d^2} = S[t, x + y]: the one-point block at x composed
+        # with the heat kernel of time y is the scattering part of block
+        # (0, 1) of the two-point kernel at (x, x + y)
+        t, x, y = 1.0, 0.3, 0.4
+        u, v = np.array([0.5, 1.0]), np.array([-0.2, 0.6])
         w = map_whole_line(gauss_legendre(320), 0.0, 4.0)
-        u, v = 0.5, -0.2
-        comp = w.integrate(s_kernel(1.0, 0.3, u - w.nodes)
-                           * s_kernel(1.0, -0.1, w.nodes - v))
-        assert abs(comp - s_kernel(2.0, 0.2, u - v)) < 1e-7
+        comp = ((nw_block(t, x, 0.0, 0.0, u, w.nodes) * w.weights[None, :])
+                @ heat_kernel(y, w.nodes[:, None], v[None, :]))
+        spec = KernelSpec("multiwedge_extended", t, (x, x + y), (0.0, 0.0))
+        part = (build_block_kernel(spec).block(0, 1, u, v)
+                + heat_kernel(y, u[:, None], v[None, :]))
+        assert np.max(np.abs(comp - part)) < 1e-12
 
     def test_zero_time_error(self):
         with pytest.raises(KernelDomainError):
-            s_kernel(0.0, 0.0, 1.0)
+            KernelSpec("nw_fixed_point", 0.0)
 
 
 class TestNarrowWedgeKernel:
     def test_level_shift_covariance(self):
         # wedge raised by 1 with levels raised by 1 is the same operator
         u = np.linspace(0.0, 3.0, 5)
-        k1 = nw_fixed_point_kernel(1.0, 0.2, 0.0, 1.0, u + 1.0, u + 1.0)
-        k0 = nw_fixed_point_kernel(1.0, 0.2, 0.0, 0.0, u, u)
+        k1 = nw_block(1.0, 0.2, 0.0, 1.0, u + 1.0, u + 1.0)
+        k0 = nw_block(1.0, 0.2, 0.0, 0.0, u, u)
         assert np.max(np.abs(k1 - k0)) < 1e-10
 
     def test_symmetry_at_wedge_position(self):
         u = np.array([0.1, 0.5, 1.0, 1.7, 2.4])
-        k = nw_fixed_point_kernel(1.0, 0.3, 0.3, 0.2, u, u)
+        k = nw_block(1.0, 0.3, 0.3, 0.2, u, u)
         assert np.max(np.abs(k - k.T)) < 1e-12
 
     def test_differential_relations(self):
@@ -87,8 +137,7 @@ class TestNarrowWedgeKernel:
         t0, x0 = 1.0, 0.3
 
         def kf(t, x, uu, vv):
-            return np.diagonal(nw_fixed_point_kernel(t, x, 0.0, 0.0, uu, vv,
-                                                     inner_n=96))
+            return np.diagonal(nw_block(t, x, 0.0, 0.0, uu, vv, inner_n=96))
 
         offs = np.array([-2, -1, 0, 1, 2]) * h
         ku = np.stack([kf(t0, x0, u + o, v) for o in offs])
@@ -126,7 +175,7 @@ class TestMultiwedge:
         spec = KernelSpec("multiwedge_extended", 1.0, (0.2,), (0.5,), ((0.0, 0.0),))
         u = np.linspace(0.0, 2.0, 5)
         blk = multiwedge_block(spec, 0, 0, u, u)
-        direct = nw_fixed_point_kernel(1.0, 0.2, 0.0, 0.0, u + 0.5, u + 0.5)
+        direct = nw_block(1.0, 0.2, 0.0, 0.0, u + 0.5, u + 0.5)
         assert np.max(np.abs(blk - direct)) < 1e-12
 
     def test_two_wedge_monotone_in_levels(self):
@@ -270,7 +319,7 @@ class TestLogMatmul:
 class TestKPZNarrowWedge:
     def test_symmetry(self):
         u = np.array([0.1, 1.0])
-        k = kpz_nw_kernel(1.0, 0.3, 0.5, u, u)
+        k = kpz_block(1.0, 0.3, 0.5, u, u)
         assert abs(k[0, 1] - k[1, 0]) < 1e-15
 
     def test_determinant_is_probability(self):
@@ -293,7 +342,7 @@ class TestKPZNarrowWedge:
         t0, x0 = 1.0, 0.2
 
         def kf(t, x, uu, vv):
-            base = np.diagonal(kpz_nw_kernel(t, x, 0.4, uu, vv, fermi_n=256))
+            base = np.diagonal(kpz_block(t, x, 0.4, uu, vv, fermi_n=256))
             return np.exp((vv - uu) * x / t) * base
 
         offs = np.array([-2, -1, 0, 1, 2]) * h
@@ -490,3 +539,29 @@ class TestThreeWedges:
         two = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.5,),
                          ((-1.0, 0.0), (0.2, -0.3)))
         assert abs(det_of(sunk) - det_of(two)) < 1e-9
+
+
+@st.composite
+def narrow_wedge_sets(draw):
+    """2 or 3 narrow wedges (a_p, b_p), positions at least 0.3 apart."""
+    k = draw(st.integers(2, 3))
+    a0 = draw(st.floats(-2.0, 0.0))
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=k - 1, max_size=k - 1))
+    positions = a0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    levels = draw(st.lists(st.floats(-0.5, 0.5), min_size=k, max_size=k))
+    return tuple((float(a), float(b)) for a, b in zip(positions, levels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.5, 2.0), wedges=narrow_wedge_sets(),
+       x=st.floats(-1.0, 1.0), r=st.floats(-1.0, 0.7))
+def test_skew_time_reversal_of_multiwedge_determinant(t, wedges, x, r):
+    # skew time reversal (Matetski-Quastel-Remenik): P(h(t, x) <= r) from
+    # the wedges (a_p, b_p) is P(h(t, a_p) <= r - b_p for all p) from one
+    # narrow wedge at x.  The left side runs the heat chains and the
+    # inclusion-exclusion over wedge subsets, the right side the extended
+    # one-wedge blocks.
+    one_point = KernelSpec("nw_fixed_point", t, (x,), (r,), wedges)
+    k_point = KernelSpec("multiwedge_extended", t, tuple(a for a, _ in wedges),
+                         tuple(r - b for _, b in wedges), ((x, 0.0),))
+    assert abs(det_of(one_point) - det_of(k_point)) <= 1e-12

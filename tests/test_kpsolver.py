@@ -12,6 +12,12 @@ def hm_wide():
     return painleve.hastings_mcleod(L=16.0, R=10.0, n=4001)
 
 
+def invariants(solver, phi):
+    """(int phi, int phi^2) over the solver's periodic box."""
+    cell = (solver.len_r / solver.n_r) * (solver.len_x / solver.n_x)
+    return float(np.sum(phi) * cell), float(np.sum(phi * phi) * cell)
+
+
 def periodic_shift(r, shift, box):
     lo, hi = box
     return (r - shift - lo) % (hi - lo) + lo
@@ -178,9 +184,9 @@ class TestStepper:
         solver = kpsolver.KPSolver((-20, 20), (-0.5, 0.5), 512, 4, dt)
         phi0 = np.broadcast_to(
             kpsolver.soliton_profile(solver.r, c)[None, :], (4, 512)).copy()
-        i0 = solver.invariants(phi0)
+        i0 = invariants(solver, phi0)
         out = solver.evolve(phi0, int(T / dt))
-        i1 = solver.invariants(out)
+        i1 = invariants(solver, out)
         assert abs(i1[0] - i0[0]) / T < 1e-8
         assert abs(i1[1] - i0[1]) / T < 1e-8
 
@@ -235,9 +241,17 @@ class TestEvolveAndCompare:
         assert rep["sup_error"] < 1e-8
 
     def test_flat_kdv_reduction(self):
+        # flat data: phi(t, r) = c^2 (q'(s) - q(s)^2) / 2 at s = c r, c = (4/t)^(1/3),
+        # the Miura form of the GOE reduction
         hm24 = painleve.hastings_mcleod(L=24.0, R=10.0, n=5501)
+        q_prime = CubicSpline(hm24.grid, hm24.q_prime)
+
         def builder(t, x, r):
-            phi = fields.phi_window_flat(hm24, t, r)
+            c = np.cbrt(4.0 / t)
+            s = c * r
+            q = hm24.q_at(s)
+            qp = q_prime(np.clip(s, hm24.left, hm24.right))
+            phi = c * c * 0.5 * (qp - q * q)
             return np.broadcast_to(phi[None, :], (x.size, r.size)).copy()
         rep = kpsolver.evolve_and_compare(builder, 1.0, 1.1, kdv=True)
         assert rep["sup_error"] < 5e-3
