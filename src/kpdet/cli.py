@@ -5,9 +5,10 @@ Config format: plain ``key = value`` lines under ``[section]`` headers.
 Sections: [run] (command, out, seed, tolerance, threads, quad_n),
 [kernel] (family, t, x/xs, r/rs, wedges "a:b,a:b", spikes, anchor),
 [grid] (the lattice keys of the command: t0, x0, r0, ht, hx, hy, hr, ha,
-h, nt, nx, nr, r_min, r_max, r_step).  A [run] key not listed here, or a
-[grid] key the command does not read, is a config error, so no key is
-silently ignored.
+h, nt, nx, nr, r_min, r_max, r_step).  seed, threads and quad_n are
+integers and tolerance a number.  A [run] key not listed here, or a
+[kernel] or [grid] key the command does not read, is a config error, so no
+key is silently ignored.
 
 ``COMMANDS`` maps each command name to a private function of the config
 that returns its CSV header and rows, its report entries, ``worst`` (the
@@ -41,6 +42,16 @@ from .residuals import GridField
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "main"]
 
 _RUN_KEYS = ("command", "out", "seed", "tolerance", "threads", "quad_n")
+
+# [kernel] keys the kernel of each family reads besides family; x / xs and
+# r / rs place its points
+_FAMILY_KEYS = {
+    "nw_fixed_point": ("t", "x", "xs", "r", "rs", "wedges"),
+    "flat_fixed_point": ("t", "r", "rs"),
+    "multiwedge_extended": ("t", "x", "xs", "r", "rs", "wedges"),
+    "kpz_narrow_wedge": ("t", "x", "xs", "r", "rs"),
+    "kpz_spiked": ("t", "x", "xs", "r", "rs", "spikes", "anchor"),
+}
 
 
 class ConfigError(ValueError):
@@ -116,10 +127,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if section is None:
             raise ConfigError(f"line {ln}: key outside any section")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if section == "run" and key not in _RUN_KEYS:
-            raise ConfigError(f"line {ln}: [run] has no key {key!r}; its keys are "
-                              + ", ".join(_RUN_KEYS))
-        data[section][key] = _parse_value(raw)
+        value = _parse_value(raw)
+        if section == "run":
+            if key not in _RUN_KEYS:
+                raise ConfigError(f"line {ln}: [run] has no key {key!r}; its keys are "
+                                  + ", ".join(_RUN_KEYS))
+            if key in ("seed", "threads", "quad_n") and not isinstance(value, int):
+                raise ConfigError(f"line {ln}: {key} = {raw} is not an integer")
+            if key == "tolerance" and not isinstance(value, (int, float)):
+                raise ConfigError(f"line {ln}: tolerance = {raw} is not a number")
+        data[section][key] = value
     run = data["run"]
     if "command" not in run:
         raise ConfigError("missing command in [run]")
@@ -130,10 +147,10 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         command=cmd,
         out=str(run.get("out", ".")),
-        seed=int(run.get("seed", 0)),
+        seed=run.get("seed", 0),
         tolerance=float(run.get("tolerance", float("inf"))),
-        threads=int(run.get("threads", 0)),
-        quad_n=int(run["quad_n"]) if "quad_n" in run else None,
+        threads=run.get("threads", 0),
+        quad_n=run.get("quad_n"),
         kernel=data["kernel"],
         grid=data["grid"],
     )
@@ -174,6 +191,35 @@ def _kernel_spec(cfg: ExperimentConfig, **overrides) -> KernelSpec:
     xs = tuple(np.atleast_1d(xs).astype(float))
     rs = tuple(np.atleast_1d(rs).astype(float))
     return KernelSpec(family, float(k.get("t", 1.0)), xs, rs, **_shape_kwargs(k))
+
+
+def _family_keys(cfg, families, placed):
+    """family and the [kernel] keys its kernel reads, less those placed.
+
+    families lists the families the command evaluates, the first being its
+    default; placed lists the keys the command sets itself.
+    """
+    family = str(cfg.kernel.get("family", families[0]))
+    if family not in families:
+        raise ConfigError(f"{cfg.command} does not take family {family!r}; it takes "
+                          + ", ".join(families))
+    return ("family", *(key for key in _FAMILY_KEYS[family] if key not in placed))
+
+
+def _check_kernel(cfg, reads):
+    """Raise ConfigError for a [kernel] key the command does not read.
+
+    reads lists the keys it reads; x and r are not read where xs and rs
+    are set, which replace them.  Called before the command computes or
+    writes anything, like _grid_params.
+    """
+    k = cfg.kernel
+    reads = [key for key in reads
+             if not (key in ("x", "r") and key + "s" in k and key + "s" in reads)]
+    unread = [key for key in k if key not in reads]
+    if unread:
+        raise ConfigError(f"{cfg.command} does not read [kernel] {', '.join(unread)}; "
+                          f"it reads {', '.join(reads) or 'no [kernel] keys'}")
 
 
 def _grid_params(cfg, defaults):
@@ -224,6 +270,7 @@ def _term_table(rep):
 
 
 def _tw_table(cfg):
+    _check_kernel(cfg, ())
     g = _grid_params(cfg, {"r_min": -6.0, "r_max": 4.0, "r_step": 0.1})
     hm = painleve.hastings_mcleod()
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
@@ -237,6 +284,7 @@ def _tw_table(cfg):
 
 
 def _det_eval(cfg):
+    _check_kernel(cfg, _family_keys(cfg, tuple(_FAMILY_KEYS), ("r", "rs")))
     g = _grid_params(cfg, {"r0": -2.0, "hr": 0.5, "nr": 9})
     rvals = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
     spec0 = _kernel_spec(cfg)
@@ -264,6 +312,7 @@ def _det_eval(cfg):
 
 
 def _hirota_residual(cfg):
+    _check_kernel(cfg, ())
     g = _grid_params(cfg, {"t0": 1.0, "x0": 0.2, "r0": 0.5, "h": 0.02})
     hm = painleve.hastings_mcleod()
 
@@ -292,6 +341,7 @@ def _kp_residual(cfg):
             raise ConfigError(f"kp-residual does not read [kernel] {key}; "
                               f"set {use} instead")
     if family == "airy_process":
+        _check_kernel(cfg, ("family", "xs", "rs"))
         # two-point distribution as a function of (t, y, a)
         g = _grid_params(cfg, {"t0": 0.98, "ht": 0.02, "hy": 0.02, "ha": 0.02})
         xs = tuple(np.atleast_1d(cfg.kernel.get("xs", (-0.3, 0.4))).astype(float))
@@ -303,12 +353,14 @@ def _kp_residual(cfg):
         fld = GridField(g["t0"], -g["hy"], -3 * g["ha"],
                         g["ht"], g["hy"], g["ha"], vals)
     else:
+        _check_kernel(cfg, _family_keys(cfg, tuple(_FAMILY_KEYS), tuple(placed_by)))
         fld = _field_from_cfg(cfg)
     rep = residuals.kp_scalar_residual(fld)
     return (*_term_table(rep), rep.to_dict(), rep.normalized_sup, quad_n)
 
 
 def _matrix_kp(cfg):
+    _check_kernel(cfg, _family_keys(cfg, ("multiwedge_extended",), ("wedges",)))
     g = _grid_params(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02})
     ht, hy, ha = g["ht"], g["hy"], g["ha"]
     spec = _kernel_spec(cfg)
@@ -328,6 +380,7 @@ def _matrix_kp(cfg):
 
 
 def _cyl_kdv(cfg):
+    _check_kernel(cfg, _family_keys(cfg, ("kpz_narrow_wedge",), ("t", "x", "xs", "r", "rs")))
     g = _grid_params(cfg, {"t0": 0.98, "r0": 0.88, "ht": 0.02,
                            "hr": 0.02, "nt": 3, "nr": 13})
     quad_n = _quad_n(cfg)
@@ -351,6 +404,7 @@ def _cyl_kdv(cfg):
 
 
 def _tail_fit(cfg):
+    _check_kernel(cfg, _family_keys(cfg, tuple(_FAMILY_KEYS), ("r", "rs")))
     g = _grid_params(cfg, {"r_min": -7.0, "r_max": -5.0, "r_step": 0.25})
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
     spec0 = _kernel_spec(cfg)
@@ -365,6 +419,7 @@ def _tail_fit(cfg):
 
 
 def _scattering_limit(cfg):
+    _check_kernel(cfg, ())
     _grid_params(cfg, {})
     quad_n = _quad_n(cfg)
     cfgw = scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
@@ -390,6 +445,7 @@ def _scattering_limit(cfg):
 
 
 def _path_integral_check(cfg):
+    _check_kernel(cfg, ())
     _grid_params(cfg, {})
     quad_n = _quad_n(cfg)
     rows = []
@@ -406,6 +462,7 @@ def _path_integral_check(cfg):
 
 
 def _solve_kp(cfg):
+    _check_kernel(cfg, ())
     _grid_params(cfg, {})
     # line-soliton accuracy plus the determinant-field closure test
     c, big_t, dt, n_r, n_x = 0.5, 2.0, 5e-3, 512, 4
@@ -419,8 +476,7 @@ def _solve_kp(cfg):
     soliton_err = float(np.max(np.abs(out - ref[None, :])))
     hm = painleve.hastings_mcleod(L=16.0, R=10.0, n=4001)
     report = kpsolver.evolve_and_compare(
-        lambda t, x, r: fields.phi_window_narrow_wedge(hm, t, x, r),
-        1.0, 1.1, return_fields=True)
+        lambda t, x, r: fields.phi_window_narrow_wedge(hm, t, x, r), 1.0, 1.1)
     grid = report.pop("fields")
     worst = report["sup_error"] if soliton_err < 1e-6 else float("inf")
     report.update({"soliton_sup_error": soliton_err, "soliton_n_x": n_x,
@@ -441,6 +497,7 @@ def _gaussian(d_u=False, d_v=False):
 
 
 def _bracket_check(cfg):
+    _check_kernel(cfg, ())
     _grid_params(cfg, {})
     quad_n = _quad_n(cfg, 96)
     res = fredholm.boundary_bracket_product_check(
@@ -450,6 +507,7 @@ def _bracket_check(cfg):
 
 
 def _spiked_check(cfg):
+    _check_kernel(cfg, _family_keys(cfg, ("kpz_spiked",), ("xs", "r", "rs")))
     _grid_params(cfg, {})
     k = cfg.kernel
     t, x = float(k.get("t", 1.0)), float(k.get("x", 0.0))
@@ -496,12 +554,11 @@ COMMANDS = {
 def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
-    Raises ConfigError for quad_n outside [8, 512], threads < 0, a [grid]
-    key the command does not read or a [kernel] point that kp-residual
-    would ignore, KernelDomainError for kernel parameters outside their
-    domain, and QuadratureFailure, SingularOperatorError or
-    FloatingPointError when the numerics fail.  Nothing is written unless
-    the command completes.
+    Raises ConfigError for quad_n outside [8, 512], threads < 0, or a
+    [kernel] or [grid] key the command does not read, KernelDomainError
+    for kernel parameters outside their domain, and QuadratureFailure,
+    SingularOperatorError or FloatingPointError when the numerics fail.
+    Nothing is written unless the command completes.
     """
     if cfg.quad_n is not None and not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")

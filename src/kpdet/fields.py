@@ -9,9 +9,10 @@ finite-difference stencils without noise amplification:
   y-rule, log-Gamma offset) are built once per sweep, sized for its worst
   point, together with every contour factor that does not depend on
   (t, x, r); each determinant adds only a diagonal on the contour nodes.
-* the other families keep their node counts (Nystrom n, inner_n, fermi_n)
-  fixed; the multiwedge cutoff map's scale inner_scale * t^(1/3) moves
-  smoothly with t, with no integer jumps.
+* the other families keep their node counts (Nystrom n, the spec's
+  inner_n, ``kernels.FERMI_N``) fixed; the multiwedge cutoff map's scale
+  ``kernels.INNER_SCALE * t^(1/3)`` moves smoothly with t, with no integer
+  jumps.
 """
 
 from __future__ import annotations
@@ -44,16 +45,12 @@ def _logdet(disc) -> float:
     return logdet
 
 
-def _q_matrix(disc) -> np.ndarray:
-    return boundary_resolvent(disc).q_matrix
-
-
 def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     """value(assemble(kernel, n_quad)) for each spec, in order, as an array.
 
     value defaults to log det(I - K) (raising FloatingPointError unless the
-    determinant is positive).  The kpz_spiked specs that share spikes,
-    anchor and fermi_n form one contour group with one set of rules
+    determinant is positive).  The kpz_spiked specs that share spikes
+    and anchor form one contour group with one set of rules
     (``kernels.SpikedRules``); the groups are evaluated one after another,
     so only one group's rules are held at a time.  Every other kernel is
     built per point.  mapper maps the per-point evaluation over a group's
@@ -115,7 +112,7 @@ def q_stencil(t0, xs, rs, ht, hy, ha, dims, n_quad: int = 64):
              for t in _lattice(t0, ht, dims[0])
              for y in _lattice(0.0, hy, dims[1]) - hy * (dims[1] // 2)
              for a in _lattice(0.0, ha, dims[2]) - ha * (dims[2] // 2)]
-    return sweep(specs, n_quad, _q_matrix).reshape(dims + (n, n))
+    return sweep(specs, n_quad, boundary_resolvent).reshape(dims + (n, n))
 
 
 def phi_window_narrow_wedge(hm: HMSolution, t: float, x_grid, r_grid) -> np.ndarray:

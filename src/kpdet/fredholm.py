@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BlockKernel, KernelSpec, build_block_kernel
+from .kernels import BlockKernel, build_block_kernel
 from .quadrature import QuadRule, gauss_legendre, map_half_line, map_interval
 
 __all__ = [
     "Discretization",
-    "BoundaryResolvent",
     "SingularOperatorError",
     "assemble",
     "det_one_minus",
@@ -46,22 +45,9 @@ class Discretization:
     kernel: BlockKernel
     rule: QuadRule
     matrix: np.ndarray
-    n_quad: int
-
-    @property
-    def spec(self) -> KernelSpec:
-        return self.kernel.spec
 
 
-@dataclass
-class BoundaryResolvent:
-    """Boundary values Q = [(I-K)^(-1) K](0,0) and det(I - K)."""
-
-    q_matrix: np.ndarray
-    det_value: float
-
-
-def assemble(spec_or_kernel, n_quad: int = 64, scale: float = 4.0) -> Discretization:
+def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
     """Assemble the scaled Nystrom matrix for a KernelSpec or BlockKernel."""
     if not (8 <= n_quad <= 512):
         raise ValueError("n_quad must lie in [8, 512]")
@@ -71,7 +57,7 @@ def assemble(spec_or_kernel, n_quad: int = 64, scale: float = 4.0) -> Discretiza
     if cut:
         rule = map_interval(gauss_legendre(n_quad), 0.0, cut)
     else:
-        rule = map_half_line(gauss_legendre(n_quad), 0.0, scale)
+        rule = map_half_line(gauss_legendre(n_quad), 0.0, 4.0)
     n = kernel.n_blocks
     sw = np.sqrt(rule.weights)
     m = np.empty((n * n_quad, n * n_quad))
@@ -83,7 +69,7 @@ def assemble(spec_or_kernel, n_quad: int = 64, scale: float = 4.0) -> Discretiza
             )
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("non-finite entries in Nystrom matrix")
-    return Discretization(kernel, rule, m, n_quad)
+    return Discretization(kernel, rule, m)
 
 
 def _slogdet(disc: Discretization) -> tuple[float, float]:
@@ -106,7 +92,7 @@ def det_one_minus(disc: Discretization) -> float:
     return value
 
 
-def boundary_resolvent(disc: Discretization) -> BoundaryResolvent:
+def boundary_resolvent(disc: Discretization) -> np.ndarray:
     """Q[a,b] = K_ab(0,0) + sum_c int K_ac(0,s) [(I-K)^(-1)K]_cb(s,0) ds.
 
     The boundary blocks come from the assembled kernel, so a factored
@@ -118,7 +104,7 @@ def boundary_resolvent(disc: Discretization) -> BoundaryResolvent:
         det = det_one_minus(disc)
     if abs(det) < 1e-12 or not np.isfinite(det):
         raise SingularOperatorError(f"det(I-K) = {det}: resolvent undefined")
-    kernel, rule, nq = disc.kernel, disc.rule, disc.n_quad
+    kernel, rule, nq = disc.kernel, disc.rule, disc.rule.n
     n = kernel.n_blocks
     sw = np.sqrt(rule.weights)
     zero = np.zeros(1)
@@ -132,19 +118,14 @@ def boundary_resolvent(disc: Discretization) -> BoundaryResolvent:
             col[c * nq:(c + 1) * nq, a] = kernel.block(c, a, rule.nodes, zero)[:, 0] * sw
             k00[a, c] = kernel.block(a, c, zero, zero)[0, 0]
     resolv = np.linalg.solve(np.eye(n * nq) - disc.matrix, col)
-    q = k00 + row @ resolv
-    return BoundaryResolvent(q, det)
+    return k00 + row @ resolv
 
 
 # ----------------------------------------------------------------------------
 # boundary bracket algebra on explicit test kernels
 # ----------------------------------------------------------------------------
 
-def _rule_for_bracket(n_quad: int) -> QuadRule:
-    return map_half_line(gauss_legendre(n_quad), 0.0, 2.0)
-
-
-def bracket(blocks, rule: QuadRule) -> np.ndarray:
+def bracket(blocks) -> np.ndarray:
     """[A] = matrix of A_ab(0, 0) for a grid of callable blocks."""
     n = len(blocks)
     out = np.empty((n, n))
@@ -182,8 +163,8 @@ def boundary_bracket_product_check(ablocks, d2_ablocks, bblocks, d1_bblocks,
     for block kernels given with analytic first partials.  Returns the
     max-abs entry of the left-hand side.
     """
-    rule = _rule_for_bracket(n_quad)
-    lhs = bracket(ablocks, rule) @ bracket(bblocks, rule)
-    ad1b = bracket(_compose(ablocks, d1_bblocks, rule), rule)
-    d2ab = bracket(_compose(d2_ablocks, bblocks, rule), rule)
+    rule = map_half_line(gauss_legendre(n_quad), 0.0, 2.0)
+    lhs = bracket(ablocks) @ bracket(bblocks)
+    ad1b = bracket(_compose(ablocks, d1_bblocks, rule))
+    d2ab = bracket(_compose(d2_ablocks, bblocks, rule))
     return float(np.max(np.abs(lhs + ad1b + d2ab)))

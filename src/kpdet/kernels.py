@@ -37,7 +37,6 @@ from itertools import combinations
 import numpy as np
 
 from .quadrature import (
-    QuadRule,
     gauss_legendre,
     map_half_line_down,
     map_interval,
@@ -177,10 +176,7 @@ class KernelSpec:
     wedges: tuple = ((0.0, 0.0),)
     spikes: tuple = ()
     inner_n: int = 48
-    inner_scale: float = 4.0
     contour_anchor: float = 0.25
-    fermi_n: int = 256
-    fermi_scale: float = 7.0
 
     def __post_init__(self):
         if self.family not in ("nw_fixed_point", "flat_fixed_point",
@@ -236,11 +232,15 @@ def _memo(cache, key, make):
     return cache[key]
 
 
+# scale of the cutoff rules' half-line map, in units of t^(1/3)
+INNER_SCALE = 4.0
+
+
 def _wedge_rules(spec: KernelSpec, cache):
     """Cutoff rule on (-inf, b_p] of each wedge p, cached."""
     def make():
         base = gauss_legendre(spec.inner_n)
-        scale = spec.inner_scale * np.cbrt(spec.t)
+        scale = INNER_SCALE * np.cbrt(spec.t)
         rules = []
         for (a, b) in spec.wedges:
             r = map_half_line_down(base, b, scale)
@@ -305,8 +305,8 @@ def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
     live = np.isfinite(out.logabs) & np.isfinite(tail)
     if np.any(tail[live] - out.logabs[live] > np.log(1e-12)):
         raise QuadratureFailure(
-            "cutoff integral tail above 1e-12 of the value; increase "
-            "inner_scale or inner_n")
+            "cutoff integral tail above 1e-12 of the value: the cutoff rule "
+            "does not resolve the integrand's decay")
     return out
 
 
@@ -376,14 +376,15 @@ def flat_kernel(t, u, v):
 # KPZ equation narrow wedge kernel (Fermi-factor form)
 # ----------------------------------------------------------------------------
 
-def _fermi_rule(spec: KernelSpec) -> QuadRule:
-    return map_whole_line(gauss_legendre(spec.fermi_n), 0.0, spec.fermi_scale)
+# nodes of the kpz_narrow_wedge kernel's Fermi y-rule, and the fewest nodes
+# per panel of the spiked y-rule
+FERMI_N = 256
 
 
 def kpz_nw_half_factor(spec: KernelSpec, pts):
     """Matrix A[q, i] with K = A^T A for the KPZ narrow wedge kernel."""
     t, x, r = spec.t, spec.xs[0], spec.rs[0]
-    rule = _fermi_rule(spec)
+    rule = map_whole_line(gauss_legendre(FERMI_N), 0.0, 7.0)
     y = rule.nodes
     fermi = 1.0 / (1.0 + np.exp(np.minimum(y, 700.0)))
     w = rule.weights * fermi / np.cbrt(t * t)
@@ -402,7 +403,7 @@ class SpikedRules:
     """Contour rules of a kpz_spiked sweep and its factors that do not move.
 
     One set of rules serves every point (t, x, r) of a sweep whose specs
-    share the spikes, the contour anchor and fermi_n (``group_key``):
+    share the spikes and the contour anchor (``group_key``):
 
     * the vertical eta contour, anchored at the largest a_eta of the points,
     * the xi rays, anchored at a_xi = contour_anchor + 1/2,
@@ -428,7 +429,7 @@ class SpikedRules:
             raise KernelDomainError("a spiked sweep needs at least one point")
         key = self.group_key(specs[0])
         if any(self.group_key(s) != key for s in specs):
-            raise KernelDomainError("spiked sweep points differ in spikes, anchor or fermi_n")
+            raise KernelDomainError("spiked sweep points differ in spikes or anchor")
         self.specs = specs
         spec = specs[0]
         self.b = np.asarray(key[0])
@@ -459,8 +460,7 @@ class SpikedRules:
         # balance Gamma(B)-scale factors between the two sides (K is invariant
         # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
         self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
-        self.y0, self.y_loc, self.fermi_nodes, self.fermi_logw = self._fermi_panels(
-            spec.fermi_n, freq)
+        self.y0, self.y_loc, self.fermi_nodes, self.fermi_logw = self._fermi_panels(freq)
         self.mid = np.exp(self.fermi_nodes * (self.a_eta - self.a_xi) + self.fermi_logw)
         self._sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
                        "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
@@ -470,7 +470,7 @@ class SpikedRules:
     def group_key(spec: KernelSpec):
         """The spec fields that fix the contours; equal keys can share rules."""
         return (tuple(np.sort(np.asarray(spec.spikes, dtype=float))),
-                spec.contour_anchor, spec.fermi_n)
+                spec.contour_anchor)
 
     def _sizes(self, spec):
         """(eta half-height H, t, |w| bound, eta nodes per unit phase of its
@@ -524,17 +524,18 @@ class SpikedRules:
         half = panel_rule(edges, per)
         return anchor + 1j * half.nodes, 1j * half.weights
 
-    def _fermi_panels(self, fermi_n, freq):
+    def _fermi_panels(self, freq):
         """Panel GL rule in y resolving the Airy-product oscillation.
 
         Both factors oscillate with local frequency ~ sqrt(|w|/t^(1/3)) =
-        freq, which fixes the per-panel node count.  The panels have equal
-        width and share one GL base, so node (p, k) is y0[p] + loc[k].
+        freq, which fixes the per-panel node count (at least FERMI_N).  The
+        panels have equal width and share one GL base, so node (p, k) is
+        y0[p] + loc[k].
         Returns (y0, loc, nodes, log weights including the Fermi factor).
         """
         y_lo, y_hi = self.y_lo, self.y_hi
         n_panels = max(6, int((y_hi - y_lo) / 8.0))
-        per = int(max(64, min(fermi_n, 512), 1.5 * freq * (y_hi - y_lo) / n_panels))
+        per = int(max(FERMI_N, 1.5 * freq * (y_hi - y_lo) / n_panels))
         loc = map_interval(gauss_legendre(per), 0.0, (y_hi - y_lo) / n_panels)
         y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
         y = (y0[:, None] + loc.nodes[None, :]).ravel()

@@ -55,10 +55,9 @@ class SpectralState:
     phi: np.ndarray | None = None   # irfft2(phi_hat), shape (n_x, n_r)
 
 
-def soliton_profile(r, c, r0=0.0):
-    """Line soliton 3c sech^2(sqrt(3c)(r - r0)) of the KdV reduction."""
-    arg = np.sqrt(3.0 * c) * (r - r0)
-    return 3.0 * c / np.cosh(arg) ** 2
+def soliton_profile(r, c):
+    """Line soliton 3c sech^2(sqrt(3c) r) of the KdV reduction."""
+    return 3.0 * c / np.cosh(np.sqrt(3.0 * c) * r) ** 2
 
 
 def smooth_window(xi):
@@ -108,7 +107,7 @@ class KPSolver:
     field when it exceeds 40 (the solve-kp runs have S = 6 and 8).
     """
 
-    def __init__(self, box_r, box_x, n_r, n_x, dt, anchor_r=None):
+    def __init__(self, box_r, box_x, n_r, n_x, dt):
         self.r_lo, self.r_hi = box_r
         self.x_lo, self.x_hi = box_x
         self.len_r = self.r_hi - self.r_lo
@@ -142,8 +141,8 @@ class KPSolver:
         self._half_dr = (-0.5j * kr) * (mask_x[:, None] & mask_r[None, :])
         # anchored antiderivative machinery; the anchor row sits just below
         # the pseudo-ramp's return dip (top ~10% of the box)
-        self.anchor_r = self.r_lo + 0.88 * self.len_r if anchor_r is None else anchor_r
-        self._anchor_idx = int(np.argmin(np.abs(self.r - self.anchor_r)))
+        anchor_r = self.r_lo + 0.88 * self.len_r
+        self._anchor_idx = int(np.argmin(np.abs(self.r - anchor_r)))
         self.pseudo_ramp = self._build_pseudo_ramp()
         self._ramp_hat = fft.rfft(self.pseudo_ramp)
         # irfft weights of the anchor row times 1/(i kr): the anchor row of
@@ -222,27 +221,27 @@ class KPSolver:
         return state.phi
 
 
-def evolve_and_compare(phi_builder, t0: float, t1: float,
-                       window_r=(-8.0, 6.0), window_x=(-3.0, 3.0),
-                       pad_lo: float = 6.0, pad_hi: float = 3.5,
-                       box_x=(-4.5, 4.5), n_r: int = 512, n_x: int = 64,
-                       dt: float = 2.0e-3, kdv: bool = False,
-                       return_fields: bool = False):
+def evolve_and_compare(phi_builder, t0: float, t1: float):
     """Embed a determinant field at t0, evolve under KP-II, compare at t1.
 
-    phi_builder(t, x_grid, r_grid) -> phi array of shape (n_x, n_r).  The
-    comparison happens on the central 60% of the window in both directions;
-    returns a dict with the interior sup/L2 errors and embedding metadata.
+    phi_builder(t, x_grid, r_grid) -> phi array of shape (n_x, n_r) on the
+    periodic box: 512 r points on the window [-8, 6] padded by 6 below and
+    3.5 above, and 64 x points on [-4.5, 4.5], stepped at the dt nearest
+    2e-3 that divides t1 - t0.  The comparison happens on the central 60%
+    of the window [-8, 6] x [-3, 3] in both directions; returns a dict with
+    the interior sup/L2 errors, the embedding metadata, and under "fields"
+    the interior (x, r, evolved phi, target phi) tuples.
     """
     if t1 - t0 > 0.2 + 1e-12:
         raise ValueError("t1 - t0 must be <= 0.2")
+    window_r, window_x = (-8.0, 6.0), (-3.0, 3.0)
+    pad_lo, pad_hi = 6.0, 3.5
     box_r = (window_r[0] - pad_lo, window_r[1] + pad_hi)
-    if kdv:
-        box_x, n_x = (-0.5, 0.5), 4
+    dt = 2.0e-3
     n_steps = int(round((t1 - t0) / dt))
     if n_steps:
         dt = (t1 - t0) / n_steps
-    solver = KPSolver(box_r, box_x, n_r, n_x, dt)
+    solver = KPSolver(box_r, (-4.5, 4.5), 512, 64, dt)
     r, x = solver.r, solver.x
 
     # C-infinity taper: 1 on a margin inside the box, 0 at the edges
@@ -259,26 +258,21 @@ def evolve_and_compare(phi_builder, t0: float, t1: float,
     r_span = window_r[1] - window_r[0]
     x_span = window_x[1] - window_x[0]
     mask_r = (r >= window_r[0] + 0.2 * r_span) & (r <= window_r[1] - 0.2 * r_span)
-    mask_x = ((x >= window_x[0] + 0.2 * x_span) & (x <= window_x[1] - 0.2 * x_span)
-              if not kdv else np.ones(x.size, bool))
-    diff = (phi_end - target)[np.ix_(mask_x, mask_r)]
-    out = {
+    mask_x = (x >= window_x[0] + 0.2 * x_span) & (x <= window_x[1] - 0.2 * x_span)
+    interior = np.ix_(mask_x, mask_r)
+    diff = (phi_end - target)[interior]
+    xi, ri = x[mask_x], r[mask_r]
+    pe, pt = phi_end[interior], target[interior]
+    return {
         "sup_error": float(np.max(np.abs(diff))),
         "l2_error": float(np.sqrt(np.mean(diff ** 2))),
-        "n_x": n_x,
-        "n_r": n_r,
+        "n_x": solver.n_x,
+        "n_r": solver.n_r,
         "n_steps": n_steps,
         "dt": float(solver.dt),
         "box_r": box_r,
-        "interior_r": (float(r[mask_r][0]), float(r[mask_r][-1])),
-        "edge_taper_max_change": float(np.max(np.abs(phi0 - phi_raw)
-                                              [np.ix_(mask_x, mask_r)])),
+        "interior_r": (float(ri[0]), float(ri[-1])),
+        "edge_taper_max_change": float(np.max(np.abs(phi0 - phi_raw)[interior])),
+        "fields": [(xi[i], ri[j], pe[i, j], pt[i, j])
+                   for i in range(xi.size) for j in range(ri.size)],
     }
-    if return_fields:
-        xi = x[mask_x]
-        ri = r[mask_r]
-        pe = phi_end[np.ix_(mask_x, mask_r)]
-        pt = target[np.ix_(mask_x, mask_r)]
-        out["fields"] = [(xi[i], ri[j], pe[i, j], pt[i, j])
-                         for i in range(xi.size) for j in range(ri.size)]
-    return out

@@ -57,7 +57,6 @@ class ResidualReport:
     normalized_sup: float
     term_magnitudes: list
     steps: tuple
-    quad_n: int = 0
     extra: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -68,7 +67,6 @@ class ResidualReport:
             "normalized_sup": self.normalized_sup,
             "term_magnitudes": list(self.term_magnitudes),
             "steps": list(self.steps),
-            "quad_n": self.quad_n,
             **self.extra,
         }
 
@@ -103,16 +101,14 @@ def _trim(values: np.ndarray, axis: int, margin: int) -> np.ndarray:
     return np.take(values, range(margin, n - margin), axis=axis)
 
 
-def _report(identity, terms, names, steps, quad_n=0, extra=None) -> ResidualReport:
+def _report(identity, terms, names, steps) -> ResidualReport:
     total = sum(terms)
     mags = [float(np.max(np.abs(term))) for term in terms]
     sup = float(np.max(np.abs(total)))
     l2 = float(np.sqrt(np.mean(total ** 2)))
     norm = sup / max(max(mags), 1e-300)
-    rep = ResidualReport(identity, sup, l2, norm, mags, steps, quad_n,
-                         dict(extra or {}))
-    rep.extra.setdefault("term_names", list(names))
-    return rep
+    return ResidualReport(identity, sup, l2, norm, mags, steps,
+                          {"term_names": list(names)})
 
 
 def hirota_residual(fld: GridField) -> ResidualReport:
@@ -209,12 +205,7 @@ def matrix_kp_residual(q_field: np.ndarray, big_q_field: np.ndarray,
     terms = [dt_q, 0.5 * (q0 @ da_q + da_q @ q0), da3_q / 12.0, 0.25 * dy2_Q,
              0.5 * (q0 @ dy_Q - dy_Q @ q0)]
     names = ["d_t q", "(q Dq + Dq q)/2", "D^3 q/12", "Dx^2 Q/4", "commutator/2"]
-    total = sum(terms)
-    mags = [float(np.max(np.abs(term))) for term in terms]
-    sup = float(np.max(np.abs(total)))
-    return ResidualReport("matrix_kp", sup, float(np.sqrt(np.mean(total ** 2))),
-                          sup / max(max(mags), 1e-300), mags, (ht, hy, ha),
-                          extra={"term_names": names})
+    return _report("matrix_kp", terms, names, (ht, hy, ha))
 
 
 def rank_one_and_trace_check(q_field: np.ndarray, ha: float):
@@ -269,18 +260,17 @@ def cylindrical_kdv_residual(fld: GridField) -> ResidualReport:
     return _report("cylindrical_kdv", terms, names, (ht, 0.0, hr))
 
 
-def tail_slope_fit(r: np.ndarray, log_f: np.ndarray, x_over_t: float = 0.0):
-    """Least-squares fit of -log F against |r_eff|^3 on the deepest 30%.
+def tail_slope_fit(r: np.ndarray, log_f: np.ndarray):
+    """Least-squares fit of -log F against |r|^3 on the deepest 30% of r.
 
-    Returns (slope, r2).  r_eff = r + x^2/t for narrow-wedge data.
+    Returns (slope, r2).
     """
     r = np.asarray(r, dtype=float)
     if np.min(r) > -5.0:
         raise InsufficientRangeError("tail fit needs r reaching -5")
-    r_eff = r + x_over_t
-    depth = np.min(r_eff) + 0.3 * (np.max(r_eff) - np.min(r_eff))
-    mask = r_eff <= depth
-    xfit = np.abs(r_eff[mask]) ** 3
+    depth = np.min(r) + 0.3 * (np.max(r) - np.min(r))
+    mask = r <= depth
+    xfit = np.abs(r[mask]) ** 3
     yfit = -np.asarray(log_f)[mask]
     a = np.vstack([xfit, np.ones_like(xfit)]).T
     coef, *_ = np.linalg.lstsq(a, yfit, rcond=None)

@@ -67,11 +67,7 @@ class WedgeConfig:
         return -np.inf
 
 
-def _cutoff_rule(b: float, width: float, n: int = 64):
-    return map_half_line_down(gauss_legendre(n), b, max(1.0, width))
-
-
-def _chain_hit(xi, xj, pos, lev, u, v, n_inner=64):
+def _chain_hit(xi, xj, pos, lev, u, v):
     """Heat-kernel chain from x_i to x_j through cutoffs at (pos, lev).
 
     Wedges sitting exactly at x_i or x_j act as plain indicators on the
@@ -94,7 +90,7 @@ def _chain_hit(xi, xj, pos, lev, u, v, n_inner=64):
     mat = None
     prev_nodes, prev_x = u, xi
     for (x, b) in zip(pos, lev):
-        rule = _cutoff_rule(b, width, n_inner)
+        rule = map_half_line_down(gauss_legendre(64), b, max(1.0, width))
         hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
         hk = hk * rule.weights[None, :]
         mat = hk if mat is None else mat @ hk
@@ -104,7 +100,7 @@ def _chain_hit(xi, xj, pos, lev, u, v, n_inner=64):
     return pre_u[:, None] * mat * pre_v[None, :]
 
 
-def hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v, n_inner: int = 64):
+def hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
     """P^{Hit}_{x_i, x_j}(u, v) for the wedge profile, x_i < x_j.
 
     Inclusion-exclusion over nonempty subsets of the wedges lying inside
@@ -123,16 +119,16 @@ def hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v, n_inner: int = 64):
         for subset in combinations(inside, n):
             pos = [a for (a, _) in subset]
             lev = [b for (_, b) in subset]
-            out += sgn * _chain_hit(xi, xj, pos, lev, u, v, n_inner)
+            out += sgn * _chain_hit(xi, xj, pos, lev, u, v)
     return out[0, 0] if (u.size == 1 and v.size == 1) else out
 
 
-def no_hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v, n_inner: int = 64):
+def no_hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
     """P^{No hit}_{x_i, x_j} = heat - P^{Hit}."""
     xi, xj = cfg.xs[i], cfg.xs[j]
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    return heat_kernel(xj - xi, u[:, None], v[None, :]) - hit_kernel(cfg, i, j, u, v, n_inner)
+    return heat_kernel(xj - xi, u[:, None], v[None, :]) - hit_kernel(cfg, i, j, u, v)
 
 
 # ----------------------------------------------------------------------------
@@ -154,7 +150,7 @@ def _interior_constraints(cfg: WedgeConfig, i: int, j: int):
     return sorted(pts.items())
 
 
-def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int, n_inner: int = 64):
+def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int):
     """Density of B(x_j) at r_j for B from (x_i, r_i), staying above every
     wedge level and below every intermediate observation level.
 
@@ -178,7 +174,7 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int, n_inner: int = 
             return 0.0
         if np.isinf(lo) and np.isinf(hi):
             continue
-        rule = panel_rule((lo, hi), n_inner, width)
+        rule = panel_rule((lo, hi), 64, width)
         hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
         vec = vec @ (hk * rule.weights[None, :])
         prev_nodes, prev_x = rule.nodes, x
@@ -206,7 +202,7 @@ def rk_limit_check(cfg: WedgeConfig, t_seq, n_quad: int = 64):
     for t in t_seq:
         spec = KernelSpec("multiwedge_extended", float(t), cfg.xs, cfg.rs,
                           tuple(cfg.wedges))
-        q = boundary_resolvent(assemble(spec, n_quad)).q_matrix
+        q = boundary_resolvent(assemble(spec, n_quad))
         err = np.abs(q - target)
         rows.append({
             "t": float(t),
@@ -218,19 +214,19 @@ def rk_limit_check(cfg: WedgeConfig, t_seq, n_quad: int = 64):
     return rows
 
 
-def t0_kernel_decay_check(a: float, b: float, x_i: float, x_j: float,
-                          ts=(0.2, 0.1, 0.05), u: float = 0.5, v: float = 0.5):
-    """Fit log|K_t(u, v)| against 1/t^2 for a wedge outside [x_i, x_j].
+def t0_kernel_decay_check(a: float, b: float, x_i: float, x_j: float):
+    """Fit log|K_t(0.5, 0.5)| against 1/t^2 at t = 0.2, 0.1, 0.05 for a
+    wedge outside [x_i, x_j].
 
     Returns (c, r2): the fitted decay rate in exp(-c/t^2) and the fit
     quality.  Uses the log-space chain evaluator, since the values underflow
     ordinary doubles already at t ~ 0.1.
     """
+    ts = (0.2, 0.1, 0.05)
     logs = []
     for t in ts:
-        spec = KernelSpec("nw_fixed_point", float(t), (x_i, x_j),
-                          (0.0, 0.0), ((a, b),))
-        lm = scattering_part_logmat(spec, 0, 1, np.array([u]), np.array([v]))
+        spec = KernelSpec("nw_fixed_point", t, (x_i, x_j), (0.0, 0.0), ((a, b),))
+        lm = scattering_part_logmat(spec, 0, 1, np.array([0.5]), np.array([0.5]))
         logs.append(lm.logabs[0, 0])
     xs = 1.0 / np.asarray(ts, dtype=float) ** 2
     ys = np.asarray(logs)
@@ -242,7 +238,7 @@ def t0_kernel_decay_check(a: float, b: float, x_i: float, x_j: float,
     return float(-coef[0]), float(r2)
 
 
-def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64, scale: float = 4.0):
+def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64):
     """det(I - P_r K0 P_r) for the t -> 0 block kernel.
 
     K0 has multiplication blocks 1{u <= profile(x_i)} on the diagonal,
@@ -250,7 +246,7 @@ def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64, scale: float = 
     prod_i 1{r_i >= profile(x_i)}.
     """
     n = len(cfg.xs)
-    rule = map_half_line(gauss_legendre(n_quad), 0.0, scale)
+    rule = map_half_line(gauss_legendre(n_quad), 0.0, 4.0)
     nq = rule.n
     sw = np.sqrt(rule.weights)
     m = np.zeros((n * nq, n * nq))
@@ -270,8 +266,7 @@ def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64, scale: float = 
 # path-integral determinant (whole-line form)
 # ----------------------------------------------------------------------------
 
-def path_integral_determinant(t: float, xs, rs, n_panel: int = 72,
-                              inner_n: int = 64, tail_scale: float = 4.0):
+def path_integral_determinant(t: float, xs, rs):
     """Fixed point distribution for a narrow wedge at the origin via the
     path-integral determinant on L^2(R):
 
@@ -294,12 +289,12 @@ def path_integral_determinant(t: float, xs, rs, n_panel: int = 72,
         raise OrderingError("xs must be strictly increasing")
     span = (xs[-1] - xs[0]) if m > 1 else 0.0
     left = min(min(rs), 0.0) - max(5.0, 8.0 * np.sqrt(2.0 * span) if m > 1 else 0.0)
-    rule = panel_rule([left, *sorted(set(rs)), np.inf], n_panel, tail_scale)
+    rule = panel_rule([left, *sorted(set(rs)), np.inf], 72, 4.0)
     nodes, weights = rule.nodes, rule.weights
 
     if m == 1:
         spec1 = KernelSpec("nw_fixed_point", t, (xs[0],), (0.0,), ((0.0, 0.0),),
-                           inner_n=inner_n)
+                           inner_n=64)
         k1 = scattering_part_logmat(spec1, 0, 0, nodes, nodes).to_linear()
         op = (nodes > rs[0]).astype(float)[:, None] * k1
     else:
@@ -308,7 +303,7 @@ def path_integral_determinant(t: float, xs, rs, n_panel: int = 72,
         # that the two terms cancel exactly at deep-left rows, where each is
         # separately an unresolved oscillatory integral.
         spec_c = KernelSpec("nw_fixed_point", t, (xs[0], xs[-1]), (0.0, 0.0),
-                            ((0.0, 0.0),), inner_n=inner_n)
+                            ((0.0, 0.0),), inner_n=64)
         c_mat = scattering_part_logmat(spec_c, 1, 0, nodes, nodes).to_linear()
         free = c_mat
         chain = (nodes <= rs[-1]).astype(float)[:, None] * c_mat

@@ -218,7 +218,7 @@ def airy_ai(x):
 
 
 def airy_ai_prime(x):
-    """Derivative Ai'(x) for real x (scalar or array)."""
+    """Derivative Ai'(x) for real x (scalar or array), abs err < 1e-13 on |x|<=12."""
     return _airy_eval(x, deriv=True)
 
 
@@ -227,7 +227,9 @@ def airy_ai_log_abs(x):
 
     The log branch for large positive x keeps kernels of the form
     exp(big)*Ai(big) computable: the exponentially scaled value is carried
-    in log space and callers combine exponents before exponentiating.
+    in log space and callers combine exponents before exponentiating.  For
+    x >= 0 the log has relative error < 1e-13 (absolute where |log Ai| < 1);
+    for x < 0, sign * exp(log) is Ai to the accuracy of airy_ai.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0

@@ -114,10 +114,10 @@ def _run_main(tmp_path, text, *extra):
 
 
 class TestConfiguredKeys:
-    def test_det_eval_sweeps_r_over_configured_rs(self, tmp_path):
+    def test_det_eval_sweeps_r_from_grid(self, tmp_path):
         code, out = _run_main(
             tmp_path, "[run]\ncommand = det-eval\nquad_n = 48\ntolerance = 1e-6\n"
-            "[kernel]\nfamily = nw_fixed_point\nrs = 0.5\n"
+            "[kernel]\nfamily = nw_fixed_point\n"
             "[grid]\nr0 = -1.0\nhr = 1.0\nnr = 3\n")
         assert code == 0
         rows = np.genfromtxt(out / "det-eval.csv", delimiter=",", names=True)
@@ -278,6 +278,51 @@ class TestErrorContract:
             f"[kernel]\n{kernel}\n[grid]\n{key} = 0.5\n")
         err = self._assert_config_error(capsys, code)
         assert f"{command} does not read [grid] {key};" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kernel, key", [
+        ("cyl-kdv", "t = 3.0", "t"),
+        ("cyl-kdv", "family = flat_fixed_point", "family"),
+        ("det-eval", "rs = 0.5", "rs"),
+        ("det-eval", "r = 0.5", "r"),
+        ("det-eval", "x = 0.5\nxs = 0.5", "x"),
+        ("det-eval", "family = flat_fixed_point\nx = 0.5", "x"),
+        ("det-eval", "family = kpz_narrow_wedge\nwedges = 0:0", "wedges"),
+        ("det-eval", "spikes = 0.0", "spikes"),
+        ("tail-fit", "r = 0.5", "r"),
+        ("tail-fit", "family = flat_fixed_point\nrs = 0.5", "rs"),
+        ("matrix-kp", "xs = -0.3,0.4\nrs = 0.5,0.8\nwedges = 0:0", "wedges"),
+        ("matrix-kp", "xs = -0.3,0.4\nrs = 0.5,0.8\nspikes = 0.0", "spikes"),
+        ("matrix-kp", "xs = -0.3,0.4\nrs = 0.5,0.8\nanchor = 0.3", "anchor"),
+        ("matrix-kp", "family = nw_fixed_point\nxs = -0.3,0.4\nrs = 0.5,0.8", "family"),
+        ("kp-residual", "family = airy_process\nwedges = 0:0", "wedges"),
+        ("kp-residual", "family = kpz_narrow_wedge\nwedges = 0:0", "wedges"),
+        ("spiked-check", "spikes = 0.0\nr = 0.5", "r"),
+        ("spiked-check", "spikes = 0.0\nfamily = nw_fixed_point", "family"),
+        ("tw-table", "t = 1.0", "t"),
+        ("hirota-residual", "x = 0.2", "x"),
+        ("scattering-limit", "wedges = 0:0", "wedges"),
+        ("path-integral-check", "xs = -0.3,0.4", "xs"),
+        ("solve-kp", "family = nw_fixed_point", "family"),
+        ("bracket-check", "r = 0.5", "r"),
+    ])
+    def test_unread_kernel_key_exit_2(self, tmp_path, capsys, command, kernel, key):
+        code, out = _run_main(
+            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n[kernel]\n{kernel}\n")
+        err = self._assert_config_error(capsys, code)
+        # family names the one it takes where the command evaluates one family
+        assert (f"{command} does not read [kernel] {key}" in err
+                or f"{command} does not take family" in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["seed = abc", "quad_n = 64.7", "threads = 1.5",
+                                      "tolerance = tight"])
+    def test_non_numeric_run_value_exit_2(self, tmp_path, capsys, line):
+        # a non-integer seed, threads or quad_n is neither truncated nor a traceback
+        code, out = _run_main(tmp_path, f"[run]\ncommand = tw-table\n{line}\n")
+        err = self._assert_config_error(capsys, code)
+        assert err == f"config error: line 3: {line} is not " + (
+            "a number" if line.startswith("tolerance") else "an integer")
         assert not out.exists()
 
     def test_spiked_check_x_outside_light_cone_exit_2(self, tmp_path, capsys):

@@ -35,10 +35,9 @@ def nw_block(t, x, a, b, u, v, **kw):
     return build_block_kernel(spec).block(0, 0, u, v)
 
 
-def kpz_block(t, x, r, u, v, fermi_n=160, fermi_scale=6.0):
+def kpz_block(t, x, r, u, v):
     """KPZ narrow-wedge generating-function kernel on (u, v)."""
-    spec = KernelSpec("kpz_narrow_wedge", t, (x,), (r,),
-                      fermi_n=fermi_n, fermi_scale=fermi_scale)
+    spec = KernelSpec("kpz_narrow_wedge", t, (x,), (r,))
     return build_block_kernel(spec).block(0, 0, u, v)
 
 
@@ -342,7 +341,7 @@ class TestKPZNarrowWedge:
         t0, x0 = 1.0, 0.2
 
         def kf(t, x, uu, vv):
-            base = np.diagonal(kpz_block(t, x, 0.4, uu, vv, fermi_n=256))
+            base = np.diagonal(kpz_block(t, x, 0.4, uu, vv))
             return np.exp((vv - uu) * x / t) * base
 
         offs = np.array([-2, -1, 0, 1, 2]) * h
@@ -518,10 +517,12 @@ def test_spiked_sweep_matrix_matches_unfactored_sum():
 
 
 class TestQuadratureFailureGuard:
-    def test_starved_inner_rule_raises(self):
+    def test_starved_inner_rule_raises(self, monkeypatch):
+        from kpdet import kernels
         from kpdet.kernels import QuadratureFailure
+        monkeypatch.setattr(kernels, "INNER_SCALE", 0.05)
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (-3.0,), ((0.0, 0.0),),
-                          inner_n=8, inner_scale=0.05)
+                          inner_n=8)
         with pytest.raises(QuadratureFailure):
             multiwedge_block(spec, 0, 0, np.array([0.0]), np.array([0.0]))
 

@@ -253,7 +253,7 @@ class TestEvolveAndCompare:
             qp = q_prime(np.clip(s, hm24.left, hm24.right))
             phi = c * c * 0.5 * (qp - q * q)
             return np.broadcast_to(phi[None, :], (x.size, r.size)).copy()
-        rep = kpsolver.evolve_and_compare(builder, 1.0, 1.1, kdv=True)
+        rep = kpsolver.evolve_and_compare(builder, 1.0, 1.1)
         assert rep["sup_error"] < 5e-3
 
     def test_builder_called_once_per_time(self):
@@ -263,10 +263,10 @@ class TestEvolveAndCompare:
             calls.append(t)
             return np.exp(-r[None, :] ** 2) * np.ones((x.size, 1))
 
-        rep = kpsolver.evolve_and_compare(builder, 1.0, 1.01, n_r=64, n_x=8, dt=5e-3)
+        rep = kpsolver.evolve_and_compare(builder, 1.0, 1.01)
         assert calls == [1.0, 1.01]
-        assert (rep["n_x"], rep["n_r"], rep["n_steps"]) == (8, 64, 2)
-        assert rep["dt"] == (1.01 - 1.0) / 2
+        assert (rep["n_x"], rep["n_r"], rep["n_steps"]) == (64, 512, 5)
+        assert rep["dt"] == (1.01 - 1.0) / 5
 
     def test_horizon_guard(self, hm_wide):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -113,3 +114,50 @@ class TestLogGamma:
             specfun.log_gamma(0.0)
         with pytest.raises(specfun.GammaPoleError):
             specfun.log_gamma(-3.0 + 1e-15j)
+
+
+def _mp_map(fn, points):
+    """fn at each point at 30 significant digits, rounded to complex."""
+    with mp.workdps(30):
+        return np.array([complex(fn(mp.mpc(complex(p)))) for p in points])
+
+
+class TestMpmathOracles:
+    """30-digit mpmath references, sharing no code with specfun or scipy,
+    held to the bounds the docstrings state."""
+
+    X_CORE = np.linspace(-12.0, 12.0, 241)
+
+    def test_airy_ai(self):
+        ref = _mp_map(mp.airyai, self.X_CORE).real
+        assert np.max(np.abs(specfun.airy_ai(self.X_CORE) - ref)) < 1e-13
+
+    def test_airy_ai_prime(self):
+        ref = _mp_map(lambda x: mp.airyai(x, derivative=1), self.X_CORE).real
+        assert np.max(np.abs(specfun.airy_ai_prime(self.X_CORE) - ref)) < 1e-13
+
+    def test_airy_ai_log_abs(self):
+        # x >= 0 out to the far Nystrom nodes, where Ai underflows
+        x = np.concatenate([np.linspace(0.0, 12.0, 49), np.geomspace(12.0, 1e6, 60)])
+        ref = _mp_map(lambda v: mp.log(mp.airyai(v.real)), x).real
+        la, sg = specfun.airy_ai_log_abs(x)
+        assert np.all(sg == 1.0)
+        assert np.max(np.abs(la - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
+        # x < 0: the sign and the modulus give back Ai
+        neg = self.X_CORE[self.X_CORE < 0]
+        la, sg = specfun.airy_ai_log_abs(neg)
+        ref = _mp_map(mp.airyai, neg).real
+        assert np.all(sg == np.sign(ref))
+        assert np.max(np.abs(sg * np.exp(la) - ref)) < 1e-13
+
+    def test_log_gamma_strip(self):
+        # Re z in [-10, 10], |Im z| <= 50: both edges in Im, just off the
+        # branch cut, random interior points and the positive real axis
+        re = np.linspace(-9.95, 9.95, 100)
+        rng = np.random.default_rng(11)
+        z = np.concatenate([re + 1e-3j, re - 1e-3j, re + 50j, re - 50j,
+                            rng.uniform(-10, 10, 200) + 1j * rng.uniform(-50, 50, 200),
+                            np.linspace(0.05, 10.0, 40) + 0j])
+        ref = _mp_map(mp.loggamma, z)
+        rel = np.abs(specfun.log_gamma(z) - ref) / np.maximum(np.abs(ref), 1.0)
+        assert np.max(rel) < 1e-12
