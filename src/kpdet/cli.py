@@ -5,21 +5,24 @@ Config format: plain ``key = value`` lines under ``[section]`` headers.
 Sections: [run] (command, out, seed, tolerance, threads, quad_n),
 [kernel] (family, t, x/xs, r/rs, wedges "a:b,a:b", spikes, anchor),
 [grid] (the lattice keys of the command: t0, x0, r0, ht, hx, hy, hr, ha,
-h, nt, nx, nr, r_min, r_max, r_step).  seed, threads and quad_n are
-integers and tolerance a number.  A [run] key not listed here, or a
-[kernel] or [grid] key the command does not read, is a config error, so no
-key is silently ignored.
+h, nt, nx, nr, r_min, r_max, r_step).  ``_KINDS`` gives each key the one
+kind its value is parsed by: integer, number (finite or positive where
+the key needs it), string, number list or list of a:b pairs.
+A key outside its section's table, a value not of its key's kind, or a
+[kernel] or [grid] key the command does not read is a config error, so
+no key is silently ignored.
 
 ``COMMANDS`` maps each command name to a private function of the config
 that returns its CSV header and rows, its report entries, ``worst`` (the
 number held against the tolerance) and the Nystrom size ``quad_n`` it
 used; ``run`` then writes the CSV and the JSON report.  Exit codes: 0
 pass, 1 ``worst`` above tolerance, 2 usage/config error (including
-parameters outside a kernel's domain) or numerical failure (an unresolved
-quadrature tail, a singular or non-finite operator); nothing is written
-when a run exits 2.  The JSON report records the ``quad_n`` actually used
-(null for commands that assemble no determinant).  Non-finite floats in
-the JSON report are written as the strings "inf", "-inf" and "nan".
+parameters outside a computation's domain, ``kpdet.DomainError``) or
+numerical failure (an unresolved quadrature tail, a singular or
+non-finite operator); nothing is written when a run exits 2.  The JSON
+report records the ``quad_n`` actually used (null for commands that
+assemble no determinant).  Non-finite floats in the JSON report are
+written as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -30,28 +33,74 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fields, fredholm, kpsolver, painleve, residuals, scattering
+from . import DomainError, fields, fredholm, kpsolver, painleve, residuals, scattering
 from .fredholm import SingularOperatorError
-from .kernels import KernelDomainError, KernelSpec, QuadratureFailure
+from .kernels import KernelSpec, QuadratureFailure
 from .residuals import GridField
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "main"]
 
-_RUN_KEYS = ("command", "out", "seed", "tolerance", "threads", "quad_n")
 
-# [kernel] keys the kernel of each family reads besides family; x / xs and
-# r / rs place its points
+def _checked(cast, ok):
+    """cast, raising ValueError where ok(value) fails."""
+    def parse(raw):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+    return parse
+
+
+_finite = _checked(float, math.isfinite)
+
+
+def _pair(raw):
+    a, b = raw.split(":")
+    return _finite(a), _finite(b)
+
+
+# the kinds of config value, as (name, parse, format); parse raises
+# ValueError on a value not of the kind
+_INT = ("an integer", int, str)
+_COUNT = ("a positive integer", _checked(int, lambda v: v > 0), str)
+_NUM = ("a number", _checked(float, lambda v: not math.isnan(v)), repr)
+_FINITE = ("a finite number", _finite, repr)
+_STEP = ("a positive number", _checked(float, lambda v: 0 < v < math.inf), repr)
+_STR = ("a string", str, str)
+_NUMS = ("a list of numbers", lambda raw: tuple(map(_finite, raw.split(","))),
+         lambda v: ",".join(map(repr, v)))
+_PAIRS = ("a list of a:b pairs", lambda raw: tuple(map(_pair, raw.split(","))),
+          lambda v: ",".join(f"{a!r}:{b!r}" for a, b in v))
+
+# section -> key -> kind: every key a config can set
+_KINDS = {
+    "run": {"command": _STR, "out": _STR, "seed": _INT, "tolerance": _NUM,
+            "threads": _INT, "quad_n": _INT},
+    "kernel": {"family": _STR, "t": _FINITE, "x": _FINITE, "xs": _NUMS, "r": _FINITE,
+               "rs": _NUMS, "wedges": _PAIRS, "spikes": _NUMS, "anchor": _FINITE},
+    "grid": {"t0": _FINITE, "x0": _FINITE, "r0": _FINITE, "ht": _STEP, "hx": _STEP,
+             "hy": _STEP, "hr": _STEP, "ha": _STEP, "h": _STEP, "nt": _COUNT,
+             "nx": _COUNT, "nr": _COUNT, "r_min": _FINITE, "r_max": _FINITE,
+             "r_step": _STEP},
+}
+
+# [kernel] keys each family reads besides family; x / xs and r / rs place
+# its points
 _FAMILY_KEYS = {
     "nw_fixed_point": ("t", "x", "xs", "r", "rs", "wedges"),
     "flat_fixed_point": ("t", "r", "rs"),
     "multiwedge_extended": ("t", "x", "xs", "r", "rs", "wedges"),
     "kpz_narrow_wedge": ("t", "x", "xs", "r", "rs"),
     "kpz_spiked": ("t", "x", "xs", "r", "rs", "spikes", "anchor"),
+    # kp-residual only: the two-point distribution on its (t, y, a) lattice
+    "airy_process": ("xs", "rs"),
 }
+# the families with a KernelSpec, which det-eval and tail-fit evaluate
+_SPEC_FAMILIES = tuple(f for f in _FAMILY_KEYS if f != "airy_process")
 
 
 class ConfigError(ValueError):
@@ -70,49 +119,19 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = ["[run]",
-                 f"command = {self.command}",
-                 f"out = {self.out}",
-                 f"seed = {self.seed}",
-                 f"tolerance = {self.tolerance!r}",
-                 f"threads = {self.threads}"]
-        if self.quad_n is not None:
-            lines.append(f"quad_n = {self.quad_n}")
-        for name, sect in (("kernel", self.kernel), ("grid", self.grid)):
+        run = {key: getattr(self, key) for key in _KINDS["run"]
+               if getattr(self, key) is not None}
+        lines = []
+        for name, sect in (("run", run), ("kernel", self.kernel), ("grid", self.grid)):
             if sect:
                 lines.append(f"[{name}]")
-                lines.extend(f"{k} = {_fmt(v)}" for k, v in sect.items())
+                lines.extend(f"{k} = {_KINDS[name][k][2](v)}" for k, v in sect.items())
         return "\n".join(lines) + "\n"
-
-
-def _fmt(v):
-    if isinstance(v, (list, tuple)):
-        return ",".join(_fmt(x) for x in v)
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if "," in raw or ":" in raw:
-        parts = [p for p in raw.split(",") if p.strip()]
-        out = []
-        for p in parts:
-            if ":" in p:
-                out.append(tuple(float(q) for q in p.split(":")))
-            else:
-                out.append(_parse_value(p))
-        return tuple(out)
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
 
 
 def parse_config(text: str) -> ExperimentConfig:
     section = None
-    data: dict = {"run": {}, "kernel": {}, "grid": {}}
+    data: dict = {name: {} for name in _KINDS}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -127,33 +146,21 @@ def parse_config(text: str) -> ExperimentConfig:
         if section is None:
             raise ConfigError(f"line {ln}: key outside any section")
         key, raw = (part.strip() for part in line.split("=", 1))
-        value = _parse_value(raw)
-        if section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"line {ln}: [run] has no key {key!r}; its keys are "
-                                  + ", ".join(_RUN_KEYS))
-            if key in ("seed", "threads", "quad_n") and not isinstance(value, int):
-                raise ConfigError(f"line {ln}: {key} = {raw} is not an integer")
-            if key == "tolerance" and not isinstance(value, (int, float)):
-                raise ConfigError(f"line {ln}: tolerance = {raw} is not a number")
-        data[section][key] = value
+        kinds = _KINDS[section]
+        if key not in kinds:
+            raise ConfigError(f"line {ln}: [{section}] has no key {key!r}; its keys are "
+                              + ", ".join(kinds))
+        try:
+            data[section][key] = kinds[key][1](raw)
+        except ValueError:
+            raise ConfigError(f"line {ln}: {key} = {raw} is not {kinds[key][0]}") from None
     run = data["run"]
     if "command" not in run:
         raise ConfigError("missing command in [run]")
-    cmd = str(run["command"])
-    if cmd not in COMMANDS:
-        raise ConfigError(f"unknown command {cmd!r}; the commands are "
+    if run["command"] not in COMMANDS:
+        raise ConfigError(f"unknown command {run['command']!r}; the commands are "
                           + ", ".join(COMMANDS))
-    return ExperimentConfig(
-        command=cmd,
-        out=str(run.get("out", ".")),
-        seed=run.get("seed", 0),
-        tolerance=float(run.get("tolerance", float("inf"))),
-        threads=run.get("threads", 0),
-        quad_n=run.get("quad_n"),
-        kernel=data["kernel"],
-        grid=data["grid"],
-    )
+    return ExperimentConfig(**run, kernel=data["kernel"], grid=data["grid"])
 
 
 def _write_csv(path, header, rows):
@@ -167,72 +174,46 @@ def _write_csv(path, header, rows):
 
 def _shape_kwargs(k: dict) -> dict:
     """KernelSpec keywords of a [kernel] section other than t, xs and rs."""
-    wedges = k.get("wedges", ((0.0, 0.0),))
-    if wedges and not isinstance(wedges[0], tuple):
-        wedges = (tuple(wedges),)
-    kw = {"wedges": tuple(tuple(w) for w in wedges)}
-    if "spikes" in k:
-        kw["spikes"] = tuple(np.atleast_1d(k["spikes"]).astype(float))
-    if "anchor" in k:
-        kw["contour_anchor"] = float(k["anchor"])
-    return kw
+    return {name: k[key] for key, name in (("wedges", "wedges"), ("spikes", "spikes"),
+                                           ("anchor", "contour_anchor")) if key in k}
 
 
-def _kernel_spec(cfg: ExperimentConfig, **overrides) -> KernelSpec:
-    k = dict(cfg.kernel)
-    # an x / r override replaces the configured xs / rs as well
-    for one, many in (("x", "xs"), ("r", "rs")):
-        if one in overrides:
-            k.pop(many, None)
-    k.update(overrides)
-    family = str(k.get("family", "nw_fixed_point"))
-    xs = k.get("xs", k.get("x", 0.0))
-    rs = k.get("rs", k.get("r", 0.0))
-    xs = tuple(np.atleast_1d(xs).astype(float))
-    rs = tuple(np.atleast_1d(rs).astype(float))
-    return KernelSpec(family, float(k.get("t", 1.0)), xs, rs, **_shape_kwargs(k))
-
-
-def _family_keys(cfg, families, placed):
-    """family and the [kernel] keys its kernel reads, less those placed.
-
-    families lists the families the command evaluates, the first being its
-    default; placed lists the keys the command sets itself.
-    """
-    family = str(cfg.kernel.get("family", families[0]))
-    if family not in families:
-        raise ConfigError(f"{cfg.command} does not take family {family!r}; it takes "
-                          + ", ".join(families))
-    return ("family", *(key for key in _FAMILY_KEYS[family] if key not in placed))
-
-
-def _check_kernel(cfg, reads):
-    """Raise ConfigError for a [kernel] key the command does not read.
-
-    reads lists the keys it reads; x and r are not read where xs and rs
-    are set, which replace them.  Called before the command computes or
-    writes anything, like _grid_params.
-    """
+def _kernel_spec(cfg: ExperimentConfig, r: float) -> KernelSpec:
+    """The one-point spec of the [kernel] section at level r."""
     k = cfg.kernel
-    reads = [key for key in reads
-             if not (key in ("x", "r") and key + "s" in k and key + "s" in reads)]
-    unread = [key for key in k if key not in reads]
-    if unread:
-        raise ConfigError(f"{cfg.command} does not read [kernel] {', '.join(unread)}; "
-                          f"it reads {', '.join(reads) or 'no [kernel] keys'}")
+    return KernelSpec(k.get("family", "nw_fixed_point"), k.get("t", 1.0),
+                      k.get("xs", (k.get("x", 0.0),)), (r,), **_shape_kwargs(k))
 
 
-def _grid_params(cfg, defaults):
+def _checked_grid(cfg, defaults, families, placed):
     """The command's [grid] defaults overridden by the config's [grid].
 
-    defaults lists every [grid] key the command reads; any other key is a
-    ConfigError, raised before the command computes or writes anything.
+    Raises ConfigError, before anything is computed, for a key the command
+    does not read: a [grid] key not in defaults, a family not in families
+    (its default first; none: no [kernel] key is read), or a [kernel] key
+    not in the family's _FAMILY_KEYS, in placed (which maps each key the
+    command places itself to the key to set instead, or None), or x / r
+    where xs / rs is set.
     """
-    unread = [key for key in cfg.grid if key not in defaults]
-    if unread:
-        reads = ", ".join(defaults) if defaults else "no [grid] keys"
-        raise ConfigError(f"{cfg.command} does not read [grid] {', '.join(unread)}; "
-                          f"it reads {reads}")
+    k, reads = cfg.kernel, ()
+    if families:
+        family = k.get("family", families[0])
+        if family not in families:
+            raise ConfigError(f"{cfg.command} does not take family {family!r}; "
+                              "it takes " + ", ".join(families))
+        reads = [key for key in _FAMILY_KEYS[family] if key not in placed]
+        reads = ["family", *(key for key in reads
+                             if not (key in ("x", "r") and key + "s" in k
+                                     and key + "s" in reads))]
+    for key in k:
+        if placed.get(key):
+            raise ConfigError(f"{cfg.command} does not read [kernel] {key}; "
+                              f"set {placed[key]} instead")
+    for sect, keys in (("kernel", reads), ("grid", defaults)):
+        unread = [key for key in getattr(cfg, sect) if key not in keys]
+        if unread:
+            raise ConfigError(f"{cfg.command} does not read [{sect}] {', '.join(unread)}; "
+                              f"it reads {', '.join(keys) or f'no [{sect}] keys'}")
     return {**defaults, **cfg.grid}
 
 
@@ -242,14 +223,14 @@ def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
 
 
 def _field_from_cfg(cfg: ExperimentConfig) -> GridField:
-    g = _grid_params(cfg, {"t0": 0.98, "x0": 0.18, "r0": 0.44,
-                           "ht": 0.02, "hx": 0.02, "hr": 0.02,
-                           "nt": 3, "nx": 3, "nr": 7})
-    family = str(cfg.kernel.get("family", "nw_fixed_point"))
-    return fields.det_field(family, g["t0"], g["x0"], g["r0"],
-                            g["ht"], g["hx"], g["hr"],
-                            (int(g["nt"]), int(g["nx"]), int(g["nr"])),
-                            n_quad=_quad_n(cfg),
+    """kp-residual's log F field of a one-point family, on its [grid] lattice."""
+    g = _checked_grid(cfg, {"t0": 0.98, "x0": 0.18, "r0": 0.44, "ht": 0.02, "hx": 0.02,
+                            "hr": 0.02, "nt": 3, "nx": 3, "nr": 7}, tuple(_FAMILY_KEYS),
+                      {"t": "[grid] t0", "x": "[grid] x0", "xs": "[grid] x0",
+                       "r": "[grid] r0", "rs": "[grid] r0"})
+    return fields.det_field(cfg.kernel.get("family", "nw_fixed_point"),
+                            g["t0"], g["x0"], g["r0"], g["ht"], g["hx"], g["hr"],
+                            (g["nt"], g["nx"], g["nr"]), n_quad=_quad_n(cfg),
                             spec_kw=_shape_kwargs(cfg.kernel))
 
 
@@ -270,8 +251,7 @@ def _term_table(rep):
 
 
 def _tw_table(cfg):
-    _check_kernel(cfg, ())
-    g = _grid_params(cfg, {"r_min": -6.0, "r_max": 4.0, "r_step": 0.1})
+    g = _checked_grid(cfg, {"r_min": -6.0, "r_max": 4.0, "r_step": 0.1}, (), {})
     hm = painleve.hastings_mcleod()
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
     fgue = painleve.f_gue(r, hm)
@@ -284,24 +264,25 @@ def _tw_table(cfg):
 
 
 def _det_eval(cfg):
-    _check_kernel(cfg, _family_keys(cfg, tuple(_FAMILY_KEYS), ("r", "rs")))
-    g = _grid_params(cfg, {"r0": -2.0, "hr": 0.5, "nr": 9})
-    rvals = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
-    spec0 = _kernel_spec(cfg)
-    quad_n = _quad_n(cfg)
-    with ThreadPoolExecutor(max_workers=cfg.threads or (os.cpu_count() or 1)) as ex:
-        dets = fields.sweep([_kernel_spec(cfg, r=float(rv)) for rv in rvals],
-                            quad_n, fredholm.det_one_minus, ex.map).tolist()
-    report = {"values": dets}
-    # the similarity families carry a Painleve reference for comparison
+    g = _checked_grid(cfg, {"r0": -2.0, "hr": 0.5, "nr": 9}, _SPEC_FAMILIES,
+                      {"r": "[grid] r0", "rs": "[grid] r0"})
+    rvals = g["r0"] + g["hr"] * np.arange(g["nr"])
+    specs = [_kernel_spec(cfg, rv) for rv in rvals.tolist()]
+    spec0 = specs[0]
+    # the similarity families carry a Painleve reference for comparison,
+    # taken first so that an r outside its interval computes nothing
+    refs = None
     if spec0.family == "nw_fixed_point" and spec0.wedges == ((0.0, 0.0),):
         x = spec0.xs[0]
-        s = (rvals / np.cbrt(spec0.t)
-             + x * x / np.cbrt(spec0.t ** 4))
+        s = rvals / np.cbrt(spec0.t) + x * x / np.cbrt(spec0.t ** 4)
         refs = painleve.f_gue(s, painleve.hastings_mcleod())
     elif spec0.family == "flat_fixed_point":
         refs = painleve.f_goe(np.cbrt(4.0 / spec0.t) * rvals, painleve.hastings_mcleod())
-    else:
+    quad_n = _quad_n(cfg)
+    with ThreadPoolExecutor(max_workers=cfg.threads or (os.cpu_count() or 1)) as ex:
+        dets = fields.sweep(specs, quad_n, fredholm.det_one_minus, ex.map).tolist()
+    report = {"values": dets}
+    if refs is None:
         worst = 0.0 if all(0.0 <= d <= 1.0 + 1e-9 for d in dets) else 1.0
         return ["r", "det"], list(zip(rvals.tolist(), dets)), report, worst, quad_n
     errs = np.abs(np.asarray(dets) - refs)
@@ -312,15 +293,14 @@ def _det_eval(cfg):
 
 
 def _hirota_residual(cfg):
-    _check_kernel(cfg, ())
-    g = _grid_params(cfg, {"t0": 1.0, "x0": 0.2, "r0": 0.5, "h": 0.02})
+    g = _checked_grid(cfg, {"t0": 1.0, "x0": 0.2, "r0": 0.5, "h": 0.02}, (), {})
     hm = painleve.hastings_mcleod()
 
     def at(h):
         fld = fields.similarity_gue_field(
             hm, g["t0"] - 2 * h, g["x0"] - 2 * h, g["r0"] - 3 * h,
             h, h, h, (5, 5, 7))
-        return residuals.hirota_residual(fld)
+        return residuals.hirota_residual(replace(fld, values=np.exp(fld.values)))
     rep = at(g["h"])
     ratio = rep.normalized_sup / max(at(g["h"] / 2.0).normalized_sup, 1e-300)
     worst = rep.normalized_sup if ratio >= 3.0 else float("inf")
@@ -329,23 +309,14 @@ def _hirota_residual(cfg):
 
 def _kp_residual(cfg):
     quad_n = _quad_n(cfg)
-    family = str(cfg.kernel.get("family", "nw_fixed_point"))
     # the lattice is placed by [grid]; a kernel point would be ignored
-    if family == "airy_process":
-        placed_by = {"t": "[grid] t0", "x": "[kernel] xs", "r": "[kernel] rs"}
-    else:
-        placed_by = {"t": "[grid] t0", "x": "[grid] x0", "r": "[grid] r0",
-                     "xs": "[grid] x0", "rs": "[grid] r0"}
-    for key, use in placed_by.items():
-        if key in cfg.kernel:
-            raise ConfigError(f"kp-residual does not read [kernel] {key}; "
-                              f"set {use} instead")
-    if family == "airy_process":
-        _check_kernel(cfg, ("family", "xs", "rs"))
+    if cfg.kernel.get("family") == "airy_process":
         # two-point distribution as a function of (t, y, a)
-        g = _grid_params(cfg, {"t0": 0.98, "ht": 0.02, "hy": 0.02, "ha": 0.02})
-        xs = tuple(np.atleast_1d(cfg.kernel.get("xs", (-0.3, 0.4))).astype(float))
-        rs = tuple(np.atleast_1d(cfg.kernel.get("rs", (0.5, 0.8))).astype(float))
+        g = _checked_grid(cfg, {"t0": 0.98, "ht": 0.02, "hy": 0.02, "ha": 0.02},
+                          tuple(_FAMILY_KEYS),
+                          {"t": "[grid] t0", "x": "[kernel] xs", "r": "[kernel] rs"})
+        xs = cfg.kernel.get("xs", (-0.3, 0.4))
+        rs = cfg.kernel.get("rs", (0.5, 0.8))
         specs = [fields.airy_two_point_spec(g["t0"] + g["ht"] * i, xs, rs,
                                             (j - 1) * g["hy"], (k - 3) * g["ha"])
                  for i in range(3) for j in range(3) for k in range(7)]
@@ -353,19 +324,19 @@ def _kp_residual(cfg):
         fld = GridField(g["t0"], -g["hy"], -3 * g["ha"],
                         g["ht"], g["hy"], g["ha"], vals)
     else:
-        _check_kernel(cfg, _family_keys(cfg, tuple(_FAMILY_KEYS), tuple(placed_by)))
         fld = _field_from_cfg(cfg)
     rep = residuals.kp_scalar_residual(fld)
     return (*_term_table(rep), rep.to_dict(), rep.normalized_sup, quad_n)
 
 
 def _matrix_kp(cfg):
-    _check_kernel(cfg, _family_keys(cfg, ("multiwedge_extended",), ("wedges",)))
-    g = _grid_params(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02})
+    g = _checked_grid(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02},
+                      ("multiwedge_extended",), {"wedges": None})
     ht, hy, ha = g["ht"], g["hy"], g["ha"]
-    spec = _kernel_spec(cfg)
+    k = cfg.kernel
     quad_n = _quad_n(cfg)
-    q_big = fields.q_stencil(spec.t - ht, spec.xs, spec.rs, ht, hy, ha,
+    q_big = fields.q_stencil(k.get("t", 1.0) - ht, k.get("xs", (k.get("x", 0.0),)),
+                             k.get("rs", (k.get("r", 0.0),)), ht, hy, ha,
                              (3, 5, 9), n_quad=quad_n)
     qf = (q_big[:, :, 2:] - q_big[:, :, :-2]) / (2 * ha)
     rep = residuals.matrix_kp_residual(qf, q_big[:, :, 1:-1], ht, hy, ha)
@@ -380,12 +351,13 @@ def _matrix_kp(cfg):
 
 
 def _cyl_kdv(cfg):
-    _check_kernel(cfg, _family_keys(cfg, ("kpz_narrow_wedge",), ("t", "x", "xs", "r", "rs")))
-    g = _grid_params(cfg, {"t0": 0.98, "r0": 0.88, "ht": 0.02,
-                           "hr": 0.02, "nt": 3, "nr": 13})
+    g = _checked_grid(cfg, {"t0": 0.98, "r0": 0.88, "ht": 0.02,
+                            "hr": 0.02, "nt": 3, "nr": 13},
+                      ("kpz_narrow_wedge",), {"t": "[grid] t0", "x": None, "xs": None,
+                                              "r": "[grid] r0", "rs": "[grid] r0"})
     quad_n = _quad_n(cfg)
-    tg = g["t0"] + g["ht"] * np.arange(int(g["nt"]))
-    rg = g["r0"] + g["hr"] * np.arange(int(g["nr"]))
+    tg = g["t0"] + g["ht"] * np.arange(g["nt"])
+    rg = g["r0"] + g["hr"] * np.arange(g["nr"])
     shift = np.log(np.sqrt(np.pi))
     specs = [KernelSpec("kpz_narrow_wedge", float(t), (0.0,),
                         (float(r - np.log(np.sqrt(np.pi * t))),))
@@ -404,14 +376,14 @@ def _cyl_kdv(cfg):
 
 
 def _tail_fit(cfg):
-    _check_kernel(cfg, _family_keys(cfg, tuple(_FAMILY_KEYS), ("r", "rs")))
-    g = _grid_params(cfg, {"r_min": -7.0, "r_max": -5.0, "r_step": 0.25})
+    g = _checked_grid(cfg, {"r_min": -7.0, "r_max": -5.0, "r_step": 0.25},
+                      _SPEC_FAMILIES, {"r": "[grid] r_min", "rs": "[grid] r_min"})
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
-    spec0 = _kernel_spec(cfg)
     quad_n = _quad_n(cfg, 96)
-    lf = fields.sweep([_kernel_spec(cfg, r=float(rv)) for rv in r], quad_n)
+    lf = fields.sweep([_kernel_spec(cfg, rv) for rv in r.tolist()], quad_n)
     slope, r2 = residuals.tail_slope_fit(r, lf)
-    expect = 1.0 / 6.0 if spec0.family == "flat_fixed_point" else 1.0 / 12.0
+    flat = cfg.kernel.get("family") == "flat_fixed_point"
+    expect = 1.0 / 6.0 if flat else 1.0 / 12.0
     rel_dev = abs(slope / expect - 1.0)
     return (["r", "log_f"], list(zip(r.tolist(), lf.tolist())),
             {"slope": slope, "r2": r2, "expected": expect, "rel_dev": rel_dev},
@@ -419,8 +391,7 @@ def _tail_fit(cfg):
 
 
 def _scattering_limit(cfg):
-    _check_kernel(cfg, ())
-    _grid_params(cfg, {})
+    _checked_grid(cfg, {}, (), {})
     quad_n = _quad_n(cfg)
     cfgw = scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
     rows = scattering.rk_limit_check(cfgw, (0.1, 0.05, 0.02, 0.01),
@@ -445,8 +416,7 @@ def _scattering_limit(cfg):
 
 
 def _path_integral_check(cfg):
-    _check_kernel(cfg, ())
-    _grid_params(cfg, {})
+    _checked_grid(cfg, {}, (), {})
     quad_n = _quad_n(cfg)
     rows = []
     for xs, rs, t in [((-0.3, 0.4), (0.5, 0.8), 1.0),
@@ -462,8 +432,7 @@ def _path_integral_check(cfg):
 
 
 def _solve_kp(cfg):
-    _check_kernel(cfg, ())
-    _grid_params(cfg, {})
+    _checked_grid(cfg, {}, (), {})
     # line-soliton accuracy plus the determinant-field closure test
     c, big_t, dt, n_r, n_x = 0.5, 2.0, 5e-3, 512, 4
     n_steps = int(big_t / dt)
@@ -497,8 +466,7 @@ def _gaussian(d_u=False, d_v=False):
 
 
 def _bracket_check(cfg):
-    _check_kernel(cfg, ())
-    _grid_params(cfg, {})
+    _checked_grid(cfg, {}, (), {})
     quad_n = _quad_n(cfg, 96)
     res = fredholm.boundary_bracket_product_check(
         [[_gaussian()]], [[_gaussian(d_v=True)]], [[_gaussian()]],
@@ -507,12 +475,10 @@ def _bracket_check(cfg):
 
 
 def _spiked_check(cfg):
-    _check_kernel(cfg, _family_keys(cfg, ("kpz_spiked",), ("xs", "r", "rs")))
-    _grid_params(cfg, {})
+    _checked_grid(cfg, {}, ("kpz_spiked",), {"xs": "[kernel] x", "r": None, "rs": None})
     k = cfg.kernel
-    t, x = float(k.get("t", 1.0)), float(k.get("x", 0.0))
-    anchor = float(k.get("anchor", 0.25))
-    spikes = tuple(np.atleast_1d(k.get("spikes", (0.0,))).astype(float))
+    t, x = k.get("t", 1.0), k.get("x", 0.0)
+    anchor, spikes = k.get("anchor", 0.25), k.get("spikes", (0.0,))
     quad_n = _quad_n(cfg)
     d0, d1, d0_moved = fields.sweep(
         [KernelSpec("kpz_spiked", t, (x,), (r,), spikes=spikes,
@@ -555,9 +521,10 @@ def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
     Raises ConfigError for quad_n outside [8, 512], threads < 0, or a
-    [kernel] or [grid] key the command does not read, KernelDomainError
-    for kernel parameters outside their domain, and QuadratureFailure,
-    SingularOperatorError or FloatingPointError when the numerics fail.
+    [kernel] or [grid] key the command does not read, DomainError for
+    parameters outside a computation's domain, and QuadratureFailure,
+    SingularOperatorError or an ArithmeticError (a non-finite operator, a
+    division by zero, an overflow) when the numerics fail.
     Nothing is written unless the command completes.
     """
     if cfg.quad_n is not None and not 8 <= cfg.quad_n <= 512:
@@ -595,20 +562,15 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg.out = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.quad_n is not None:
-        cfg.quad_n = args.quad_n
-    if args.tolerance is not None:
-        cfg.tolerance = args.tolerance
+    for key in ("out", "threads", "quad_n", "tolerance"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     try:
         code, paths = run(cfg)
-    except (ConfigError, KernelDomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureFailure, SingularOperatorError, FloatingPointError) as exc:
+    except (QuadratureFailure, SingularOperatorError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     status = "pass" if code == 0 else "FAIL"

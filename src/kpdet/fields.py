@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import DomainError
 from .fredholm import assemble, boundary_resolvent, log_det_one_minus
 from .kernels import KernelSpec, SpikedRules, build_block_kernel
 from .painleve import HMSolution, log_f_gue
@@ -72,15 +73,19 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     return np.array(out)
 
 
-def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims,
-                         log: bool = False) -> GridField:
-    """F(t,x,r) = F_GUE(t^(-1/3) r + t^(-4/3) x^2) on the lattice."""
+def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims) -> GridField:
+    """log F on the lattice, F(t,x,r) = F_GUE(t^(-1/3) r + t^(-4/3) x^2).
+
+    Raises DomainError unless t0 > 0.
+    """
+    if not t0 > 0:
+        raise DomainError(f"the similarity field needs t > 0, not t = {t0}")
     t = _lattice(t0, ht, dims[0])[:, None, None]
     x = _lattice(x0, hx, dims[1])[None, :, None]
     r = _lattice(r0, hr, dims[2])[None, None, :]
     s = r / np.cbrt(t) + x * x / np.cbrt(t ** 4)
     lf = log_f_gue(s.ravel(), hm).reshape(s.shape)
-    return GridField(t0, x0, r0, ht, hx, hr, lf if log else np.exp(lf))
+    return GridField(t0, x0, r0, ht, hx, hr, lf)
 
 
 def det_field(family: str, t0, x0, r0, ht, hx, hr, dims, n_quad: int = 64,

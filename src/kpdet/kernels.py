@@ -36,6 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import DomainError
 from .quadrature import (
     gauss_legendre,
     map_half_line_down,
@@ -58,7 +59,7 @@ __all__ = [
     "build_block_kernel",
 ]
 
-class KernelDomainError(ValueError):
+class KernelDomainError(DomainError):
     """Parameter outside a kernel's domain (t <= 0, bad anchors, ...)."""
 
 

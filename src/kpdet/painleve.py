@@ -24,6 +24,7 @@ import numpy as np
 from scipy.interpolate import InterpolatedUnivariateSpline
 from scipy.linalg import solve_banded
 
+from . import DomainError
 from .quadrature import gauss_legendre, map_half_line
 from .specfun import airy_ai, airy_ai_prime
 
@@ -47,7 +48,7 @@ class NewtonConvergenceError(RuntimeError):
         self.trace = trace
 
 
-class OutOfGridError(ValueError):
+class OutOfGridError(DomainError):
     """Evaluation point outside the solved interval."""
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "GridField",
     "ResidualReport",
@@ -26,11 +28,11 @@ __all__ = [
 ]
 
 
-class StencilError(ValueError):
+class StencilError(DomainError):
     """Grid too small for the requested finite-difference stencils."""
 
 
-class InsufficientRangeError(ValueError):
+class InsufficientRangeError(DomainError):
     """Tail fit requires data reaching deep into the left tail."""
 
 
@@ -241,7 +243,7 @@ def cylindrical_kdv_residual(fld: GridField) -> ResidualReport:
     if G.shape[0] < 3 or G.shape[2] < 7:
         raise StencilError("cylindrical KdV needs dims >= (3, 1, 7)")
     if fld.t0 - fld.ht < 0.5 - 1e-9:
-        raise ValueError("t must stay >= 0.5")
+        raise DomainError("t must stay >= 0.5")
     ht, hr = fld.ht, fld.hr
     mt, mr = 1, 3
 
@@ -266,7 +268,7 @@ def tail_slope_fit(r: np.ndarray, log_f: np.ndarray):
     Returns (slope, r2).
     """
     r = np.asarray(r, dtype=float)
-    if np.min(r) > -5.0:
+    if not np.any(r <= -5.0):
         raise InsufficientRangeError("tail fit needs r reaching -5")
     depth = np.min(r) + 0.3 * (np.max(r) - np.min(r))
     mask = r <= depth

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpdet import cli, fields, fredholm
 from kpdet.kernels import KernelSpec, QuadratureFailure
@@ -17,6 +22,21 @@ r_min = -6.0
 r_max = 4.0
 r_step = 0.1
 """
+
+
+# a value of each kind of config key, in the form to_text writes it back
+WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1)
+NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+STEP = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NUMBERS = st.lists(NUMBER, min_size=1, max_size=4).map(tuple)
+KERNEL_VALUES = {
+    "family": WORDS, "t": NUMBER, "x": NUMBER, "xs": NUMBERS, "r": NUMBER, "rs": NUMBERS,
+    "wedges": st.lists(st.tuples(NUMBER, NUMBER), min_size=1, max_size=3).map(tuple),
+    "spikes": NUMBERS, "anchor": NUMBER}
+GRID_VALUES = {
+    **dict.fromkeys(("t0", "x0", "r0", "r_min", "r_max"), NUMBER),
+    **dict.fromkeys(("ht", "hx", "hy", "hr", "ha", "h", "r_step"), STEP),
+    **dict.fromkeys(("nt", "nx", "nr"), st.integers(min_value=1))}
 
 
 class TestConfigParsing:
@@ -37,6 +57,18 @@ class TestConfigParsing:
     def test_unset_threads_and_quad_n_defaults(self):
         cfg = cli.parse_config("[run]\ncommand = tw-table\n")
         assert cfg.threads == 0 and cfg.quad_n is None
+        assert cli.parse_config(cfg.to_text()) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_every_kind(self, data):
+        cfg = cli.ExperimentConfig(
+            command=data.draw(st.sampled_from(sorted(cli.COMMANDS))),
+            out=data.draw(WORDS), seed=data.draw(st.integers()),
+            tolerance=data.draw(st.floats(allow_nan=False)), threads=data.draw(st.integers()),
+            quad_n=data.draw(st.none() | st.integers()),
+            kernel=data.draw(st.fixed_dictionaries({}, optional=KERNEL_VALUES)),
+            grid=data.draw(st.fixed_dictionaries({}, optional=GRID_VALUES)))
         assert cli.parse_config(cfg.to_text()) == cfg
 
     def test_kernel_values(self):
@@ -275,7 +307,7 @@ class TestErrorContract:
     def test_unread_grid_key_exit_2(self, tmp_path, capsys, command, kernel, key):
         code, out = _run_main(
             tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n"
-            f"[kernel]\n{kernel}\n[grid]\n{key} = 0.5\n")
+            f"[kernel]\n{kernel}\n[grid]\n{key} = 1\n")
         err = self._assert_config_error(capsys, code)
         assert f"{command} does not read [grid] {key};" in err
         assert not out.exists()
@@ -324,6 +356,87 @@ class TestErrorContract:
         assert err == f"config error: line 3: {line} is not " + (
             "a number" if line.startswith("tolerance") else "an integer")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, kernel, key", [
+        ("det-eval", "", "t"), ("det-eval", "", "x"), ("det-eval", "", "wedges"),
+        ("matrix-kp", "rs = 0.5,0.8", "xs"), ("matrix-kp", "xs = -0.3,0.4", "rs"),
+        ("matrix-kp", "", "r"), ("spiked-check", "", "spikes"),
+        ("spiked-check", "", "anchor"),
+        *(("kp-residual", "", key) for key in ("t0", "x0", "r0", "ht", "hx", "hr",
+                                                "nt", "nx", "nr")),
+        ("matrix-kp", "", "hy"), ("matrix-kp", "", "ha"), ("hirota-residual", "", "h"),
+        ("tw-table", "", "r_min"), ("tw-table", "", "r_max"), ("tw-table", "", "r_step"),
+    ])
+    def test_non_numeric_kernel_or_grid_value_exit_2(self, tmp_path, capsys, command,
+                                                     kernel, key):
+        sect = "kernel" if key in KERNEL_VALUES else "grid"
+        text = f"[run]\ncommand = {command}\nquad_n = 16\n[kernel]\n{kernel}\n"
+        text += ("" if sect == "kernel" else "[grid]\n") + f"{key} = abc\n"
+        code, out = _run_main(tmp_path, text)
+        line = len(text.splitlines())
+        err = self._assert_config_error(capsys, code)
+        assert err.startswith(f"config error: line {line}: {key} = abc is not ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, lines, kind", [
+        ("det-eval", "[kernel]\nt = inf", "a finite number"),
+        ("matrix-kp", "[kernel]\nxs = -0.3,nan\nrs = 0.5,0.8", "a list of numbers"),
+        ("det-eval", "[kernel]\nwedges = 0:inf", "a list of a:b pairs"),
+        ("tw-table", "[grid]\nr_max = nan", "a finite number"),
+        ("det-eval", "[grid]\nhr = inf", "a positive number"),
+        ("det-eval", "[grid]\nnr = -1", "a positive integer"),
+        ("tw-table", "tolerance = nan", "a number"),
+    ])
+    def test_value_outside_kind_exit_2(self, tmp_path, capsys, command, lines, kind):
+        code, out = _run_main(tmp_path, f"[run]\ncommand = {command}\n{lines}\n")
+        err = self._assert_config_error(capsys, code)
+        assert err.startswith("config error: line ") and err.endswith(f" is not {kind}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kernel", [
+        ("det-eval", "t = 1e-300\n[grid]\nnr = 1"),
+        ("spiked-check", "spikes = 0.0\nt = 1e-300"),
+    ])
+    def test_arithmetic_error_exit_2(self, tmp_path, capsys, command, kernel):
+        # t * t underflows, so the kernel's exponents divide by zero or overflow
+        code, out = _run_main(
+            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n[kernel]\n{kernel}\n")
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical error:") and "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, grid", [
+        ("det-eval", "r0 = -20.0\nnr = 2"),        # F_GUE reference below its interval
+        ("tw-table", "r_min = -20.0"),
+        ("hirota-residual", "h = 0.5"),            # the lattice reaches t = 0
+        ("tail-fit", "r_min = -3.0\nr_max = -1.0"),
+        ("kp-residual", "nt = 2"),                 # too few points for the stencil
+        ("cyl-kdv", "t0 = 0.3"),
+        ("det-eval", "nr = 0"),
+        ("tw-table", "r_step = 0"),
+        ("tail-fit", "r_min = -5.0\nr_max = -7.0"),  # an empty r range
+    ])
+    def test_domain_error_exit_2(self, tmp_path, capsys, command, grid):
+        code, out = _run_main(
+            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n[grid]\n{grid}\n")
+        self._assert_config_error(capsys, code)
+        assert not out.exists()
+
+    def test_entry_point_exit_2_one_line(self, tmp_path):
+        # python -m kpdet.cli in a fresh process, not only cli.main in process
+        cfgf = tmp_path / "c.cfg"
+        cfgf.write_text("[run]\ncommand = det-eval\n[grid]\nnr = abc\n")
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpdet.cli", "--config", str(cfgf),
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: line 4: nr = abc is not ")
+        assert not (tmp_path / "out").exists()
 
     def test_spiked_check_x_outside_light_cone_exit_2(self, tmp_path, capsys):
         code, out = _run_main(
