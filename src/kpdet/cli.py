@@ -33,14 +33,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import DomainError, fields, fredholm, kpsolver, painleve, residuals, scattering
 from .fredholm import SingularOperatorError
 from .kernels import KernelSpec, QuadratureFailure
-from .residuals import GridField
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -101,6 +100,10 @@ _FAMILY_KEYS = {
 }
 # the families with a KernelSpec, which det-eval and tail-fit evaluate
 _SPEC_FAMILIES = tuple(f for f in _FAMILY_KEYS if f != "airy_process")
+
+# the most points a command's [grid] may ask for: its lattice (the product
+# of nt, nx and nr) or its r range; a hundred times tw-table's 101 rows
+MAX_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -193,7 +196,7 @@ def _checked_grid(cfg, defaults, families, placed):
     (its default first; none: no [kernel] key is read), or a [kernel] key
     not in the family's _FAMILY_KEYS, in placed (which maps each key the
     command places itself to the key to set instead, or None), or x / r
-    where xs / rs is set.
+    where xs / rs is set; and for a grid of more than MAX_POINTS points.
     """
     k, reads = cfg.kernel, ()
     if families:
@@ -214,7 +217,16 @@ def _checked_grid(cfg, defaults, families, placed):
         if unread:
             raise ConfigError(f"{cfg.command} does not read [{sect}] {', '.join(unread)}; "
                               f"it reads {', '.join(keys) or f'no [{sect}] keys'}")
-    return {**defaults, **cfg.grid}
+    g = {**defaults, **cfg.grid}
+    if "r_step" in g:
+        # floor of a non-finite quotient is not finite, so over the limit
+        points = np.floor((g["r_max"] - g["r_min"]) / g["r_step"]) + 1
+    else:
+        points = math.prod(g[key] for key in ("nt", "nx", "nr") if key in g)
+    if not points <= MAX_POINTS:
+        raise ConfigError(f"{cfg.command} would evaluate {points:.6g} points; "
+                          f"at most {MAX_POINTS} are allowed")
+    return g
 
 
 def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
@@ -222,16 +234,27 @@ def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
     return default if cfg.quad_n is None else cfg.quad_n
 
 
-def _field_from_cfg(cfg: ExperimentConfig) -> GridField:
-    """kp-residual's log F field of a one-point family, on its [grid] lattice."""
+def _log_f_at(family, corner, steps, quad_n, spec_kw):
+    """Evaluator of log F of a one-point family at lattice index triples:
+    one sweep of the points corner + step * index."""
+    (t0, x0, r0), (ht, hx, hr) = corner, steps
+    return lambda points: fields.sweep(
+        [KernelSpec(family, t0 + ht * i, (x0 + hx * j,), (r0 + hr * k,), **spec_kw)
+         for i, j, k in points], quad_n)
+
+
+def _kp_lattice(cfg: ExperimentConfig):
+    """kp-residual's log F evaluator of a one-point family, with the steps
+    and counts of its [grid] lattice."""
     g = _checked_grid(cfg, {"t0": 0.98, "x0": 0.18, "r0": 0.44, "ht": 0.02, "hx": 0.02,
                             "hr": 0.02, "nt": 3, "nx": 3, "nr": 7}, tuple(_FAMILY_KEYS),
                       {"t": "[grid] t0", "x": "[grid] x0", "xs": "[grid] x0",
                        "r": "[grid] r0", "rs": "[grid] r0"})
-    return fields.det_field(cfg.kernel.get("family", "nw_fixed_point"),
-                            g["t0"], g["x0"], g["r0"], g["ht"], g["hx"], g["hr"],
-                            (g["nt"], g["nx"], g["nr"]), n_quad=_quad_n(cfg),
-                            spec_kw=_shape_kwargs(cfg.kernel))
+    steps = (g["ht"], g["hx"], g["hr"])
+    value = _log_f_at(cfg.kernel.get("family", "nw_fixed_point"),
+                      (g["t0"], g["x0"], g["r0"]), steps, _quad_n(cfg),
+                      _shape_kwargs(cfg.kernel))
+    return value, steps, (g["nt"], g["nx"], g["nr"])
 
 
 def _json_safe(v):
@@ -297,10 +320,10 @@ def _hirota_residual(cfg):
     hm = painleve.hastings_mcleod()
 
     def at(h):
-        fld = fields.similarity_gue_field(
-            hm, g["t0"] - 2 * h, g["x0"] - 2 * h, g["r0"] - 3 * h,
-            h, h, h, (5, 5, 7))
-        return residuals.hirota_residual(replace(fld, values=np.exp(fld.values)))
+        corner = (g["t0"] - 2 * h, g["x0"] - 2 * h, g["r0"] - 3 * h)
+        return residuals.hirota_residual(
+            lambda points: np.exp(fields.similarity_gue_log_f(hm, corner, (h, h, h), points)),
+            (h, h, h), (5, 5, 7))
     rep = at(g["h"])
     ratio = rep.normalized_sup / max(at(g["h"] / 2.0).normalized_sup, 1e-300)
     worst = rep.normalized_sup if ratio >= 3.0 else float("inf")
@@ -317,15 +340,16 @@ def _kp_residual(cfg):
                           {"t": "[grid] t0", "x": "[kernel] xs", "r": "[kernel] rs"})
         xs = cfg.kernel.get("xs", (-0.3, 0.4))
         rs = cfg.kernel.get("rs", (0.5, 0.8))
-        specs = [fields.airy_two_point_spec(g["t0"] + g["ht"] * i, xs, rs,
+        steps, dims = (g["ht"], g["hy"], g["ha"]), (3, 3, 7)
+
+        def value(points):
+            return fields.sweep(
+                [fields.airy_two_point_spec(g["t0"] + g["ht"] * i, xs, rs,
                                             (j - 1) * g["hy"], (k - 3) * g["ha"])
-                 for i in range(3) for j in range(3) for k in range(7)]
-        vals = fields.sweep(specs, quad_n).reshape(3, 3, 7)
-        fld = GridField(g["t0"], -g["hy"], -3 * g["ha"],
-                        g["ht"], g["hy"], g["ha"], vals)
+                 for i, j, k in points], quad_n)
     else:
-        fld = _field_from_cfg(cfg)
-    rep = residuals.kp_scalar_residual(fld)
+        value, steps, dims = _kp_lattice(cfg)
+    rep = residuals.kp_scalar_residual(value, steps, dims)
     return (*_term_table(rep), rep.to_dict(), rep.normalized_sup, quad_n)
 
 
@@ -335,19 +359,22 @@ def _matrix_kp(cfg):
     ht, hy, ha = g["ht"], g["hy"], g["ha"]
     k = cfg.kernel
     quad_n = _quad_n(cfg)
-    q_big = fields.q_stencil(k.get("t", 1.0) - ht, k.get("xs", (k.get("x", 0.0),)),
-                             k.get("rs", (k.get("r", 0.0),)), ht, hy, ha,
-                             (3, 5, 9), n_quad=quad_n)
-    qf = (q_big[:, :, 2:] - q_big[:, :, :-2]) / (2 * ha)
-    rep = residuals.matrix_kp_residual(qf, q_big[:, :, 1:-1], ht, hy, ha)
-    ratio, tr_rel = residuals.rank_one_and_trace_check(qf[1, 2], ha)
+    t0 = k.get("t", 1.0) - ht
+    xs, rs = k.get("xs", (k.get("x", 0.0),)), k.get("rs", (k.get("r", 0.0),))
+    # the (t, y, a) lattice (3, 5, 9) centred on (t, 0, 0)
+    rep = residuals.matrix_kp_residual(
+        lambda points: fields.sweep(
+            [fields.airy_two_point_spec(t0 + ht * i, xs, rs, -(hy * 2) + hy * j,
+                                        -(ha * 4) + ha * a) for i, j, a in points],
+            quad_n, fredholm.boundary_resolvent),
+        (ht, hy, ha), (3, 5, 9))
+    ratio, tr_rel = rep.extra["sv_ratio"], rep.extra["trace_identity_rel"]
     worst = (rep.normalized_sup if (ratio < 1e-4 and tr_rel < 1e-4)
              else float("inf"))
     return (["quantity", "value"],
             [("normalized_sup", rep.normalized_sup),
              ("sv_ratio", ratio), ("trace_identity_rel", tr_rel)],
-            dict(rep.to_dict(), sv_ratio=ratio, trace_identity_rel=tr_rel),
-            worst, quad_n)
+            rep.to_dict(), worst, quad_n)
 
 
 def _cyl_kdv(cfg):
@@ -356,19 +383,18 @@ def _cyl_kdv(cfg):
                       ("kpz_narrow_wedge",), {"t": "[grid] t0", "x": None, "xs": None,
                                               "r": "[grid] r0", "rs": "[grid] r0"})
     quad_n = _quad_n(cfg)
-    tg = g["t0"] + g["ht"] * np.arange(g["nt"])
-    rg = g["r0"] + g["hr"] * np.arange(g["nr"])
-    shift = np.log(np.sqrt(np.pi))
-    specs = [KernelSpec("kpz_narrow_wedge", float(t), (0.0,),
-                        (float(r - np.log(np.sqrt(np.pi * t))),))
-             for t in tg for r in rg]
-    # and the two points at t = 1 of the x-independence check
-    specs += [KernelSpec("kpz_narrow_wedge", 1.0, (0.0,), (1.0 - shift,)),
-              KernelSpec("kpz_narrow_wedge", 1.0, (0.5,), (0.75 - shift,))]
-    *lf, xa, xb = fields.sweep(specs, quad_n).tolist()
-    vals = np.reshape(lf, (tg.size, 1, rg.size))
+    t0, r0, ht, hr = g["t0"], g["r0"], g["ht"], g["hr"]
     rep = residuals.cylindrical_kdv_residual(
-        GridField(tg[0], 0.0, rg[0], g["ht"], 0.0, g["hr"], vals))
+        lambda points: fields.sweep(
+            [KernelSpec("kpz_narrow_wedge", t0 + ht * i, (0.0,),
+                        (float(r0 + hr * k - np.log(np.sqrt(np.pi * (t0 + ht * i)))),))
+             for i, _, k in points], quad_n),
+        t0, (ht, 0.0, hr), (g["nt"], 1, g["nr"]))
+    # the two points at t = 1 of the x-independence check
+    shift = np.log(np.sqrt(np.pi))
+    xa, xb = fields.sweep([KernelSpec("kpz_narrow_wedge", 1.0, (0.0,), (1.0 - shift,)),
+                           KernelSpec("kpz_narrow_wedge", 1.0, (0.5,), (0.75 - shift,))],
+                          quad_n).tolist()
     x_indep = abs(xa - xb)
     worst = rep.normalized_sup if x_indep < 1e-4 else float("inf")
     return (*_term_table(rep), dict(rep.to_dict(), x_independence=x_indep),
@@ -487,10 +513,10 @@ def _spiked_check(cfg):
         quad_n, fredholm.det_one_minus).tolist()
     anchor_dev = abs(d0 - d0_moved)
     h = 0.02
-    fld = fields.det_field("kpz_spiked", t - h, x + 0.2 - h, 0.3 - 3 * h,
-                           h, h, h, (3, 3, 7), n_quad=quad_n,
-                           spec_kw={"spikes": spikes, "contour_anchor": anchor})
-    res = residuals.kp_scalar_residual(fld).normalized_sup
+    res = residuals.kp_scalar_residual(
+        _log_f_at("kpz_spiked", (t - h, x + 0.2 - h, 0.3 - 3 * h), (h, h, h), quad_n,
+                  {"spikes": spikes, "contour_anchor": anchor}),
+        (h, h, h), (3, 3, 7)).normalized_sup
     report = {"det_r0": d0, "det_r1": d1, "anchor_dev": anchor_dev,
               "imag_part": 0.0, "kp_residual": res}
     ok = (0.0 < d0 < d1 < 1.0) and anchor_dev < 1e-8

@@ -1,9 +1,9 @@
-"""Determinant sweeps and the lattice fields built from them.
+"""Determinant sweeps and the closed-form fields the residuals are held to.
 
-Every stencil of determinants (the fields below and the CLI's r-sweeps)
-goes through ``sweep``, which keeps the quadrature fixed across its points,
-so discretization errors vary smoothly with (t, x, r) and pass through
-finite-difference stencils without noise amplification:
+Every set of determinants (the points a residual's stencils read, the
+CLI's r-sweeps) goes through ``sweep``, which keeps the quadrature fixed
+across its points, so discretization errors vary smoothly with (t, x, r)
+and pass through finite-difference stencils without noise amplification:
 
 * kpz_spiked: all contour rules (eta contour and its anchor, xi rays, Fermi
   y-rule, log-Gamma offset) are built once per sweep, sized for its worst
@@ -20,23 +20,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import DomainError
-from .fredholm import assemble, boundary_resolvent, log_det_one_minus
+from .fredholm import assemble, log_det_one_minus
 from .kernels import KernelSpec, SpikedRules, build_block_kernel
 from .painleve import HMSolution, log_f_gue
-from .residuals import GridField
 
 __all__ = [
     "sweep",
-    "similarity_gue_field",
-    "det_field",
+    "similarity_gue_log_f",
     "airy_two_point_spec",
-    "q_stencil",
     "phi_window_narrow_wedge",
 ]
-
-
-def _lattice(start, step, n):
-    return start + step * np.arange(n)
 
 
 def _logdet(disc) -> float:
@@ -73,31 +66,18 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     return np.array(out)
 
 
-def similarity_gue_field(hm: HMSolution, t0, x0, r0, ht, hx, hr, dims) -> GridField:
-    """log F on the lattice, F(t,x,r) = F_GUE(t^(-1/3) r + t^(-4/3) x^2).
+def similarity_gue_log_f(hm: HMSolution, corner, steps, points) -> np.ndarray:
+    """log F at the lattice point corner + step * index of each index triple
+    in points, F(t,x,r) = F_GUE(t^(-1/3) r + t^(-4/3) x^2).
 
-    Raises DomainError unless t0 > 0.
+    Raises DomainError unless the corner's t > 0.
     """
-    if not t0 > 0:
-        raise DomainError(f"the similarity field needs t > 0, not t = {t0}")
-    t = _lattice(t0, ht, dims[0])[:, None, None]
-    x = _lattice(x0, hx, dims[1])[None, :, None]
-    r = _lattice(r0, hr, dims[2])[None, None, :]
+    if not corner[0] > 0:
+        raise DomainError(f"the similarity field needs t > 0, not t = {corner[0]}")
+    index = np.asarray(points).T
+    t, x, r = (c + h * np.ascontiguousarray(i) for c, h, i in zip(corner, steps, index))
     s = r / np.cbrt(t) + x * x / np.cbrt(t ** 4)
-    lf = log_f_gue(s.ravel(), hm).reshape(s.shape)
-    return GridField(t0, x0, r0, ht, hx, hr, lf)
-
-
-def det_field(family: str, t0, x0, r0, ht, hx, hr, dims, n_quad: int = 64,
-              spec_kw: dict | None = None) -> GridField:
-    """log F from one sweep of determinants of a one-point family."""
-    spec_kw = dict(spec_kw or {})
-    specs = [KernelSpec(family, float(t), (float(x),), (float(r),), **spec_kw)
-             for t in _lattice(t0, ht, dims[0])
-             for x in _lattice(x0, hx, dims[1])
-             for r in _lattice(r0, hr, dims[2])]
-    vals = sweep(specs, n_quad).reshape(dims)
-    return GridField(t0, x0, r0, ht, hx, hr, vals)
+    return log_f_gue(s, hm)
 
 
 def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
@@ -105,19 +85,6 @@ def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
     return KernelSpec("multiwedge_extended", float(t),
                       tuple(x + y for x in xs), tuple(r + a for r in rs),
                       ((0.0, 0.0),))
-
-
-def q_stencil(t0, xs, rs, ht, hy, ha, dims, n_quad: int = 64):
-    """Q-matrices on a (t, y, a) lattice for the matrix KP check.
-
-    Returns an array of shape dims + (n, n).
-    """
-    n = len(xs)
-    specs = [airy_two_point_spec(t, xs, rs, y, a)
-             for t in _lattice(t0, ht, dims[0])
-             for y in _lattice(0.0, hy, dims[1]) - hy * (dims[1] // 2)
-             for a in _lattice(0.0, ha, dims[2]) - ha * (dims[2] // 2)]
-    return sweep(specs, n_quad, boundary_resolvent).reshape(dims + (n, n))
 
 
 def phi_window_narrow_wedge(hm: HMSolution, t: float, x_grid, r_grid) -> np.ndarray:

@@ -421,7 +421,8 @@ class SpikedRules:
     fixed, (t, x, r) enter only as a diagonal on the contour nodes; the
     rest of each side's contour sum (Gamma factors times weights, the
     ``exp(-y loc zc)`` grid and the ``(pts, panel)`` rows) is computed here
-    once.  A single spec is a one-point sweep.
+    once.  A single spec is a one-point sweep.  Raises KernelDomainError
+    when the eta or xi rule keeps no nodes.
     """
 
     def __init__(self, specs):
@@ -458,6 +459,13 @@ class SpikedRules:
         # densely near the anchor because the nearest Gamma pole sits only
         # 0.87*(anchor - b_max) away from the contour
         self.xi_nodes, self.xi_w = self._panelled_ray(self.a_xi, 2.0 * np.pi / 3.0, ray)
+        # panel_rule drops panels narrower than 1e-10: a contour that short
+        # (t or the anchor so large that the eta half-height vanishes) has
+        # no nodes left to resolve the kernel
+        if not (self.eta_nodes.size and self.xi_nodes.size):
+            raise KernelDomainError(
+                f"a spiked contour rule has no nodes (eta half-height {self.half_height:.3g}); "
+                "t or the contour anchor is too large")
         # balance Gamma(B)-scale factors between the two sides (K is invariant
         # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
         self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))

@@ -1,10 +1,18 @@
 """Finite-difference verification of the determinant-field identities.
 
-Every identity is checked with second-order central stencils on a
-rectangular (t, x, r) lattice; residuals are reported both raw and
-normalized by the largest participating term, since the identities are
-exact and only relative smallness is meaningful.  The r-antiderivative in
-the scalar equation is realized through derivatives of log F (exact, no
+Every identity is checked with second-order central differences at the
+interior centres of a (t, x, r) lattice, given by its steps and its counts
+``dims``; a lattice point is named by its index triple (i, j, k).  Each
+identity names its derivatives as nested (axis, order) differences, and
+``_derivatives`` collects the lattice points those differences read at the
+centres, asks the caller's evaluator ``value`` for exactly those points in
+one call, and combines the values, so no other point of the lattice is
+evaluated.  The caller places the points: ``value(points)`` gets the index
+triples (tuples of ints, in lexicographic order) and returns one value per
+point (a number, or a matrix for matrix KP).  Residuals are reported both
+raw and normalized by the largest participating term, since the identities
+are exact and only relative smallness is meaningful.  The r-antiderivative
+in the scalar equation is realized through derivatives of log F (exact, no
 integration constants), never by numerical antidifferentiation.
 """
 
@@ -16,13 +24,11 @@ import numpy as np
 from . import DomainError
 
 __all__ = [
-    "GridField",
     "ResidualReport",
     "StencilError",
     "hirota_residual",
     "kp_scalar_residual",
     "matrix_kp_residual",
-    "rank_one_and_trace_check",
     "cylindrical_kdv_residual",
     "tail_slope_fit",
 ]
@@ -34,19 +40,6 @@ class StencilError(DomainError):
 
 class InsufficientRangeError(DomainError):
     """Tail fit requires data reaching deep into the left tail."""
-
-
-@dataclass
-class GridField:
-    """Scalar (or matrix-valued) samples on a rectangular (t, x, r) lattice."""
-
-    t0: float
-    x0: float
-    r0: float
-    ht: float
-    hx: float
-    hr: float
-    values: np.ndarray   # shape (n_t, n_x, n_r, ...)
 
 
 @dataclass
@@ -73,8 +66,11 @@ class ResidualReport:
         }
 
 
-# second-order central stencils along a given axis; the returned array is
-# trimmed by the stencil margin on that axis
+# lattice axes; matrix KP reads its (t, y, a) lattice on the same three
+T, X, R = 0, 1, 2
+
+# second-order central stencils: order -> (margin, coefficients on the
+# offsets -margin..margin)
 _STENCILS = {
     1: (1, np.array([-0.5, 0.0, 0.5])),
     2: (1, np.array([1.0, -2.0, 1.0])),
@@ -84,23 +80,67 @@ _STENCILS = {
 }
 
 
-def _diff(values: np.ndarray, order: int, axis: int, h: float) -> np.ndarray:
+def _offsets(deriv) -> np.ndarray:
+    """The lattice offsets, one row each, that the nested difference deriv reads."""
+    offsets = np.zeros((1, 3), dtype=int)
+    for axis, order in deriv:
+        margin, coef = _STENCILS[order]
+        shifts = np.zeros((np.count_nonzero(coef), 3), dtype=int)
+        shifts[:, axis] = np.flatnonzero(coef) - margin
+        offsets = (offsets[:, None] + shifts[None]).reshape(-1, 3)
+    return offsets
+
+
+def _nested(values, deriv, centres, steps):
+    """The nested difference deriv at centres (one index array per axis).
+
+    deriv is a sequence of (axis, order), innermost first: ((T, 1), (R, 2))
+    is d_r^2 applied to d_t.  The outermost difference combines the inner
+    ones at its shifted centres, adding its nonzero terms in stencil order
+    to 0 and dividing by h^order.
+    """
+    if not deriv:
+        return values[centres]
+    *inner, (axis, order) = deriv
     margin, coef = _STENCILS[order]
-    n = values.shape[axis]
-    if n < 2 * margin + 1:
-        raise StencilError(f"axis {axis} needs {2 * margin + 1} points for d^{order}")
-    out = np.zeros_like(np.take(values, range(margin, n - margin), axis=axis))
+    out = 0.0
     for k, c in enumerate(coef):
-        if c == 0.0:
-            continue
-        sl = np.take(values, range(k, n - 2 * margin + k), axis=axis)
-        out = out + c * sl
-    return out / h ** order
+        if c != 0.0:
+            shifted = list(centres)
+            shifted[axis] = centres[axis] + (k - margin)
+            out = out + c * _nested(values, inner, tuple(shifted), steps)
+    return out / steps[axis] ** order
 
 
-def _trim(values: np.ndarray, axis: int, margin: int) -> np.ndarray:
-    n = values.shape[axis]
-    return np.take(values, range(margin, n - margin), axis=axis)
+def _derivatives(value, steps, first, shape, derivs):
+    """Each nested difference of derivs at the centres first + (0..shape - 1).
+
+    Asks value once, for every lattice point the differences read, and
+    returns one array of the centres' shape (then the values' shape) per
+    difference.  The values sit in a box reaching the largest index read,
+    NaN at the points not read.
+    """
+    centres = np.indices(shape) + np.reshape(first, (3, 1, 1, 1))
+    offsets = np.concatenate([_offsets(d) for d in derivs])
+    points = np.unique((centres.reshape(3, -1).T[:, None] + offsets[None]).reshape(-1, 3),
+                       axis=0)
+    got = np.asarray(value([tuple(p) for p in points.tolist()]), dtype=float)
+    values = np.full(tuple(points.max(axis=0) + 1) + got.shape[1:], np.nan)
+    values[tuple(points.T)] = got
+    return [_nested(values, d, tuple(centres), steps) for d in derivs]
+
+
+def _centres(dims, least, margins, identity):
+    """(first, shape) of the box of centres: the lattice points margins away
+    from its faces, or its centre point dims // 2 where margins is None.
+
+    Raises StencilError unless dims >= least on each axis.
+    """
+    if any(n < m for n, m in zip(dims, least)):
+        raise StencilError(f"{identity} needs dims >= {least}")
+    if margins is None:
+        return tuple(n // 2 for n in dims), (1, 1, 1)
+    return margins, tuple(n - 2 * m for n, m in zip(dims, margins))
 
 
 def _report(identity, terms, names, steps) -> ResidualReport:
@@ -113,153 +153,98 @@ def _report(identity, terms, names, steps) -> ResidualReport:
                           {"term_names": list(names)})
 
 
-def hirota_residual(fld: GridField) -> ResidualReport:
+def hirota_residual(value, steps, dims) -> ResidualReport:
     """Bilinear identity for the distribution function F itself:
 
         F F_tr - F_t F_r + (1/12) F F_rrrr - (1/3) F_r F_rrr
-          + (1/4) F_rr^2 + (1/4) F F_xx - (1/4) F_x^2 = 0.
+          + (1/4) F_rr^2 + (1/4) F F_xx - (1/4) F_x^2 = 0
+
+    at the lattice points (2, 2, 3) away from its faces; value gives F.
+    Needs dims >= (5, 5, 7).
     """
-    F = fld.values
-    if F.shape[0] < 5 or F.shape[1] < 5 or F.shape[2] < 7:
-        raise StencilError("hirota needs dims >= (5, 5, 7)")
-    ht, hx, hr = fld.ht, fld.hx, fld.hr
-    mt, mx, mr = 2, 2, 3
-
-    def center(arr, m_t, m_x, m_r):
-        a = _trim(arr, 0, mt - m_t)
-        a = _trim(a, 1, mx - m_x)
-        return _trim(a, 2, mr - m_r)
-
-    Ft = center(_diff(F, 1, 0, ht), 1, 0, 0)
-    Fr = center(_diff(F, 1, 2, hr), 0, 0, 1)
-    Ftr = center(_diff(_diff(F, 1, 0, ht), 1, 2, hr), 1, 0, 1)
-    Frr = center(_diff(F, 2, 2, hr), 0, 0, 1)
-    Frrr = center(_diff(F, 3, 2, hr), 0, 0, 2)
-    Frrrr = center(_diff(F, 4, 2, hr), 0, 0, 2)
-    Fxx = center(_diff(F, 2, 1, hx), 0, 1, 0)
-    Fx = center(_diff(F, 1, 1, hx), 0, 1, 0)
-    F0 = center(F, 0, 0, 0)
-
-    terms = [F0 * Ftr, -Ft * Fr, F0 * Frrrr / 12.0, -Fr * Frrr / 3.0,
-             0.25 * Frr ** 2, 0.25 * F0 * Fxx, -0.25 * Fx ** 2]
+    F, Ft, Fr, Ftr, Frr, Frrr, Frrrr, Fxx, Fx = _derivatives(
+        value, steps, *_centres(dims, (5, 5, 7), (2, 2, 3), "hirota"),
+        [(), ((T, 1),), ((R, 1),), ((T, 1), (R, 1)), ((R, 2),), ((R, 3),),
+         ((R, 4),), ((X, 2),), ((X, 1),)])
+    terms = [F * Ftr, -Ft * Fr, F * Frrrr / 12.0, -Fr * Frrr / 3.0,
+             0.25 * Frr ** 2, 0.25 * F * Fxx, -0.25 * Fx ** 2]
     names = ["F F_tr", "-F_t F_r", "F F_rrrr/12", "-F_r F_rrr/3",
              "F_rr^2/4", "F F_xx/4", "-F_x^2/4"]
-    return _report("hirota", terms, names, (ht, hx, hr))
+    return _report("hirota", terms, names, tuple(steps))
 
 
-def kp_scalar_residual(fld: GridField) -> ResidualReport:
+def kp_scalar_residual(value, steps, dims) -> ResidualReport:
     """Scalar KP residual for G = log F:
 
         d_t d_r^2 G + d_r^2 G * d_r^3 G + (1/12) d_r^5 G + (1/4) d_x^2 d_r G = 0
 
     which is the equation for phi = d_r^2 G with the antiderivative realized
-    as d_r G.  Needs dims >= (3, 3, 7) for the fifth r-derivative.
+    as d_r G, at the lattice points (1, 1, 3) away from its faces; value
+    gives G.  Needs dims >= (3, 3, 7) for the fifth r-derivative.
     """
-    G = fld.values
-    if G.shape[0] < 3 or G.shape[1] < 3 or G.shape[2] < 7:
-        raise StencilError("scalar KP needs dims >= (3, 3, 7)")
-    ht, hx, hr = fld.ht, fld.hx, fld.hr
-    mt, mx, mr = 1, 1, 3
-
-    def center(arr, m_t, m_x, m_r):
-        a = _trim(arr, 0, mt - m_t)
-        a = _trim(a, 1, mx - m_x)
-        return _trim(a, 2, mr - m_r)
-
-    Gtrr = center(_diff(_diff(G, 1, 0, ht), 2, 2, hr), 1, 0, 1)
-    Grr = center(_diff(G, 2, 2, hr), 0, 0, 1)
-    Grrr = center(_diff(G, 3, 2, hr), 0, 0, 2)
-    Grrrrr = center(_diff(G, 5, 2, hr), 0, 0, 3)
-    Gxxr = center(_diff(_diff(G, 2, 1, hx), 1, 2, hr), 0, 1, 1)
-
+    Gtrr, Grr, Grrr, Grrrrr, Gxxr = _derivatives(
+        value, steps, *_centres(dims, (3, 3, 7), (1, 1, 3), "scalar KP"),
+        [((T, 1), (R, 2)), ((R, 2),), ((R, 3),), ((R, 5),), ((X, 2), (R, 1))])
     terms = [Gtrr, Grr * Grrr, Grrrrr / 12.0, 0.25 * Gxxr]
     names = ["d_t phi", "phi d_r phi", "d_r^3 phi/12", "d_r^-1 d_x^2 phi/4"]
-    return _report("kp_scalar", terms, names, (ht, hx, hr))
+    return _report("kp_scalar", terms, names, tuple(steps))
 
 
-def matrix_kp_residual(q_field: np.ndarray, big_q_field: np.ndarray,
-                       ht: float, hy: float, ha: float) -> ResidualReport:
-    """Matrix KP residual at the center of a (t, y, a) stencil of Q-matrices.
+def matrix_kp_residual(value, steps, dims) -> ResidualReport:
+    """Matrix KP residual at the centre of a (t, y, a) lattice of Q-matrices.
 
-    big_q_field has shape (3, n_y, n_a, n, n) holding Q(t0 +- ht, y, a); the
-    directional derivatives are simultaneous shifts: D_r = d_a, D_x = d_y.
-    q_field = d_a Q is supplied on the same stencil (computed by the caller
-    with one extra a-margin).
+    value gives Q(t, y, a); the directional derivatives are simultaneous
+    shifts, D_r = d_a and D_x = d_y, and q = d_a Q:
 
         d_t q + (q D_r q + D_r q q)/2 + D_r^3 q / 12 + D_y^2 Q / 4
-          + (q D_y Q - D_y Q q)/2 = 0
+          + (q D_y Q - D_y Q q)/2 = 0.
+
+    Needs dims >= (3, 3, 7).  The report also holds sigma_2/sigma_1 of q
+    (``sv_ratio``) and the relative residual of the trace identity
+    tr(q D_r q) = tr q tr D_r q (``trace_identity_rel``), both 0 for 1x1 Q.
     """
-    nt, ny, na = big_q_field.shape[:3]
-    if nt < 3 or ny < 3 or na < 5:
-        raise StencilError("matrix KP stencil needs (3, 3, 5)")
-    ct, cy, ca = nt // 2, ny // 2, na // 2
-    Q = big_q_field
-    q = q_field
-
-    dt_q = (q[2, cy, ca] - q[0, cy, ca]) / (2 * ht)
-    q0 = q[1, cy, ca]
-    da_q = (q[1, cy, ca + 1] - q[1, cy, ca - 1]) / (2 * ha)
-    da3_q = (-0.5 * q[1, cy, ca - 2] + q[1, cy, ca - 1] - q[1, cy, ca + 1]
-             + 0.5 * q[1, cy, ca + 2]) / ha ** 3
-    dy2_Q = (Q[1, cy + 1, ca] - 2 * Q[1, cy, ca] + Q[1, cy - 1, ca]) / hy ** 2
-    dy_Q = (Q[1, cy + 1, ca] - Q[1, cy - 1, ca]) / (2 * hy)
-
-    terms = [dt_q, 0.5 * (q0 @ da_q + da_q @ q0), da3_q / 12.0, 0.25 * dy2_Q,
-             0.5 * (q0 @ dy_Q - dy_Q @ q0)]
+    q, dt_q, da_q, da3_q, dy2_Q, dy_Q = (d[0, 0, 0] for d in _derivatives(
+        value, steps, *_centres(dims, (3, 3, 7), None, "matrix KP"),
+        [((R, 1),), ((R, 1), (T, 1)), ((R, 1), (R, 1)), ((R, 1), (R, 3)),
+         ((X, 2),), ((X, 1),)]))
+    terms = [dt_q, 0.5 * (q @ da_q + da_q @ q), da3_q / 12.0, 0.25 * dy2_Q,
+             0.5 * (q @ dy_Q - dy_Q @ q)]
     names = ["d_t q", "(q Dq + Dq q)/2", "D^3 q/12", "Dx^2 Q/4", "commutator/2"]
-    return _report("matrix_kp", terms, names, (ht, hy, ha))
+    rep = _report("matrix_kp", terms, names, tuple(steps))
+    ratio = trace_rel = 0.0
+    if q.shape[0] > 1:
+        sv = np.linalg.svd(q, compute_uv=False)
+        ratio = float(sv[1] / sv[0])
+        lhs = np.trace(q @ da_q)
+        rhs = np.trace(q) * np.trace(da_q)
+        trace_rel = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    rep.extra.update(sv_ratio=ratio, trace_identity_rel=trace_rel)
+    return rep
 
 
-def rank_one_and_trace_check(q_field: np.ndarray, ha: float):
-    """sigma_2/sigma_1 of q and the trace identity residual at the center.
-
-    q_field has shape (n_a, n, n) over the a-stencil; D_r q is the central
-    a-difference.  Returns (sv_ratio, trace_residual_relative).
-    """
-    na = q_field.shape[0]
-    ca = na // 2
-    q0 = q_field[ca]
-    if q0.shape[0] == 1:
-        return 0.0, 0.0
-    sv = np.linalg.svd(q0, compute_uv=False)
-    ratio = float(sv[1] / sv[0])
-    dq = (q_field[ca + 1] - q_field[ca - 1]) / (2 * ha)
-    lhs = np.trace(q0 @ dq)
-    rhs = np.trace(q0) * np.trace(dq)
-    rel = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    return ratio, rel
-
-
-def cylindrical_kdv_residual(fld: GridField) -> ResidualReport:
+def cylindrical_kdv_residual(value, t0, steps, dims) -> ResidualReport:
     """Residual of the cylindrical KdV equation for the shifted field.
 
-    fld.values holds G_hat(t, r) = log G evaluated along the x-independent
-    shifted frame, with shape (n_t, 1, n_r); phi_hat = d_r^2 G_hat and
+    value gives G_hat(t, r) = log G along the x-independent shifted frame
+    on a lattice starting at t = t0 (x has one point); phi_hat = d_r^2 G_hat
+    and, at the lattice points (1, 0, 3) away from its faces,
 
         d_t phi + (1/(2t)) d_r phi + phi d_r phi + (1/12) d_r^3 phi
           + phi/(2t) = 0.
+
+    Needs dims >= (3, 1, 7) and t0 - ht >= 0.5.
     """
-    G = fld.values
-    if G.shape[0] < 3 or G.shape[2] < 7:
-        raise StencilError("cylindrical KdV needs dims >= (3, 1, 7)")
-    if fld.t0 - fld.ht < 0.5 - 1e-9:
+    first, shape = _centres(dims, (3, 1, 7), (1, 0, 3), "cylindrical KdV")
+    if t0 - steps[T] < 0.5 - 1e-9:
         raise DomainError("t must stay >= 0.5")
-    ht, hr = fld.ht, fld.hr
-    mt, mr = 1, 3
-
-    def center(arr, m_t, m_r):
-        return _trim(_trim(arr, 0, mt - m_t), 2, mr - m_r)
-
-    phi_t = center(_diff(_diff(G, 1, 0, ht), 2, 2, hr), 1, 1)
-    phi = center(_diff(G, 2, 2, hr), 0, 1)
-    phi_r = center(_diff(G, 3, 2, hr), 0, 2)
-    phi_rrr = center(_diff(G, 5, 2, hr), 0, 3)
-    t_grid = fld.t0 + fld.ht * np.arange(1, G.shape[0] - 1)
+    phi_t, phi, phi_r, phi_rrr = _derivatives(
+        value, steps, first, shape, [((T, 1), (R, 2)), ((R, 2),), ((R, 3),), ((R, 5),)])
+    t_grid = t0 + steps[T] * np.arange(1, dims[T] - 1)
     inv2t = (0.5 / t_grid)[:, None, None]
 
     terms = [phi_t, inv2t * phi_r, phi * phi_r, phi_rrr / 12.0, inv2t * phi]
     names = ["d_t phi", "d_r phi/(2t)", "phi d_r phi", "d_r^3 phi/12", "phi/(2t)"]
-    return _report("cylindrical_kdv", terms, names, (ht, 0.0, hr))
+    return _report("cylindrical_kdv", terms, names, tuple(steps))
 
 
 def tail_slope_fit(r: np.ndarray, log_f: np.ndarray):

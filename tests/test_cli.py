@@ -162,11 +162,16 @@ class TestConfiguredKeys:
         grid = "[grid]\nnt = 1\nnx = 1\nnr = 2\nt0 = 1.0\nx0 = {x}\nr0 = {r}\n"
         base = "[run]\ncommand = kp-residual\nquad_n = 32\n[kernel]\nfamily = nw_fixed_point\n"
         wedge = base + "wedges = 0.3:0.5\n"
-        default = cli._field_from_cfg(cli.parse_config(base + grid.format(x=0.18, r=0.44)))
-        moved = cli._field_from_cfg(cli.parse_config(wedge + grid.format(x=0.48, r=0.94)))
-        same_lattice = cli._field_from_cfg(cli.parse_config(wedge + grid.format(x=0.18, r=0.44)))
-        assert np.max(np.abs(moved.values - default.values)) < 1e-10
-        assert np.min(np.abs(same_lattice.values - default.values)) > 1e-3
+
+        def field(text):
+            value, _, dims = cli._kp_lattice(cli.parse_config(text))
+            return value([(0, 0, k) for k in range(dims[2])])
+
+        default = field(base + grid.format(x=0.18, r=0.44))
+        moved = field(wedge + grid.format(x=0.48, r=0.94))
+        same_lattice = field(wedge + grid.format(x=0.18, r=0.44))
+        assert np.max(np.abs(moved - default)) < 1e-10
+        assert np.min(np.abs(same_lattice - default)) > 1e-3
 
     def test_matrix_kp_uses_configured_quad_n(self, tmp_path):
         code, out = _run_main(
@@ -406,7 +411,7 @@ class TestErrorContract:
         assert err.startswith("numerical error:") and "\n" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, grid", [
+    @pytest.mark.parametrize("command, lines", [
         ("det-eval", "r0 = -20.0\nnr = 2"),        # F_GUE reference below its interval
         ("tw-table", "r_min = -20.0"),
         ("hirota-residual", "h = 0.5"),            # the lattice reaches t = 0
@@ -416,10 +421,22 @@ class TestErrorContract:
         ("det-eval", "nr = 0"),
         ("tw-table", "r_step = 0"),
         ("tail-fit", "r_min = -5.0\nr_max = -7.0"),  # an empty r range
+        # more points than cli.MAX_POINTS, refused before any is allocated
+        ("tw-table", "r_step = 1e-300"),
+        ("tail-fit", "r_step = 5e-324"),           # the count overflows to inf
+        ("tw-table", "r_max = 1e300"),
+        ("det-eval", "nr = 100000000"),
+        ("kp-residual", "nt = 1000\nnx = 1000"),
+        # a spiked contour rule left with no nodes
+        ("spiked-check", "[kernel]\nspikes = 0.0\nt = 1e300"),
+        ("spiked-check", "[kernel]\nspikes = 0.0\nt = 1e200"),
+        ("spiked-check", "[kernel]\nspikes = 0.0\nanchor = 1e300"),
     ])
-    def test_domain_error_exit_2(self, tmp_path, capsys, command, grid):
+    def test_domain_error_exit_2(self, tmp_path, capsys, command, lines):
+        # lines are [grid] lines, or whole sections where they start with one
+        sections = lines if lines.startswith("[") else f"[grid]\n{lines}"
         code, out = _run_main(
-            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n[grid]\n{grid}\n")
+            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n{sections}\n")
         self._assert_config_error(capsys, code)
         assert not out.exists()
 
@@ -452,9 +469,10 @@ class TestErrorContract:
         def fail(*args, **kwargs):
             raise error("forced failure")
 
-        # matrix-kp reaches the resolvent through the name bound in fields
+        # the sweep reaches assemble through the name bound in fields
         monkeypatch.setattr(fredholm, target, fail)
-        monkeypatch.setattr(fields, target, fail)
+        if target == "assemble":
+            monkeypatch.setattr(fields, target, fail)
         config = ("[run]\ncommand = det-eval\n[grid]\nnr = 1\n" if target == "assemble"
                   else "[run]\ncommand = matrix-kp\n[kernel]\n"
                        "family = multiwedge_extended\nxs = -0.3,0.4\nrs = 0.5,0.8\n")

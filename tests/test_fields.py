@@ -5,7 +5,7 @@ from kpdet.kernels import KernelSpec
 
 # the lattice of the c13 spiked KP stencil: (t, x, r) around (1, 0.2, 0.3)
 H = 0.02
-C13 = dict(t0=1.0 - H, x0=0.2 - H, r0=0.3 - 3 * H, ht=H, hx=H, hr=H)
+C13 = dict(t0=1.0 - H, x0=0.2 - H, r0=0.3 - 3 * H)
 
 
 def c13_specs(dims=(3, 3, 7)):
@@ -26,8 +26,7 @@ def test_spiked_sweep_matches_per_point_rules():
     # one rule set sized for the worst point against rules of each point's
     # own: the log F stencil agrees to rounding
     n = 16
-    swept = fields.det_field("kpz_spiked", *C13.values(), (3, 3, 7), n_quad=n,
-                             spec_kw={"spikes": (0.0,)}).values.ravel()
+    swept = fields.sweep(c13_specs(), n)
     per_point = np.array([own_logdet(s, n) for s in c13_specs()])
     assert np.max(np.abs(swept - per_point)) <= 1e-13
 
