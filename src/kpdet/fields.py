@@ -35,19 +35,23 @@ __all__ = [
 def _logdet(disc) -> float:
     sign, logdet = log_det_one_minus(disc)
     if sign <= 0:
-        raise FloatingPointError("non-positive determinant in a field sweep")
+        s = disc.kernel.spec
+        raise FloatingPointError(
+            f"non-positive determinant in a field sweep: {s.family} at t = {s.t:.6g}, "
+            f"x = {', '.join(f'{v:.6g}' for v in s.xs)}, "
+            f"r = {', '.join(f'{v:.6g}' for v in s.rs)}, n = {disc.rule.n}")
     return logdet
 
 
 def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     """value(assemble(kernel, n_quad)) for each spec, in order, as an array.
 
-    value defaults to log det(I - K) (raising FloatingPointError unless the
-    determinant is positive).  The kpz_spiked specs that share spikes
-    and anchor form one contour group with one set of rules
-    (``kernels.SpikedRules``); the groups are evaluated one after another,
-    so only one group's rules are held at a time.  Every other kernel is
-    built per point.  mapper maps the per-point evaluation over a group's
+    value defaults to log det(I - K) (raising FloatingPointError, which
+    names the point and n_quad, unless the determinant is positive).  The
+    kpz_spiked specs that share spikes and anchor form one contour group
+    with one set of rules (``kernels.SpikedRules``); the groups are
+    evaluated one after another, so only one group's rules are held at a
+    time.  Every other kernel is built per point.  mapper maps the per-point evaluation over a group's
     specs: the builtin map, or a thread pool's map (values do not change).
     """
     specs = list(specs)

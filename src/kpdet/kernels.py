@@ -119,8 +119,10 @@ class LogMat:
 
 
 # a scaled product below this may have lost its largest terms to subnormal
-# underflow; such entries are recomputed by the exact log-sum-exp
-_SCALED_TINY = 1e-280
+# underflow, or its log (below -345) rounds by an ulp of that size, which
+# the final log|a b| keeps; such entries are recomputed by the exact
+# log-sum-exp
+_SCALED_TINY = 1e-150
 
 
 def _line_max(logabs, axis):

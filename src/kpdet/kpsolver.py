@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 __all__ = [
     "SpectralState",

@@ -3,8 +3,9 @@
 Each case runs one config of ``configs/acceptance`` (plus the x = 0 row of
 criterion 1, which no committed config covers) in process and asserts
 that it exits 0 with ``passed``, i.e. ``worst`` is within the config's
-tolerance, and that every sub-check the command folds into ``worst`` holds
-in its report.  An assertion message carries the criterion's label.
+tolerance, that every sub-check the command folds into ``worst`` holds
+in its report, and that it raised no warning.  An assertion message
+carries the criterion's label.
 """
 
 import json
@@ -96,5 +97,6 @@ def test_acceptance_config(name, tmp_path):
     label = WORST_LABELS.get(name, name)
     assert code == 0 and report["passed"] is True, (
         f"[FAIL] {label}: {report['worst']} !<= {report['tolerance']}")
+    assert report["warnings"] == 0, f"[FAIL] {label}: {report['warnings']} warnings"
     for label, ok in SUB_CHECKS.get(cfg.command, []):
         assert ok(report), f"[FAIL] {label}: {report}"

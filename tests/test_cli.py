@@ -103,6 +103,15 @@ class TestMain:
         report = json.loads((out / "tw-table.json").read_text())
         assert report["passed"] is True
 
+    def test_warnings_counted_not_printed(self, tmp_path):
+        # F_GUE(-9) ~ 3e-27: det_one_minus warns that det(I - K) < 1e-14,
+        # on a worker thread of det-eval's pool
+        code, err, out = _run_module(
+            tmp_path, "[run]\ncommand = det-eval\ntolerance = 1e-6\n"
+            "[grid]\nr0 = -9.0\nnr = 1\n")
+        assert code == 0 and err == ""
+        assert json.loads((out / "det-eval.json").read_text())["warnings"] == 1
+
     def test_deterministic_outputs(self, tmp_path):
         cfgf = tmp_path / "tw.cfg"
         cfgf.write_text(GOOD_CONFIG.replace("-6.0", "-2.0"))
@@ -143,6 +152,30 @@ def _run_main(tmp_path, text, *extra):
     cfgf.write_text(text)
     out = tmp_path / "out"
     return cli.main(["--config", str(cfgf), "--out", str(out), *extra]), out
+
+
+def _fresh_python(*args):
+    """python args in a fresh process with this checkout's src on the path,
+    so nothing pytest captures in process (warnings, imports) is hidden."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_module(tmp_path, text):
+    """python -m kpdet.cli on config text: (exit code, stderr, out dir)."""
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(text)
+    out = tmp_path / "out"
+    proc = _fresh_python("-m", "kpdet.cli", "--config", str(cfgf), "--out", str(out))
+    return proc.returncode, proc.stderr, out
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _fresh_python("-c", "import sys, kpdet.cli; print(sorted("
+                         "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 class TestConfiguredKeys:
@@ -241,6 +274,13 @@ class TestConfiguredKeys:
         assert abs(report["dt"] - 2e-3) < 1e-15
         assert (report["soliton_n_x"], report["soliton_n_r"],
                 report["soliton_n_steps"], report["soliton_dt"]) == (4, 512, 400, 5e-3)
+
+
+# configs whose t * t underflows to 0, so the numerics fail
+ARITHMETIC_ERRORS = [
+    ("det-eval", "t = 1e-300\n[grid]\nnr = 1"),
+    ("spiked-check", "spikes = 0.0\nt = 1e-300"),
+]
 
 
 class TestErrorContract:
@@ -398,10 +438,7 @@ class TestErrorContract:
         assert err.startswith("config error: line ") and err.endswith(f" is not {kind}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, kernel", [
-        ("det-eval", "t = 1e-300\n[grid]\nnr = 1"),
-        ("spiked-check", "spikes = 0.0\nt = 1e-300"),
-    ])
+    @pytest.mark.parametrize("command, kernel", ARITHMETIC_ERRORS)
     def test_arithmetic_error_exit_2(self, tmp_path, capsys, command, kernel):
         # t * t underflows, so the kernel's exponents divide by zero or overflow
         code, out = _run_main(
@@ -409,6 +446,26 @@ class TestErrorContract:
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("numerical error:") and "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kernel", ARITHMETIC_ERRORS)
+    def test_arithmetic_error_one_stderr_line(self, tmp_path, command, kernel):
+        # the RuntimeWarnings on the way to the error are counted, not printed
+        code, err, out = _run_module(
+            tmp_path, f"[run]\ncommand = {command}\nquad_n = 16\n[kernel]\n{kernel}\n")
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert not out.exists()
+
+    def test_non_positive_determinant_names_the_point(self, tmp_path, capsys):
+        # the flat kernel's Nystrom determinant at r = -7 needs n > 64
+        code, out = _run_main(
+            tmp_path, "[run]\ncommand = tail-fit\nquad_n = 48\n"
+            "[kernel]\nfamily = flat_fixed_point\n")
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "numerical error: non-positive determinant in a field sweep: "
+            "flat_fixed_point at t = 1, x = 0, r = -7, n = 48")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, lines", [
@@ -442,18 +499,12 @@ class TestErrorContract:
 
     def test_entry_point_exit_2_one_line(self, tmp_path):
         # python -m kpdet.cli in a fresh process, not only cli.main in process
-        cfgf = tmp_path / "c.cfg"
-        cfgf.write_text("[run]\ncommand = det-eval\n[grid]\nnr = abc\n")
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kpdet.cli", "--config", str(cfgf),
-             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: line 4: nr = abc is not ")
-        assert not (tmp_path / "out").exists()
+        code, err, out = _run_module(
+            tmp_path, "[run]\ncommand = det-eval\n[grid]\nnr = abc\n")
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: line 4: nr = abc is not ")
+        assert not out.exists()
 
     def test_spiked_check_x_outside_light_cone_exit_2(self, tmp_path, capsys):
         code, out = _run_main(

@@ -3,6 +3,7 @@ import functools
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpdet import fredholm, kernels, painleve
 from kpdet.kernels import KernelSpec, multiwedge_block
@@ -278,3 +279,36 @@ def test_nystrom_determinant_matches_mpmath(family, kernel, points):
                     m[i, j] = (i == j) - sw[i] * k(u, v) * sw[j]
             want = mpmath.det(m)
             assert abs(fredholm.det_one_minus(disc) - float(want)) <= 1e-15
+
+
+# the families whose one-point determinant is a distribution function in r
+NON_SPIKED = ("nw_fixed_point", "flat_fixed_point", "multiwedge_extended",
+              "kpz_narrow_wedge")
+TIMES = st.floats(0.5, 2.0)
+POSITIONS = st.floats(-1.0, 1.0)
+LEVELS = st.floats(-3.0, 3.0)
+
+
+def one_point_det(family, t, x, r, n=32):
+    xs = {} if family == "flat_fixed_point" else {"xs": (x,)}
+    spec = KernelSpec(family, t, rs=(r,), **xs)
+    return fredholm.det_one_minus(fredholm.assemble(spec, n))
+
+
+class TestDeterminantProperties:
+    @pytest.mark.parametrize("family", NON_SPIKED)
+    @settings(max_examples=15, deadline=None)
+    @given(t=TIMES, x=POSITIONS,
+           rs=st.lists(LEVELS, min_size=2, max_size=4, unique=True).map(sorted))
+    def test_probability_nondecreasing_in_r(self, family, t, x, rs):
+        d = np.array([one_point_det(family, t, x, r) for r in rs])
+        assert np.all(d >= -1e-12) and np.all(d <= 1.0 + 1e-12)
+        assert np.all(np.diff(d) >= -1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=TIMES, x=POSITIONS, r=LEVELS)
+    def test_narrow_wedge_depends_on_r_plus_x2_over_t(self, t, x, r):
+        # F(t, x, r) = F_GUE(t^(-1/3) (r + x^2 / t)); the x-dependence of the
+        # kernel is a conjugation, so the Nystrom matrices are similar
+        shifted = one_point_det("nw_fixed_point", t, 0.0, r + x * x / t)
+        assert abs(one_point_det("nw_fixed_point", t, x, r) - shifted) <= 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import airy
@@ -296,6 +296,9 @@ def log_factor_pairs(draw):
 class TestLogMatmul:
     @settings(max_examples=300, deadline=None)
     @given(log_factor_pairs())
+    # log|scaled product| near -514.6 rounds by an ulp of 514, 1.1e-13
+    @example((LogMat(np.array([[515.0, 0.44]]), -np.ones((1, 2))),
+              LogMat(np.array([[-545.0], [0.0]]), -np.ones((2, 1)))))
     def test_matches_exact_log_sum_exp(self, pair):
         a, b = pair
         out = log_matmul(a, b)

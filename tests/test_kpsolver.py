@@ -9,7 +9,7 @@ from kpdet import fields, kpsolver, painleve
 
 @pytest.fixture(scope="module")
 def hm_wide():
-    return painleve.hastings_mcleod(L=16.0, R=10.0, n=4001)
+    return painleve.hastings_mcleod(L=16.0, R=10.0)
 
 
 def invariants(solver, phi):
@@ -243,8 +243,8 @@ class TestEvolveAndCompare:
     def test_flat_kdv_reduction(self):
         # flat data: phi(t, r) = c^2 (q'(s) - q(s)^2) / 2 at s = c r, c = (4/t)^(1/3),
         # the Miura form of the GOE reduction
-        hm24 = painleve.hastings_mcleod(L=24.0, R=10.0, n=5501)
-        q_prime = CubicSpline(hm24.grid, hm24.q_prime)
+        hm24 = painleve.hastings_mcleod(L=24.0, R=10.0)
+        q_prime = hm24.q.deriv()
 
         def builder(t, x, r):
             c = np.cbrt(4.0 / t)

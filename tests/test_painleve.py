@@ -16,15 +16,21 @@ def gue_det(r, n=64):
     return fredholm.det_one_minus(fredholm.assemble(spec, n))
 
 
+def goe_det(r, n=64):
+    # the flat fixed point at t = 1 and level r is F_GOE(4^(1/3) r)
+    spec = KernelSpec("flat_fixed_point", 1.0, (0.0,), (float(r) / np.cbrt(4.0),))
+    return fredholm.det_one_minus(fredholm.assemble(spec, n))
+
+
 class TestHastingsMcleod:
     def test_right_boundary(self, hm):
-        assert abs(hm._q_spline(8.0) + airy_ai(8.0)) < 1e-8
+        assert abs(hm.q(8.0) + airy_ai(8.0)) < 1e-8
 
     def test_left_asymptote(self, hm):
-        assert abs(hm._q_spline(-8.0) + 2.0) < 5e-3
+        assert abs(hm.q(-8.0) + 2.0) < 5e-3
 
     def test_value_at_zero(self, hm):
-        assert abs(hm._q_spline(0.0) + 0.3670615) < 1e-5
+        assert abs(hm.q(0.0) + 0.3670615) < 1e-5
 
     def test_value_at_zero_independent_oracle(self, hm):
         # psi = -q^2 turns q into the curvature of the determinant route:
@@ -32,17 +38,36 @@ class TestHastingsMcleod:
         h = 5e-3
         ld = [np.log(gue_det(r)) for r in (-2 * h, -h, 0.0, h, 2 * h)]
         d2 = (-ld[0] + 16 * ld[1] - 30 * ld[2] + 16 * ld[3] - ld[4]) / (12 * h * h)
-        assert abs(float(hm._q_spline(0.0)) + np.sqrt(-d2)) < 1e-5
+        assert abs(float(hm.q(0.0)) + np.sqrt(-d2)) < 1e-5
 
-    def test_interior_5pt_residual(self, hm):
-        g, q = hm.grid, hm.q
-        h = g[1] - g[0]
-        r5 = ((-q[:-4] + 16 * q[1:-3] - 30 * q[2:-2] + 16 * q[3:-1] - q[4:])
-              / (12 * h * h) - g[2:-2] * q[2:-2] - 2 * q[2:-2] ** 3)
-        assert np.max(np.abs(r5)) < 1e-8
+    def test_ode_residual(self, hm):
+        # q'' - s q - 2 q^3 from the exact derivative of the series, off
+        # the collocation points, on the interval F is read from (the
+        # boundary rows replace the equation at the two ends)
+        s = np.linspace(hm.left + 1.0, hm.right - 1.0, 4001)
+        q = hm.q(s)
+        assert np.max(np.abs(hm.q.deriv(2)(s) - s * q - 2 * q ** 3)) < 1e-12
+
+    def test_series_resolved(self):
+        # every interval in use is resolved to rounding at DEGREE; on a far
+        # longer one the trailing coefficients refuse the series
+        for L in (10.0, 16.0, 24.0):
+            coef = painleve.hastings_mcleod(L=L).q.coef
+            assert coef.size == painleve.DEGREE + 1
+            assert np.max(np.abs(coef[-8:])) < 2e-15
+        with pytest.raises(FloatingPointError, match="trailing coefficients"):
+            painleve.hastings_mcleod(L=60.0)
+
+    def test_left_end_does_not_reach_interior(self):
+        # the two-term left asymptote is off by ~1e-6 at -10; the error
+        # decays like exp(-(2 sqrt 2 / 3) |s|^(3/2)) inward, so L = 10 and
+        # L = 16 agree to rounding on [-5, R - 1]
+        s = np.linspace(-5.0, 9.0, 1001)
+        wide = painleve.hastings_mcleod(L=16.0)
+        assert np.max(np.abs(painleve.hastings_mcleod().q(s) - wide.q(s))) < 1e-13
 
     def test_strictly_negative(self, hm):
-        assert np.all(hm.q < 0)
+        assert np.all(hm.q(np.linspace(hm.left, hm.right, 4001)) < 0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -54,7 +79,7 @@ class TestDistributions:
         assert 1.0 - float(painleve.f_gue(4.0, hm)) < 1e-4
 
     def test_gue_cross_oracle(self, hm):
-        assert abs(float(painleve.f_gue(0.0, hm)) - gue_det(0.0)) < 1e-7
+        assert abs(float(painleve.f_gue(0.0, hm)) - gue_det(0.0, 128)) < 1e-13
 
     def test_gue_lower_tail_cubic(self, hm):
         # -log F ~ |s|^3/12 with small corrections at s = -6
@@ -72,9 +97,7 @@ class TestDistributions:
         assert abs(val - two_term) < 0.15 * 9.0
 
     def test_goe_matches_flat_determinant(self, hm):
-        spec = KernelSpec("flat_fixed_point", 1.0, (0.0,), (0.0,))
-        det = fredholm.det_one_minus(fredholm.assemble(spec, 64))
-        assert abs(float(painleve.f_goe(0.0, hm)) - det) < 1e-6
+        assert abs(float(painleve.f_goe(0.0, hm)) - goe_det(0.0, 128)) < 1e-13
 
     def test_monotonicity_and_limits(self, hm):
         s = np.linspace(hm.left + 1.0, hm.right - 1.0, 400)
@@ -88,8 +111,10 @@ class TestDistributions:
         assert fg[-1] > 1.0 - 1e-4 and fo[-1] > 1.0 - 1e-3
 
     def test_cross_oracle_uniform(self, hm):
-        for r in (-4.0, -2.0, 0.0, 2.0, 4.0):
-            assert abs(float(painleve.f_gue(r, hm)) - gue_det(r, 96)) < 1e-6
+        # the Nystrom determinants at n = 128 are exact to rounding here
+        for r in (-5.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
+            assert abs(float(painleve.f_gue(r, hm)) - gue_det(r, 128)) < 1e-13
+            assert abs(float(painleve.f_goe(r, hm)) - goe_det(r, 128)) < 1e-13
 
     def test_out_of_grid(self, hm):
         with pytest.raises(painleve.OutOfGridError):
@@ -101,36 +126,18 @@ def selfsimilar_ode_residuals(hm, lo=-5.0, hi=5.0):
 
     GUE: psi''' + 12 psi psi' - 4 r psi' - 2 psi = 0 with psi = -q^2.
     GOE: psi''' + 12 psi psi' - r psi' - 2 psi = 0 with psi = (q' - q^2)/2.
-    Derivatives are 5-point finite differences on the collocation grid.
+    Derivatives are the exact derivatives of the Chebyshev series.
     """
-    g, h = hm.grid, hm.grid[1] - hm.grid[0]
-
-    def d1(f):
-        out = np.full_like(f, np.nan)
-        out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-        return out
-
-    def d3(f):
-        out = np.full_like(f, np.nan)
-        out[2:-2] = (-f[:-4] + 2 * f[1:-3] - 2 * f[3:-1] + f[4:]) / (2 * h ** 3)
-        return out
-
-    mask = (g >= lo) & (g <= hi)
+    r = np.linspace(lo, hi, 2001)
     sups = []
-    for psi, c in ((-hm.q ** 2, 4.0), (0.5 * (hm.q_prime - hm.q ** 2), 1.0)):
-        res = d3(psi) + 12 * psi * d1(psi) - c * g * d1(psi) - 2 * psi
-        sups.append(float(np.nanmax(np.abs(res[mask]))))
+    for psi, c in ((-hm.q ** 2, 4.0), (0.5 * (hm.q.deriv() - hm.q ** 2), 1.0)):
+        p, p1 = psi(r), psi.deriv()(r)
+        res = psi.deriv(3)(r) + 12 * p * p1 - c * r * p1 - 2 * p
+        sups.append(float(np.max(np.abs(res))))
     return tuple(sups)
 
 
 class TestSelfSimilarReductions:
     def test_residuals_small(self, hm):
         gue, goe = selfsimilar_ode_residuals(hm)
-        assert gue < 1e-5 and goe < 1e-5
-
-    def test_second_order_refinement(self):
-        h1 = painleve.hastings_mcleod(n=1501)
-        h2 = painleve.hastings_mcleod(n=3001)
-        g1 = selfsimilar_ode_residuals(h1)
-        g2 = selfsimilar_ode_residuals(h2)
-        assert g1[0] / g2[0] > 2.5 and g1[1] / g2[1] > 2.5
+        assert gue < 1e-11 and goe < 1e-11
