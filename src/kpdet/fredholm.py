@@ -99,9 +99,8 @@ def boundary_resolvent(disc: Discretization) -> np.ndarray:
     kernel reuses the factors it cached on the nodes and adds only those
     at the boundary point 0.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        det = det_one_minus(disc)
+    sign, logdet = _slogdet(disc)
+    det = sign * np.exp(logdet)
     if abs(det) < 1e-12 or not np.isfinite(det):
         raise SingularOperatorError(f"det(I-K) = {det}: resolvent undefined")
     kernel, rule, nq = disc.kernel, disc.rule, disc.rule.n

@@ -24,6 +24,7 @@ into F near the right end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,17 @@ class HMSolution:
 def hastings_mcleod(L: float = 10.0, R: float = 10.0) -> HMSolution:
     """Solve the Hastings-McLeod BVP on [-L, R] as a Chebyshev series.
 
-    Raises FloatingPointError if Newton stalls (the message carries the
-    step norms) or if the series' trailing coefficients exceed 1e-13 (the
-    interval is too long for DEGREE).
+    The solution is memoized on (L, R): every call with the same interval
+    returns the same HMSolution, which callers must not modify.  Raises
+    FloatingPointError if Newton stalls (the message carries the step
+    norms) or if the series' trailing coefficients exceed 1e-13 (the
+    interval is too long for DEGREE); a failed solve is not memoized.
     """
+    return _solve_hastings_mcleod(float(L), float(R))
+
+
+@functools.lru_cache(maxsize=8)
+def _solve_hastings_mcleod(L: float, R: float) -> HMSolution:
     if L < 6 or R < 6:
         raise ValueError("need L >= 6, R >= 6")
     x = np.cos(np.pi * np.arange(DEGREE + 1) / DEGREE)

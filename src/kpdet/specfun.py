@@ -6,7 +6,18 @@ marched outward from 0) inside a core interval, and from the standard
 Poincare asymptotic expansions outside it.  A single 0-centered series
 loses ~exp((2/3)|x|^{3/2}) digits to cancellation, so the core interval is
 tiled with centers every 0.5; each local series then has no cancellation.
+At |x - center| <= 0.25 the terms beyond order 20 sum to less than 2.4e-20
+(2e-18 for Ai'), so order 20 gives the values of order 30.
 
+Right of the core (x > 9, zeta = (2/3) x^{3/2} > 18) the Poincare series
+in 1/zeta is summed to a fixed degree 23 with no truncation test: its
+terms u_k / zeta^k shrink while k < 2 zeta (the ratio is about k / (2 zeta)),
+so through k = 23 they only fall (3.9e-3, 1.1e-4, ..., 2.9e-16 at zeta =
+18), and the first omitted one, which bounds the remainder (DLMF 9.7.iii),
+is below 1.9e-16 there and smaller for every larger x.
+
+Each branch is one Horner pass whose accumulator is updated in place, so
+an evaluation holds a few arrays of the input's size whatever the order.
 Everything is vectorized over numpy arrays and stateless after the module
 level coefficient tables are built.
 """
@@ -33,7 +44,7 @@ AI_ZERO1 = -2.3381074104597670
 _X_NEG_SWITCH = -14.0
 _X_POS_SWITCH = 9.0
 _CENTER_STEP = 0.5
-_N_LOCAL = 30   # local series order for |delta| <= 0.25
+_N_LOCAL = 20   # local series order for |delta| <= 0.25
 _N_MARCH = 44   # marching series order for steps of 0.5
 
 
@@ -100,16 +111,19 @@ def _build_tables():
     for idx in range(idx0, 0, -1):
         _advance(idx, -1)
 
-    coeffs = np.zeros((len(centers), _N_LOCAL))
+    # row k holds the k-th Taylor coefficient at every center
+    coeffs = np.zeros((_N_LOCAL, len(centers)))
     for idx in range(len(centers)):
         y0, yp0 = vals[idx]
         a = _airy_taylor_coeffs(centers[idx], y0, yp0, _N_LOCAL)
-        coeffs[idx] = a.astype(float)
+        coeffs[:, idx] = a.astype(float)
     return centers.astype(float), coeffs
 
 
 _CENTERS, _COEFFS = _build_tables()
 _C0 = _CENTERS[0]
+# the same layout for Ai': row k holds (k + 1) a_{k+1}
+_DCOEFFS = _COEFFS[1:] * np.arange(1, _N_LOCAL)[:, None]
 
 # u_k / v_k coefficients of the Poincare expansions (DLMF 9.7)
 _N_ASY = 24
@@ -129,35 +143,34 @@ def _build_asymptotic_uv():
 
 
 _U_ASY, _V_ASY = _build_asymptotic_uv()
+# (-1)^k u_k and (-1)^k v_k: the coefficients of the right-hand expansions
+_U_ALT = _U_ASY * (-1.0) ** np.arange(_N_ASY)
+_V_ALT = _V_ASY * (-1.0) ** np.arange(_N_ASY)
 
 
-def _local_series(x, deriv=False):
-    """Evaluate the tabulated local Taylor series at points in the core."""
-    idx = np.clip(np.rint((x - _C0) / _CENTER_STEP).astype(int), 0, len(_CENTERS) - 1)
-    delta = x - _CENTERS[idx]
-    if not deriv:
-        acc = _COEFFS[idx, _N_LOCAL - 1]
-        for k in range(_N_LOCAL - 2, -1, -1):
-            acc = acc * delta + _COEFFS[idx, k]
-        return acc
-    acc = _COEFFS[idx, _N_LOCAL - 1] * (_N_LOCAL - 1)
-    for k in range(_N_LOCAL - 2, 0, -1):
-        acc = acc * delta + _COEFFS[idx, k] * k
+def _local_series(x, table):
+    """Horner sum of the tabulated local Taylor series at points in the core.
+
+    table is _COEFFS or _DCOEFFS: row k holds the k-th coefficient at
+    every center, so each step reads one row with take, into one buffer
+    (mode="clip" also keeps take from buffering its output).
+    """
+    idx = np.rint((x - _C0) / _CENTER_STEP).astype(np.intp)
+    delta = x - _CENTERS.take(idx, mode="clip")
+    acc = table[-1].take(idx, mode="clip")
+    buf = np.empty_like(acc)
+    for row in table[-2::-1]:
+        acc *= delta
+        acc += row.take(idx, mode="clip", out=buf)
     return acc
 
 
-def _asy_series(zeta, coeff, alternate):
-    """sum_k (+-1)^k coeff[k] zeta^{-k}, truncated at the smallest term."""
-    acc = np.ones_like(zeta)
-    term = np.ones_like(zeta)
-    prev = np.full_like(zeta, np.inf)
-    active = np.ones(zeta.shape, dtype=bool)
-    for k in range(1, _N_ASY):
-        term = term / zeta * (-coeff[k] / coeff[k - 1] if alternate else coeff[k] / coeff[k - 1])
-        grew = np.abs(term) >= prev
-        active &= ~grew
-        acc = np.where(active, acc + term, acc)
-        prev = np.abs(term)
+def _asy_series(w, coeff):
+    """sum_k coeff[k] w^k, Horner in w = 1/zeta over the whole table."""
+    acc = np.full_like(w, coeff[-1])
+    for c in coeff[-2::-1]:
+        acc *= w
+        acc += c
     return acc
 
 
@@ -165,9 +178,15 @@ def _ai_pos_asymptotic(x, deriv):
     zeta = (2.0 / 3.0) * x ** 1.5
     if not deriv:
         pre = np.exp(-zeta) * x ** -0.25 / (2.0 * np.sqrt(np.pi))
-        return pre * _asy_series(zeta, _U_ASY, alternate=True)
+        return pre * _asy_series(1.0 / zeta, _U_ALT)
     pre = -np.exp(-zeta) * x ** 0.25 / (2.0 * np.sqrt(np.pi))
-    return pre * _asy_series(zeta, _V_ASY, alternate=True)
+    return pre * _asy_series(1.0 / zeta, _V_ALT)
+
+
+def _log_ai_pos_asymptotic(x):
+    zeta = (2.0 / 3.0) * x ** 1.5
+    ser = _asy_series(1.0 / zeta, _U_ALT)
+    return -zeta - 0.25 * np.log(x) - np.log(2.0 * np.sqrt(np.pi)) + np.log(ser)
 
 
 def _even_odd_series(zeta, coeff):
@@ -195,20 +214,29 @@ def _ai_neg_asymptotic(x, deriv):
     return -(np.cos(phase) * p + np.sin(phase) * q) * z ** 0.25 / np.sqrt(np.pi)
 
 
-def _airy_eval(x, deriv):
+def _by_branch(x, core, pos, neg):
+    """Evaluate core, pos and neg on the points of x in, right of and left
+    of [_X_NEG_SWITCH, _X_POS_SWITCH], splitting x once.
+
+    Returns the values (shaped like x, at least 1-d), the mask of the points
+    right of the core, and whether x was 0-d.
+    """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.empty_like(x)
-    core = (x >= _X_NEG_SWITCH) & (x <= _X_POS_SWITCH)
-    if np.any(core):
-        out[core] = _local_series(x[core], deriv=deriv)
-    pos = x > _X_POS_SWITCH
-    if np.any(pos):
-        out[pos] = _ai_pos_asymptotic(x[pos], deriv)
-    neg = x < _X_NEG_SWITCH
-    if np.any(neg):
-        out[neg] = _ai_neg_asymptotic(x[neg], deriv)
+    right = x > _X_POS_SWITCH
+    left = x < _X_NEG_SWITCH
+    for mask, fn in ((~(right | left), core), (right, pos), (left, neg)):
+        if mask.any():
+            out[mask] = fn(x[mask])
+    return out, right, scalar
+
+
+def _airy_eval(x, deriv):
+    out, _, scalar = _by_branch(
+        x, lambda v: _local_series(v, _DCOEFFS if deriv else _COEFFS),
+        lambda v: _ai_pos_asymptotic(v, deriv), lambda v: _ai_neg_asymptotic(v, deriv))
     return out[0] if scalar else out
 
 
@@ -231,24 +259,15 @@ def airy_ai_log_abs(x):
     x >= 0 the log has relative error < 1e-13 (absolute where |log Ai| < 1);
     for x < 0, sign * exp(log) is Ai to the accuracy of airy_ai.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    logv = np.empty_like(x)
-    sign = np.empty_like(x)
-    pos = x > _X_POS_SWITCH
-    if np.any(pos):
-        xp = x[pos]
-        zeta = (2.0 / 3.0) * xp ** 1.5
-        ser = _asy_series(zeta, _U_ASY, alternate=True)
-        logv[pos] = -zeta - 0.25 * np.log(xp) - np.log(2.0 * np.sqrt(np.pi)) + np.log(ser)
-        sign[pos] = 1.0
-    rest = ~pos
-    if np.any(rest):
-        v = _airy_eval(x[rest], deriv=False)
-        with np.errstate(divide="ignore"):
-            logv[rest] = np.log(np.abs(v))
-        sign[rest] = np.sign(v)
+    # right of the core the branch returns log Ai itself, Ai > 0 there
+    v, right, scalar = _by_branch(x, lambda u: _local_series(u, _COEFFS),
+                                  _log_ai_pos_asymptotic,
+                                  lambda u: _ai_neg_asymptotic(u, False))
+    sign = np.sign(v)
+    sign[right] = 1.0
+    with np.errstate(divide="ignore"):
+        logv = np.log(np.abs(v))
+    logv[right] = v[right]
     if scalar:
         return logv[0], sign[0]
     return logv, sign

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import mpmath
 import numpy as np
@@ -165,6 +166,16 @@ class TestBoundaryResolvent:
         # det(I-K) = 1 - 2*1/2 = 0: resolvent must refuse
         with pytest.raises((fredholm.SingularOperatorError, np.linalg.LinAlgError)):
             fredholm.boundary_resolvent(fredholm.assemble(UnitKernel(), 64))
+
+    def test_near_singular_raises_without_warning(self):
+        # det(I - K) = 1e-15, below the 1e-14 at which det_one_minus warns:
+        # the resolvent refuses with its own error and warns nothing
+        disc = fredholm.assemble(RankOneToy(), 32)
+        disc.matrix = np.diag([1.0 - 1e-15] + [0.0] * 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fredholm.SingularOperatorError):
+                fredholm.boundary_resolvent(disc)
 
 
 class TestBracketIdentity:

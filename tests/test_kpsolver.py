@@ -50,6 +50,14 @@ def test_etd_coeffs_match_closed_forms(sign):
                 assert abs(g[i] - w) <= 1e-14 * abs(w), (name, sign * s, g[i], w)
 
 
+@pytest.mark.parametrize("n_x", [1, 4, 5, 64])
+def test_hermitian_part_is_fft_of_real_part(n_x):
+    rng = np.random.default_rng(n_x)
+    z = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
+    want = np.fft.fft(np.fft.ifft(z).real)
+    assert np.max(np.abs(kpsolver._hermitian_part(z) - want)) <= 1e-14 * np.max(np.abs(z))
+
+
 def full_spectrum_reference(solver):
     """(nonlinear, step) of the same ETDRK4 scheme on the full fft2 spectrum.
 

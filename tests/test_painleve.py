@@ -73,6 +73,16 @@ class TestHastingsMcleod:
         with pytest.raises(ValueError):
             painleve.hastings_mcleod(L=4.0)
 
+    def test_memoized_on_interval(self):
+        hm = painleve.hastings_mcleod()
+        assert painleve.hastings_mcleod(10.0, 10.0) is hm
+        assert painleve.hastings_mcleod(L=10, R=10.0) is hm
+        assert painleve.hastings_mcleod(L=16.0) is not hm
+        # a failed solve is not remembered: it fails again every time
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="trailing coefficients"):
+                painleve.hastings_mcleod(L=60.0)
+
 
 class TestDistributions:
     def test_gue_right_tail(self, hm):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -150,6 +152,30 @@ class TestMpmathOracles:
         assert np.all(sg == np.sign(ref))
         assert np.max(np.abs(sg * np.exp(la) - ref)) < 1e-13
 
+    # each core/asymptotic seam, from both sides
+    X_SEAMS = np.array([9.0 - 1e-9, 9.0 + 1e-9, -14.0 - 1e-9, -14.0 + 1e-9])
+
+    def test_airy_seams(self):
+        # measured 3.6e-15 (Ai) and 1.4e-14 (Ai', at -14 - 1e-9)
+        ref = _mp_map(mp.airyai, self.X_SEAMS).real
+        assert np.max(np.abs(specfun.airy_ai(self.X_SEAMS) / ref - 1.0)) < 1e-14
+        ref = _mp_map(lambda x: mp.airyai(x, derivative=1), self.X_SEAMS).real
+        assert np.max(np.abs(specfun.airy_ai_prime(self.X_SEAMS) / ref - 1.0)) < 5e-14
+
+    def test_airy_log_abs_seams(self):
+        # measured 2.2e-15
+        ref = _mp_map(lambda v: mp.log(abs(mp.airyai(v.real))), self.X_SEAMS).real
+        la, sg = specfun.airy_ai_log_abs(self.X_SEAMS)
+        assert np.all(sg == [1.0, 1.0, -1.0, -1.0])
+        assert np.max(np.abs(la - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
+
+    def test_airy_ai_prime_right_relative(self):
+        # the Poincare branch of Ai'; measured 6.0e-14, the rounding of
+        # exp(-zeta) at zeta up to 310
+        x = np.linspace(9.0, 60.0, 401)[1:]
+        ref = _mp_map(lambda v: mp.airyai(v, derivative=1), x).real
+        assert np.max(np.abs(specfun.airy_ai_prime(x) / ref - 1.0)) < 1.5e-13
+
     def test_log_gamma_strip(self):
         # Re z in [-10, 10], |Im z| <= 50: both edges in Im, just off the
         # branch cut, random interior points and the positive real axis
@@ -161,3 +187,46 @@ class TestMpmathOracles:
         ref = _mp_map(mp.loggamma, z)
         rel = np.abs(specfun.log_gamma(z) - ref) / np.maximum(np.abs(ref), 1.0)
         assert np.max(rel) < 1e-12
+
+
+AIRY_FUNCTIONS = [specfun.airy_ai, specfun.airy_ai_prime,
+                  lambda x: specfun.airy_ai_log_abs(x)[0],
+                  lambda x: specfun.airy_ai_log_abs(x)[1]]
+AIRY_IDS = ["ai", "ai_prime", "log_abs", "sign"]
+
+
+class TestAiryContract:
+    """Shapes and working memory of the three Airy entry points."""
+
+    @pytest.mark.parametrize("fn", AIRY_FUNCTIONS, ids=AIRY_IDS)
+    def test_scalar_in_scalar_out(self, fn):
+        for x in (-20.0, 0.5, 30.0):
+            v = fn(x)
+            assert np.ndim(v) == 0
+            assert v == fn(np.array([x]))[0]
+
+    @pytest.mark.parametrize("fn", AIRY_FUNCTIONS, ids=AIRY_IDS)
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 6), (2, 3, 4)])
+    def test_shape_kept(self, fn, shape):
+        # a non-contiguous view, with points on every branch when it has any
+        x = np.linspace(-20.0, 30.0, int(np.prod(shape))).reshape(shape)[..., ::-1]
+        v = fn(x)
+        assert v.shape == shape
+        assert np.array_equal(v.ravel(), fn(x.ravel()))
+
+    @pytest.mark.parametrize("fn", AIRY_FUNCTIONS[:3], ids=AIRY_IDS[:3])
+    @pytest.mark.parametrize("lo, hi", [(-20.0, 40.0), (-14.0, 9.0), (9.0, 60.0)],
+                             ids=["all", "core", "right"])
+    def test_peak_memory(self, fn, lo, hi):
+        # at most 8 arrays of the input's size at once, whatever the series
+        # order; measured 4.0 (all), 6.4 (core) and 6.4 (right)
+        n = 100_000
+        x = np.linspace(lo, hi, n)
+        fn(x)
+        tracemalloc.start()
+        try:
+            fn(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * x.nbytes
