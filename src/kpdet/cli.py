@@ -238,13 +238,18 @@ def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
     return default if cfg.quad_n is None else cfg.quad_n
 
 
+def _lattice_sweep(spec_at, quad_n, **value):
+    """Evaluator at lattice index triples: one ``fields.sweep`` of the specs
+    spec_at(i, j, k), with its value (log det(I - K) unless value= is given)."""
+    return lambda points: fields.sweep([spec_at(*p) for p in points], quad_n, **value)
+
+
 def _log_f_at(family, corner, steps, quad_n, spec_kw):
     """Evaluator of log F of a one-point family at lattice index triples:
     one sweep of the points corner + step * index."""
     (t0, x0, r0), (ht, hx, hr) = corner, steps
-    return lambda points: fields.sweep(
-        [KernelSpec(family, t0 + ht * i, (x0 + hx * j,), (r0 + hr * k,), **spec_kw)
-         for i, j, k in points], quad_n)
+    return _lattice_sweep(lambda i, j, k: KernelSpec(
+        family, t0 + ht * i, (x0 + hx * j,), (r0 + hr * k,), **spec_kw), quad_n)
 
 
 def _kp_lattice(cfg: ExperimentConfig):
@@ -346,11 +351,8 @@ def _kp_residual(cfg):
         rs = cfg.kernel.get("rs", (0.5, 0.8))
         steps, dims = (g["ht"], g["hy"], g["ha"]), (3, 3, 7)
 
-        def value(points):
-            return fields.sweep(
-                [fields.airy_two_point_spec(g["t0"] + g["ht"] * i, xs, rs,
-                                            (j - 1) * g["hy"], (k - 3) * g["ha"])
-                 for i, j, k in points], quad_n)
+        value = _lattice_sweep(lambda i, j, k: fields.airy_two_point_spec(
+            g["t0"] + g["ht"] * i, xs, rs, (j - 1) * g["hy"], (k - 3) * g["ha"]), quad_n)
     else:
         value, steps, dims = _kp_lattice(cfg)
     rep = residuals.kp_scalar_residual(value, steps, dims)
@@ -367,10 +369,9 @@ def _matrix_kp(cfg):
     xs, rs = k.get("xs", (k.get("x", 0.0),)), k.get("rs", (k.get("r", 0.0),))
     # the (t, y, a) lattice (3, 5, 9) centred on (t, 0, 0)
     rep = residuals.matrix_kp_residual(
-        lambda points: fields.sweep(
-            [fields.airy_two_point_spec(t0 + ht * i, xs, rs, -(hy * 2) + hy * j,
-                                        -(ha * 4) + ha * a) for i, j, a in points],
-            quad_n, fredholm.boundary_resolvent),
+        _lattice_sweep(lambda i, j, a: fields.airy_two_point_spec(
+            t0 + ht * i, xs, rs, -(hy * 2) + hy * j, -(ha * 4) + ha * a),
+            quad_n, value=fredholm.boundary_resolvent),
         (ht, hy, ha), (3, 5, 9))
     ratio, tr_rel = rep.extra["sv_ratio"], rep.extra["trace_identity_rel"]
     worst = (rep.normalized_sup if (ratio < 1e-4 and tr_rel < 1e-4)
@@ -389,10 +390,9 @@ def _cyl_kdv(cfg):
     quad_n = _quad_n(cfg)
     t0, r0, ht, hr = g["t0"], g["r0"], g["ht"], g["hr"]
     rep = residuals.cylindrical_kdv_residual(
-        lambda points: fields.sweep(
-            [KernelSpec("kpz_narrow_wedge", t0 + ht * i, (0.0,),
-                        (float(r0 + hr * k - np.log(np.sqrt(np.pi * (t0 + ht * i)))),))
-             for i, _, k in points], quad_n),
+        _lattice_sweep(lambda i, _, k: KernelSpec(
+            "kpz_narrow_wedge", t0 + ht * i, (0.0,),
+            (float(r0 + hr * k - np.log(np.sqrt(np.pi * (t0 + ht * i)))),)), quad_n),
         t0, (ht, 0.0, hr), (g["nt"], 1, g["nr"]))
     # the two points at t = 1 of the x-independence check
     shift = np.log(np.sqrt(np.pi))

@@ -72,20 +72,29 @@ class QuadratureFailure(RuntimeError):
 # ----------------------------------------------------------------------------
 
 def heat_kernel(l, u, v):
-    """Heat kernel of e^{l d^2} (Brownian motion with diffusivity 2)."""
-    if np.any(np.asarray(l) <= 0):
-        raise KernelDomainError("heat_kernel needs l > 0")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.exp(-((u - v) ** 2) / (4.0 * l)) / np.sqrt(4.0 * np.pi * l)
+    """Heat kernel of e^{l d^2} (Brownian motion with diffusivity 2), l > 0."""
+    return np.exp(heat_kernel_log(l, u, v))
 
 
 def heat_kernel_log(l, u, v):
+    """log of ``heat_kernel``; raises KernelDomainError unless l > 0."""
     if l <= 0:
         raise KernelDomainError("heat_kernel needs l > 0")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return -((u - v) ** 2) / (4.0 * l) - 0.5 * np.log(4.0 * np.pi * l)
+
+
+def check_layout(xs, rs, wedges):
+    """Raise KernelDomainError unless xs is strictly increasing, rs matches
+    xs and the wedge positions are strictly increasing."""
+    if len(xs) > 1 and np.any(np.diff(np.asarray(xs, dtype=float)) <= 0):
+        raise KernelDomainError("xs must be strictly increasing")
+    if len(rs) != len(xs):
+        raise KernelDomainError("rs must match xs")
+    a = np.asarray([w[0] for w in wedges], dtype=float)
+    if a.size > 1 and np.any(np.diff(a) <= 0):
+        raise KernelDomainError("wedge positions must be strictly increasing")
 
 
 def _s_log_pm(t, x, u):
@@ -188,14 +197,7 @@ class KernelSpec:
             raise KernelDomainError(f"unknown family {self.family!r}")
         if self.t <= 0:
             raise KernelDomainError("t must be positive")
-        xs = np.asarray(self.xs, dtype=float)
-        if xs.size > 1 and np.any(np.diff(xs) <= 0):
-            raise KernelDomainError("xs must be strictly increasing")
-        if len(self.rs) != len(self.xs):
-            raise KernelDomainError("rs must match xs")
-        a = np.asarray([w[0] for w in self.wedges], dtype=float)
-        if a.size > 1 and np.any(np.diff(a) <= 0):
-            raise KernelDomainError("wedge positions must be strictly increasing")
+        check_layout(self.xs, self.rs, self.wedges)
         if self.family == "multiwedge_extended" and len(self.wedges) > 3:
             raise KernelDomainError("at most 3 wedges supported")
         if self.family == "kpz_spiked":

@@ -1,8 +1,9 @@
 """Brownian hitting kernels, small-time limits and the path-integral formula.
 
-For a finite collection of narrow wedges the hitting operator of the
-hypograph factorizes into chains of heat kernels with level cutoffs, and the
-constrained transition density is a finite-dimensional Gaussian integral
+For a finite collection of narrow wedges the heat kernel killed on hitting
+the hypograph (P^{No hit}) is one chain of heat kernels with cutoffs
+[b, inf) at the wedges, P^{Hit} is heat minus it, and the constrained
+transition density is the same chain, a finite-dimensional Gaussian integral
 (the initial profile is -inf off the wedge points, so staying above it is a
 pointwise constraint).  This module provides those objects together with the
 checks that the finite-t scattering blocks converge to them as t -> 0, and
@@ -12,17 +13,17 @@ the whole-line path-integral form of the fixed point determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .fredholm import assemble, boundary_resolvent
 from .kernels import (
     KernelSpec,
+    check_layout,
     heat_kernel,
     scattering_part_logmat,
 )
-from .quadrature import gauss_legendre, map_half_line, map_half_line_down, panel_rule
+from .quadrature import gauss_legendre, map_half_line, panel_rule
 
 __all__ = [
     "WedgeConfig",
@@ -50,14 +51,7 @@ class WedgeConfig:
     rs: tuple
 
     def __post_init__(self):
-        a = np.asarray([w[0] for w in self.wedges], dtype=float)
-        if a.size > 1 and np.any(np.diff(a) <= 0):
-            raise ValueError("wedge positions must be strictly increasing")
-        xs = np.asarray(self.xs, dtype=float)
-        if xs.size > 1 and np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
-        if len(self.rs) != len(self.xs):
-            raise ValueError("rs must match xs")
+        check_layout(self.xs, self.rs, self.wedges)
 
     def profile_at(self, x: float) -> float:
         """Initial profile value: b_k at wedge points, -inf elsewhere."""
@@ -67,68 +61,49 @@ class WedgeConfig:
         return -np.inf
 
 
-def _chain_hit(xi, xj, pos, lev, u, v):
-    """Heat-kernel chain from x_i to x_j through cutoffs at (pos, lev).
-
-    Wedges sitting exactly at x_i or x_j act as plain indicators on the
-    endpoint argument; interior ones become cutoff integrals.  Returns the
-    matrix over (u, v).
+def _chain(xi, xj, cutoffs, u, v):
+    """Heat kernels from x_i to x_j through the sorted interior cutoffs
+    (x, (lo, hi)): the density over (u, v) of Brownian paths that lie in
+    [lo, hi] at each x.  Returns the matrix over (u, v).
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    pos = list(pos)
-    lev = list(lev)
-    pre_u = np.ones(u.size)
-    pre_v = np.ones(v.size)
-    if pos and pos[0] == xi:
-        pre_u = (u <= lev[0]).astype(float)
-        pos, lev = pos[1:], lev[1:]
-    if pos and pos[-1] == xj:
-        pre_v = (v <= lev[-1]).astype(float)
-        pos, lev = pos[:-1], lev[:-1]
     width = 3.0 * np.sqrt(2.0 * (xj - xi))
     mat = None
     prev_nodes, prev_x = u, xi
-    for (x, b) in zip(pos, lev):
-        rule = map_half_line_down(gauss_legendre(64), b, max(1.0, width))
+    for (x, (lo, hi)) in cutoffs:
+        rule = panel_rule((lo, hi), 64, width)
         hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
         hk = hk * rule.weights[None, :]
         mat = hk if mat is None else mat @ hk
         prev_nodes, prev_x = rule.nodes, x
     hk = heat_kernel(xj - prev_x, prev_nodes[:, None], v[None, :])
-    mat = hk if mat is None else mat @ hk
-    return pre_u[:, None] * mat * pre_v[None, :]
-
-
-def hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
-    """P^{Hit}_{x_i, x_j}(u, v) for the wedge profile, x_i < x_j.
-
-    Inclusion-exclusion over nonempty subsets of the wedges lying inside
-    [x_i, x_j]; each term is a heat-kernel chain with cutoffs at the wedge
-    levels.  Wedges outside the window do not contribute.
-    """
-    xi, xj = cfg.xs[i], cfg.xs[j]
-    if xi >= xj:
-        raise OrderingError("hit_kernel requires x_i < x_j")
-    inside = [(a, b) for (a, b) in cfg.wedges if xi <= a <= xj]
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    out = np.zeros((u.size, v.size))
-    for n in range(1, len(inside) + 1):
-        sgn = 1.0 if n % 2 == 1 else -1.0
-        for subset in combinations(inside, n):
-            pos = [a for (a, _) in subset]
-            lev = [b for (_, b) in subset]
-            out += sgn * _chain_hit(xi, xj, pos, lev, u, v)
-    return out[0, 0] if (u.size == 1 and v.size == 1) else out
+    return hk if mat is None else mat @ hk
 
 
 def no_hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
-    """P^{No hit}_{x_i, x_j} = heat - P^{Hit}."""
+    """P^{No hit}_{x_i, x_j}(u, v) for the wedge profile, x_i < x_j: the heat
+    kernel killed on hitting the hypograph, one chain with cutoffs [b, inf)
+    at the wedges inside (x_i, x_j).
+
+    A wedge at x_i or x_j is the indicator 1{u > b} or 1{v > b}
+    (``profile_at``); wedges outside [x_i, x_j] do not contribute.
+    """
     xi, xj = cfg.xs[i], cfg.xs[j]
+    if xi >= xj:
+        raise OrderingError("no_hit_kernel requires x_i < x_j")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    return heat_kernel(xj - xi, u[:, None], v[None, :]) - hit_kernel(cfg, i, j, u, v)
+    ends = (u > cfg.profile_at(xi))[:, None] & (v > cfg.profile_at(xj))[None, :]
+    return ends * _chain(xi, xj, [(a, (b, np.inf)) for (a, b) in cfg.wedges
+                                  if xi < a < xj], u, v)
+
+
+def hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
+    """P^{Hit}_{x_i, x_j} = heat - P^{No hit}, x_i < x_j."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    no_hit = no_hit_kernel(cfg, i, j, u, v)
+    out = heat_kernel(cfg.xs[j] - cfg.xs[i], u[:, None], v[None, :]) - no_hit
+    return out[0, 0] if (u.size == 1 and v.size == 1) else out
 
 
 # ----------------------------------------------------------------------------
@@ -164,22 +139,9 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int):
     if cfg.profile_at(xi) > ri or cfg.profile_at(xj) > rj:
         return 0.0
     pts = _interior_constraints(cfg, i, j)
-    width = 3.0 * np.sqrt(2.0 * (xj - xi))
-
-    vec = np.ones(1)
-    prev_nodes = np.array([ri])
-    prev_x = xi
-    for (x, (lo, hi)) in pts:
-        if lo > hi:
-            return 0.0
-        if np.isinf(lo) and np.isinf(hi):
-            continue
-        rule = panel_rule((lo, hi), 64, width)
-        hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
-        vec = vec @ (hk * rule.weights[None, :])
-        prev_nodes, prev_x = rule.nodes, x
-    hk = heat_kernel(xj - prev_x, prev_nodes, rj)
-    return float(vec @ hk)
+    if any(lo > hi for (_, (lo, hi)) in pts):
+        return 0.0
+    return float(_chain(xi, xj, pts, np.array([ri]), np.array([rj]))[0, 0])
 
 
 # ----------------------------------------------------------------------------

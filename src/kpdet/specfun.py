@@ -59,18 +59,35 @@ def _airy_taylor_coeffs(c, y0, yp0, order):
     return a
 
 
+# u_k / v_k coefficients of the Poincare expansions (DLMF 9.7), longdouble
+_N_ASY = 24
+
+
+def _build_asymptotic_uv():
+    u = np.zeros(_N_ASY, dtype=np.longdouble)
+    v = np.zeros(_N_ASY, dtype=np.longdouble)
+    u[0] = 1.0
+    v[0] = 1.0
+    for k in range(1, _N_ASY):
+        u[k] = u[k - 1] * (6 * k - 1) * (6 * k - 3) * (6 * k - 5) / (
+            np.longdouble(216) * k * (2 * k - 1)
+        )
+        v[k] = u[k] * (6 * k + 1) / np.longdouble(1 - 6 * k)
+    return u, v
+
+
+_U_LD, _V_LD = _build_asymptotic_uv()
+
+
 def _asy_pos_seed(x):
-    """(Ai(x), Ai'(x)) from the Poincare expansion, longdouble, x >> 1."""
+    """(Ai(x), Ai'(x)) from the Poincare expansion through k = 19,
+    longdouble, x >> 1."""
     xl = np.longdouble(x)
     zeta = (np.longdouble(2) / 3) * xl ** np.longdouble(1.5)
-    u = np.ones(1, dtype=np.longdouble)[0]
-    v = np.ones(1, dtype=np.longdouble)[0]
-    su, sv = u, v
+    su, sv = _U_LD[0], _V_LD[0]
     for k in range(1, 20):
-        u = u * (6 * k - 1) * (6 * k - 3) * (6 * k - 5) / (np.longdouble(216) * k * (2 * k - 1))
-        v = u * (6 * k + 1) / np.longdouble(1 - 6 * k)
-        su += (-1) ** k * u / zeta ** k
-        sv += (-1) ** k * v / zeta ** k
+        su += (-1) ** k * _U_LD[k] / zeta ** k
+        sv += (-1) ** k * _V_LD[k] / zeta ** k
     pre = np.exp(-zeta) / (2 * np.sqrt(np.longdouble(np.pi)))
     return pre * xl ** np.longdouble(-0.25) * su, -pre * xl ** np.longdouble(0.25) * sv
 
@@ -125,27 +142,14 @@ _C0 = _CENTERS[0]
 # the same layout for Ai': row k holds (k + 1) a_{k+1}
 _DCOEFFS = _COEFFS[1:] * np.arange(1, _N_LOCAL)[:, None]
 
-# u_k / v_k coefficients of the Poincare expansions (DLMF 9.7)
-_N_ASY = 24
-
-
-def _build_asymptotic_uv():
-    u = np.zeros(_N_ASY, dtype=np.longdouble)
-    v = np.zeros(_N_ASY, dtype=np.longdouble)
-    u[0] = 1.0
-    v[0] = 1.0
-    for k in range(1, _N_ASY):
-        u[k] = u[k - 1] * (6 * k - 1) * (6 * k - 3) * (6 * k - 5) / (
-            np.longdouble(216) * k * (2 * k - 1)
-        )
-        v[k] = u[k] * (6 * k + 1) / np.longdouble(1 - 6 * k)
-    return u.astype(float), v.astype(float)
-
-
-_U_ASY, _V_ASY = _build_asymptotic_uv()
+_U_ASY, _V_ASY = _U_LD.astype(float), _V_LD.astype(float)
 # (-1)^k u_k and (-1)^k v_k: the coefficients of the right-hand expansions
 _U_ALT = _U_ASY * (-1.0) ** np.arange(_N_ASY)
 _V_ALT = _V_ASY * (-1.0) ** np.arange(_N_ASY)
+# rows (-1)^m u_{2m} and (-1)^m u_{2m+1} (v likewise): the even and odd
+# parts of the left-hand expansions, series in 1/zeta^2
+_U_NEG = _U_ASY.reshape(-1, 2).T * (-1.0) ** np.arange(_N_ASY // 2)
+_V_NEG = _V_ASY.reshape(-1, 2).T * (-1.0) ** np.arange(_N_ASY // 2)
 
 
 def _local_series(x, table):
@@ -189,28 +193,16 @@ def _log_ai_pos_asymptotic(x):
     return -zeta - 0.25 * np.log(x) - np.log(2.0 * np.sqrt(np.pi)) + np.log(ser)
 
 
-def _even_odd_series(zeta, coeff):
-    """Split sum into even part P(zeta) and odd part Q(zeta) with signs (-1)^k."""
-    izeta2 = 1.0 / (zeta * zeta)
-    p = np.zeros_like(zeta)
-    q = np.zeros_like(zeta)
-    pw = np.ones_like(zeta)
-    for k in range(0, _N_ASY - 1, 2):
-        sgn = 1.0 if (k // 2) % 2 == 0 else -1.0
-        p = p + sgn * coeff[k] * pw
-        q = q + sgn * coeff[k + 1] * pw / zeta
-        pw = pw * izeta2
-    return p, q
-
-
 def _ai_neg_asymptotic(x, deriv):
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
     phase = zeta + 0.25 * np.pi
+    w2 = 1.0 / (zeta * zeta)
+    even, odd = _V_NEG if deriv else _U_NEG
+    p = _asy_series(w2, even)
+    q = _asy_series(w2, odd) / zeta
     if not deriv:
-        p, q = _even_odd_series(zeta, _U_ASY)
         return (np.sin(phase) * p - np.cos(phase) * q) / (np.sqrt(np.pi) * z ** 0.25)
-    p, q = _even_odd_series(zeta, _V_ASY)
     return -(np.cos(phase) * p + np.sin(phase) * q) * z ** 0.25 / np.sqrt(np.pi)
 
 

@@ -1,8 +1,11 @@
+from itertools import combinations
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from kpdet import fredholm, painleve, scattering
-from kpdet.kernels import KernelSpec, heat_kernel
+from kpdet.kernels import KernelDomainError, KernelSpec, heat_kernel
 from kpdet.quadrature import gauss_legendre, map_half_line_down
 
 
@@ -37,6 +40,18 @@ def mc_bridge_density(cfg, i, j, n_paths=100_000, seed=0):
     return float(np.mean(w)), float(np.std(w) / np.sqrt(n_paths))
 
 
+@pytest.mark.parametrize("xs, rs, wedges, message", [
+    ((1.0, 0.0), (0.0, 0.0), ((0.0, 0.0),), "xs must be strictly increasing"),
+    ((0.0, 1.0), (0.0,), ((0.0, 0.0),), "rs must match xs"),
+    ((0.0,), (0.0,), ((0.5, 0.0), (0.5, 1.0)), "wedge positions must be strictly increasing"),
+], ids=["xs", "rs", "wedges"])
+def test_wedge_config_and_kernel_spec_share_layout_checks(xs, rs, wedges, message):
+    with pytest.raises(KernelDomainError, match=message):
+        scattering.WedgeConfig(wedges, xs, rs)
+    with pytest.raises(KernelDomainError, match=message):
+        KernelSpec("nw_fixed_point", 1.0, xs, rs, wedges)
+
+
 @pytest.fixture(scope="module")
 def cfg_single():
     return scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
@@ -62,6 +77,94 @@ class TestHitKernel:
     def test_ordering_error(self, cfg_single):
         with pytest.raises(scattering.OrderingError):
             scattering.hit_kernel(cfg_single, 1, 0, 0.0, 0.0)
+
+
+def _hit_chain(xi, xj, pos, lev, u, v):
+    """Heat-kernel chain from x_i to x_j through the cutoffs (-inf, b] at
+    (pos, lev); a wedge at x_i or x_j is the indicator 1{u <= b} or
+    1{v <= b}."""
+    pos, lev = list(pos), list(lev)
+    pre_u, pre_v = np.ones(u.size), np.ones(v.size)
+    if pos and pos[0] == xi:
+        pre_u = (u <= lev[0]).astype(float)
+        pos, lev = pos[1:], lev[1:]
+    if pos and pos[-1] == xj:
+        pre_v = (v <= lev[-1]).astype(float)
+        pos, lev = pos[:-1], lev[:-1]
+    width = 3.0 * np.sqrt(2.0 * (xj - xi))
+    mat, prev_nodes, prev_x = np.eye(u.size), u, xi
+    for x, b in zip(pos, lev):
+        rule = map_half_line_down(gauss_legendre(64), b, max(1.0, width))
+        mat = mat @ (heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
+                     * rule.weights[None, :])
+        prev_nodes, prev_x = rule.nodes, x
+    mat = mat @ heat_kernel(xj - prev_x, prev_nodes[:, None], v[None, :])
+    return pre_u[:, None] * mat * pre_v[None, :]
+
+
+def inclusion_exclusion_hit(cfg, i, j, u, v):
+    """P^{Hit} as the alternating sum over the nonempty subsets of the
+    wedges in [x_i, x_j] of chains with cutoffs (-inf, b]."""
+    xi, xj = cfg.xs[i], cfg.xs[j]
+    inside = [w for w in cfg.wedges if xi <= w[0] <= xj]
+    out = np.zeros((u.size, v.size))
+    for n in range(1, len(inside) + 1):
+        for subset in combinations(inside, n):
+            out += (-1.0) ** (n + 1) * _hit_chain(
+                xi, xj, [a for a, _ in subset], [b for _, b in subset], u, v)
+    return out
+
+
+def _mp_heat(l, u, v):
+    return mp.exp(-(u - v) ** 2 / (4 * l)) / mp.sqrt(4 * mp.pi * l)
+
+
+_POINTS = np.array([-1.0, 0.5, 2.0])
+
+
+class TestKilledChain:
+    """P^{No hit} is one heat chain with cutoffs [b, inf) and end
+    indicators 1{u > b}, 1{v > b}; P^{Hit} is heat minus it."""
+
+    @pytest.mark.parametrize("b", [-3.0, -1.0, 0.0, 1.0])
+    def test_one_wedge_matches_mpmath(self, b):
+        cfg = scattering.WedgeConfig(((0.0, b),), (-1.0, 1.0), (0.0, 0.0))
+        hit = scattering.hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        no_hit = scattering.no_hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        with mp.workdps(30):
+            for p, u in enumerate(_POINTS):
+                for q, v in enumerate(_POINTS):
+                    def path(z):
+                        return _mp_heat(1, mp.mpf(u), z) * _mp_heat(1, z, mp.mpf(v))
+                    assert abs(hit[p, q] - mp.quad(path, [-mp.inf, b])) < 1e-12
+                    assert abs(no_hit[p, q] - mp.quad(path, [b, mp.inf])) < 1e-12
+
+    @pytest.mark.parametrize("wedges", [
+        ((0.0, 0.2),),
+        ((-1.0, 0.0), (0.3, -0.5)),
+        ((-0.4, 0.3), (1.0, 0.8)),
+        ((-1.0, 0.5), (0.0, -0.2), (1.0, 1.0)),
+        ((-0.5, -0.3), (0.0, 0.4), (0.6, -0.1)),
+        ((-2.0, 0.1), (0.2, 0.0), (3.0, 0.0)),
+    ], ids=["one", "two_at_xi", "two_at_xj", "three_at_both_ends",
+            "three_interior", "outside_window"])
+    def test_matches_inclusion_exclusion(self, wedges):
+        cfg = scattering.WedgeConfig(wedges, (-1.0, 1.0), (0.0, 0.0))
+        ref = inclusion_exclusion_hit(cfg, 0, 1, _POINTS, _POINTS)
+        heat = heat_kernel(2.0, _POINTS[:, None], _POINTS[None, :])
+        hit = scattering.hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        no_hit = scattering.no_hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        assert np.max(np.abs(hit - ref)) < 1e-15
+        assert np.max(np.abs(no_hit - (heat - ref))) < 1e-15
+
+    def test_no_hit_between_zero_and_heat(self):
+        cfg = scattering.WedgeConfig(((-0.6, -0.4), (0.1, 0.3), (0.7, -1.0)),
+                                     (-1.0, 1.0), (0.0, 0.0))
+        u = np.linspace(-4.0, 4.0, 41)
+        no_hit = scattering.no_hit_kernel(cfg, 0, 1, u, u)
+        heat = heat_kernel(2.0, u[:, None], u[None, :])
+        assert np.all(no_hit >= 0.0)
+        assert np.all(no_hit <= heat)
 
 
 class TestBridgeDensity:
