@@ -238,10 +238,10 @@ def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
     return default if cfg.quad_n is None else cfg.quad_n
 
 
-def _lattice_sweep(spec_at, quad_n, **value):
+def _lattice_sweep(spec_at, quad_n, value=fields._logdet):
     """Evaluator at lattice index triples: one ``fields.sweep`` of the specs
-    spec_at(i, j, k), with its value (log det(I - K) unless value= is given)."""
-    return lambda points: fields.sweep([spec_at(*p) for p in points], quad_n, **value)
+    spec_at(i, j, k) with the given value (by default log det(I - K))."""
+    return lambda points: fields.sweep([spec_at(*p) for p in points], quad_n, value)
 
 
 def _log_f_at(family, corner, steps, quad_n, spec_kw):
@@ -371,7 +371,7 @@ def _matrix_kp(cfg):
     rep = residuals.matrix_kp_residual(
         _lattice_sweep(lambda i, j, a: fields.airy_two_point_spec(
             t0 + ht * i, xs, rs, -(hy * 2) + hy * j, -(ha * 4) + ha * a),
-            quad_n, value=fredholm.boundary_resolvent),
+            quad_n, fredholm.boundary_resolvent),
         (ht, hy, ha), (3, 5, 9))
     ratio, tr_rel = rep.extra["sv_ratio"], rep.extra["trace_identity_rel"]
     worst = (rep.normalized_sup if (ratio < 1e-4 and tr_rel < 1e-4)

@@ -72,20 +72,21 @@ class QuadratureFailure(RuntimeError):
 # ----------------------------------------------------------------------------
 
 def heat_kernel(l, u, v):
-    """Heat kernel of e^{l d^2} (Brownian motion with diffusivity 2), l > 0."""
+    """Heat kernel of e^{l d^2} (Brownian motion with diffusivity 2); l > 0,
+    a scalar or an array broadcasting against u and v."""
     return np.exp(heat_kernel_log(l, u, v))
 
 
 def heat_kernel_log(l, u, v):
-    """log of ``heat_kernel``; raises KernelDomainError unless l > 0."""
-    if l <= 0:
+    """log of ``heat_kernel``; raises KernelDomainError unless every l > 0."""
+    if np.any(np.asarray(l) <= 0):
         raise KernelDomainError("heat_kernel needs l > 0")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return -((u - v) ** 2) / (4.0 * l) - 0.5 * np.log(4.0 * np.pi * l)
 
 
-def check_layout(xs, rs, wedges):
+def _check_layout(xs, rs, wedges):
     """Raise KernelDomainError unless xs is strictly increasing, rs matches
     xs and the wedge positions are strictly increasing."""
     if len(xs) > 1 and np.any(np.diff(np.asarray(xs, dtype=float)) <= 0):
@@ -197,7 +198,7 @@ class KernelSpec:
             raise KernelDomainError(f"unknown family {self.family!r}")
         if self.t <= 0:
             raise KernelDomainError("t must be positive")
-        check_layout(self.xs, self.rs, self.wedges)
+        _check_layout(self.xs, self.rs, self.wedges)
         if self.family == "multiwedge_extended" and len(self.wedges) > 3:
             raise KernelDomainError("at most 3 wedges supported")
         if self.family == "kpz_spiked":

@@ -1,11 +1,11 @@
 """Brownian hitting kernels, small-time limits and the path-integral formula.
 
 For a finite collection of narrow wedges the heat kernel killed on hitting
-the hypograph (P^{No hit}) is one chain of heat kernels with cutoffs
-[b, inf) at the wedges, P^{Hit} is heat minus it, and the constrained
-transition density is the same chain, a finite-dimensional Gaussian integral
-(the initial profile is -inf off the wedge points, so staying above it is a
-pointwise constraint).  This module provides those objects together with the
+the hypograph (P^{No hit}) is one chain of heat kernels through the wedges,
+renewed at the first hit, P^{Hit} is heat minus it, and the constrained
+transition density is a chain of heat kernels through pointwise cutoffs, a
+finite-dimensional Gaussian integral (the initial profile is -inf off the
+wedge points, so staying above it is a pointwise constraint).  This module provides those objects together with the
 checks that the finite-t scattering blocks converge to them as t -> 0, and
 the whole-line path-integral form of the fixed point determinant.
 """
@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fredholm import assemble, boundary_resolvent
-from .kernels import (
-    KernelSpec,
-    check_layout,
-    heat_kernel,
-    scattering_part_logmat,
-)
-from .quadrature import gauss_legendre, map_half_line, panel_rule
+from .kernels import KernelSpec, _check_layout, heat_kernel, scattering_part_logmat
+from .quadrature import QuadRule, gauss_legendre, map_half_line, map_half_line_down, panel_rule
 
 __all__ = [
     "WedgeConfig",
@@ -51,7 +46,7 @@ class WedgeConfig:
     rs: tuple
 
     def __post_init__(self):
-        check_layout(self.xs, self.rs, self.wedges)
+        _check_layout(self.xs, self.rs, self.wedges)
 
     def profile_at(self, x: float) -> float:
         """Initial profile value: b_k at wedge points, -inf elsewhere."""
@@ -61,29 +56,16 @@ class WedgeConfig:
         return -np.inf
 
 
-def _chain(xi, xj, cutoffs, u, v):
-    """Heat kernels from x_i to x_j through the sorted interior cutoffs
-    (x, (lo, hi)): the density over (u, v) of Brownian paths that lie in
-    [lo, hi] at each x.  Returns the matrix over (u, v).
-    """
-    width = 3.0 * np.sqrt(2.0 * (xj - xi))
-    mat = None
-    prev_nodes, prev_x = u, xi
-    for (x, (lo, hi)) in cutoffs:
-        rule = panel_rule((lo, hi), 64, width)
-        hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
-        hk = hk * rule.weights[None, :]
-        mat = hk if mat is None else mat @ hk
-        prev_nodes, prev_x = rule.nodes, x
-    hk = heat_kernel(xj - prev_x, prev_nodes[:, None], v[None, :])
-    return hk if mat is None else mat @ hk
-
-
 def no_hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
     """P^{No hit}_{x_i, x_j}(u, v) for the wedge profile, x_i < x_j: the heat
-    kernel killed on hitting the hypograph, one chain with cutoffs [b, inf)
-    at the wedges inside (x_i, x_j).
+    kernel killed on going to or below b at a wedge (a, b) inside (x_i, x_j).
 
+    One chain over the interior wedges, renewed at the first hit: the killed
+    kernel from u to a level w <= b at a wedge, and at the end to v, is the
+    heat kernel minus, for each earlier wedge, the killed kernel to its
+    levels below b carried on by the heat kernel.  Every integral runs over
+    (-inf, b], where the hit mass lies near b, so the result is accurate to
+    rounding in absolute terms for any u and v.
     A wedge at x_i or x_j is the indicator 1{u > b} or 1{v > b}
     (``profile_at``); wedges outside [x_i, x_j] do not contribute.
     """
@@ -92,9 +74,17 @@ def no_hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
         raise OrderingError("no_hit_kernel requires x_i < x_j")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    width = max(1.0, 3.0 * np.sqrt(2.0 * (xj - xi)))
+    stops = [(a, map_half_line_down(gauss_legendre(64), b, width))
+             for (a, b) in cfg.wedges if xi < a < xj] + [(xj, QuadRule(v, np.ones(v.size)))]
+    killed = []  # the killed kernel from u to each stop, times the stop's weights
+    for (x, rule) in stops:
+        k = heat_kernel(x - xi, u[:, None], rule.nodes[None, :])
+        for (y, prev), kp in zip(stops, killed):
+            k -= kp @ heat_kernel(x - y, prev.nodes[:, None], rule.nodes[None, :])
+        killed.append(k * rule.weights)
     ends = (u > cfg.profile_at(xi))[:, None] & (v > cfg.profile_at(xj))[None, :]
-    return ends * _chain(xi, xj, [(a, (b, np.inf)) for (a, b) in cfg.wedges
-                                  if xi < a < xj], u, v)
+    return ends * killed[-1]
 
 
 def hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
@@ -141,7 +131,14 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int):
     pts = _interior_constraints(cfg, i, j)
     if any(lo > hi for (_, (lo, hi)) in pts):
         return 0.0
-    return float(_chain(xi, xj, pts, np.array([ri]), np.array([rj]))[0, 0])
+    width = 3.0 * np.sqrt(2.0 * (xj - xi))
+    vec, prev_nodes, prev_x = np.ones(1), np.array([ri]), xi
+    for (x, (lo, hi)) in pts:
+        rule = panel_rule((lo, hi), 64, width)
+        hk = heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
+        vec = vec @ (hk * rule.weights[None, :])
+        prev_nodes, prev_x = rule.nodes, x
+    return float(vec @ heat_kernel(xj - prev_x, prev_nodes, rj))
 
 
 # ----------------------------------------------------------------------------

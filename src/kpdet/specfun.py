@@ -170,7 +170,7 @@ def _local_series(x, table):
 
 
 def _asy_series(w, coeff):
-    """sum_k coeff[k] w^k, Horner in w = 1/zeta over the whole table."""
+    """sum_k coeff[k] w^k over the whole table, one in-place Horner pass."""
     acc = np.full_like(w, coeff[-1])
     for c in coeff[-2::-1]:
         acc *= w

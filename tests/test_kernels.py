@@ -65,6 +65,13 @@ class TestHeatKernel:
         with pytest.raises(KernelDomainError):
             heat_kernel(0.0, 0.0, 0.0)
 
+    def test_array_of_times(self):
+        l = np.array([0.5, 1.0, 2.0])
+        assert np.allclose(heat_kernel(l, 0.3, -0.2),
+                           [heat_kernel(x, 0.3, -0.2) for x in l], rtol=0, atol=0)
+        with pytest.raises(KernelDomainError):
+            heat_kernel(np.array([1.0, 0.0]), 0.0, 0.0)
+
 
 class TestSKernel:
     """S[t, x] as the library evaluates it: through the narrow-wedge block."""

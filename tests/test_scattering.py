@@ -123,21 +123,26 @@ _POINTS = np.array([-1.0, 0.5, 2.0])
 
 
 class TestKilledChain:
-    """P^{No hit} is one heat chain with cutoffs [b, inf) and end
-    indicators 1{u > b}, 1{v > b}; P^{Hit} is heat minus it."""
+    """P^{No hit} is the heat kernel killed at the wedges inside (x_i, x_j)
+    times the end indicators 1{u > b}, 1{v > b}; P^{Hit} is heat minus it."""
 
-    @pytest.mark.parametrize("b", [-3.0, -1.0, 0.0, 1.0])
-    def test_one_wedge_matches_mpmath(self, b):
+    @pytest.mark.parametrize("b, points", [
+        (-3.0, _POINTS), (-1.0, _POINTS), (0.0, _POINTS), (1.0, _POINTS),
+        (0.0, np.array([10.0, 17.0, 20.0])),
+    ], ids=["-3.0", "-1.0", "0.0", "1.0", "far_above"])
+    def test_one_wedge_matches_mpmath(self, b, points):
+        """hit is the mass of heat x heat over (-inf, b], no-hit the heat
+        kernel minus it, both to rounding also far above b."""
         cfg = scattering.WedgeConfig(((0.0, b),), (-1.0, 1.0), (0.0, 0.0))
-        hit = scattering.hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
-        no_hit = scattering.no_hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        hit = scattering.hit_kernel(cfg, 0, 1, points, points)
+        no_hit = scattering.no_hit_kernel(cfg, 0, 1, points, points)
         with mp.workdps(30):
-            for p, u in enumerate(_POINTS):
-                for q, v in enumerate(_POINTS):
-                    def path(z):
-                        return _mp_heat(1, mp.mpf(u), z) * _mp_heat(1, z, mp.mpf(v))
-                    assert abs(hit[p, q] - mp.quad(path, [-mp.inf, b])) < 1e-12
-                    assert abs(no_hit[p, q] - mp.quad(path, [b, mp.inf])) < 1e-12
+            for p, u in enumerate(map(mp.mpf, points)):
+                for q, v in enumerate(map(mp.mpf, points)):
+                    ref = mp.quad(lambda z: _mp_heat(1, u, z) * _mp_heat(1, z, v),
+                                  [-mp.inf, b])
+                    assert abs(hit[p, q] - ref) < 1e-16
+                    assert abs(no_hit[p, q] - (_mp_heat(2, u, v) - ref)) < 1e-16
 
     @pytest.mark.parametrize("wedges", [
         ((0.0, 0.2),),
