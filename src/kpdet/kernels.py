@@ -16,10 +16,10 @@ with S[-t, x](u) = S[t, x](-u), composed with heat kernels and level
 cutoffs.  Compositions are evaluated in log space so that the huge opposing
 exponentials appearing at small t cancel analytically before exponentiation.
 
-The narrow-wedge / multiwedge blocks are factored kernels L_a H R_b^T: the
-S-factors L_a, R_b of each observation point and the heat chain H of each
-wedge subset are evaluated once per kernel and cached, and each chain is
-contracted by one BLAS product of row-scaled mantissas (``log_matmul``).
+The narrow-wedge / multiwedge blocks are factored kernels sum_p A_p R_p^T
+over the wedges p, A_p = L_p - sum_{q<p} A_q H_qp the left S-factor renewed
+by the weighted heat matrices H_qp; the factors are cached per kernel, and
+the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``).
 
 The spiked kernels of one determinant sweep share one ``SpikedRules``: the
 contour rules sized for the sweep's worst point and every contour factor
@@ -32,7 +32,7 @@ Blocks are shifted per observation point: entry (a, b) is evaluated at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
 
 import numpy as np
 
@@ -199,6 +199,8 @@ class KernelSpec:
         if self.t <= 0:
             raise KernelDomainError("t must be positive")
         _check_layout(self.xs, self.rs, self.wedges)
+        if self.family in ("nw_fixed_point", "multiwedge_extended") and not self.wedges:
+            raise KernelDomainError(f"{self.family} needs at least one wedge")
         if self.family == "multiwedge_extended" and len(self.wedges) > 3:
             raise KernelDomainError("at most 3 wedges supported")
         if self.family == "kpz_spiked":
@@ -250,7 +252,7 @@ def _wedge_rules(spec: KernelSpec, cache):
         rules = []
         for (a, b) in spec.wedges:
             r = map_half_line_down(base, b, scale)
-            rules.append({"a": a, "b": b, "nodes": r.nodes, "weights": r.weights})
+            rules.append({"a": a, "nodes": r.nodes, "weights": r.weights})
         return rules
     return _memo(cache, "rules", make)
 
@@ -271,38 +273,46 @@ def _s_factors(spec, cache, p, i, pts):
     return _memo(cache, ("S", p, i, pts.tobytes()), make)
 
 
-def _heat_chain(spec, cache, subset):
-    """H of a wedge subset: the product of its weighted heat matrices, cached."""
+def _log_add(a: LogMat, b: LogMat, sgn: float = 1.0) -> LogMat:
+    """a + sgn b in signed log space."""
+    m = np.maximum(a.logabs, b.logabs)
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    val = (a.sign * np.exp(a.logabs - m_safe)
+           + sgn * b.sign * np.exp(b.logabs - m_safe))
+    with np.errstate(divide="ignore"):
+        return LogMat(np.where(np.isfinite(m), m_safe + np.log(np.abs(val)), -np.inf),
+                      np.sign(val))
+
+
+def _renewed_left(spec, cache, p, i, pts):
+    """A_p = L_p - sum_{q<p} A_q H_qp on (pts, cutoff nodes of wedge p), cached.
+
+    H_qp, the heat kernel from wedge q's cutoff nodes to wedge p's with p's
+    weights, is built once per kernel.  Expanded, A_p is the alternating sum
+    of L H ... H over the wedge subsets that end at p.
+    """
     def make():
         rules = _wedge_rules(spec, cache)
-        out = None
-        for p_prev, p_cur in zip(subset[:-1], subset[1:]):
-            rp, rc = rules[p_prev], rules[p_cur]
-            hk = heat_kernel_log(rc["a"] - rp["a"], rp["nodes"][:, None],
-                                 rc["nodes"][None, :])
-            hk = LogMat(hk + np.log(rc["weights"])[None, :], np.ones_like(hk))
-            out = hk if out is None else log_matmul(out, hk)
+        rp = rules[p]
+        out = _s_factors(spec, cache, p, i, pts)[0]
+        for q, rq in enumerate(rules[:p]):
+            hk = _memo(cache, ("H", q, p), lambda: heat_kernel_log(
+                rp["a"] - rq["a"], rq["nodes"][:, None], rp["nodes"][None, :])
+                + np.log(rp["weights"])[None, :])
+            hit = log_matmul(_renewed_left(spec, cache, q, i, pts),
+                             LogMat(hk, np.ones_like(hk)))
+            out = _log_add(out, hit, -1.0)
         return out
-    return _memo(cache, ("H", subset), make)
-
-
-def _left_chain(spec, cache, subset, i, pts):
-    """L_a H of a wedge subset on pts (L_a alone for one wedge), cached."""
-    def make():
-        left = _s_factors(spec, cache, subset[0], i, pts)[0]
-        if len(subset) == 1:
-            return left
-        return log_matmul(left, _heat_chain(spec, cache, subset))
-    return _memo(cache, ("LH", subset, i, pts.tobytes()), make)
+    return _memo(cache, ("A", p, i, pts.tobytes()), make)
 
 
 def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
-    """One inclusion-exclusion summand L_a H R_b^T of the multiwedge part.
+    """The term A_p R_p^T of one wedge p of the multiwedge part.
 
-    left is L_a H over (U, cutoff nodes of the subset's last wedge), right_t
-    is R_b^T over (those nodes, V).  Raises QuadratureFailure when the
-    deepest cutoff node still carries weight relative to the result, i.e.
-    the algebraic tail map has not resolved the integrand's decay.
+    left is A_p over (U, cutoff nodes of wedge p), right_t is R_p^T over
+    (those nodes, V).  Raises QuadratureFailure when the deepest cutoff node
+    still carries weight relative to the result, i.e. the algebraic tail
+    map has not resolved the integrand's decay.
     """
     out = log_matmul(left, right_t)
     # tail estimate: contribution of the deepest lambda node of the last
@@ -318,7 +328,8 @@ def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
 
 def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V,
                            cache: dict | None = None) -> LogMat:
-    """log-space value of block (i, j) of e^{-x_i d^2} K_t e^{x_j d^2}.
+    """log-space value of block (i, j) of e^{-x_i d^2} K_t e^{x_j d^2}:
+    the sum over the wedges p of A_p R_p^T (``_renewed_left``).
 
     U, V are absolute coordinates (the level shifts r_i, r_j must already be
     folded in by the caller).  cache keeps the factors of one spec between
@@ -327,24 +338,9 @@ def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V,
     U = np.atleast_1d(np.asarray(U, dtype=float))
     V = np.atleast_1d(np.asarray(V, dtype=float))
     cache = {} if cache is None else cache
-    k = len(spec.wedges)
-    acc = None
-    for n in range(1, k + 1):
-        sgn = 1.0 if n % 2 == 1 else -1.0  # inclusion-exclusion (-1)^(n+1)
-        for subset in combinations(range(k), n):
-            term = _chain_logmat(_left_chain(spec, cache, subset, i, U),
-                                 _s_factors(spec, cache, subset[-1], j, V)[1])
-            if acc is None:
-                acc = LogMat(term.logabs.copy(), term.sign * sgn)
-            else:
-                m = np.maximum(acc.logabs, term.logabs)
-                m_safe = np.where(np.isfinite(m), m, 0.0)
-                val = (acc.sign * np.exp(acc.logabs - m_safe)
-                       + sgn * term.sign * np.exp(term.logabs - m_safe))
-                with np.errstate(divide="ignore"):
-                    acc = LogMat(np.where(np.isfinite(m), m_safe + np.log(np.abs(val)), -np.inf),
-                                 np.sign(val))
-    return acc
+    return reduce(_log_add, (_chain_logmat(_renewed_left(spec, cache, p, i, U),
+                                           _s_factors(spec, cache, p, j, V)[1])
+                             for p in range(len(spec.wedges))))
 
 
 def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v,

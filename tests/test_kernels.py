@@ -221,6 +221,30 @@ class TestMultiwedge:
             KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.0,),
                        tuple((float(a), 0.0) for a in range(4)))
 
+    @pytest.mark.parametrize("family", ["nw_fixed_point", "multiwedge_extended"])
+    def test_no_wedges(self, family):
+        with pytest.raises(KernelDomainError):
+            KernelSpec(family, 1.0, (0.0,), (0.0,), ())
+
+    def test_block_products_quadratic_in_wedges(self, monkeypatch):
+        # one renewal product A_q H_qp per wedge pair q < p and one A_p R_p^T
+        # per wedge: k(k+1)/2 products, not one per wedge subset
+        from kpdet import kernels
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return log_matmul(a, b)
+
+        monkeypatch.setattr(kernels, "log_matmul", counted)
+        k = 8
+        spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
+                          tuple((-2.0 + 0.5 * p, 0.1 * (-1) ** p) for p in range(k)))
+        u = np.linspace(0.0, 2.0, 5)
+        blk = multiwedge_block(spec, 0, 0, u, u, cache={})
+        assert np.all(np.isfinite(blk))
+        assert len(calls) <= k * (k + 1) // 2
+
     def test_far_node_decay(self):
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,), ((0.0, 0.0),))
         disc = fredholm.assemble(spec, 64)
@@ -554,8 +578,8 @@ class TestThreeWedges:
 
 @st.composite
 def narrow_wedge_sets(draw):
-    """2 or 3 narrow wedges (a_p, b_p), positions at least 0.3 apart."""
-    k = draw(st.integers(2, 3))
+    """2 to 6 narrow wedges (a_p, b_p), positions at least 0.3 apart."""
+    k = draw(st.integers(2, 6))
     a0 = draw(st.floats(-2.0, 0.0))
     gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=k - 1, max_size=k - 1))
     positions = a0 + np.concatenate([[0.0], np.cumsum(gaps)])
@@ -569,9 +593,8 @@ def narrow_wedge_sets(draw):
 def test_skew_time_reversal_of_multiwedge_determinant(t, wedges, x, r):
     # skew time reversal (Matetski-Quastel-Remenik): P(h(t, x) <= r) from
     # the wedges (a_p, b_p) is P(h(t, a_p) <= r - b_p for all p) from one
-    # narrow wedge at x.  The left side runs the heat chains and the
-    # inclusion-exclusion over wedge subsets, the right side the extended
-    # one-wedge blocks.
+    # narrow wedge at x.  The left side runs the renewal chain through the
+    # wedges, the right side the extended one-wedge blocks.
     one_point = KernelSpec("nw_fixed_point", t, (x,), (r,), wedges)
     k_point = KernelSpec("multiwedge_extended", t, tuple(a for a, _ in wedges),
                          tuple(r - b for _, b in wedges), ((x, 0.0),))
