@@ -2,7 +2,7 @@
 a CSV data file plus a JSON report, and exits 0/1/2.
 
 Config format: plain ``key = value`` lines under ``[section]`` headers.
-Sections: [run] (command, out, seed, tolerance, threads, quad_n),
+Sections: [run] (command, out, tolerance, threads, quad_n),
 [kernel] (family, t, x/xs, r/rs, wedges "a:b,a:b", spikes, anchor),
 [grid] (the lattice keys of the command: t0, x0, r0, ht, hx, hy, hr, ha,
 h, nt, nx, nr, r_min, r_max, r_step).  ``_KINDS`` gives each key the one
@@ -81,8 +81,8 @@ _PAIRS = ("a list of a:b pairs", lambda raw: tuple(map(_pair, raw.split(","))),
 
 # section -> key -> kind: every key a config can set
 _KINDS = {
-    "run": {"command": _STR, "out": _STR, "seed": _INT, "tolerance": _NUM,
-            "threads": _INT, "quad_n": _INT},
+    "run": {"command": _STR, "out": _STR, "tolerance": _NUM, "threads": _INT,
+            "quad_n": _INT},
     "kernel": {"family": _STR, "t": _FINITE, "x": _FINITE, "xs": _NUMS, "r": _FINITE,
                "rs": _NUMS, "wedges": _PAIRS, "spikes": _NUMS, "anchor": _FINITE},
     "grid": {"t0": _FINITE, "x0": _FINITE, "r0": _FINITE, "ht": _STEP, "hx": _STEP,
@@ -96,13 +96,12 @@ _KINDS = {
 _FAMILY_KEYS = {
     "nw_fixed_point": ("t", "x", "xs", "r", "rs", "wedges"),
     "flat_fixed_point": ("t", "r", "rs"),
-    "multiwedge_extended": ("t", "x", "xs", "r", "rs", "wedges"),
     "kpz_narrow_wedge": ("t", "x", "xs", "r", "rs"),
     "kpz_spiked": ("t", "x", "xs", "r", "rs", "spikes", "anchor"),
     # kp-residual only: the two-point distribution on its (t, y, a) lattice
     "airy_process": ("xs", "rs"),
 }
-# the families with a KernelSpec, which det-eval and tail-fit evaluate
+# the families with a KernelSpec, which det-eval evaluates
 _SPEC_FAMILIES = tuple(f for f in _FAMILY_KEYS if f != "airy_process")
 
 # the most points a command's [grid] may ask for: its lattice (the product
@@ -118,7 +117,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     command: str
     out: str = "."
-    seed: int = 0
     tolerance: float = float("inf")
     threads: int = 0
     quad_n: int | None = None   # None: the command's own default (_quad_n)
@@ -361,7 +359,7 @@ def _kp_residual(cfg):
 
 def _matrix_kp(cfg):
     g = _checked_grid(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02},
-                      ("multiwedge_extended",), {"wedges": None})
+                      ("nw_fixed_point",), {"wedges": None})
     ht, hy, ha = g["ht"], g["hy"], g["ha"]
     k = cfg.kernel
     quad_n = _quad_n(cfg)
@@ -407,13 +405,17 @@ def _cyl_kdv(cfg):
 
 def _tail_fit(cfg):
     g = _checked_grid(cfg, {"r_min": -7.0, "r_max": -5.0, "r_step": 0.25},
-                      _SPEC_FAMILIES, {"r": "[grid] r_min", "rs": "[grid] r_min"})
+                      ("nw_fixed_point", "flat_fixed_point"),
+                      {"r": "[grid] r_min", "rs": "[grid] r_min"})
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
     quad_n = _quad_n(cfg, 96)
     lf = fields.sweep([_kernel_spec(cfg, rv) for rv in r.tolist()], quad_n)
     slope, r2 = residuals.tail_slope_fit(r, lf)
+    # log F_GUE(s) ~ -|s|^3/12 at s = t^(-1/3) r; the flat determinant is
+    # F_GOE(4^(1/3) t^(-1/3) r), and log F_GOE(s) ~ -|s|^3/24
+    t = cfg.kernel.get("t", 1.0)
     flat = cfg.kernel.get("family") == "flat_fixed_point"
-    expect = 1.0 / 6.0 if flat else 1.0 / 12.0
+    expect = 1.0 / (6.0 * t) if flat else 1.0 / (12.0 * t)
     rel_dev = abs(slope / expect - 1.0)
     return (["r", "log_f"], list(zip(r.tolist(), lf.tolist())),
             {"slope": slope, "r2": r2, "expected": expect, "rel_dev": rel_dev},
@@ -453,7 +455,7 @@ def _path_integral_check(cfg):
                       ((-0.5, 0.2), (0.0, 0.3), 1.0),
                       ((0.1, 0.9), (1.0, 0.6), 2.0)]:
         fp = scattering.path_integral_determinant(t, xs, rs)
-        spec = KernelSpec("multiwedge_extended", t, xs, rs, ((0.0, 0.0),))
+        spec = KernelSpec("nw_fixed_point", t, xs, rs, ((0.0, 0.0),))
         fe = fredholm.det_one_minus(fredholm.assemble(spec, quad_n))
         rows.append((t, str(xs), str(rs), fp, fe, abs(fp - fe)))
     worst = max(rw[-1] for rw in rows)
@@ -569,7 +571,7 @@ def run(cfg: ExperimentConfig):
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
     json_path = os.path.join(cfg.out, f"{cfg.command}.json")
     _write_csv(csv_path, header, rows)
-    report = {"command": cfg.command, "seed": cfg.seed, **entries,
+    report = {"command": cfg.command, **entries,
               "quad_n": quad_n, "worst": float(worst), "tolerance": cfg.tolerance,
               "passed": bool(worst <= cfg.tolerance), "warnings": len(caught)}
     with open(json_path, "w") as fh:

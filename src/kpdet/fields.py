@@ -10,7 +10,7 @@ and pass through finite-difference stencils without noise amplification:
   point, together with every contour factor that does not depend on
   (t, x, r); each determinant adds only a diagonal on the contour nodes.
 * the other families keep their node counts (Nystrom n, the spec's
-  inner_n, ``kernels.FERMI_N``) fixed; the multiwedge cutoff map's scale
+  inner_n, ``kernels.FERMI_N``) fixed; the narrow-wedge cutoff map's scale
   ``kernels.INNER_SCALE * t^(1/3)`` moves smoothly with t, with no integer
   jumps.
 """
@@ -86,7 +86,7 @@ def similarity_gue_log_f(hm: HMSolution, corner, steps, points) -> np.ndarray:
 
 def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
     """Spec of the two-point narrow-wedge determinant F(t, xs + y, rs + a)."""
-    return KernelSpec("multiwedge_extended", float(t),
+    return KernelSpec("nw_fixed_point", float(t),
                       tuple(x + y for x in xs), tuple(r + a for r in rs),
                       ((0.0, 0.0),))
 

@@ -2,9 +2,9 @@
 
 Families:
 
-* ``nw_fixed_point``     one narrow wedge, any number of observation points
+* ``nw_fixed_point``     narrow wedges, extended block kernel at any number
+                         of observation points
 * ``flat_fixed_point``   flat initial data (Hankel kernel, one point)
-* ``multiwedge_extended``up to 3 narrow wedges, extended block kernel
 * ``kpz_narrow_wedge``   KPZ equation narrow-wedge generating function kernel
 * ``kpz_spiked``         m-spiked KPZ kernel via decoupled contour integrals
 
@@ -16,7 +16,7 @@ with S[-t, x](u) = S[t, x](-u), composed with heat kernels and level
 cutoffs.  Compositions are evaluated in log space so that the huge opposing
 exponentials appearing at small t cancel analytically before exponentiation.
 
-The narrow-wedge / multiwedge blocks are factored kernels sum_p A_p R_p^T
+The narrow-wedge blocks are factored kernels sum_p A_p R_p^T
 over the wedges p, A_p = L_p - sum_{q<p} A_q H_qp the left S-factor renewed
 by the weighted heat matrices H_qp; the factors are cached per kernel, and
 the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``).
@@ -193,16 +193,13 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in ("nw_fixed_point", "flat_fixed_point",
-                               "multiwedge_extended", "kpz_narrow_wedge",
-                               "kpz_spiked"):
+                               "kpz_narrow_wedge", "kpz_spiked"):
             raise KernelDomainError(f"unknown family {self.family!r}")
         if self.t <= 0:
             raise KernelDomainError("t must be positive")
         _check_layout(self.xs, self.rs, self.wedges)
-        if self.family in ("nw_fixed_point", "multiwedge_extended") and not self.wedges:
-            raise KernelDomainError(f"{self.family} needs at least one wedge")
-        if self.family == "multiwedge_extended" and len(self.wedges) > 3:
-            raise KernelDomainError("at most 3 wedges supported")
+        if self.family == "nw_fixed_point" and not self.wedges:
+            raise KernelDomainError("nw_fixed_point needs at least one wedge")
         if self.family == "kpz_spiked":
             sp = np.asarray(self.spikes, dtype=float)
             if sp.size == 0:
@@ -213,10 +210,6 @@ class KernelSpec:
                 raise KernelDomainError("contour anchor must sit right of all spikes")
             if abs(self.xs[0]) > self.t:
                 raise KernelDomainError("kpz_spiked requires |x| <= t")
-
-    @property
-    def n_points(self) -> int:
-        return len(self.xs)
 
     @property
     def domain_cut(self) -> float:
@@ -230,7 +223,7 @@ class KernelSpec:
 
 
 # ----------------------------------------------------------------------------
-# narrow wedge / multiwedge blocks
+# narrow wedge blocks
 # ----------------------------------------------------------------------------
 
 def _memo(cache, key, make):
@@ -307,7 +300,7 @@ def _renewed_left(spec, cache, p, i, pts):
 
 
 def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
-    """The term A_p R_p^T of one wedge p of the multiwedge part.
+    """The term A_p R_p^T of one wedge p of the scattering part.
 
     left is A_p over (U, cutoff nodes of wedge p), right_t is R_p^T over
     (those nodes, V).  Raises QuadratureFailure when the deepest cutoff node
@@ -341,23 +334,6 @@ def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V,
     return reduce(_log_add, (_chain_logmat(_renewed_left(spec, cache, p, i, U),
                                            _s_factors(spec, cache, p, j, V)[1])
                              for p in range(len(spec.wedges))))
-
-
-def multiwedge_block(spec: KernelSpec, i: int, j: int, u, v,
-                     cache: dict | None = None):
-    """Block (i, j) of the shifted extended kernel, linear values.
-
-    u, v live on [0, inf); levels rs are folded in here.  cache is passed
-    on to scattering_part_logmat.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    U = u + spec.rs[i]
-    V = v + spec.rs[j]
-    part = scattering_part_logmat(spec, i, j, U, V, cache).to_linear()
-    if i < j:
-        part = part - heat_kernel(spec.xs[j] - spec.xs[i], U[:, None], V[None, :])
-    return part
 
 
 def flat_kernel(t, u, v):
@@ -692,8 +668,14 @@ class BlockKernel:
         fam = spec.family
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        if fam in ("nw_fixed_point", "multiwedge_extended"):
-            return multiwedge_block(spec, a, b, u, v, cache=self._factors)
+        if fam == "nw_fixed_point":
+            # the extended kernel: the scattering part at the levels, minus
+            # the heat kernel above the diagonal
+            U, V = u + spec.rs[a], v + spec.rs[b]
+            part = scattering_part_logmat(spec, a, b, U, V, self._factors).to_linear()
+            if a < b:
+                part = part - heat_kernel(spec.xs[b] - spec.xs[a], U[:, None], V[None, :])
+            return part
         if fam == "flat_fixed_point":
             return flat_kernel(spec.t, u[:, None] + spec.rs[0], v[None, :] + spec.rs[0])
         if fam == "kpz_narrow_wedge":
@@ -710,5 +692,5 @@ class BlockKernel:
 def build_block_kernel(spec: KernelSpec, rules: SpikedRules | None = None) -> BlockKernel:
     """BlockKernel of spec; a kpz_spiked spec uses the sweep's rules if given."""
     spiked = SpikedKernel(spec, rules) if spec.family == "kpz_spiked" else None
-    n = spec.n_points if spec.family in ("nw_fixed_point", "multiwedge_extended") else 1
+    n = len(spec.xs) if spec.family == "nw_fixed_point" else 1
     return BlockKernel(spec, n, spiked)

@@ -159,7 +159,7 @@ def rk_limit_check(cfg: WedgeConfig, t_seq, n_quad: int = 64):
             target[i, j] = -constrained_bridge_density(cfg, i, j)
     rows = []
     for t in t_seq:
-        spec = KernelSpec("multiwedge_extended", float(t), cfg.xs, cfg.rs,
+        spec = KernelSpec("nw_fixed_point", float(t), cfg.xs, cfg.rs,
                           tuple(cfg.wedges))
         q = boundary_resolvent(assemble(spec, n_quad))
         err = np.abs(q - target)
@@ -251,30 +251,26 @@ def path_integral_determinant(t: float, xs, rs):
     rule = panel_rule([left, *sorted(set(rs)), np.inf], 72, 4.0)
     nodes, weights = rule.nodes, rule.weights
 
-    if m == 1:
-        spec1 = KernelSpec("nw_fixed_point", t, (xs[0],), (0.0,), ((0.0, 0.0),),
-                           inner_n=64)
-        k1 = scattering_part_logmat(spec1, 0, 0, nodes, nodes).to_linear()
-        op = (nodes > rs[0]).astype(float)[:, None] * k1
-    else:
-        # Backward heat absorbed: C = S[-t,-x_m] Pbar_0 S[t,x_1].  The free
-        # kernel K_{t,x1} is rebuilt from the SAME discrete heat factors so
-        # that the two terms cancel exactly at deep-left rows, where each is
-        # separately an unresolved oscillatory integral.
-        spec_c = KernelSpec("nw_fixed_point", t, (xs[0], xs[-1]), (0.0, 0.0),
-                            ((0.0, 0.0),), inner_n=64)
-        c_mat = scattering_part_logmat(spec_c, 1, 0, nodes, nodes).to_linear()
-        free = c_mat
-        chain = (nodes <= rs[-1]).astype(float)[:, None] * c_mat
-        for k in range(m - 2, -1, -1):
-            hk = heat_kernel(xs[k + 1] - xs[k], nodes[:, None], nodes[None, :])
-            a_k = hk * weights[None, :]
-            free = a_k @ free
-            chain = a_k @ chain
-            if k > 0:
-                chain = (nodes <= rs[k]).astype(float)[:, None] * chain
-        chain = (nodes <= rs[0]).astype(float)[:, None] * chain
-        op = free - chain
+    # Backward heat absorbed: C = S[-t,-x_m] Pbar_0 S[t,x_1] (for m = 1 the
+    # one-point K_{t,x1}).  The free kernel K_{t,x1} is rebuilt from the
+    # SAME discrete heat factors so that the two terms cancel exactly at
+    # deep-left rows, where each is separately an unresolved oscillatory
+    # integral; for m = 1 the chain is empty and free - chain = 1{u > r} K.
+    ends = xs[:1] + xs[1:][-1:]
+    spec_c = KernelSpec("nw_fixed_point", t, ends, (0.0,) * len(ends),
+                        ((0.0, 0.0),), inner_n=64)
+    c_mat = scattering_part_logmat(spec_c, len(ends) - 1, 0, nodes, nodes).to_linear()
+    free = c_mat
+    chain = (nodes <= rs[-1]).astype(float)[:, None] * c_mat
+    for k in range(m - 2, -1, -1):
+        hk = heat_kernel(xs[k + 1] - xs[k], nodes[:, None], nodes[None, :])
+        a_k = hk * weights[None, :]
+        free = a_k @ free
+        chain = a_k @ chain
+        if k > 0:
+            chain = (nodes <= rs[k]).astype(float)[:, None] * chain
+    chain = (nodes <= rs[0]).astype(float)[:, None] * chain
+    op = free - chain
     sw = np.sqrt(weights)
     sign, logdet = np.linalg.slogdet(np.eye(nodes.size) - sw[:, None] * op * sw[None, :])
     return float(sign * np.exp(logdet))

@@ -15,7 +15,6 @@ from kpdet.kernels import KernelSpec, QuadratureFailure
 GOOD_CONFIG = """
 [run]
 command = tw-table
-seed = 3
 tolerance = 0.5
 [grid]
 r_min = -6.0
@@ -64,8 +63,8 @@ class TestConfigParsing:
     def test_round_trip_every_kind(self, data):
         cfg = cli.ExperimentConfig(
             command=data.draw(st.sampled_from(sorted(cli.COMMANDS))),
-            out=data.draw(WORDS), seed=data.draw(st.integers()),
-            tolerance=data.draw(st.floats(allow_nan=False)), threads=data.draw(st.integers()),
+            out=data.draw(WORDS), tolerance=data.draw(st.floats(allow_nan=False)),
+            threads=data.draw(st.integers()),
             quad_n=data.draw(st.none() | st.integers()),
             kernel=data.draw(st.fixed_dictionaries({}, optional=KERNEL_VALUES)),
             grid=data.draw(st.fixed_dictionaries({}, optional=GRID_VALUES)))
@@ -209,7 +208,7 @@ class TestConfiguredKeys:
     def test_matrix_kp_uses_configured_quad_n(self, tmp_path):
         code, out = _run_main(
             tmp_path, "[run]\ncommand = matrix-kp\nquad_n = 56\n"
-            "[kernel]\nfamily = multiwedge_extended\nxs = -0.3,0.4\nrs = 0.5,0.8\n")
+            "[kernel]\nfamily = nw_fixed_point\nxs = -0.3,0.4\nrs = 0.5,0.8\n")
         assert code == 0
         report = json.loads((out / "matrix-kp.json").read_text())
         assert report["quad_n"] == 56
@@ -239,6 +238,17 @@ class TestConfiguredKeys:
         assert code == 0
         report = json.loads((out / f"{command}.json").read_text())
         assert report["quad_n"] == 48
+
+    @pytest.mark.parametrize("family, expected", [("nw_fixed_point", 1.0 / 24.0),
+                                                  ("flat_fixed_point", 1.0 / 12.0)],
+                             ids=["nw_fixed_point", "flat_fixed_point"])
+    def test_tail_fit_slope_follows_t(self, tmp_path, family, expected):
+        # log F ~ -|r|^3 / (12 t) for the narrow wedge, -|r|^3 / (6 t) flat
+        code, out = _run_main(tmp_path, "[run]\ncommand = tail-fit\ntolerance = 0.15\n"
+                              f"[kernel]\nfamily = {family}\nt = 2.0\n")
+        assert code == 0
+        report = json.loads((out / "tail-fit.json").read_text())
+        assert report["expected"] == expected and report["rel_dev"] < 0.15
 
     @pytest.mark.parametrize("command, kernel", [
         ("tail-fit", "[kernel]\nfamily = flat_fixed_point\n"),
@@ -340,6 +350,13 @@ class TestErrorContract:
         assert "line 3" in err and "tolerence" in err
         assert not out.exists()
 
+    def test_seed_is_not_a_key(self, tmp_path, capsys):
+        # no computation read a seed; a config that sets one is refused
+        code, out = _run_main(tmp_path, "[run]\ncommand = tw-table\nseed = 0\n")
+        err = self._assert_config_error(capsys, code)
+        assert err.startswith("config error: line 3: [run] has no key 'seed';")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, kernel, key", [
         ("tw-table", "", "r0"),
         ("det-eval", "", "t0"),
@@ -371,7 +388,10 @@ class TestErrorContract:
         ("matrix-kp", "xs = -0.3,0.4\nrs = 0.5,0.8\nwedges = 0:0", "wedges"),
         ("matrix-kp", "xs = -0.3,0.4\nrs = 0.5,0.8\nspikes = 0.0", "spikes"),
         ("matrix-kp", "xs = -0.3,0.4\nrs = 0.5,0.8\nanchor = 0.3", "anchor"),
-        ("matrix-kp", "family = nw_fixed_point\nxs = -0.3,0.4\nrs = 0.5,0.8", "family"),
+        ("matrix-kp", "family = multiwedge_extended\nxs = -0.3,0.4\nrs = 0.5,0.8", "family"),
+        ("det-eval", "family = multiwedge_extended", "family"),
+        ("tail-fit", "family = kpz_narrow_wedge", "family"),
+        ("tail-fit", "family = kpz_spiked", "family"),
         ("kp-residual", "family = airy_process\nwedges = 0:0", "wedges"),
         ("kp-residual", "family = kpz_narrow_wedge\nwedges = 0:0", "wedges"),
         ("spiked-check", "spikes = 0.0\nr = 0.5", "r"),
@@ -392,10 +412,10 @@ class TestErrorContract:
                 or f"{command} does not take family" in err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["seed = abc", "quad_n = 64.7", "threads = 1.5",
+    @pytest.mark.parametrize("line", ["quad_n = 64.7", "threads = 1.5",
                                       "tolerance = tight"])
     def test_non_numeric_run_value_exit_2(self, tmp_path, capsys, line):
-        # a non-integer seed, threads or quad_n is neither truncated nor a traceback
+        # a non-integer threads or quad_n is neither truncated nor a traceback
         code, out = _run_main(tmp_path, f"[run]\ncommand = tw-table\n{line}\n")
         err = self._assert_config_error(capsys, code)
         assert err == f"config error: line 3: {line} is not " + (
@@ -526,7 +546,7 @@ class TestErrorContract:
             monkeypatch.setattr(fields, target, fail)
         config = ("[run]\ncommand = det-eval\n[grid]\nnr = 1\n" if target == "assemble"
                   else "[run]\ncommand = matrix-kp\n[kernel]\n"
-                       "family = multiwedge_extended\nxs = -0.3,0.4\nrs = 0.5,0.8\n")
+                       "family = nw_fixed_point\nxs = -0.3,0.4\nrs = 0.5,0.8\n")
         code, out = _run_main(tmp_path, config)
         assert code == 2
         err = capsys.readouterr().err.strip()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpdet import fredholm, kernels, painleve
-from kpdet.kernels import KernelSpec, multiwedge_block
+from kpdet.kernels import KernelSpec, build_block_kernel
 
 
 class RankOneToy:
@@ -60,7 +60,7 @@ class TestAssembleAndDet:
         assert abs(d1 - d2) < 1e-10
 
     def test_block_count(self):
-        spec = KernelSpec("multiwedge_extended", 1.0, (-0.3, 0.4), (0.5, 0.8),
+        spec = KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
                           ((0.0, 0.0),))
         disc = fredholm.assemble(spec, 32)
         assert disc.kernel.n_blocks == 2
@@ -99,10 +99,10 @@ class TestBoundaryResolvent:
         xs, rs = (-0.3, 0.4), (0.5, 0.8)
         h = 1e-4
         def ld(a):
-            spec = KernelSpec("multiwedge_extended", 1.0, xs,
+            spec = KernelSpec("nw_fixed_point", 1.0, xs,
                               tuple(r + a for r in rs), ((0.0, 0.0),))
             return np.log(fredholm.det_one_minus(fredholm.assemble(spec, 64)))
-        spec0 = KernelSpec("multiwedge_extended", 1.0, xs, rs, ((0.0, 0.0),))
+        spec0 = KernelSpec("nw_fixed_point", 1.0, xs, rs, ((0.0, 0.0),))
         q = fredholm.boundary_resolvent(fredholm.assemble(spec0, 64))
         fd = (ld(h) - ld(-h)) / (2 * h)
         assert abs(np.trace(q) - fd) < 1e-4
@@ -124,18 +124,22 @@ class TestBoundaryResolvent:
     def test_two_point_resolvent_matches_direct_blocks(self):
         # reference: every block evaluated afresh (no factor cache), the
         # boundary ones directly at 0
-        spec = KernelSpec("multiwedge_extended", 1.0, (-0.3, 0.4), (0.5, 0.8),
+        spec = KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
                           ((0.0, 0.0),))
         disc = fredholm.assemble(spec, 48)
         q_disc = fredholm.boundary_resolvent(disc)
         nodes, sw, zero = disc.rule.nodes, np.sqrt(disc.rule.weights), np.zeros(1)
-        m = np.block([[sw[:, None] * multiwedge_block(spec, a, b, nodes, nodes) * sw
+
+        def block(a, b, u, v):
+            return build_block_kernel(spec).block(a, b, u, v)
+
+        m = np.block([[sw[:, None] * block(a, b, nodes, nodes) * sw
                        for b in range(2)] for a in range(2)])
-        row = np.block([[multiwedge_block(spec, a, c, zero, nodes) * sw
+        row = np.block([[block(a, c, zero, nodes) * sw
                          for c in range(2)] for a in range(2)])
-        col = np.block([[multiwedge_block(spec, c, b, nodes, zero) * sw[:, None]
+        col = np.block([[block(c, b, nodes, zero) * sw[:, None]
                          for b in range(2)] for c in range(2)])
-        k00 = np.array([[multiwedge_block(spec, a, b, zero, zero)[0, 0]
+        k00 = np.array([[block(a, b, zero, zero)[0, 0]
                          for b in range(2)] for a in range(2)])
         q = k00 + row @ np.linalg.solve(np.eye(96) - m, col)
         assert np.max(np.abs(disc.matrix - m)) < 1e-15
@@ -144,7 +148,7 @@ class TestBoundaryResolvent:
     def test_resolvent_reuses_assembly_factors(self, monkeypatch):
         # after assembly only the boundary point 0 needs new Airy values:
         # one cutoff rule (inner_n nodes) per observation point
-        spec = KernelSpec("multiwedge_extended", 1.0, (-0.3, 0.4), (0.5, 0.8),
+        spec = KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
                           ((0.0, 0.0),))
         disc = fredholm.assemble(spec, 48)
         points = []
@@ -225,7 +229,7 @@ class TestQuadratureStability:
         KernelSpec("nw_fixed_point", 1.0, (0.5,), (0.0,), ((0.0, 0.0),)),
         KernelSpec("flat_fixed_point", 1.0, (0.0,), (-1.0,)),
         KernelSpec("kpz_narrow_wedge", 1.0, (0.1,), (1.0,)),
-        KernelSpec("multiwedge_extended", 1.0, (-0.3, 0.4), (0.5, 0.8),
+        KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
                    ((0.0, 0.0),)),
         KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,)),
     ], ids=["nw", "flat", "kpz", "2pt", "spiked"])
@@ -293,8 +297,7 @@ def test_nystrom_determinant_matches_mpmath(family, kernel, points):
 
 
 # the families whose one-point determinant is a distribution function in r
-NON_SPIKED = ("nw_fixed_point", "flat_fixed_point", "multiwedge_extended",
-              "kpz_narrow_wedge")
+NON_SPIKED = ("nw_fixed_point", "flat_fixed_point", "kpz_narrow_wedge")
 TIMES = st.floats(0.5, 2.0)
 POSITIONS = st.floats(-1.0, 1.0)
 LEVELS = st.floats(-3.0, 3.0)

@@ -17,7 +17,6 @@ from kpdet.kernels import (
     flat_kernel,
     heat_kernel,
     log_matmul,
-    multiwedge_block,
     scattering_part_logmat,
 )
 from kpdet.quadrature import gauss_legendre, map_interval, map_whole_line
@@ -111,7 +110,7 @@ class TestSKernel:
         w = map_whole_line(gauss_legendre(320), 0.0, 4.0)
         comp = ((nw_block(t, x, 0.0, 0.0, u, w.nodes) * w.weights[None, :])
                 @ heat_kernel(y, w.nodes[:, None], v[None, :]))
-        spec = KernelSpec("multiwedge_extended", t, (x, x + y), (0.0, 0.0))
+        spec = KernelSpec("nw_fixed_point", t, (x, x + y), (0.0, 0.0))
         part = (build_block_kernel(spec).block(0, 1, u, v)
                 + heat_kernel(y, u[:, None], v[None, :]))
         assert np.max(np.abs(comp - part)) < 1e-12
@@ -178,20 +177,20 @@ class TestFlatKernel:
 
 class TestMultiwedge:
     def test_single_wedge_reduces(self):
-        spec = KernelSpec("multiwedge_extended", 1.0, (0.2,), (0.5,), ((0.0, 0.0),))
+        spec = KernelSpec("nw_fixed_point", 1.0, (0.2,), (0.5,), ((0.0, 0.0),))
         u = np.linspace(0.0, 2.0, 5)
-        blk = multiwedge_block(spec, 0, 0, u, u)
+        blk = build_block_kernel(spec).block(0, 0, u, u)
         direct = nw_block(1.0, 0.2, 0.0, 0.0, u + 0.5, u + 0.5)
         assert np.max(np.abs(blk - direct)) < 1e-12
 
     def test_two_wedge_monotone_in_levels(self):
-        base = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.0,),
+        base = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
                           ((-1.0, 0.0), (1.0, 0.0)))
         d0 = det_of(base)
         assert 0.0 < d0 < 1.0
-        up1 = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.0,),
+        up1 = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
                          ((-1.0, 0.5), (1.0, 0.0)))
-        up2 = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.0,),
+        up2 = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
                          ((-1.0, 0.0), (1.0, 0.5)))
         assert det_of(up1) < d0 and det_of(up2) < d0
 
@@ -206,25 +205,41 @@ class TestMultiwedge:
         ref = hit_kernel(cfg, 0, 1, u, v)
         assert abs(blk[0, 0] - float(ref)) < 1e-3
 
+    def test_small_time_limit_through_two_wedges(self):
+        # block (0, 1) renews its left factor at the first of two wedges
+        # between the points; it tends to the hit kernel at rate t
+        from kpdet.scattering import WedgeConfig, hit_kernel
+        wedges = ((-0.4, 0.1), (0.3, -0.2))
+        u, v = np.array([0.0, 0.6, 1.2]), np.array([0.3, 0.9])
+        ref = hit_kernel(WedgeConfig(wedges, (-1.0, 1.0), (0.0, 0.0)), 0, 1, u, v)
+        errs = []
+        for t in (0.01, 0.005):
+            spec = KernelSpec("nw_fixed_point", t, (-1.0, 1.0), (0.0, 0.0), wedges,
+                              inner_n=96)
+            blk = scattering_part_logmat(spec, 0, 1, u, v).to_linear()
+            errs.append(np.max(np.abs(blk - ref)))
+        assert max(errs) < 1e-3 and errs[0] / errs[1] >= 1.8
+
     def test_levels_to_minus_infinity_leave_heat(self):
-        spec = KernelSpec("multiwedge_extended", 1.0, (-0.5, 0.5), (0.0, 0.0),
+        spec = KernelSpec("nw_fixed_point", 1.0, (-0.5, 0.5), (0.0, 0.0),
                           ((0.0, -8.0),))
         u = np.linspace(0.0, 2.0, 4)
-        blk = multiwedge_block(spec, 0, 1, u, u)
+        kernel = build_block_kernel(spec)
+        blk = kernel.block(0, 1, u, u)
         ref = -heat_kernel(1.0, u[:, None], u[None, :])
         assert np.max(np.abs(blk - ref)) < 1e-6
-        diag = multiwedge_block(spec, 0, 0, u, u)
+        diag = kernel.block(0, 0, u, u)
         assert np.max(np.abs(diag)) < 1e-6
 
-    def test_wedge_cap(self):
+    def test_no_wedges(self):
         with pytest.raises(KernelDomainError):
-            KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.0,),
-                       tuple((float(a), 0.0) for a in range(4)))
+            KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,), ())
 
-    @pytest.mark.parametrize("family", ["nw_fixed_point", "multiwedge_extended"])
-    def test_no_wedges(self, family):
-        with pytest.raises(KernelDomainError):
-            KernelSpec(family, 1.0, (0.0,), (0.0,), ())
+    def test_removed_family_name_refused(self):
+        # nw_fixed_point is the one narrow-wedge family, for any number of
+        # points and wedges
+        with pytest.raises(KernelDomainError, match="unknown family"):
+            KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.0,))
 
     def test_block_products_quadratic_in_wedges(self, monkeypatch):
         # one renewal product A_q H_qp per wedge pair q < p and one A_p R_p^T
@@ -241,7 +256,7 @@ class TestMultiwedge:
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
                           tuple((-2.0 + 0.5 * p, 0.1 * (-1) ** p) for p in range(k)))
         u = np.linspace(0.0, 2.0, 5)
-        blk = multiwedge_block(spec, 0, 0, u, u, cache={})
+        blk = build_block_kernel(spec).block(0, 0, u, u)
         assert np.all(np.isfinite(blk))
         assert len(calls) <= k * (k + 1) // 2
 
@@ -250,7 +265,7 @@ class TestMultiwedge:
         disc = fredholm.assemble(spec, 64)
         cut = np.quantile(disc.rule.nodes, 0.95)
         far = disc.rule.nodes[disc.rule.nodes > cut][:3]
-        k = multiwedge_block(spec, 0, 0, far, far)
+        k = build_block_kernel(spec).block(0, 0, far, far)
         assert np.max(np.abs(k)) < 1e-10
 
 
@@ -278,13 +293,13 @@ def two_point_block_reference(t, xs, rs, i, j, u, v):
 @pytest.mark.parametrize("t", [1.0, 0.1])
 def test_two_point_block_matches_scipy_quadrature(t):
     xs, rs = (-0.3, 0.4), (0.5, 0.8)
-    spec = KernelSpec("multiwedge_extended", t, xs, rs, ((0.0, 0.0),))
+    spec = KernelSpec("nw_fixed_point", t, xs, rs, ((0.0, 0.0),))
     u, v = np.array([0.0, 0.4, 1.3]), np.array([0.0, 0.7, 2.0])
     for i in range(2):
         for j in range(2):
             ref = np.array([[two_point_block_reference(t, xs, rs, i, j, a, b)
                              for b in v] for a in u])
-            err = np.max(np.abs(multiwedge_block(spec, i, j, u, v) - ref))
+            err = np.max(np.abs(build_block_kernel(spec).block(i, j, u, v) - ref))
             assert err <= 1e-9 * np.max(np.abs(ref)) + 1e-15
 
 
@@ -558,20 +573,20 @@ class TestQuadratureFailureGuard:
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (-3.0,), ((0.0, 0.0),),
                           inner_n=8)
         with pytest.raises(QuadratureFailure):
-            multiwedge_block(spec, 0, 0, np.array([0.0]), np.array([0.0]))
+            build_block_kernel(spec).block(0, 0, np.array([0.0]), np.array([0.0]))
 
 
 class TestThreeWedges:
     def test_three_wedge_determinant(self):
-        spec = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.5,),
+        spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.5,),
                           ((-1.0, 0.0), (0.2, -0.3), (1.1, 0.1)))
         d3 = det_of(spec)
         assert 0.0 < d3 < 1.0
 
     def test_sunk_third_wedge_reduces_to_two(self):
-        sunk = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.5,),
+        sunk = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.5,),
                           ((-1.0, 0.0), (0.2, -0.3), (1.1, -8.0)))
-        two = KernelSpec("multiwedge_extended", 1.0, (0.0,), (0.5,),
+        two = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.5,),
                          ((-1.0, 0.0), (0.2, -0.3)))
         assert abs(det_of(sunk) - det_of(two)) < 1e-9
 
@@ -596,6 +611,6 @@ def test_skew_time_reversal_of_multiwedge_determinant(t, wedges, x, r):
     # narrow wedge at x.  The left side runs the renewal chain through the
     # wedges, the right side the extended one-wedge blocks.
     one_point = KernelSpec("nw_fixed_point", t, (x,), (r,), wedges)
-    k_point = KernelSpec("multiwedge_extended", t, tuple(a for a, _ in wedges),
+    k_point = KernelSpec("nw_fixed_point", t, tuple(a for a, _ in wedges),
                          tuple(r - b for _, b in wedges), ((x, 0.0),))
     assert abs(det_of(one_point) - det_of(k_point)) <= 1e-12

@@ -258,7 +258,7 @@ class TestPathIntegral:
         for xs, rs, t in [((-0.3, 0.4), (0.5, 0.8), 1.0),
                           ((-0.5, 0.2), (0.0, 0.3), 1.0)]:
             val = scattering.path_integral_determinant(t, xs, rs)
-            spec = KernelSpec("multiwedge_extended", t, xs, rs, ((0.0, 0.0),))
+            spec = KernelSpec("nw_fixed_point", t, xs, rs, ((0.0, 0.0),))
             ref = fredholm.det_one_minus(fredholm.assemble(spec, 64))
             assert abs(val - ref) < 1e-6
 
