@@ -409,12 +409,13 @@ def _tail_fit(cfg):
                       {"r": "[grid] r_min", "rs": "[grid] r_min"})
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
     quad_n = _quad_n(cfg, 96)
+    spec = _kernel_spec(cfg, g["r_min"])
     lf = fields.sweep([_kernel_spec(cfg, rv) for rv in r.tolist()], quad_n)
-    slope, r2 = residuals.tail_slope_fit(r, lf)
-    # log F_GUE(s) ~ -|s|^3/12 at s = t^(-1/3) r; the flat determinant is
-    # F_GOE(4^(1/3) t^(-1/3) r), and log F_GOE(s) ~ -|s|^3/24
-    t = cfg.kernel.get("t", 1.0)
-    flat = cfg.kernel.get("family") == "flat_fixed_point"
+    # log F ~ -|s|^3/12 at s = t^(-1/3) (r - b + (x - a)^2/t) for a wedge (a, b)
+    # (of several the smallest shift leads), -|s|^3/24 at s = 4^(1/3) t^(-1/3) r flat
+    t, flat = spec.t, spec.family == "flat_fixed_point"
+    shift = 0.0 if flat else min((spec.xs[0] - a) ** 2 / t - b for a, b in spec.wedges)
+    slope, r2 = residuals.tail_slope_fit(r + shift, lf)
     expect = 1.0 / (6.0 * t) if flat else 1.0 / (12.0 * t)
     rel_dev = abs(slope / expect - 1.0)
     return (["r", "log_f"], list(zip(r.tolist(), lf.tolist())),

@@ -5,14 +5,13 @@ CLI's r-sweeps) goes through ``sweep``, which keeps the quadrature fixed
 across its points, so discretization errors vary smoothly with (t, x, r)
 and pass through finite-difference stencils without noise amplification:
 
-* kpz_spiked: all contour rules (eta contour and its anchor, xi rays, Fermi
-  y-rule, log-Gamma offset) are built once per sweep, sized for its worst
-  point, together with every contour factor that does not depend on
-  (t, x, r); each determinant adds only a diagonal on the contour nodes.
-* the other families keep their node counts (Nystrom n, the spec's
-  inner_n, ``kernels.FERMI_N``) fixed; the narrow-wedge cutoff map's scale
-  ``kernels.INNER_SCALE * t^(1/3)`` moves smoothly with t, with no integer
-  jumps.
+* kpz_narrow_wedge and kpz_spiked: the Fermi y-rule, and the spiked contour
+  rules with every contour factor that does not depend on (t, x, r), are
+  built once per sweep for its worst point; a spiked determinant adds only
+  a diagonal on the contour nodes.
+* the other families keep their node counts (Nystrom n, the spec's inner_n)
+  fixed; the narrow-wedge cutoff map's scale ``kernels.INNER_SCALE *
+  t^(1/3)`` moves smoothly with t, with no integer jumps.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import DomainError
 from .fredholm import assemble, log_det_one_minus
-from .kernels import KernelSpec, SpikedRules, build_block_kernel
+from .kernels import KernelSpec, SpikedRules, build_block_kernel, sweep_rules
 from .painleve import HMSolution, log_f_gue
 
 __all__ = [
@@ -48,21 +47,20 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
 
     value defaults to log det(I - K) (raising FloatingPointError, which
     names the point and n_quad, unless the determinant is positive).  The
-    kpz_spiked specs that share spikes and anchor form one contour group
-    with one set of rules (``kernels.SpikedRules``); the groups are
-    evaluated one after another, so only one group's rules are held at a
-    time.  Every other kernel is built per point.  mapper maps the per-point evaluation over a group's
+    specs of one family (and, for kpz_spiked, of one spikes and anchor)
+    form a group with one set of rules (``kernels.sweep_rules``); the
+    groups are evaluated one after another, so only one group's rules are
+    held at a time.  mapper maps the per-point evaluation over a group's
     specs: the builtin map, or a thread pool's map (values do not change).
     """
     specs = list(specs)
     groups: dict = {}
     for i, s in enumerate(specs):
-        key = SpikedRules.group_key(s) if s.family == "kpz_spiked" else None
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((s.family, SpikedRules.group_key(s)), []).append(i)
     out = [None] * len(specs)
-    for key, idx in groups.items():
+    for idx in groups.values():
         group = [specs[i] for i in idx]
-        rules = SpikedRules(group) if key is not None else None
+        rules = sweep_rules(group)
         vals = mapper(lambda spec: value(assemble(build_block_kernel(spec, rules),
                                                   n_quad)), group)
         for i, v in zip(idx, vals):

@@ -21,9 +21,9 @@ over the wedges p, A_p = L_p - sum_{q<p} A_q H_qp the left S-factor renewed
 by the weighted heat matrices H_qp; the factors are cached per kernel, and
 the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``).
 
-The spiked kernels of one determinant sweep share one ``SpikedRules``: the
-contour rules sized for the sweep's worst point and every contour factor
-that does not depend on (t, x, r).
+Both KPZ equation families integrate a Fermi factor on a ``fermi_rule`` in
+y; the points of a sweep share rules sized for its worst point (``sweep_rules``),
+for kpz_spiked with every contour factor that does not depend on (t, x, r).
 
 Blocks are shifted per observation point: entry (a, b) is evaluated at
 (u + r_a, v + r_b) and lives on L^2[0, inf).
@@ -41,7 +41,6 @@ from .quadrature import (
     gauss_legendre,
     map_half_line_down,
     map_interval,
-    map_whole_line,
     panel_rule,
 )
 from .specfun import airy_ai, airy_ai_log_abs, log_gamma
@@ -56,6 +55,7 @@ __all__ = [
     "SpikedRules",
     "SpikedKernel",
     "BlockKernel",
+    "sweep_rules",
     "build_block_kernel",
 ]
 
@@ -351,23 +351,40 @@ def flat_kernel(t, u, v):
 
 
 # ----------------------------------------------------------------------------
-# KPZ equation narrow wedge kernel (Fermi-factor form)
+# Fermi y-rule of the KPZ equation families
 # ----------------------------------------------------------------------------
 
-# nodes of the kpz_narrow_wedge kernel's Fermi y-rule, and the fewest nodes
-# per panel of the spiked y-rule
-FERMI_N = 256
+# Fermi cutoff of the y-rules: (1 + e^y)^(-1) < 2.4e-16 above it
+Y_HI = 36.0
+# the Fermi factor's own frequency: on a Gauss panel 8 wide its poles at
+# y = +-i pi cost as many nodes as an oscillation this fast
+FERMI_FREQ = 4.5
 
 
-def kpz_nw_half_factor(spec: KernelSpec, pts):
-    """Matrix A[q, i] with K = A^T A for the KPZ narrow wedge kernel."""
+def fermi_rule(y_lo: float, freq: float, per_freq: float):
+    """Rule (y0, loc, nodes, logw) for int dy (1+e^y)^(-1) f(y) on [y_lo, Y_HI],
+    f of frequency up to freq: equal panels about 8 wide sharing one Gauss
+    base of per_freq * max(freq, FERMI_FREQ) nodes per unit length, so node
+    (p, k) is y0[p] + loc[k]; logw holds the Fermi factor.  Raises
+    KernelDomainError when a panel would need more than 512 nodes."""
+    span = Y_HI - y_lo
+    n_panels = max(6, int(span / 8.0))
+    per = int(per_freq * max(freq, FERMI_FREQ) * span / n_panels)
+    if per > 512:
+        raise KernelDomainError(f"Fermi y-rule of {per} > 512 nodes per panel: t too small or r too low")
+    loc = map_interval(gauss_legendre(per), 0.0, span / n_panels)
+    y0 = np.linspace(y_lo, Y_HI, n_panels + 1)[:-1]
+    y = (y0[:, None] + loc.nodes[None, :]).ravel()
+    return y0, loc.nodes, y, np.log(np.tile(loc.weights, n_panels)) - np.logaddexp(0.0, y)
+
+
+def kpz_nw_half_factor(spec: KernelSpec, pts, rule):
+    """Matrix A[q, i] with K = A^T A for the KPZ narrow wedge kernel on the
+    ``fermi_rule`` of its sweep."""
     t, x, r = spec.t, spec.xs[0], spec.rs[0]
-    rule = map_whole_line(gauss_legendre(FERMI_N), 0.0, 7.0)
-    y = rule.nodes
-    fermi = 1.0 / (1.0 + np.exp(np.minimum(y, 700.0)))
-    w = rule.weights * fermi / np.cbrt(t * t)
+    _, _, y, logw = rule
     arg = (pts[None, :] + r - y[:, None]) / np.cbrt(t) + x * x / np.cbrt(t ** 4)
-    return np.sqrt(w)[:, None] * airy_ai(arg)
+    return np.exp(0.5 * logw)[:, None] / np.cbrt(t) * airy_ai(arg)
 
 
 # ----------------------------------------------------------------------------
@@ -385,7 +402,7 @@ class SpikedRules:
 
     * the vertical eta contour, anchored at the largest a_eta of the points,
     * the xi rays, anchored at a_xi = contour_anchor + 1/2,
-    * the Fermi y-rule and the log-Gamma offset.
+    * the Fermi y-rule (``fermi_rule``) and the log-Gamma offset.
 
     Each size (eta half-height, ray length, y range, y-panel node count) is
     the largest any point asks for, and the rules do not jump between the
@@ -422,7 +439,6 @@ class SpikedRules:
         if np.min(np.abs(self.a_eta - self.b)) < 1e-9 or np.min(np.abs(self.a_xi - self.b)) < 1e-9:
             raise KernelDomainError("contour anchor collides with a spike")
         # y range: Fermi weight kills y -> +inf, Airy decay of F kills y -> -inf
-        self.y_hi = 36.0
         self.y_lo = min(min(s.rs[0], 0.0) for s in specs) - 16.0
         sizes = [self._sizes(s) for s in specs]
         self.eta_profiles = [sz[:4] for sz in sizes]
@@ -446,7 +462,9 @@ class SpikedRules:
         # balance Gamma(B)-scale factors between the two sides (K is invariant
         # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
         self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
-        self.y0, self.y_loc, self.fermi_nodes, self.fermi_logw = self._fermi_panels(freq)
+        # twice kpz_narrow_wedge's nodes per frequency: with 0.75, log det at
+        # (t, x, r) = (1.5, -1.35, -3) is 1e-12 off a doubled rule; with 1.5, 2e-13
+        self.y0, self.y_loc, self.fermi_nodes, self.fermi_logw = fermi_rule(self.y_lo, freq, 1.5)
         self.mid = np.exp(self.fermi_nodes * (self.a_eta - self.a_xi) + self.fermi_logw)
         self._sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
                        "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
@@ -462,8 +480,8 @@ class SpikedRules:
         """(eta half-height H, t, |w| bound, eta nodes per unit phase of its
         own rule, ray length, y-rule frequency) that the point spec asks for."""
         t, x, r = spec.t, spec.xs[0], spec.rs[0]
-        w_min = min(r, 0.0) - self.y_hi               # most negative argument
-        w_max = spec.domain_cut + r - self.y_lo       # most positive
+        w_min = min(r, 0.0) - Y_HI                # most negative argument
+        w_max = spec.domain_cut + r - self.y_lo   # most positive
         w_bound = max(abs(w_min), abs(w_max))
         # vertical eta rule: half-height from the decay profile, node count
         # from the total phase (rate s^2 + |w|)
@@ -474,7 +492,7 @@ class SpikedRules:
         per = min(max(32, int(n_vert / ETA_PANELS) + 8), 512)
         phase = self._eta_edges([(big_h, t, w_bound, 1.0)])[1]
         ray = _ray_length(t, x, abs(w_min) + 2.0)
-        freq = np.sqrt(max(w_bound, 4.0) / np.cbrt(t))
+        freq = np.sqrt(w_bound / t)
         return big_h, t, w_bound, ETA_PANELS * per / phase, ray, freq
 
     @staticmethod
@@ -509,24 +527,6 @@ class SpikedRules:
         """Upper half of the vertical contour: per GL nodes on each panel."""
         half = panel_rule(edges, per)
         return anchor + 1j * half.nodes, 1j * half.weights
-
-    def _fermi_panels(self, freq):
-        """Panel GL rule in y resolving the Airy-product oscillation.
-
-        Both factors oscillate with local frequency ~ sqrt(|w|/t^(1/3)) =
-        freq, which fixes the per-panel node count (at least FERMI_N).  The
-        panels have equal width and share one GL base, so node (p, k) is
-        y0[p] + loc[k].
-        Returns (y0, loc, nodes, log weights including the Fermi factor).
-        """
-        y_lo, y_hi = self.y_lo, self.y_hi
-        n_panels = max(6, int((y_hi - y_lo) / 8.0))
-        per = int(max(FERMI_N, 1.5 * freq * (y_hi - y_lo) / n_panels))
-        loc = map_interval(gauss_legendre(per), 0.0, (y_hi - y_lo) / n_panels)
-        y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
-        y = (y0[:, None] + loc.nodes[None, :]).ravel()
-        w = np.tile(loc.weights, n_panels)
-        return y0, loc.nodes, y, np.log(w) - np.logaddexp(0.0, y)
 
     def _side(self, z, w, anchor, sgn):
         """Point-independent factors of one contour: Gamma factors times
@@ -660,7 +660,7 @@ class BlockKernel:
 
     spec: KernelSpec
     n_blocks: int
-    _spiked: SpikedKernel | None = None
+    rules: SpikedRules | tuple | None = None
     _factors: dict = field(default_factory=dict)
 
     def block(self, a: int, b: int, u, v) -> np.ndarray:
@@ -679,18 +679,30 @@ class BlockKernel:
         if fam == "flat_fixed_point":
             return flat_kernel(spec.t, u[:, None] + spec.rs[0], v[None, :] + spec.rs[0])
         if fam == "kpz_narrow_wedge":
-            au = _memo(self._factors, ("kpz", u.tobytes()),
-                       lambda: kpz_nw_half_factor(spec, u))
-            av = _memo(self._factors, ("kpz", v.tobytes()),
-                       lambda: kpz_nw_half_factor(spec, v))
+            au, av = (_memo(self._factors, ("kpz", p.tobytes()),
+                            lambda p=p: kpz_nw_half_factor(spec, p, self.rules)) for p in (u, v))
             return au.T @ av
         if fam == "kpz_spiked":
-            return self._spiked.matrix(u, v)
+            return SpikedKernel(spec, self.rules).matrix(u, v)
         raise KernelDomainError(fam)
 
 
-def build_block_kernel(spec: KernelSpec, rules: SpikedRules | None = None) -> BlockKernel:
-    """BlockKernel of spec; a kpz_spiked spec uses the sweep's rules if given."""
-    spiked = SpikedKernel(spec, rules) if spec.family == "kpz_spiked" else None
-    n = len(spec.xs) if spec.family == "nw_fixed_point" else 1
-    return BlockKernel(spec, n, spiked)
+def sweep_rules(specs):
+    """The rules the points of one sweep share, sized for its worst point:
+    ``SpikedRules`` for kpz_spiked points of one group_key, the y-rule for
+    kpz_narrow_wedge points, None for the families whose rules do not
+    depend on the point."""
+    if specs[0].family != "kpz_narrow_wedge":
+        return SpikedRules(specs) if specs[0].family == "kpz_spiked" else None
+    # with w = min(r + x^2/t, 0), Ai((u + w - y)/t^(1/3)) < 1e-9 for y below
+    # w - 10 t^(1/3) at every u >= 0, and its frequency in y is <= sqrt((Y_HI - w)/t)
+    w = [min(s.rs[0] + s.xs[0] ** 2 / s.t, 0.0) for s in specs]
+    return fermi_rule(min(wi - 10.0 * np.cbrt(s.t) for wi, s in zip(w, specs)),
+                      max(np.sqrt((Y_HI - wi) / s.t) for wi, s in zip(w, specs)), 0.75)
+
+
+def build_block_kernel(spec: KernelSpec, rules=None) -> BlockKernel:
+    """BlockKernel of spec on the sweep_rules of the sweep it belongs to;
+    without them the spec is a one-point sweep."""
+    rules = sweep_rules((spec,)) if rules is None else rules
+    return BlockKernel(spec, len(spec.xs) if spec.family == "nw_fixed_point" else 1, rules)

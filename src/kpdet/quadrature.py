@@ -1,11 +1,10 @@
 """Gauss-Legendre rules, the domain maps used by every kernel integral, and
 composite (panelled) rules built from them.
 
-Half-lines use the algebraic map u = r0 + scale*(1+xi)/(1-xi) and the whole
-line uses u = center + scale*tan(pi*xi/2).  ``panel_rule`` is the one
-constructor of composite rules: callers that integrate along a complex
-contour map its real parameter rule onto the contour themselves.  Rules are
-immutable and safe to share across threads.
+Half-lines use the algebraic map u = r0 + scale*(1+xi)/(1-xi).
+``panel_rule`` is the one constructor of composite rules: callers that
+integrate along a complex contour map its real parameter rule onto the
+contour themselves.  Rules are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "map_interval",
     "map_half_line",
     "map_half_line_down",
-    "map_whole_line",
     "panel_rule",
 ]
 
@@ -106,16 +104,6 @@ def map_half_line_down(rule: QuadRule, b: float, scale: float) -> QuadRule:
     """Algebraic map onto (-inf, b], increasing nodes, positive weights."""
     up = map_half_line(rule, 0.0, scale)
     return QuadRule((b - up.nodes)[::-1].copy(), up.weights[::-1].copy())
-
-
-def map_whole_line(rule: QuadRule, center: float, scale: float) -> QuadRule:
-    """Tangent map of a reference rule onto the whole real line."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    theta = 0.5 * np.pi * rule.nodes
-    u = center + scale * np.tan(theta)
-    w = rule.weights * scale * 0.5 * np.pi / np.cos(theta) ** 2
-    return QuadRule(u, w)
 
 
 def panel_rule(edges, n: int, tail_scale: float | None = None) -> QuadRule:

@@ -250,6 +250,14 @@ class TestConfiguredKeys:
         report = json.loads((out / "tail-fit.json").read_text())
         assert report["expected"] == expected and report["rel_dev"] < 0.15
 
+    def test_tail_fit_off_the_wedge_fits_the_shifted_cubic(self, tmp_path):
+        # at x = 1 the determinant is F_GUE(r + x^2/t): against |r|^3 the
+        # slope reads 0.0606, against |r + 1|^3 it reads 1/12
+        code, out = _run_main(tmp_path, "[run]\ncommand = tail-fit\ntolerance = 0.15\n"
+                              "[kernel]\nfamily = nw_fixed_point\nt = 1.0\nx = 1.0\n")
+        assert code == 0
+        assert json.loads((out / "tail-fit.json").read_text())["rel_dev"] < 0.01
+
     @pytest.mark.parametrize("command, kernel", [
         ("tail-fit", "[kernel]\nfamily = flat_fixed_point\n"),
         ("bracket-check", ""),
@@ -508,6 +516,9 @@ class TestErrorContract:
         ("spiked-check", "[kernel]\nspikes = 0.0\nt = 1e300"),
         ("spiked-check", "[kernel]\nspikes = 0.0\nt = 1e200"),
         ("spiked-check", "[kernel]\nspikes = 0.0\nanchor = 1e300"),
+        # a Fermi y-rule past 512 nodes per panel, refused before it is built
+        ("det-eval", "[kernel]\nfamily = kpz_narrow_wedge\nt = 1e-9\n[grid]\nnr = 1"),
+        ("spiked-check", "[kernel]\nspikes = 0.0\nt = 1e-3"),
     ])
     def test_domain_error_exit_2(self, tmp_path, capsys, command, lines):
         # lines are [grid] lines, or whole sections where they start with one

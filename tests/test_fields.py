@@ -1,7 +1,12 @@
-import numpy as np
+import pathlib
 
-from kpdet import fields, fredholm
-from kpdet.kernels import KernelSpec
+import numpy as np
+import pytest
+
+from kpdet import cli, fields, fredholm
+from kpdet.kernels import KernelSpec, SpikedRules, sweep_rules
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance"
 
 # the lattice of the c13 spiked KP stencil: (t, x, r) around (1, 0.2, 0.3)
 H = 0.02
@@ -36,9 +41,46 @@ def test_sweep_mixes_families_and_contour_groups():
     # kernels; values follow the order of the specs
     specs = [KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,)),
              KernelSpec("nw_fixed_point", 1.0, (0.2,), (0.5,)),
+             KernelSpec("kpz_narrow_wedge", 1.0, (0.2,), (0.5,)),
              KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,),
                         contour_anchor=0.35),
              KernelSpec("kpz_spiked", 1.0, (0.0,), (1.0,), spikes=(0.0,))]
     got = fields.sweep(specs, 16)
     want = [own_logdet(s, 16) for s in specs]
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("config, most", [("c04b_kp_kpz", 256), ("c07_cyl_kdv", 256),
+                                          ("c13_spiked", 600)])
+def test_acceptance_sweeps_share_one_y_rule(tmp_path, monkeypatch, config, most):
+    # the points of each sweep's group (one family, one spikes and anchor)
+    # share one rules object, whose y-rule has at most `most` nodes and
+    # resolves every point: a kpz_narrow_wedge point's own y-rule starts no
+    # lower and has no more nodes per panel
+    seen = []
+    sweep = fields.sweep
+
+    def spy(specs, n_quad=64, value=fields._logdet, mapper=map):
+        specs, used = list(specs), []
+        sweep(specs, 8, lambda disc: used.append((disc.kernel.spec, disc.kernel.rules)) or 0.0)
+        seen.append(used)
+        return sweep(specs, n_quad, value, mapper)
+
+    monkeypatch.setattr(fields, "sweep", spy)
+    assert cli.main(["--config", str(CONFIG_DIR / f"{config}.cfg"),
+                     "--out", str(tmp_path)]) == 0
+    for used in seen:
+        groups: dict = {}
+        for s, r in used:
+            groups.setdefault((s.family, s.spikes, s.contour_anchor), set()).add(id(r))
+        assert all(len(ids) == 1 for ids in groups.values())
+        for s, r in used:
+            if isinstance(r, SpikedRules):
+                assert r.fermi_nodes.size <= most
+            else:
+                y0, loc, nodes, _ = r
+                own_y0, own_loc, _, _ = sweep_rules([s])
+                assert nodes.size <= most
+                assert own_y0[0] >= y0[0] and own_loc.size <= loc.size
+    if config == "c04b_kp_kpz":
+        assert [len(used) for used in seen] == [17]

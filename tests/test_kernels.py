@@ -1,3 +1,8 @@
+import dataclasses
+import functools
+from unittest import mock
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import airy
 
-from kpdet import fields, fredholm
+from kpdet import fields, fredholm, kernels
 from kpdet.kernels import (
     KernelDomainError,
     ETA_PANELS,
@@ -19,12 +24,16 @@ from kpdet.kernels import (
     log_matmul,
     scattering_part_logmat,
 )
-from kpdet.quadrature import gauss_legendre, map_interval, map_whole_line
+from kpdet.quadrature import gauss_legendre, map_interval, panel_rule
 from kpdet.specfun import log_gamma
 
 
 def det_of(spec, n=64):
     return fredholm.det_one_minus(fredholm.assemble(spec, n))
+
+
+# the whole line as Gauss panels with algebraic tails
+WHOLE_LINE = panel_rule([-np.inf, -8.0, -4.0, 0.0, 4.0, 8.0, np.inf], 48, 2.0)
 
 
 def nw_block(t, x, a, b, u, v, **kw):
@@ -57,7 +66,7 @@ class TestHeatKernel:
         assert heat_kernel(0.7, 0.3, -1.1) == heat_kernel(0.7, -1.1, 0.3)
 
     def test_unit_mass(self):
-        w = map_whole_line(gauss_legendre(128), 0.0, 4.0)
+        w = WHOLE_LINE
         assert abs(w.integrate(heat_kernel(0.8, 0.4, w.nodes)) - 1.0) < 1e-10
 
     def test_domain_error(self):
@@ -107,7 +116,7 @@ class TestSKernel:
         # (0, 1) of the two-point kernel at (x, x + y)
         t, x, y = 1.0, 0.3, 0.4
         u, v = np.array([0.5, 1.0]), np.array([-0.2, 0.6])
-        w = map_whole_line(gauss_legendre(320), 0.0, 4.0)
+        w = WHOLE_LINE
         comp = ((nw_block(t, x, 0.0, 0.0, u, w.nodes) * w.weights[None, :])
                 @ heat_kernel(y, w.nodes[:, None], v[None, :]))
         spec = KernelSpec("nw_fixed_point", t, (x, x + y), (0.0, 0.0))
@@ -364,7 +373,49 @@ class TestLogMatmul:
         assert out.sign[0, 0] == 1.0
 
 
+def kpz_oracle(t, x, r, u):
+    """K(u_i, u_j) = t^(-2/3) int dy Ai((u_i + w - y)/t^(1/3)) Ai((u_j + w - y)/t^(1/3))
+    / (1 + e^y), w = r + x^2/t, by mpmath.quad at 30 digits.  Left of the
+    range Ai Ai < 1e-19, right of it the Fermi factor is below e^-38."""
+    with mpmath.workdps(30):
+        ct = mpmath.cbrt(t)
+        w = mpmath.mpf(r) + mpmath.mpf(x) ** 2 / t
+        # every entry integrates on the same nodes, so Ai is computed once
+        # per node and u
+        ai = functools.lru_cache(maxsize=None)(lambda ui, y: mpmath.airyai((ui + w - y) / ct))
+        return np.array([[float(mpmath.quad(lambda y: ai(ui, y) * ai(uj, y) / (1 + mpmath.exp(y)),
+                                            [w - 10 * ct, w, 38], method="gauss-legendre")
+                                 / ct ** 2) for uj in u] for ui in u])
+
+
+def doubled_y_rules():
+    """Patch in the kernels' Fermi y-rules with twice the nodes per frequency."""
+    rule = kernels.fermi_rule
+    return mock.patch.object(kernels, "fermi_rule",
+                             lambda y_lo, freq, per_freq: rule(y_lo, freq, 2 * per_freq))
+
+
+def sweep_pair(spec):
+    """A two-point sweep: spec and the point 0.5 higher in r."""
+    return [spec, dataclasses.replace(spec, rs=(spec.rs[0] + 0.5,))]
+
+
 class TestKPZNarrowWedge:
+    @pytest.mark.parametrize("t, x, r", [(1.0, 0.0, 0.5), (0.5, 0.2, -2.0), (2.0, 0.3, 1.0)])
+    def test_block_matches_mpmath(self, t, x, r):
+        u = [0.0, 0.7, 3.0]
+        got = kpz_block(t, x, r, np.array(u), np.array(u))
+        assert np.max(np.abs(got - kpz_oracle(t, x, r, u))) <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(-3.0, 2.0))
+    def test_log_det_converged_in_the_y_rule(self, t, x, r):
+        specs = sweep_pair(KernelSpec("kpz_narrow_wedge", t, (x,), (r,)))
+        base = fields.sweep(specs, 64)
+        with doubled_y_rules():
+            fine = fields.sweep(specs, 64)
+        assert np.max(np.abs(base - fine)) <= 1e-14
+
     def test_symmetry(self):
         u = np.array([0.1, 1.0])
         k = kpz_block(1.0, 0.3, 0.5, u, u)
@@ -446,6 +497,19 @@ class TestSpiked:
         assert 0.0 < d < 1.0
 
 
+# t >= 0.85 and x >= 0: at smaller t or negative x the spiked contour sums
+# lose the determinant itself on any y-rule (log det(I - K) = +12.1 at
+# (t, x, r) = (0.6, 0, -3), +0.35 at (0.85, -0.34, -3))
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.85, 2.0), st.floats(0.0, 0.9), st.floats(-3.0, 2.0))
+def test_spiked_log_det_converged_in_the_y_rule(t, x_frac, r):
+    specs = sweep_pair(KernelSpec("kpz_spiked", t, (x_frac * t,), (r,), spikes=(0.0,)))
+    base = fields.sweep(specs, 64)
+    with doubled_y_rules():
+        fine = fields.sweep(specs, 64)
+    assert np.max(np.abs(base - fine)) <= 1e-12
+
+
 def spiked_reference(sk, u, v):
     """K(u, v) by the unfactored sums: full contours, direct complex exp of
     the whole exponent, and the 3-D (u, v, y) sum of Fermi(y) F G."""
@@ -519,7 +583,7 @@ def test_spiked_sweep_shares_one_rule_set_sized_for_every_point():
     own = [SpikedRules([s]) for s in specs]
     assert len({r.eta_nodes.size for r in own}) > 1
     for order in (specs, specs[::-1]):
-        used = fields.sweep(order, 8, lambda disc: disc.kernel._spiked.rules)
+        used = fields.sweep(order, 8, lambda disc: disc.kernel.rules)
         swept = used[0]
         assert all(rules is swept for rules in used)
         assert_resolves_every_point(swept, own)

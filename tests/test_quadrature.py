@@ -1,16 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from kpdet.kernels import KernelSpec, SpikedRules
+from kpdet.kernels import Y_HI, KernelSpec, SpikedRules, fermi_rule
 from kpdet.quadrature import (
     QuadratureSizeError,
     gauss_legendre,
     map_half_line,
     map_half_line_down,
     map_interval,
-    map_whole_line,
     panel_rule,
 )
 
@@ -76,34 +76,6 @@ class TestHalfLine:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             map_half_line(gauss_legendre(8), 0.0, -1.0)
-
-
-class TestWholeLine:
-    def test_gaussian(self):
-        w = map_whole_line(gauss_legendre(128), 0.0, 4.0)
-        assert abs(w.integrate(np.exp(-w.nodes ** 2)) - np.sqrt(np.pi)) < 1e-8
-
-    def test_odd_cancellation(self):
-        w = map_whole_line(gauss_legendre(128), 0.0, 4.0)
-        assert abs(w.integrate(w.nodes * np.exp(-w.nodes ** 2))) < 1e-12
-
-    def test_fermi_gaussian_vs_trapezoid(self):
-        # brute-force oracle: 1e6-point trapezoid on a wide interval
-        u = np.linspace(-30.0, 40.0, 1_000_001)
-        f = np.exp(-(u - 3.0) ** 2) / (1.0 + np.exp(np.minimum(u, 500)))
-        oracle = np.trapezoid(f, u)
-        w = map_whole_line(gauss_legendre(128), 0.0, 4.0)
-        val = w.integrate(np.exp(-(w.nodes - 3.0) ** 2)
-                          / (1.0 + np.exp(np.minimum(w.nodes, 500))))
-        assert abs(val - oracle) < 1e-7
-
-    def test_doubling_convergence(self):
-        errs = []
-        for n in (16, 32, 64):
-            w = map_whole_line(gauss_legendre(n), 0.0, 2.0)
-            errs.append(abs(w.integrate(np.exp(-w.nodes ** 2)) - np.sqrt(np.pi)))
-        assert errs[1] < errs[0] / 100 or errs[1] < 1e-12
-        assert errs[2] < errs[1] / 100 or errs[2] < 1e-12
 
 
 def eta_edges(big_h, t, w):
@@ -247,11 +219,19 @@ class TestPanelRule:
         assert y.tobytes() == (k.y0[:, None] + k.y_loc[None, :]).ravel().tobytes()
         # the shared-base form is the panel rule on equal-width panels, to
         # rounding of the node positions
-        edges = np.linspace(k.y_lo, k.y_hi, k.y0.size + 1)
+        edges = np.linspace(k.y_lo, Y_HI, k.y0.size + 1)
         ref = panel_rule(edges, k.y_loc.size)
         assert np.max(np.abs(y - ref.nodes)) <= 8 * np.spacing(np.max(np.abs(edges)))
         w = np.exp(k.fermi_logw + np.logaddexp(0.0, y))
         assert np.allclose(w, ref.weights, rtol=1e-13, atol=0.0)
+
+    def test_fermi_rule_matches_mpmath(self):
+        # a Fermi-weighted Gaussian on the rule for frequency 6 (t = 1)
+        _, _, y, logw = fermi_rule(-10.0, 6.0, 0.75)
+        with mpmath.workdps(30):
+            want = mpmath.quad(lambda y: mpmath.exp(-(y - 3) ** 2) / (1 + mpmath.exp(y)),
+                               [-mpmath.inf, 3, mpmath.inf])
+        assert abs(np.sum(np.exp(logw - (y - 3.0) ** 2)) - float(want)) < 1e-15
 
 
 class TestHalfLineConvergence:
