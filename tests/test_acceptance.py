@@ -78,6 +78,8 @@ SUB_CHECKS = {
     ],
     "solve-kp": [
         ("12 line-soliton sup error (t=2) < 1e-6", lambda r: r["soliton_sup_error"] < 1e-6),
+        ("12 line-soliton order ratio err(2 dt)/err(dt) in [15.5, 16.5]",
+         lambda r: 15.5 <= r["soliton_order_ratio"] <= 16.5),
     ],
     "spiked-check": [
         ("13 determinant imaginary part", lambda r: r["imag_part"] == 0.0),

@@ -291,7 +291,7 @@ class TestConfiguredKeys:
         assert (report["n_x"], report["n_r"], report["n_steps"]) == (64, 512, 50)
         assert abs(report["dt"] - 2e-3) < 1e-15
         assert (report["soliton_n_x"], report["soliton_n_r"],
-                report["soliton_n_steps"], report["soliton_dt"]) == (4, 512, 400, 5e-3)
+                report["soliton_n_steps"], report["soliton_dt"]) == (1, 512, 200, 1e-2)
 
 
 # configs whose t * t underflows to 0, so the numerics fail
