@@ -3,8 +3,8 @@
 Modules
 -------
 specfun     Airy function / derivative, complex log-Gamma
-quadrature  Gauss-Legendre rules and domain maps
-kernels     kernel families (narrow wedge, flat, multiwedge, KPZ, spiked)
+quadrature  Gauss-Legendre rules and panel_rule, the one mapped-rule constructor
+kernels     kernel families (narrow wedges, flat, KPZ narrow wedge, spiked)
 fredholm    Nystrom assembly, det(I-K), boundary resolvent
 painleve    Hastings-McLeod solution, Tracy-Widom distributions
 scattering  Brownian hitting kernels, t->0 limits, path-integral form

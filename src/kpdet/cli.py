@@ -470,7 +470,7 @@ def _solve_kp(cfg):
     # (2^4 = 16; measured 16.04), plus the determinant-field closure test
     big_t, dt, n_x = 2.0, 1e-2, 1
     err, coarse_err = (kpsolver.soliton_sup_error(h, n_x, big_t) for h in (dt, 2 * dt))
-    hm = painleve.hastings_mcleod(L=16.0, R=10.0)
+    hm = painleve.hastings_mcleod(L=16.0)
     report = kpsolver.evolve_and_compare(
         lambda t, x, r: fields.phi_window_narrow_wedge(hm, t, x, r), 1.0, 1.1)
     table = report.pop("fields")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import BlockKernel, build_block_kernel
-from .quadrature import QuadRule, gauss_legendre, map_half_line, map_interval
+from .quadrature import QuadRule, panel_rule
 
 __all__ = [
     "Discretization",
@@ -53,11 +53,7 @@ def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
         raise ValueError("n_quad must lie in [8, 512]")
     kernel = (spec_or_kernel if hasattr(spec_or_kernel, "block")
               else build_block_kernel(spec_or_kernel))
-    cut = getattr(kernel.spec, "domain_cut", 0.0)
-    if cut:
-        rule = map_interval(gauss_legendre(n_quad), 0.0, cut)
-    else:
-        rule = map_half_line(gauss_legendre(n_quad), 0.0, 4.0)
+    rule = panel_rule((0.0, getattr(kernel.spec, "domain_cut", 0.0) or np.inf), n_quad, 4.0)
     n = kernel.n_blocks
     sw = np.sqrt(rule.weights)
     m = np.empty((n * n_quad, n * n_quad))
@@ -156,7 +152,7 @@ def boundary_bracket_product_check(ablocks, d2_ablocks, bblocks, d1_bblocks,
     for block kernels given with analytic first partials.  Returns the
     max-abs entry of the left-hand side.
     """
-    rule = map_half_line(gauss_legendre(n_quad), 0.0, 2.0)
+    rule = panel_rule((0.0, np.inf), n_quad, 2.0)
     lhs = bracket(ablocks) @ bracket(bblocks)
     ad1b = _bracket_of_product(ablocks, d1_bblocks, rule)
     d2ab = _bracket_of_product(d2_ablocks, bblocks, rule)

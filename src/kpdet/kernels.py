@@ -37,12 +37,7 @@ from functools import reduce
 import numpy as np
 
 from . import DomainError
-from .quadrature import (
-    gauss_legendre,
-    map_half_line_down,
-    map_interval,
-    panel_rule,
-)
+from .quadrature import panel_rule
 from .specfun import airy_ai, airy_ai_log_abs, log_gamma
 
 __all__ = [
@@ -240,11 +235,10 @@ INNER_SCALE = 4.0
 def _wedge_rules(spec: KernelSpec, cache):
     """Cutoff rule on (-inf, b_p] of each wedge p, cached."""
     def make():
-        base = gauss_legendre(spec.inner_n)
         scale = INNER_SCALE * np.cbrt(spec.t)
         rules = []
         for (a, b) in spec.wedges:
-            r = map_half_line_down(base, b, scale)
+            r = panel_rule((-np.inf, b), spec.inner_n, scale)
             rules.append({"a": a, "nodes": r.nodes, "weights": r.weights})
         return rules
     return _memo(cache, "rules", make)
@@ -372,7 +366,7 @@ def fermi_rule(y_lo: float, freq: float, per_freq: float):
     per = int(per_freq * max(freq, FERMI_FREQ) * span / n_panels)
     if per > 512:
         raise KernelDomainError(f"Fermi y-rule of {per} > 512 nodes per panel: t too small or r too low")
-    loc = map_interval(gauss_legendre(per), 0.0, span / n_panels)
+    loc = panel_rule((0.0, span / n_panels), per)
     y0 = np.linspace(y_lo, Y_HI, n_panels + 1)[:-1]
     y = (y0[:, None] + loc.nodes[None, :]).ravel()
     return y0, loc.nodes, y, np.log(np.tile(loc.weights, n_panels)) - np.logaddexp(0.0, y)
@@ -446,8 +440,9 @@ class SpikedRules:
         self.eta_edges, count = self._eta_edges(self.eta_profiles)
         # the 1e-12 keeps a one-point sweep's count from rounding up
         per = int(np.ceil(count * (1.0 - 1e-12) / ETA_PANELS))
-        self.eta_nodes, self.eta_w = self._vertical_panels(
-            self.a_eta, self.eta_edges, min(per, 512))
+        # upper half of the vertical eta contour
+        half = panel_rule(self.eta_edges, min(per, 512))
+        self.eta_nodes, self.eta_w = self.a_eta + 1j * half.nodes, 1j * half.weights
         # xi rule: rays at 2pi/3 anchored right of the spikes, panelled
         # densely near the anchor because the nearest Gamma pole sits only
         # 0.87*(anchor - b_max) away from the contour
@@ -521,12 +516,6 @@ class SpikedRules:
         count = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(s))])
         edges = np.interp(np.linspace(0.0, count[-1], ETA_PANELS + 1), count, s)
         return edges, count[-1]
-
-    @staticmethod
-    def _vertical_panels(anchor, edges, per):
-        """Upper half of the vertical contour: per GL nodes on each panel."""
-        half = panel_rule(edges, per)
-        return anchor + 1j * half.nodes, 1j * half.weights
 
     def _side(self, z, w, anchor, sgn):
         """Point-independent factors of one contour: Gamma factors times

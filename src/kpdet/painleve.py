@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, chebyshev
 
 from . import DomainError
-from .quadrature import gauss_legendre, map_half_line
+from .quadrature import gauss_legendre, panel_rule
 from .specfun import airy_ai, airy_ai_prime
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 # degree of the Chebyshev series of q: on every interval in use (L <= 24,
 # R = 10) its trailing coefficients are below 2e-15
 DEGREE = 192
+_RIGHT_END = 10.0   # the right end R of every solved interval [-L, R]
 
 
 class OutOfGridError(DomainError):
@@ -77,22 +78,23 @@ class HMSolution:
                         -airy_ai(np.maximum(s, self.right)))
 
 
-def hastings_mcleod(L: float = 10.0, R: float = 10.0) -> HMSolution:
-    """Solve the Hastings-McLeod BVP on [-L, R] as a Chebyshev series.
+def hastings_mcleod(L: float = 10.0) -> HMSolution:
+    """Solve the Hastings-McLeod BVP on [-L, R] (R = 10) as a Chebyshev series.
 
-    The solution is memoized on (L, R): every call with the same interval
+    The solution is memoized on L: every call with the same interval
     returns the same HMSolution, which callers must not modify.  Raises
     FloatingPointError if Newton stalls (the message carries the step
     norms) or if the series' trailing coefficients exceed 1e-13 (the
     interval is too long for DEGREE); a failed solve is not memoized.
     """
-    return _solve_hastings_mcleod(float(L), float(R))
+    return _solve_hastings_mcleod(float(L))
 
 
 @functools.lru_cache(maxsize=8)
-def _solve_hastings_mcleod(L: float, R: float) -> HMSolution:
-    if L < 6 or R < 6:
-        raise ValueError("need L >= 6, R >= 6")
+def _solve_hastings_mcleod(L: float) -> HMSolution:
+    if L < 6:
+        raise ValueError("need L >= 6")
+    R = _RIGHT_END
     x = np.cos(np.pi * np.arange(DEGREE + 1) / DEGREE)
     s = 0.5 * (R - L) + 0.5 * (R + L) * x     # descending: s[0] = R, s[-1] = -L
     # values and second derivatives at the points, from the coefficients
@@ -133,7 +135,7 @@ def _airy_tails(R):
     closed form: d/du (Ai'^2 - u Ai^2) = -Ai^2 and
     d/du (u^2 Ai^2 - u Ai'^2 + Ai Ai') = 3 u Ai^2."""
     a, ap = airy_ai(R), airy_ai_prime(R)
-    rule = map_half_line(gauss_legendre(64), R, 4.0)
+    rule = panel_rule((R, np.inf), 64, 4.0)
     return (ap * ap - R * a * a, (R * ap * ap - R * R * a * a - a * ap) / 3.0,
             -rule.integrate(airy_ai(rule.nodes)))
 

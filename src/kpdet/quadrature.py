@@ -1,10 +1,12 @@
-"""Gauss-Legendre rules, the domain maps used by every kernel integral, and
-composite (panelled) rules built from them.
+"""Gauss-Legendre rules and the composite (panelled) rules built from them.
 
-Half-lines use the algebraic map u = r0 + scale*(1+xi)/(1-xi).
-``panel_rule`` is the one constructor of composite rules: callers that
-integrate along a complex contour map its real parameter rule onto the
-contour themselves.  Rules are immutable and safe to share across threads.
+``panel_rule`` is the one constructor of mapped rules: it lays a
+Gauss-Legendre rule on each panel between given edges, affinely on a finite
+panel and by the algebraic map u = a + s*(1+x)/(1-x) onto a half-line
+[a, inf), mirrored onto (-inf, b].  ``gauss_legendre`` is the reference rule
+on [-1, 1].  Callers that integrate along a complex contour map a real
+parameter rule onto the contour themselves.  Rules are immutable and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ __all__ = [
     "QuadRule",
     "QuadratureSizeError",
     "gauss_legendre",
-    "map_interval",
-    "map_half_line",
-    "map_half_line_down",
     "panel_rule",
 ]
 
@@ -84,53 +83,36 @@ def gauss_legendre(n: int) -> QuadRule:
     return QuadRule(x.copy(), w.copy())
 
 
-def map_interval(rule: QuadRule, a: float, b: float) -> QuadRule:
-    """Affine image of a reference rule on [a, b]."""
-    half = 0.5 * (b - a)
-    return QuadRule(a + half * (rule.nodes + 1.0), rule.weights * half)
-
-
-def map_half_line(rule: QuadRule, r0: float, scale: float) -> QuadRule:
-    """Algebraic map of a reference rule onto [r0, inf)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    xi = rule.nodes
-    u = r0 + scale * (1.0 + xi) / (1.0 - xi)
-    w = rule.weights * 2.0 * scale / (1.0 - xi) ** 2
-    return QuadRule(u, w)
-
-
-def map_half_line_down(rule: QuadRule, b: float, scale: float) -> QuadRule:
-    """Algebraic map onto (-inf, b], increasing nodes, positive weights."""
-    up = map_half_line(rule, 0.0, scale)
-    return QuadRule((b - up.nodes)[::-1].copy(), up.weights[::-1].copy())
-
-
 def panel_rule(edges, n: int, tail_scale: float | None = None) -> QuadRule:
     """n-point Gauss-Legendre rule on each panel between increasing edges.
 
     Panels narrower than 1e-10 are dropped.  An infinite first or last edge
     maps its panel onto the half-line by the algebraic map with scale
-    ``tail_scale``, which is needed only then.  No node straddles an edge,
-    so indicators that jump at an edge are integrated exactly.
+    ``tail_scale`` > 0, which is needed only then; nodes stay increasing.
+    No node straddles an edge, so indicators that jump at an edge are
+    integrated exactly.
     """
     edges = [float(e) for e in edges]
     if len(edges) < 2 or any(b < a for a, b in zip(edges[:-1], edges[1:])):
         raise ValueError("need at least two increasing edges")
-    if tail_scale is None and (np.isinf(edges[0]) or np.isinf(edges[-1])):
-        raise ValueError("an infinite panel needs tail_scale")
+    if (np.isinf(edges[0]) or np.isinf(edges[-1])) and (tail_scale is None or not tail_scale > 0):
+        raise ValueError("an infinite panel needs tail_scale > 0")
     base = gauss_legendre(n)
-    panels = []
+    x, w = base.nodes, base.weights
+    # edges within 1e-10 of each other leave no panel and an empty rule
+    nodes, weights = [np.zeros(0)], [np.zeros(0)]
     for a, b in zip(edges[:-1], edges[1:]):
         if np.isinf(a) and np.isinf(b):
             raise ValueError("a panel needs a finite edge")
-        if np.isinf(a):
-            panels.append(map_half_line_down(base, b, tail_scale))
-        elif np.isinf(b):
-            panels.append(map_half_line(base, a, tail_scale))
+        if np.isinf(a) or np.isinf(b):
+            u = tail_scale * (1.0 + x) / (1.0 - x)
+            v = w * 2.0 * tail_scale / (1.0 - x) ** 2
+            u, v = (a + u, v) if np.isinf(b) else ((b - u)[::-1], v[::-1])
         elif b - a >= 1e-10:
-            panels.append(map_interval(base, a, b))
-    # edges within 1e-10 of each other leave no panel and an empty rule
-    empty = [np.zeros(0)]
-    return QuadRule(np.concatenate(empty + [p.nodes for p in panels]),
-                    np.concatenate(empty + [p.weights for p in panels]))
+            half = 0.5 * (b - a)
+            u, v = a + half * (x + 1.0), w * half
+        else:
+            continue
+        nodes.append(u)
+        weights.append(v)
+    return QuadRule(np.concatenate(nodes), np.concatenate(weights))

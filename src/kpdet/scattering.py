@@ -18,7 +18,7 @@ import numpy as np
 
 from .fredholm import assemble, boundary_resolvent
 from .kernels import KernelSpec, _check_layout, heat_kernel, scattering_part_logmat
-from .quadrature import QuadRule, gauss_legendre, map_half_line, map_half_line_down, panel_rule
+from .quadrature import QuadRule, panel_rule
 
 __all__ = [
     "WedgeConfig",
@@ -75,7 +75,7 @@ def no_hit_kernel(cfg: WedgeConfig, i: int, j: int, u, v):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     width = max(1.0, 3.0 * np.sqrt(2.0 * (xj - xi)))
-    stops = [(a, map_half_line_down(gauss_legendre(64), b, width))
+    stops = [(a, panel_rule((-np.inf, b), 64, width))
              for (a, b) in cfg.wedges if xi < a < xj] + [(xj, QuadRule(v, np.ones(v.size)))]
     killed = []  # the killed kernel from u to each stop, times the stop's weights
     for (x, rule) in stops:
@@ -202,10 +202,11 @@ def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64):
 
     K0 has multiplication blocks 1{u <= profile(x_i)} on the diagonal,
     -P^{No hit} above it and 0 below; the determinant reproduces
-    prod_i 1{r_i >= profile(x_i)}.
+    prod_i 1{r_i >= profile(x_i)}.  As K0 is block upper triangular, that is
+    the product of its diagonal blocks; the no_hit_kernel blocks never enter.
     """
     n = len(cfg.xs)
-    rule = map_half_line(gauss_legendre(n_quad), 0.0, 4.0)
+    rule = panel_rule((0.0, np.inf), n_quad, 4.0)
     nq = rule.n
     sw = np.sqrt(rule.weights)
     m = np.zeros((n * nq, n * nq))

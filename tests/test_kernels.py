@@ -24,7 +24,7 @@ from kpdet.kernels import (
     log_matmul,
     scattering_part_logmat,
 )
-from kpdet.quadrature import gauss_legendre, map_interval, panel_rule
+from kpdet.quadrature import panel_rule
 from kpdet.specfun import log_gamma
 
 
@@ -546,7 +546,7 @@ def test_spiked_matrix_matches_unfactored_sum(kw):
     args.update(kw)
     spec = KernelSpec("kpz_spiked", 1.0, args.pop("xs"), args.pop("rs"), **args)
     sk = SpikedKernel(spec)
-    u = map_interval(gauss_legendre(8), 0.0, spec.domain_cut).nodes
+    u = panel_rule((0.0, spec.domain_cut), 8).nodes
     ref = spiked_reference(sk, u, u)
     assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -624,7 +624,7 @@ def test_spiked_sweep_matrix_matches_unfactored_sum():
         KernelSpec("kpz_spiked", 1.0, (-0.5,), (-1.0,), spikes=(0.0,))]
     rules = SpikedRules(specs)
     sk = SpikedKernel(specs[-2], rules)    # t = 1.02, x = 0.22, r = 0.36
-    u = map_interval(gauss_legendre(8), 0.0, specs[0].domain_cut).nodes
+    u = panel_rule((0.0, specs[0].domain_cut), 8).nodes
     ref = spiked_reference(sk, u, u)
     assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
 

@@ -9,7 +9,7 @@ from kpdet import fields, kpsolver, painleve
 
 @pytest.fixture(scope="module")
 def hm_wide():
-    return painleve.hastings_mcleod(L=16.0, R=10.0)
+    return painleve.hastings_mcleod(L=16.0)
 
 
 def invariants(solver, phi):
@@ -250,7 +250,7 @@ class TestEvolveAndCompare:
     def test_flat_kdv_reduction(self):
         # flat data: phi(t, r) = c^2 (q'(s) - q(s)^2) / 2 at s = c r, c = (4/t)^(1/3),
         # the Miura form of the GOE reduction
-        hm24 = painleve.hastings_mcleod(L=24.0, R=10.0)
+        hm24 = painleve.hastings_mcleod(L=24.0)
         q_prime = hm24.q.deriv()
 
         def builder(t, x, r):

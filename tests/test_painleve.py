@@ -75,8 +75,9 @@ class TestHastingsMcleod:
 
     def test_memoized_on_interval(self):
         hm = painleve.hastings_mcleod()
-        assert painleve.hastings_mcleod(10.0, 10.0) is hm
-        assert painleve.hastings_mcleod(L=10, R=10.0) is hm
+        assert painleve.hastings_mcleod(10.0) is hm
+        assert painleve.hastings_mcleod(L=10) is hm
+        assert (hm.left, hm.right) == (-10.0, 10.0)
         assert painleve.hastings_mcleod(L=16.0) is not hm
         # a failed solve is not remembered: it fails again every time
         for _ in range(2):

@@ -5,14 +5,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from kpdet.kernels import Y_HI, KernelSpec, SpikedRules, fermi_rule
-from kpdet.quadrature import (
-    QuadratureSizeError,
-    gauss_legendre,
-    map_half_line,
-    map_half_line_down,
-    map_interval,
-    panel_rule,
-)
+from kpdet.quadrature import QuadratureSizeError, QuadRule, gauss_legendre, panel_rule
 
 
 class TestGaussLegendre:
@@ -55,32 +48,43 @@ class TestGaussLegendre:
 
 class TestHalfLine:
     def test_exponential(self):
-        h = map_half_line(gauss_legendre(64), 0.0, 4.0)
+        h = panel_rule([0.0, np.inf], 64, 4.0)
         assert abs(h.integrate(np.exp(-2 * h.nodes)) - 0.5) < 1e-10
 
     def test_shift_covariance(self):
-        h0 = map_half_line(gauss_legendre(32), 0.0, 4.0)
-        h1 = map_half_line(gauss_legendre(32), 1.0, 4.0)
+        h0 = panel_rule([0.0, np.inf], 32, 4.0)
+        h1 = panel_rule([1.0, np.inf], 32, 4.0)
         assert np.max(np.abs(h1.nodes - (h0.nodes + 1.0))) < 1e-12
         assert np.max(np.abs(h1.weights - h0.weights)) < 1e-12
 
     def test_first_moment(self):
-        h = map_half_line(gauss_legendre(64), 0.0, 4.0)
+        h = panel_rule([0.0, np.inf], 64, 4.0)
         assert abs(h.integrate(h.nodes * np.exp(-h.nodes)) - 1.0) < 1e-9
 
     def test_down_map(self):
-        d = map_half_line_down(gauss_legendre(64), 1.0, 4.0)
+        d = panel_rule([-np.inf, 1.0], 64, 4.0)
         assert np.all(np.diff(d.nodes) > 0) and np.all(d.nodes <= 1.0)
         assert abs(d.integrate(np.exp(d.nodes - 1.0)) - 1.0) < 1e-10
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            map_half_line(gauss_legendre(8), 0.0, -1.0)
+        # an infinite panel refuses a tail scale <= 0 (or NaN) at either end
+        for edges in ([0.0, np.inf], [-np.inf, 0.0], [-np.inf, 0.0, 1.0, np.inf]):
+            for scale in (0.0, -1.0, np.nan):
+                with pytest.raises(ValueError, match="tail_scale"):
+                    panel_rule(edges, 8, scale)
+        # a finite rule never uses it
+        assert panel_rule([0.0, 1.0], 8, -1.0).n == 8
 
 
 def eta_edges(big_h, t, w):
     """Eta panel edges at equal increments of the phase t s^3/3 + w s."""
     return SpikedRules._eta_edges([(big_h, t, w, 1.0)])[0]
+
+
+def vertical(anchor, edges, per):
+    """Upper half of the vertical contour at anchor: nodes and i ds weights."""
+    half = panel_rule(edges, per)
+    return anchor + 1j * half.nodes, 1j * half.weights
 
 
 class TestContours:
@@ -92,8 +96,8 @@ class TestContours:
         # each vertical side and the caps pair up with their mirror images
         big_h, n = 8.0, 180
         edges = eta_edges(big_h, 1.0, 0.0)
-        right = SpikedRules._vertical_panels(1.0, edges, 32)
-        left = SpikedRules._vertical_panels(-1.0, edges, 32)
+        right = vertical(1.0, edges, 32)
+        left = vertical(-1.0, edges, 32)
         cap = panel_rule([-1.0, 1.0], n)
         f = lambda z: 1.0 / z
         total = (np.sum(f(right[0]) * right[1]).imag
@@ -105,7 +109,7 @@ class TestContours:
         # the full contour is the upper half plus its mirror image (same
         # i*ds weights); a real-analytic integrand's real part cancels and
         # the full sum over 2 pi i is Im(upper) / pi
-        z, w = SpikedRules._vertical_panels(0.5, eta_edges(6.0, 1.0, 2.0), 36)
+        z, w = vertical(0.5, eta_edges(6.0, 1.0, 2.0), 36)
         full_z = np.concatenate([np.conj(z[::-1]), z])
         full_w = np.concatenate([w[::-1], w])
         f = lambda z: np.exp(z ** 3 / 3.0 - 1.5 * z)
@@ -120,10 +124,13 @@ class TestContours:
         assert np.exp((z ** 3).real / 3.0) < 1e-15
 
     def test_vertical_airy(self):
-        z, dz = SpikedRules._vertical_panels(0.6, eta_edges(9.0, 1.0, 3.0), 50)
-        for w in (-3.0, -1.0, 0.0, 2.0):
-            val = np.sum(np.exp(z ** 3 / 3.0 - w * z) * dz).imag / np.pi
-            assert abs(val - sp.airy(w)[0]) < 1e-14
+        # a hand-built contour, and the eta contour a spiked kernel builds at t = 1
+        k = SpikedRules([KernelSpec("kpz_spiked", 1.0, (0.2,), (0.3,), spikes=(0.0,))])
+        assert np.all(k.eta_nodes.real == k.a_eta) and np.all(np.diff(k.eta_nodes.imag) > 0)
+        for z, dz in (vertical(0.6, eta_edges(9.0, 1.0, 3.0), 50), (k.eta_nodes, k.eta_w)):
+            for w in (-3.0, -1.0, 0.0, 2.0):
+                val = np.sum(np.exp(z ** 3 / 3.0 - w * z) * dz).imag / np.pi
+                assert abs(val - sp.airy(w)[0]) < 1e-14
 
     def test_bent_rays_airy(self):
         z, dz = SpikedRules._panelled_ray(0.6, 2 * np.pi / 3, 10.0)
@@ -186,13 +193,23 @@ class TestPanelRule:
     @given(st.floats(-50.0, 50.0), st.floats(1e-6, 50.0), st.integers(1, 64),
            st.floats(0.1, 10.0))
     def test_single_panel_is_the_map(self, a, width, n, scale):
+        # the affine map, the algebraic half-line map a + s (1+x)/(1-x)
+        # and its mirror onto (-inf, a], written out on the reference rule
         base = gauss_legendre(n)
+        x, w = base.nodes, base.weights
         b = a + width
-        assert _same_bits(panel_rule([a, b], n), map_interval(base, a, b))
-        assert _same_bits(panel_rule([a, np.inf], n, scale),
-                          map_half_line(base, a, scale))
+        half = 0.5 * (b - a)
+        up = scale * (1.0 + x) / (1.0 - x)
+        up_w = w * 2.0 * scale / (1.0 - x) ** 2
+        assert _same_bits(panel_rule([a, b], n), QuadRule(a + half * (x + 1.0), w * half))
+        assert _same_bits(panel_rule([a, np.inf], n, scale), QuadRule(a + up, up_w))
         assert _same_bits(panel_rule([-np.inf, a], n, scale),
-                          map_half_line_down(base, a, scale))
+                          QuadRule((a - up)[::-1], up_w[::-1]))
+
+    def test_finite_rule_ignores_tail_scale(self):
+        # the spiked determinant's domain [0, 18] as fredholm.assemble asks for it
+        for n in (8, 64, 96):
+            assert _same_bits(panel_rule((0.0, 18.0), n, 4.0), panel_rule((0.0, 18.0), n))
 
     def test_narrow_panels_dropped(self):
         rule = panel_rule([0.0, 1.0, 1.0 + 1e-12, 2.0], 4)
@@ -238,7 +255,7 @@ class TestHalfLineConvergence:
     def test_doubling_reduces_error(self):
         errs = []
         for n in (16, 32, 64):
-            h = map_half_line(gauss_legendre(n), 0.0, 2.0)
+            h = panel_rule([0.0, np.inf], n, 2.0)
             errs.append(abs(h.integrate(np.exp(-h.nodes ** 2))
                             - np.sqrt(np.pi) / 2.0))
         assert errs[1] < errs[0] / 100 or errs[1] < 1e-12

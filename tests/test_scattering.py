@@ -6,7 +6,7 @@ import pytest
 
 from kpdet import fredholm, painleve, scattering
 from kpdet.kernels import KernelDomainError, KernelSpec, heat_kernel
-from kpdet.quadrature import gauss_legendre, map_half_line_down
+from kpdet.quadrature import panel_rule
 
 
 def mc_bridge_density(cfg, i, j, n_paths=100_000, seed=0):
@@ -64,7 +64,7 @@ class TestHitKernel:
 
     def test_direct_quadrature_oracle(self, cfg_single):
         val = scattering.hit_kernel(cfg_single, 0, 1, 1.0, 1.0)
-        rule = map_half_line_down(gauss_legendre(200), 0.0, 4.0)
+        rule = panel_rule((-np.inf, 0.0), 200, 4.0)
         direct = np.sum(heat_kernel(1.0, 1.0, rule.nodes)
                         * heat_kernel(1.0, rule.nodes, 1.0) * rule.weights)
         assert abs(val - direct) < 1e-12
@@ -94,7 +94,7 @@ def _hit_chain(xi, xj, pos, lev, u, v):
     width = 3.0 * np.sqrt(2.0 * (xj - xi))
     mat, prev_nodes, prev_x = np.eye(u.size), u, xi
     for x, b in zip(pos, lev):
-        rule = map_half_line_down(gauss_legendre(64), b, max(1.0, width))
+        rule = panel_rule((-np.inf, b), 64, max(1.0, width))
         mat = mat @ (heat_kernel(x - prev_x, prev_nodes[:, None], rule.nodes[None, :])
                      * rule.weights[None, :])
         prev_nodes, prev_x = rule.nodes, x
