@@ -37,7 +37,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,17 +177,17 @@ def _write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def _shape_kwargs(k: dict) -> dict:
-    """KernelSpec keywords of a [kernel] section other than t, xs and rs."""
-    return {name: k[key] for key, name in (("wedges", "wedges"), ("spikes", "spikes"),
-                                           ("anchor", "contour_anchor")) if key in k}
-
-
-def _kernel_spec(cfg: ExperimentConfig, r: float) -> KernelSpec:
-    """The one-point spec of the [kernel] section at level r."""
+def _kernel_spec(cfg: ExperimentConfig, family: str, **placed) -> KernelSpec:
+    """The spec of the [kernel] section, its family defaulting to family:
+    t = 1, xs = (x,) and rs = (r,) with x = r = 0 unless set, and wedges,
+    spikes and anchor only where set; placed sets the spec's fields the
+    command places itself."""
     k = cfg.kernel
-    return KernelSpec(k.get("family", "nw_fixed_point"), k.get("t", 1.0),
-                      k.get("xs", (k.get("x", 0.0),)), (r,), **_shape_kwargs(k))
+    read = {"family": k.get("family", family), "t": k.get("t", 1.0),
+            "xs": k.get("xs", (k.get("x", 0.0),)), "rs": k.get("rs", (k.get("r", 0.0),))}
+    read.update((name, k[key]) for key, name in (("wedges", "wedges"), ("spikes", "spikes"),
+                                                 ("anchor", "contour_anchor")) if key in k)
+    return KernelSpec(**{**read, **placed})
 
 
 def _checked_grid(cfg, defaults, families, placed):
@@ -236,32 +236,13 @@ def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
     return default if cfg.quad_n is None else cfg.quad_n
 
 
-def _lattice_sweep(spec_at, quad_n, value=fields._logdet):
+def _lattice(spec_at, corner, steps, quad_n, value=fields._logdet):
     """Evaluator at lattice index triples: one ``fields.sweep`` of the specs
-    spec_at(i, j, k) with the given value (by default log det(I - K))."""
-    return lambda points: fields.sweep([spec_at(*p) for p in points], quad_n, value)
-
-
-def _log_f_at(family, corner, steps, quad_n, spec_kw):
-    """Evaluator of log F of a one-point family at lattice index triples:
-    one sweep of the points corner + step * index."""
-    (t0, x0, r0), (ht, hx, hr) = corner, steps
-    return _lattice_sweep(lambda i, j, k: KernelSpec(
-        family, t0 + ht * i, (x0 + hx * j,), (r0 + hr * k,), **spec_kw), quad_n)
-
-
-def _kp_lattice(cfg: ExperimentConfig):
-    """kp-residual's log F evaluator of a one-point family, with the steps
-    and counts of its [grid] lattice."""
-    g = _checked_grid(cfg, {"t0": 0.98, "x0": 0.18, "r0": 0.44, "ht": 0.02, "hx": 0.02,
-                            "hr": 0.02, "nt": 3, "nx": 3, "nr": 7}, tuple(_FAMILY_KEYS),
-                      {"t": "[grid] t0", "x": "[grid] x0", "xs": "[grid] x0",
-                       "r": "[grid] r0", "rs": "[grid] r0"})
-    steps = (g["ht"], g["hx"], g["hr"])
-    value = _log_f_at(cfg.kernel.get("family", "nw_fixed_point"),
-                      (g["t0"], g["x0"], g["r0"]), steps, _quad_n(cfg),
-                      _shape_kwargs(cfg.kernel))
-    return value, steps, (g["nt"], g["nx"], g["nr"])
+    spec_at(t, x, r) at the points corner + step * index, with the given
+    value (by default log det(I - K))."""
+    return lambda points: fields.sweep(
+        [spec_at(*(c + h * i for c, h, i in zip(corner, steps, p))) for p in points],
+        quad_n, value)
 
 
 def _json_safe(v):
@@ -297,7 +278,7 @@ def _det_eval(cfg):
     g = _checked_grid(cfg, {"r0": -2.0, "hr": 0.5, "nr": 9}, _SPEC_FAMILIES,
                       {"r": "[grid] r0", "rs": "[grid] r0"})
     rvals = g["r0"] + g["hr"] * np.arange(g["nr"])
-    specs = [_kernel_spec(cfg, rv) for rv in rvals.tolist()]
+    specs = [_kernel_spec(cfg, "nw_fixed_point", rs=(rv,)) for rv in rvals.tolist()]
     spec0 = specs[0]
     # the similarity families carry a Painleve reference for comparison,
     # taken first so that an r outside its interval computes nothing
@@ -348,11 +329,18 @@ def _kp_residual(cfg):
         xs = cfg.kernel.get("xs", (-0.3, 0.4))
         rs = cfg.kernel.get("rs", (0.5, 0.8))
         steps, dims = (g["ht"], g["hy"], g["ha"]), (3, 3, 7)
-
-        value = _lattice_sweep(lambda i, j, k: fields.airy_two_point_spec(
-            g["t0"] + g["ht"] * i, xs, rs, (j - 1) * g["hy"], (k - 3) * g["ha"]), quad_n)
+        value = _lattice(lambda t, y, a: fields.airy_two_point_spec(t, xs, rs, y, a),
+                         (g["t0"], -g["hy"], -3 * g["ha"]), steps, quad_n)
     else:
-        value, steps, dims = _kp_lattice(cfg)
+        g = _checked_grid(cfg, {"t0": 0.98, "x0": 0.18, "r0": 0.44, "ht": 0.02,
+                                "hx": 0.02, "hr": 0.02, "nt": 3, "nx": 3, "nr": 7},
+                          tuple(_FAMILY_KEYS),
+                          {"t": "[grid] t0", "x": "[grid] x0", "xs": "[grid] x0",
+                           "r": "[grid] r0", "rs": "[grid] r0"})
+        base = _kernel_spec(cfg, "nw_fixed_point")
+        steps, dims = (g["ht"], g["hx"], g["hr"]), (g["nt"], g["nx"], g["nr"])
+        value = _lattice(lambda t, x, r: replace(base, t=t, xs=(x,), rs=(r,)),
+                         (g["t0"], g["x0"], g["r0"]), steps, quad_n)
     rep = residuals.kp_scalar_residual(value, steps, dims)
     return (*_term_table(rep), rep.to_dict(), rep.normalized_sup, quad_n)
 
@@ -360,17 +348,14 @@ def _kp_residual(cfg):
 def _matrix_kp(cfg):
     g = _checked_grid(cfg, {"ht": 0.02, "hy": 0.02, "ha": 0.02},
                       ("nw_fixed_point",), {"wedges": None})
-    ht, hy, ha = g["ht"], g["hy"], g["ha"]
-    k = cfg.kernel
-    quad_n = _quad_n(cfg)
-    t0 = k.get("t", 1.0) - ht
-    xs, rs = k.get("xs", (k.get("x", 0.0),)), k.get("rs", (k.get("r", 0.0),))
+    steps = ht, hy, ha = g["ht"], g["hy"], g["ha"]
+    spec, quad_n = _kernel_spec(cfg, "nw_fixed_point"), _quad_n(cfg)
     # the (t, y, a) lattice (3, 5, 9) centred on (t, 0, 0)
     rep = residuals.matrix_kp_residual(
-        _lattice_sweep(lambda i, j, a: fields.airy_two_point_spec(
-            t0 + ht * i, xs, rs, -(hy * 2) + hy * j, -(ha * 4) + ha * a),
-            quad_n, fredholm.boundary_resolvent),
-        (ht, hy, ha), (3, 5, 9))
+        _lattice(lambda t, y, a: fields.airy_two_point_spec(t, spec.xs, spec.rs, y, a),
+                 (spec.t - ht, -(hy * 2), -(ha * 4)), steps, quad_n,
+                 fredholm.boundary_resolvent),
+        steps, (3, 5, 9))
     ratio, tr_rel = rep.extra["sv_ratio"], rep.extra["trace_identity_rel"]
     worst = (rep.normalized_sup if (ratio < 1e-4 and tr_rel < 1e-4)
              else float("inf"))
@@ -385,18 +370,16 @@ def _cyl_kdv(cfg):
                             "hr": 0.02, "nt": 3, "nr": 13},
                       ("kpz_narrow_wedge",), {"t": "[grid] t0", "x": None, "xs": None,
                                               "r": "[grid] r0", "rs": "[grid] r0"})
-    quad_n = _quad_n(cfg)
-    t0, r0, ht, hr = g["t0"], g["r0"], g["ht"], g["hr"]
+    quad_n, base = _quad_n(cfg), _kernel_spec(cfg, "kpz_narrow_wedge")
+    steps = (g["ht"], 0.0, g["hr"])
     rep = residuals.cylindrical_kdv_residual(
-        _lattice_sweep(lambda i, _, k: KernelSpec(
-            "kpz_narrow_wedge", t0 + ht * i, (0.0,),
-            (float(r0 + hr * k - np.log(np.sqrt(np.pi * (t0 + ht * i)))),)), quad_n),
-        t0, (ht, 0.0, hr), (g["nt"], 1, g["nr"]))
+        _lattice(lambda t, _, r: replace(base, t=t, rs=(float(r - np.log(np.sqrt(np.pi * t))),)),
+                 (g["t0"], 0.0, g["r0"]), steps, quad_n),
+        g["t0"], steps, (g["nt"], 1, g["nr"]))
     # the two points at t = 1 of the x-independence check
     shift = np.log(np.sqrt(np.pi))
-    xa, xb = fields.sweep([KernelSpec("kpz_narrow_wedge", 1.0, (0.0,), (1.0 - shift,)),
-                           KernelSpec("kpz_narrow_wedge", 1.0, (0.5,), (0.75 - shift,))],
-                          quad_n).tolist()
+    xa, xb = fields.sweep([replace(base, rs=(1.0 - shift,)),
+                           replace(base, xs=(0.5,), rs=(0.75 - shift,))], quad_n).tolist()
     x_indep = abs(xa - xb)
     worst = rep.normalized_sup if x_indep < 1e-4 else float("inf")
     return (*_term_table(rep), dict(rep.to_dict(), x_independence=x_indep),
@@ -409,8 +392,8 @@ def _tail_fit(cfg):
                       {"r": "[grid] r_min", "rs": "[grid] r_min"})
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
     quad_n = _quad_n(cfg, 96)
-    spec = _kernel_spec(cfg, g["r_min"])
-    lf = fields.sweep([_kernel_spec(cfg, rv) for rv in r.tolist()], quad_n)
+    spec = _kernel_spec(cfg, "nw_fixed_point", rs=(g["r_min"],))
+    lf = fields.sweep([replace(spec, rs=(rv,)) for rv in r.tolist()], quad_n)
     # log F ~ -|s|^3/12 at s = t^(-1/3) (r - b + (x - a)^2/t) for a wedge (a, b)
     # (of several the smallest shift leads), -|s|^3/24 at s = 4^(1/3) t^(-1/3) r flat
     t, flat = spec.t, spec.family == "flat_fixed_point"
@@ -434,10 +417,14 @@ def _scattering_limit(cfg):
              for rw in rows for (i, j), q in np.ndenumerate(rw["q"])]
     errors = [rw["max_err"] for rw in rows]
     c_fit, r2 = scattering.t0_kernel_decay_check(2.0, 0.0, -1.0, 1.0)
-    d_one = scattering.initial_data_determinant(cfgw, quad_n)
-    cfg0 = scattering.WedgeConfig(((0.0, 0.5),), (-1.0, 0.0, 1.0),
-                                  (1.0, -0.2, 1.2))
-    d_zero = scattering.initial_data_determinant(cfg0, quad_n)
+    # near t = 0 the determinant reads the initial data prod 1{r_i >= h0(x_i)}:
+    # 1 for cfgw, whose levels lie above the profile, and for r = -0.2 under
+    # the wedge (0, 0.5) F_GUE(t^(-1/3) (r - b)) = F_GUE(-7), 2.6e-13 at t = 1e-3
+    d_one, d_zero = fields.sweep(
+        [KernelSpec("nw_fixed_point", 1e-3, cfgw.xs, cfgw.rs, cfgw.wedges),
+         KernelSpec("nw_fixed_point", 1e-3, (-1.0, 0.0, 1.0), (1.0, -0.2, 1.2),
+                    ((0.0, 0.5),))],
+        quad_n, fredholm.det_one_minus).tolist()
     report = {"errors": errors,
               "monotone_decrease": bool(all(np.diff(errors) < 0)),
               "decay_c": c_fit, "decay_r2": r2,
@@ -501,20 +488,18 @@ def _bracket_check(cfg):
 
 def _spiked_check(cfg):
     _checked_grid(cfg, {}, ("kpz_spiked",), {"xs": "[kernel] x", "r": None, "rs": None})
-    k = cfg.kernel
-    t, x = k.get("t", 1.0), k.get("x", 0.0)
-    anchor, spikes = k.get("anchor", 0.25), k.get("spikes", (0.0,))
-    quad_n = _quad_n(cfg)
+    # the one spike at 0 unless spikes is set
+    base = _kernel_spec(cfg, "kpz_spiked", spikes=cfg.kernel.get("spikes", (0.0,)))
+    anchor, quad_n = base.contour_anchor, _quad_n(cfg)
     d0, d1, d0_moved = fields.sweep(
-        [KernelSpec("kpz_spiked", t, (x,), (r,), spikes=spikes,
-                    contour_anchor=anc)
+        [replace(base, rs=(r,), contour_anchor=anc)
          for r, anc in ((0.0, anchor), (1.0, anchor), (0.0, anchor + 0.1))],
         quad_n, fredholm.det_one_minus).tolist()
     anchor_dev = abs(d0 - d0_moved)
     h = 0.02
     res = residuals.kp_scalar_residual(
-        _log_f_at("kpz_spiked", (t - h, x + 0.2 - h, 0.3 - 3 * h), (h, h, h), quad_n,
-                  {"spikes": spikes, "contour_anchor": anchor}),
+        _lattice(lambda t, x, r: replace(base, t=t, xs=(x,), rs=(r,)),
+                 (base.t - h, base.xs[0] + 0.2 - h, 0.3 - 3 * h), (h, h, h), quad_n),
         (h, h, h), (3, 3, 7)).normalized_sup
     report = {"det_r0": d0, "det_r1": d1, "anchor_dev": anchor_dev,
               "imag_part": 0.0, "kp_residual": res}

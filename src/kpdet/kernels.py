@@ -193,6 +193,8 @@ class KernelSpec:
         if self.t <= 0:
             raise KernelDomainError("t must be positive")
         _check_layout(self.xs, self.rs, self.wedges)
+        if self.family != "nw_fixed_point" and len(self.xs) != 1:
+            raise KernelDomainError(f"{self.family} takes one point, not {len(self.xs)}")
         if self.family == "nw_fixed_point" and not self.wedges:
             raise KernelDomainError("nw_fixed_point needs at least one wedge")
         if self.family == "kpz_spiked":
@@ -641,10 +643,12 @@ class SpikedKernel:
 class BlockKernel:
     """n x n operator-valued kernel with a uniform block evaluator.
 
-    The factored families keep their factors in _factors, keyed by the
-    points they were evaluated on, so each factor is computed once per
-    kernel: assembly evaluates them on the quadrature nodes and the
+    nw_fixed_point and kpz_narrow_wedge keep their factors in _factors,
+    keyed by the points they were evaluated on, so each factor is computed
+    once per kernel: assembly evaluates them on the quadrature nodes and the
     boundary resolvent reuses those, adding only the boundary point 0.
+    kpz_spiked builds a new SpikedKernel on every block call, so its
+    boundary resolvent recomputes both factor grids on the nodes.
     """
 
     spec: KernelSpec
@@ -694,4 +698,4 @@ def build_block_kernel(spec: KernelSpec, rules=None) -> BlockKernel:
     """BlockKernel of spec on the sweep_rules of the sweep it belongs to;
     without them the spec is a one-point sweep."""
     rules = sweep_rules((spec,)) if rules is None else rules
-    return BlockKernel(spec, len(spec.xs) if spec.family == "nw_fixed_point" else 1, rules)
+    return BlockKernel(spec, len(spec.xs), rules)

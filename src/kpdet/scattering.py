@@ -28,7 +28,6 @@ __all__ = [
     "constrained_bridge_density",
     "rk_limit_check",
     "t0_kernel_decay_check",
-    "initial_data_determinant",
     "path_integral_determinant",
 ]
 
@@ -195,31 +194,6 @@ def t0_kernel_decay_check(a: float, b: float, x_i: float, x_j: float):
     ss_tot = np.sum((ys - np.mean(ys)) ** 2)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(-coef[0]), float(r2)
-
-
-def initial_data_determinant(cfg: WedgeConfig, n_quad: int = 64):
-    """det(I - P_r K0 P_r) for the t -> 0 block kernel.
-
-    K0 has multiplication blocks 1{u <= profile(x_i)} on the diagonal,
-    -P^{No hit} above it and 0 below; the determinant reproduces
-    prod_i 1{r_i >= profile(x_i)}.  As K0 is block upper triangular, that is
-    the product of its diagonal blocks; the no_hit_kernel blocks never enter.
-    """
-    n = len(cfg.xs)
-    rule = panel_rule((0.0, np.inf), n_quad, 4.0)
-    nq = rule.n
-    sw = np.sqrt(rule.weights)
-    m = np.zeros((n * nq, n * nq))
-    for i in range(n):
-        level = cfg.profile_at(cfg.xs[i])
-        diag = (rule.nodes + cfg.rs[i] <= level).astype(float)
-        m[i * nq:(i + 1) * nq, i * nq:(i + 1) * nq] = np.diag(diag)
-        for j in range(i + 1, n):
-            blk = -no_hit_kernel(cfg, i, j, rule.nodes + cfg.rs[i],
-                                 rule.nodes + cfg.rs[j])
-            m[i * nq:(i + 1) * nq, j * nq:(j + 1) * nq] = sw[:, None] * blk * sw[None, :]
-    sign, logdet = np.linalg.slogdet(np.eye(n * nq) - m)
-    return float(sign * np.exp(logdet))
 
 
 # ----------------------------------------------------------------------------

@@ -188,16 +188,25 @@ class TestConfiguredKeys:
         assert np.all(np.diff(rows["det"]) > 0.01)
         assert np.max(rows["abs_err"]) < 1e-6
 
-    def test_kp_residual_field_uses_configured_wedges(self):
+    def test_kp_residual_field_uses_configured_wedges(self, tmp_path, monkeypatch):
         # a narrow wedge at (a, b) is the wedge at (0, 0) moved by x -> x - a,
         # r -> r - b, so the field at the moved lattice is the default field
-        grid = "[grid]\nnt = 1\nnx = 1\nnr = 2\nt0 = 1.0\nx0 = {x}\nr0 = {r}\n"
-        base = "[run]\ncommand = kp-residual\nquad_n = 32\n[kernel]\nfamily = nw_fixed_point\n"
+        grid = "[grid]\nt0 = 1.0\nx0 = {x}\nr0 = {r}\n"
+        base = (f"[run]\ncommand = kp-residual\nquad_n = 32\nout = {tmp_path}\n"
+                "[kernel]\nfamily = nw_fixed_point\n")
         wedge = base + "wedges = 0.3:0.5\n"
+        sweep = fields.sweep
 
         def field(text):
-            value, _, dims = cli._kp_lattice(cli.parse_config(text))
-            return value([(0, 0, k) for k in range(dims[2])])
+            # the log F values kp-residual reads, caught on their way out
+            seen = []
+
+            def spy(*args):
+                seen.append(sweep(*args))
+                return seen[-1]
+            monkeypatch.setattr(fields, "sweep", spy)
+            cli.run(cli.parse_config(text))
+            return np.concatenate(seen)
 
         default = field(base + grid.format(x=0.18, r=0.44))
         moved = field(wedge + grid.format(x=0.48, r=0.94))

@@ -348,6 +348,14 @@ def log_factor_pairs(draw):
     return a, b
 
 
+@pytest.mark.parametrize("family", ["flat_fixed_point", "kpz_narrow_wedge", "kpz_spiked"])
+def test_one_point_families_refuse_a_second_point(family):
+    # a second point was dropped: the one-point determinant at the first
+    # came back for any level at the second
+    with pytest.raises(KernelDomainError, match="takes one point, not 2"):
+        KernelSpec(family, 1.0, (0.0, 0.5), (0.0, 3.0), spikes=(0.0,))
+
+
 class TestLogMatmul:
     @settings(max_examples=300, deadline=None)
     @given(log_factor_pairs())

@@ -227,18 +227,25 @@ class TestSmallTimeLimits:
 
 
 class TestInitialDataDeterminant:
+    """As t -> 0 the determinant tends to prod_i 1{r_i >= h0(x_i)}, h0 the
+    wedge profile; at a wedge (a, b) the one-point value is
+    F_GUE(t^(-1/3) (r - b)), so t = 1e-3 reads the limit to 1e-8 once
+    |r - b| t^(-1/3) >= 5."""
+
+    @staticmethod
+    def det(wedges, xs, rs):
+        spec = KernelSpec("nw_fixed_point", 1e-3, xs, rs, wedges)
+        return fredholm.det_one_minus(fredholm.assemble(spec, 64))
+
     def test_generic_levels(self, cfg_single):
-        assert abs(scattering.initial_data_determinant(cfg_single) - 1.0) < 1e-8
+        assert abs(self.det(cfg_single.wedges, cfg_single.xs, cfg_single.rs) - 1.0) < 1e-8
 
     def test_observation_below_wedge(self):
-        cfg = scattering.WedgeConfig(((0.0, 0.5),), (-1.0, 0.0, 1.0),
-                                     (1.0, -0.2, 1.2))
-        assert abs(scattering.initial_data_determinant(cfg)) < 1e-8
+        assert abs(self.det(((0.0, 0.5),), (-1.0, 0.0, 1.0), (1.0, -0.2, 1.2))) < 1e-8
 
     def test_observation_above_wedge(self):
-        cfg = scattering.WedgeConfig(((0.0, 0.5),), (-1.0, 0.0, 1.0),
-                                     (1.0, 0.7, 1.2))
-        assert abs(scattering.initial_data_determinant(cfg) - 1.0) < 1e-8
+        # r = 0.7 against b = 0.5 is only 2 t^(-1/3) above: 1 - 1.1e-4
+        assert abs(self.det(((0.0, 0.5),), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.2)) - 1.0) < 1e-8
 
 
 @pytest.fixture(scope="module")
