@@ -170,11 +170,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _write_csv(path, header, rows):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    kinds = [tuple([isinstance(v, float) for v in row]) for row in rows]
+    fmts = {k: ",".join("%.17g" if f else "%s" for f in k) + "\n" for k in set(kinds)}
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.write("".join([fmts[k] % tuple(row) for k, row in zip(kinds, rows)]))
 
 
 def _kernel_spec(cfg: ExperimentConfig, family: str, **placed) -> KernelSpec:

@@ -512,7 +512,8 @@ class SpikedRules:
         holding every H never undercounts that rate's integral.
         """
         heights = [h for h, _, _, _ in profiles]
-        s = np.union1d(np.linspace(0.0, max(heights), 2048), heights)
+        s = np.sort(np.concatenate((np.linspace(0.0, max(heights), 2048), heights)))
+        s = s[np.concatenate(([True], s[1:] != s[:-1]))]
         rate = np.max([np.where(s <= h, d * (t * s * s + w), 0.0)
                        for h, t, w, d in profiles], axis=0)
         count = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(s))])
@@ -599,6 +600,7 @@ class SpikedKernel:
         self.t = spec.t
         self.x = spec.xs[0]
         self.r = spec.rs[0]
+        self._grids = {}
 
     def _factor_grid(self, pts, which):
         """Mantissa M[i, q] of F or G at w = pts[i] + r - y[q].
@@ -630,8 +632,10 @@ class SpikedKernel:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         rules = self.rules
-        left = self._factor_grid(u, "f") * np.exp(-(u + self.r) * rules.a_eta)[:, None]
-        right = self._factor_grid(v, "g") * np.exp((v + self.r) * rules.a_xi)[:, None]
+        left = _memo(self._grids, ("f", u.tobytes()), lambda: self._factor_grid(u, "f")
+                     * np.exp(-(u + self.r) * rules.a_eta)[:, None])
+        right = _memo(self._grids, ("g", v.tobytes()), lambda: self._factor_grid(v, "g")
+                      * np.exp((v + self.r) * rules.a_xi)[:, None])
         return (left * rules.mid[None, :]) @ right.T
 
 
@@ -644,11 +648,11 @@ class BlockKernel:
     """n x n operator-valued kernel with a uniform block evaluator.
 
     nw_fixed_point and kpz_narrow_wedge keep their factors in _factors,
-    keyed by the points they were evaluated on, so each factor is computed
-    once per kernel: assembly evaluates them on the quadrature nodes and the
-    boundary resolvent reuses those, adding only the boundary point 0.
-    kpz_spiked builds a new SpikedKernel on every block call, so its
-    boundary resolvent recomputes both factor grids on the nodes.
+    keyed by the points they were evaluated on, and kpz_spiked keeps there
+    the one SpikedKernel whose factor grids are keyed by side and points, so
+    each factor is computed once per kernel: assembly evaluates them on the
+    quadrature nodes and the boundary resolvent reuses those, adding only
+    the boundary point 0.
     """
 
     spec: KernelSpec
@@ -676,7 +680,8 @@ class BlockKernel:
                             lambda p=p: kpz_nw_half_factor(spec, p, self.rules)) for p in (u, v))
             return au.T @ av
         if fam == "kpz_spiked":
-            return SpikedKernel(spec, self.rules).matrix(u, v)
+            return _memo(self._factors, "spiked",
+                         lambda: SpikedKernel(spec, self.rules)).matrix(u, v)
         raise KernelDomainError(fam)
 
 

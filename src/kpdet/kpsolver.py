@@ -8,7 +8,7 @@ is integrated with a fourth-order exponential (ETDRK4) scheme: the linear
 phase exp(dt (i k_r^3/12 - i k_x^2/(4 k_r))) is applied exactly, the
 nonlinear term -(1/2) d_r(phi^2) is dealiased by the 2/3 rule.  phi is
 real, so the state is its rfft2 half spectrum (k_r >= 0 columns only) and
-each stage costs one irfft2 and one rfft2.
+each stage costs one irfft2 and one rfft2 (on one row, irfft and rfft).
 
 Determinant-derived fields ride on a ramp (phi ~ r/(2t) as r -> -inf), so
 the plain zero-mean spectral antiderivative would misrepresent dr^{-1} by a
@@ -121,7 +121,8 @@ class KPSolver:
     """ETDRK4 stepper on a fixed periodic box, on the rfft2 half spectrum.
 
     step_gain is S = kx_max^2 len_r dt / 4; evolve refuses an x-dependent
-    field when it exceeds 40 (the solve-kp closure run has S = 6).
+    field above S = 40, which bounds rounding, not stability: the solve-kp
+    closure field (S = 5.9 at dt = 2e-3) blows up at dt = 5e-3 (S = 14.6).
     """
 
     def __init__(self, box_r, box_x, n_r, n_x, dt):
@@ -133,6 +134,8 @@ class KPSolver:
         self.r = self.r_lo + self.len_r * np.arange(n_r) / n_r
         self.x = self.x_lo + self.len_x * np.arange(n_x) / n_x
         self.dt = dt
+        self._rfft, self._irfft = ((fft.rfft, lambda a: fft.irfft(a, n_r)) if n_x == 1
+                                   else (fft.rfft2, lambda a: fft.irfft2(a, s=(n_x, n_r))))
         n_h = n_r // 2 + 1
         # fftfreq's kr on the rfft columns: for even n_r the Nyquist column
         # carries the negative frequency, as in the full spectrum (the
@@ -196,8 +199,10 @@ class KPSolver:
         phi, if given, is irfft2(phi_hat).
         """
         if phi is None:
-            phi = fft.irfft2(phi_hat, s=(self.n_x, self.n_r))
-        nl_hat = self._half_dr * fft.rfft2(phi * phi)
+            phi = self._irfft(phi_hat)
+        nl_hat = self._half_dr * self._rfft(phi * phi)
+        if self.n_x == 1:   # kx^2 = [0]: every correction below vanishes
+            return nl_hat
         # corrections making dr^{-1}(phi_xx) anchored at the top row,
         # -(1/4)(means (x) pseudo_ramp - a_anchor (x) 1): column means of
         # phi_xx ride the pseudo-ramp, the mean-free spectral antiderivative
@@ -238,7 +243,7 @@ class KPSolver:
         out += na
         nc *= self.f3
         out += nc
-        phi = fft.irfft2(out, s=(self.n_x, self.n_r))
+        phi = self._irfft(out)
         if np.max(np.abs(phi)) > 1e6:
             raise BlowUpError(f"|phi| = {np.max(np.abs(phi)):.3g} at t={state.time}")
         return SpectralState(out, state.time + self.dt, phi)
@@ -249,7 +254,7 @@ class KPSolver:
             raise ValueError(f"step gain kx_max^2 len_r dt / 4 = {self.step_gain:.3g} "
                              f"above {_MAX_STEP_GAIN:g} for an x-dependent field; "
                              "reduce dt or n_x")
-        state = SpectralState(fft.rfft2(phi), 0.0, phi)
+        state = SpectralState(self._rfft(phi), 0.0, phi)
         for _ in range(n_steps):
             state = self.step(state)
         return state.phi

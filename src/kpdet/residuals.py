@@ -122,8 +122,8 @@ def _derivatives(value, steps, first, shape, derivs):
     """
     centres = np.indices(shape) + np.reshape(first, (3, 1, 1, 1))
     offsets = np.concatenate([_offsets(d) for d in derivs])
-    points = np.unique((centres.reshape(3, -1).T[:, None] + offsets[None]).reshape(-1, 3),
-                       axis=0)
+    points = np.array(sorted(set(map(tuple, (centres.reshape(3, -1).T[:, None]
+                                             + offsets[None]).reshape(-1, 3).tolist()))))
     got = np.asarray(value([tuple(p) for p in points.tolist()]), dtype=float)
     values = np.full(tuple(points.max(axis=0) + 1) + got.shape[1:], np.nan)
     values[tuple(points.T)] = got

@@ -177,6 +177,45 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
+def test_run_loads_no_numpy_ma(tmp_path):
+    # numpy's set routines import numpy.ma on first use, 15-20 ms inside a
+    # pass; c03, c05 and c13 reach the lattice and eta-panel deduplications
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance"
+    script = ("import sys\n"
+              "from kpdet import cli\n"
+              "for i, path in enumerate(sys.argv[2:]):\n"
+              "    cfg = cli.parse_config(open(path).read())\n"
+              "    cfg.out = f'{sys.argv[1]}/{i}'\n"
+              "    assert cli.run(cfg)[0] == 0, path\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = _fresh_python("-c", script, str(tmp_path),
+                         *(str(configs / f"{name}.cfg")
+                           for name in ("c03_hirota", "c05_matrix_kp", "c13_spiked")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _csv_per_value(header, rows):
+    """The CSV text of header and rows, each value formatted on its own."""
+    return "".join(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in [header, *rows])
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(1.0, "(-0.3, 0.4)", 0.1, 3), (2.0, "(0.1, 0.9)", -0.0, 10 ** 20)],
+    [(np.float64(0.1), float("nan"), True), (1e-300, float("-inf"), False)],
+    # columns that change type: one format per kind of row
+    [("normalized_sup", 8.7e-4), ("passed", True), ("count", 3), ("ratio", 1 / 3)],
+    [(0.1, 1), (1, 0.1), (10 ** 20, "a%s")],
+], ids=["empty", "str-columns", "non-finite", "mixed-columns", "swapped"])
+def test_write_csv_matches_per_value_formatting(tmp_path, rows):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), header, rows)
+    assert path.read_text() == _csv_per_value(header, rows)
+
+
 class TestConfiguredKeys:
     def test_det_eval_sweeps_r_from_grid(self, tmp_path):
         code, out = _run_main(

@@ -162,6 +162,24 @@ class TestBoundaryResolvent:
         fredholm.boundary_resolvent(disc)
         assert sum(points) == 2 * spec.inner_n
 
+    def test_spiked_resolvent_reuses_assembly_factors(self, monkeypatch):
+        # after assembly only the boundary point 0 needs new factor grids,
+        # one per side, and the resolvent is the one of grids made afresh
+        spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,))
+        disc = fredholm.assemble(spec, 32)
+        sizes = []
+        factor_grid = kernels.SpikedKernel._factor_grid
+
+        def counting(self, pts, which):
+            sizes.append((which, pts.size))
+            return factor_grid(self, pts, which)
+
+        monkeypatch.setattr(kernels.SpikedKernel, "_factor_grid", counting)
+        q = fredholm.boundary_resolvent(disc)
+        assert sorted(sizes) == [("f", 1), ("g", 1)]
+        monkeypatch.setattr(kernels, "_memo", lambda cache, key, make: make())
+        assert np.array_equal(fredholm.boundary_resolvent(fredholm.assemble(spec, 32)), q)
+
     def test_singularity_guard(self):
         class UnitKernel(ZeroKernel):
             def block(self, a, b, u, v):

@@ -111,10 +111,11 @@ def full_spectrum_reference(solver):
 # The anchored-dr^{-1} corrections are linear in phi but stepped explicitly,
 # with a gain of about S = kx_max^2 len_r dt / 4 per stage, and both
 # formulations amplify their rounding by it.  The boxes here keep S <= 50
-# (the solve-kp runs have S of 6 and 8); at S ~ 100 the two drift apart by
-# 2e-12 of max|.|.
+# (the solve-kp closure has S = 5.9, its one-row soliton box S = 0); at
+# S ~ 100 the two drift apart by 2e-12 of max|.|.  n_x = 1 is the one-row
+# path, with transforms in r only.
 @settings(max_examples=20, deadline=None)
-@given(n_x=st.sampled_from([4, 16]), len_r=st.floats(10.0, 60.0),
+@given(n_x=st.sampled_from([1, 4, 16]), len_r=st.floats(10.0, 60.0),
        len_x=st.floats(2.0, 10.0), dt=st.floats(1e-4, 5e-3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_half_spectrum_matches_full_spectrum(n_x, len_r, len_x, dt, seed):
