@@ -30,7 +30,6 @@ Non-finite floats in the JSON report are written as the strings "inf",
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -457,7 +456,7 @@ def _solve_kp(cfg):
     # (2^4 = 16; measured 16.04), plus the determinant-field closure test
     big_t, dt, n_x = 2.0, 1e-2, 1
     err, coarse_err = (kpsolver.soliton_sup_error(h, n_x, big_t) for h in (dt, 2 * dt))
-    hm = painleve.hastings_mcleod(L=16.0)
+    hm = painleve.hastings_mcleod()
     report = kpsolver.evolve_and_compare(
         lambda t, x, r: fields.phi_window_narrow_wedge(hm, t, x, r), 1.0, 1.1)
     table = report.pop("fields")
@@ -559,6 +558,7 @@ def run(cfg: ExperimentConfig):
 
 
 def main(argv=None) -> int:
+    import argparse     # only main parses argv; run and the library never do
     ap = argparse.ArgumentParser(prog="kpdet", description=__doc__)
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)

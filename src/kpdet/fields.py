@@ -90,8 +90,11 @@ def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
 
 
 def phi_window_narrow_wedge(hm: HMSolution, t: float, x_grid, r_grid) -> np.ndarray:
-    """phi = d_r^2 log F = -t^(-2/3) q(s)^2 at s = t^(-1/3) r + t^(-4/3) x^2."""
-    s = (r_grid[None, :] / np.cbrt(t)
-         + (x_grid[:, None] ** 2) / np.cbrt(t ** 4))
+    """phi = d_r^2 log F = -t^(-2/3) q(s)^2 at s = t^(-1/3) r + t^(-4/3) x^2,
+    evaluated once per distinct x^2 and expanded to the rows of x_grid."""
+    x2 = np.asarray(x_grid, dtype=float) ** 2
+    rows = np.sort(x2)
+    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    s = r_grid[None, :] / np.cbrt(t) + rows[:, None] / np.cbrt(t ** 4)
     q = hm.q_at(s.ravel()).reshape(s.shape)
-    return -q * q / np.cbrt(t * t)
+    return (-q * q / np.cbrt(t * t))[np.searchsorted(rows, x2)]

@@ -78,14 +78,16 @@ class HMSolution:
                         -airy_ai(np.maximum(s, self.right)))
 
 
-def hastings_mcleod(L: float = 10.0) -> HMSolution:
+def hastings_mcleod(L: float = 16.0) -> HMSolution:
     """Solve the Hastings-McLeod BVP on [-L, R] (R = 10) as a Chebyshev series.
 
-    The solution is memoized on L: every call with the same interval
-    returns the same HMSolution, which callers must not modify.  Raises
-    FloatingPointError if Newton stalls (the message carries the step
-    norms) or if the series' trailing coefficients exceed 1e-13 (the
-    interval is too long for DEGREE); a failed solve is not memoized.
+    The default [-16, 10] serves every library caller (solve-kp reads s
+    down to -14), so a process solves once; the solution is memoized on L:
+    every call with the same interval returns the same HMSolution, which
+    callers must not modify.  Raises FloatingPointError if Newton stalls
+    (the message carries the step norms) or if the series' trailing
+    coefficients exceed 1e-13 (the interval is too long for DEGREE); a
+    failed solve is not memoized.
     """
     return _solve_hastings_mcleod(float(L))
 

@@ -177,9 +177,19 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
+def test_importing_every_module_loads_no_argparse():
+    # only cli.main parses argv; the library and cli.run import no argparse
+    proc = _fresh_python("-c", "import importlib, sys, kpdet\n"
+                         "for m in kpdet.__all__: importlib.import_module(f'kpdet.{m}')\n"
+                         "print('argparse' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_run_loads_no_numpy_ma(tmp_path):
     # numpy's set routines import numpy.ma on first use, 15-20 ms inside a
-    # pass; c03, c05 and c13 reach the lattice and eta-panel deduplications
+    # pass; c03, c05 and c13 reach the lattice and eta-panel deduplications,
+    # c12 the deduplicated x^2 rows of the closure window
     configs = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance"
     script = ("import sys\n"
               "from kpdet import cli\n"
@@ -190,7 +200,8 @@ def test_run_loads_no_numpy_ma(tmp_path):
               "print('numpy.ma' in sys.modules)\n")
     proc = _fresh_python("-c", script, str(tmp_path),
                          *(str(configs / f"{name}.cfg")
-                           for name in ("c03_hirota", "c05_matrix_kp", "c13_spiked")))
+                           for name in ("c03_hirota", "c05_matrix_kp", "c12_solve_kp",
+                                       "c13_spiked")))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -336,8 +347,8 @@ class TestConfiguredKeys:
         code, out = _run_main(tmp_path, "[run]\ncommand = solve-kp\ntolerance = 5e-3\n")
         assert code == 0
         report = json.loads((out / "solve-kp.json").read_text())
-        assert (report["n_x"], report["n_r"], report["n_steps"]) == (64, 512, 50)
-        assert abs(report["dt"] - 2e-3) < 1e-15
+        assert (report["n_x"], report["n_r"], report["n_steps"]) == (64, 512, 20)
+        assert abs(report["dt"] - 5e-3) < 1e-15
         assert (report["soliton_n_x"], report["soliton_n_r"],
                 report["soliton_n_steps"], report["soliton_dt"]) == (1, 512, 200, 1e-2)
 

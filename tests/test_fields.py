@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kpdet import cli, fields, fredholm
+from kpdet import cli, fields, fredholm, painleve
 from kpdet.kernels import KernelSpec, SpikedRules, sweep_rules
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance"
@@ -84,3 +84,18 @@ def test_acceptance_sweeps_share_one_y_rule(tmp_path, monkeypatch, config, most)
                 assert own_y0[0] >= y0[0] and own_loc.size <= loc.size
     if config == "c04b_kp_kpz":
         assert [len(used) for used in seen] == [17]
+
+
+@pytest.mark.parametrize("t", [1.0, 1.1])
+@pytest.mark.parametrize("x_grid, distinct", [
+    (-4.5 + 9.0 * np.arange(64) / 64, 33),     # the solve-kp closure grid
+    (np.linspace(-1.3, 2.9, 17), 17),          # no +-x pairs
+], ids=["closure", "unpaired"])
+def test_phi_window_matches_per_point_formula(t, x_grid, distinct):
+    # the window is evaluated once per distinct x^2 and expanded to the rows
+    assert len(set(x_grid ** 2)) == distinct
+    hm = painleve.hastings_mcleod()
+    r = -14.0 + 23.5 * np.arange(512) / 512
+    q = hm.q_at(r[None, :] / np.cbrt(t) + x_grid[:, None] ** 2 / np.cbrt(t ** 4))
+    got = fields.phi_window_narrow_wedge(hm, t, x_grid, r)
+    assert np.array_equal(got, -q * q / np.cbrt(t * t))

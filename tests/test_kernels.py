@@ -204,7 +204,9 @@ class TestMultiwedge:
         assert det_of(up1) < d0 and det_of(up2) < d0
 
     def test_small_time_hits_scattering_limit(self):
-        from kpdet.scattering import WedgeConfig, hit_kernel
+        from hit_kernels import hit_kernel
+
+        from kpdet.scattering import WedgeConfig
         spec = KernelSpec("nw_fixed_point", 1e-2, (-1.0, 1.0), (0.0, 0.0),
                           ((0.0, 0.0),), inner_n=96)
         u = np.array([0.6])
@@ -217,7 +219,9 @@ class TestMultiwedge:
     def test_small_time_limit_through_two_wedges(self):
         # block (0, 1) renews its left factor at the first of two wedges
         # between the points; it tends to the hit kernel at rate t
-        from kpdet.scattering import WedgeConfig, hit_kernel
+        from hit_kernels import hit_kernel
+
+        from kpdet.scattering import WedgeConfig
         wedges = ((-0.4, 0.1), (0.3, -0.2))
         u, v = np.array([0.0, 0.6, 1.2]), np.array([0.3, 0.9])
         ref = hit_kernel(WedgeConfig(wedges, (-1.0, 1.0), (0.0, 0.0)), 0, 1, u, v)

@@ -61,10 +61,10 @@ class TestHastingsMcleod:
     def test_left_end_does_not_reach_interior(self):
         # the two-term left asymptote is off by ~1e-6 at -10; the error
         # decays like exp(-(2 sqrt 2 / 3) |s|^(3/2)) inward, so L = 10 and
-        # L = 16 agree to rounding on [-5, R - 1]
+        # the default L = 16 agree to rounding on [-5, R - 1]
         s = np.linspace(-5.0, 9.0, 1001)
-        wide = painleve.hastings_mcleod(L=16.0)
-        assert np.max(np.abs(painleve.hastings_mcleod().q(s) - wide.q(s))) < 1e-13
+        short = painleve.hastings_mcleod(L=10.0)
+        assert np.max(np.abs(short.q(s) - painleve.hastings_mcleod().q(s))) < 1e-13
 
     def test_strictly_negative(self, hm):
         assert np.all(hm.q(np.linspace(hm.left, hm.right, 4001)) < 0)
@@ -75,10 +75,10 @@ class TestHastingsMcleod:
 
     def test_memoized_on_interval(self):
         hm = painleve.hastings_mcleod()
-        assert painleve.hastings_mcleod(10.0) is hm
-        assert painleve.hastings_mcleod(L=10) is hm
-        assert (hm.left, hm.right) == (-10.0, 10.0)
-        assert painleve.hastings_mcleod(L=16.0) is not hm
+        assert painleve.hastings_mcleod(16.0) is hm
+        assert painleve.hastings_mcleod(L=16) is hm
+        assert (hm.left, hm.right) == (-16.0, 10.0)
+        assert painleve.hastings_mcleod(L=10.0) is not hm
         # a failed solve is not remembered: it fails again every time
         for _ in range(2):
             with pytest.raises(FloatingPointError, match="trailing coefficients"):

@@ -3,6 +3,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 import pytest
+from hit_kernels import hit_kernel, no_hit_kernel
 
 from kpdet import fredholm, painleve, scattering
 from kpdet.kernels import KernelDomainError, KernelSpec, heat_kernel
@@ -60,10 +61,10 @@ def cfg_single():
 class TestHitKernel:
     def test_wedge_outside_window(self):
         cfg = scattering.WedgeConfig(((5.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
-        assert scattering.hit_kernel(cfg, 0, 1, 1.0, 1.0) == 0.0
+        assert hit_kernel(cfg, 0, 1, 1.0, 1.0) == 0.0
 
     def test_direct_quadrature_oracle(self, cfg_single):
-        val = scattering.hit_kernel(cfg_single, 0, 1, 1.0, 1.0)
+        val = hit_kernel(cfg_single, 0, 1, 1.0, 1.0)
         rule = panel_rule((-np.inf, 0.0), 200, 4.0)
         direct = np.sum(heat_kernel(1.0, 1.0, rule.nodes)
                         * heat_kernel(1.0, rule.nodes, 1.0) * rule.weights)
@@ -71,12 +72,12 @@ class TestHitKernel:
 
     def test_high_level_forces_hit(self):
         cfg = scattering.WedgeConfig(((0.0, 8.0),), (-1.0, 1.0), (1.0, 1.2))
-        assert abs(scattering.hit_kernel(cfg, 0, 1, 1.0, 1.0)
+        assert abs(hit_kernel(cfg, 0, 1, 1.0, 1.0)
                    - heat_kernel(2.0, 1.0, 1.0)) < 1e-8
 
     def test_ordering_error(self, cfg_single):
         with pytest.raises(scattering.OrderingError):
-            scattering.hit_kernel(cfg_single, 1, 0, 0.0, 0.0)
+            hit_kernel(cfg_single, 1, 0, 0.0, 0.0)
 
 
 def _hit_chain(xi, xj, pos, lev, u, v):
@@ -134,8 +135,8 @@ class TestKilledChain:
         """hit is the mass of heat x heat over (-inf, b], no-hit the heat
         kernel minus it, both to rounding also far above b."""
         cfg = scattering.WedgeConfig(((0.0, b),), (-1.0, 1.0), (0.0, 0.0))
-        hit = scattering.hit_kernel(cfg, 0, 1, points, points)
-        no_hit = scattering.no_hit_kernel(cfg, 0, 1, points, points)
+        hit = hit_kernel(cfg, 0, 1, points, points)
+        no_hit = no_hit_kernel(cfg, 0, 1, points, points)
         with mp.workdps(30):
             for p, u in enumerate(map(mp.mpf, points)):
                 for q, v in enumerate(map(mp.mpf, points)):
@@ -157,8 +158,8 @@ class TestKilledChain:
         cfg = scattering.WedgeConfig(wedges, (-1.0, 1.0), (0.0, 0.0))
         ref = inclusion_exclusion_hit(cfg, 0, 1, _POINTS, _POINTS)
         heat = heat_kernel(2.0, _POINTS[:, None], _POINTS[None, :])
-        hit = scattering.hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
-        no_hit = scattering.no_hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        hit = hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        no_hit = no_hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
         assert np.max(np.abs(hit - ref)) < 1e-15
         assert np.max(np.abs(no_hit - (heat - ref))) < 1e-15
 
@@ -166,7 +167,7 @@ class TestKilledChain:
         cfg = scattering.WedgeConfig(((-0.6, -0.4), (0.1, 0.3), (0.7, -1.0)),
                                      (-1.0, 1.0), (0.0, 0.0))
         u = np.linspace(-4.0, 4.0, 41)
-        no_hit = scattering.no_hit_kernel(cfg, 0, 1, u, u)
+        no_hit = no_hit_kernel(cfg, 0, 1, u, u)
         heat = heat_kernel(2.0, u[:, None], u[None, :])
         assert np.all(no_hit >= 0.0)
         assert np.all(no_hit <= heat)
