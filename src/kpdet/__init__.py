@@ -7,7 +7,7 @@ quadrature  Gauss-Legendre rules and panel_rule, the one mapped-rule constructor
 kernels     kernel families (narrow wedges, flat, KPZ narrow wedge, spiked)
 fredholm    Nystrom assembly, det(I-K), boundary resolvent
 painleve    Hastings-McLeod solution, Tracy-Widom distributions
-scattering  Brownian hitting kernels, t->0 limits, path-integral form
+scattering  constrained bridge densities, t->0 limits, path-integral form
 residuals   finite-difference residuals of the KP/Hirota identities
 fields      determinant-field builders on lattices
 kpsolver    periodic pseudo-spectral KP-II integrator

@@ -35,7 +35,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,6 +105,8 @@ _SPEC_FAMILIES = tuple(f for f in _FAMILY_KEYS if f != "airy_process")
 # the most points a command's [grid] may ask for: its lattice (the product
 # of nt, nx and nr) or its r range; a hundred times tw-table's 101 rows
 MAX_POINTS = 10_000
+# the largest thread pool det-eval may be configured to start
+MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -197,7 +198,8 @@ def _checked_grid(cfg, defaults, families, placed):
     (its default first; none: no [kernel] key is read), or a [kernel] key
     not in the family's _FAMILY_KEYS, in placed (which maps each key the
     command places itself to the key to set instead, or None), or x / r
-    where xs / rs is set; and for a grid of more than MAX_POINTS points.
+    where xs / rs is set; and for a grid of no points or more than
+    MAX_POINTS points.
     """
     k, reads = cfg.kernel, ()
     if families:
@@ -224,9 +226,9 @@ def _checked_grid(cfg, defaults, families, placed):
         points = np.floor((g["r_max"] - g["r_min"]) / g["r_step"]) + 1
     else:
         points = math.prod(g[key] for key in ("nt", "nx", "nr") if key in g)
-    if not points <= MAX_POINTS:
+    if not 1 <= points <= MAX_POINTS:
         raise ConfigError(f"{cfg.command} would evaluate {points:.6g} points; "
-                          f"at most {MAX_POINTS} are allowed")
+                          f"1 to {MAX_POINTS} are allowed")
     return g
 
 
@@ -257,7 +259,7 @@ def _json_safe(v):
 
 def _term_table(rep):
     """CSV header and rows of a residual report's term magnitudes."""
-    return ["term", "magnitude"], list(zip(rep.extra["term_names"], rep.term_magnitudes))
+    return ["term", "magnitude"], list(zip(rep["term_names"], rep["term_magnitudes"]))
 
 
 def _tw_table(cfg):
@@ -289,6 +291,9 @@ def _det_eval(cfg):
     elif spec0.family == "flat_fixed_point":
         refs = painleve.f_goe(np.cbrt(4.0 / spec0.t) * rvals, painleve.hastings_mcleod())
     quad_n = _quad_n(cfg)
+    # imported here: concurrent.futures pulls in logging, which no other
+    # command needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=cfg.threads or (os.cpu_count() or 1)) as ex:
         dets = fields.sweep(specs, quad_n, fredholm.det_one_minus, ex.map).tolist()
     report = {"values": dets}
@@ -312,9 +317,9 @@ def _hirota_residual(cfg):
             lambda points: np.exp(fields.similarity_gue_log_f(hm, corner, (h, h, h), points)),
             (h, h, h), (5, 5, 7))
     rep = at(g["h"])
-    ratio = rep.normalized_sup / max(at(g["h"] / 2.0).normalized_sup, 1e-300)
-    worst = rep.normalized_sup if ratio >= 3.0 else float("inf")
-    return (*_term_table(rep), dict(rep.to_dict(), halving_factor=ratio), worst, None)
+    ratio = rep["normalized_sup"] / max(at(g["h"] / 2.0)["normalized_sup"], 1e-300)
+    worst = rep["normalized_sup"] if ratio >= 3.0 else float("inf")
+    return (*_term_table(rep), dict(rep, halving_factor=ratio), worst, None)
 
 
 def _kp_residual(cfg):
@@ -341,7 +346,7 @@ def _kp_residual(cfg):
         value = _lattice(lambda t, x, r: replace(base, t=t, xs=(x,), rs=(r,)),
                          (g["t0"], g["x0"], g["r0"]), steps, quad_n)
     rep = residuals.kp_scalar_residual(value, steps, dims)
-    return (*_term_table(rep), rep.to_dict(), rep.normalized_sup, quad_n)
+    return (*_term_table(rep), rep, rep["normalized_sup"], quad_n)
 
 
 def _matrix_kp(cfg):
@@ -355,13 +360,13 @@ def _matrix_kp(cfg):
                  (spec.t - ht, -(hy * 2), -(ha * 4)), steps, quad_n,
                  fredholm.boundary_resolvent),
         steps, (3, 5, 9))
-    ratio, tr_rel = rep.extra["sv_ratio"], rep.extra["trace_identity_rel"]
-    worst = (rep.normalized_sup if (ratio < 1e-4 and tr_rel < 1e-4)
+    ratio, tr_rel = rep["sv_ratio"], rep["trace_identity_rel"]
+    worst = (rep["normalized_sup"] if (ratio < 1e-4 and tr_rel < 1e-4)
              else float("inf"))
     return (["quantity", "value"],
-            [("normalized_sup", rep.normalized_sup),
+            [("normalized_sup", rep["normalized_sup"]),
              ("sv_ratio", ratio), ("trace_identity_rel", tr_rel)],
-            rep.to_dict(), worst, quad_n)
+            rep, worst, quad_n)
 
 
 def _cyl_kdv(cfg):
@@ -380,9 +385,8 @@ def _cyl_kdv(cfg):
     xa, xb = fields.sweep([replace(base, rs=(1.0 - shift,)),
                            replace(base, xs=(0.5,), rs=(0.75 - shift,))], quad_n).tolist()
     x_indep = abs(xa - xb)
-    worst = rep.normalized_sup if x_indep < 1e-4 else float("inf")
-    return (*_term_table(rep), dict(rep.to_dict(), x_independence=x_indep),
-            worst, quad_n)
+    worst = rep["normalized_sup"] if x_indep < 1e-4 else float("inf")
+    return (*_term_table(rep), dict(rep, x_independence=x_indep), worst, quad_n)
 
 
 def _tail_fit(cfg):
@@ -408,21 +412,19 @@ def _tail_fit(cfg):
 def _scattering_limit(cfg):
     _checked_grid(cfg, {}, (), {})
     quad_n = _quad_n(cfg)
-    cfgw = scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
-    rows = scattering.rk_limit_check(cfgw, (0.1, 0.05, 0.02, 0.01),
-                                     n_quad=quad_n)
+    spec = KernelSpec("nw_fixed_point", 1e-3, (-1.0, 1.0), (1.0, 1.2), ((0.0, 0.0),))
+    rows = scattering.rk_limit_check(spec, (0.1, 0.05, 0.02, 0.01), n_quad=quad_n)
     table = [(rw["t"], f"({i + 1},{j + 1})", float(q), float(rw["target"][i, j]),
               float(abs(q - rw["target"][i, j])))
              for rw in rows for (i, j), q in np.ndenumerate(rw["q"])]
     errors = [rw["max_err"] for rw in rows]
     c_fit, r2 = scattering.t0_kernel_decay_check(2.0, 0.0, -1.0, 1.0)
     # near t = 0 the determinant reads the initial data prod 1{r_i >= h0(x_i)}:
-    # 1 for cfgw, whose levels lie above the profile, and for r = -0.2 under
+    # 1 for spec, whose levels lie above the profile, and for r = -0.2 under
     # the wedge (0, 0.5) F_GUE(t^(-1/3) (r - b)) = F_GUE(-7), 2.6e-13 at t = 1e-3
     d_one, d_zero = fields.sweep(
-        [KernelSpec("nw_fixed_point", 1e-3, cfgw.xs, cfgw.rs, cfgw.wedges),
-         KernelSpec("nw_fixed_point", 1e-3, (-1.0, 0.0, 1.0), (1.0, -0.2, 1.2),
-                    ((0.0, 0.5),))],
+        [spec, KernelSpec("nw_fixed_point", 1e-3, (-1.0, 0.0, 1.0), (1.0, -0.2, 1.2),
+                          ((0.0, 0.5),))],
         quad_n, fredholm.det_one_minus).tolist()
     report = {"errors": errors,
               "monotone_decrease": bool(all(np.diff(errors) < 0)),
@@ -499,7 +501,7 @@ def _spiked_check(cfg):
     res = residuals.kp_scalar_residual(
         _lattice(lambda t, x, r: replace(base, t=t, xs=(x,), rs=(r,)),
                  (base.t - h, base.xs[0] + 0.2 - h, 0.3 - 3 * h), (h, h, h), quad_n),
-        (h, h, h), (3, 3, 7)).normalized_sup
+        (h, h, h), (3, 3, 7))["normalized_sup"]
     report = {"det_r0": d0, "det_r1": d1, "anchor_dev": anchor_dev,
               "imag_part": 0.0, "kp_residual": res}
     ok = (0.0 < d0 < d1 < 1.0) and anchor_dev < 1e-8
@@ -529,19 +531,20 @@ COMMANDS = {
 def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
-    Raises ConfigError for quad_n outside [8, 512], threads < 0, or a
-    [kernel] or [grid] key the command does not read, DomainError for
-    parameters outside a computation's domain, and QuadratureFailure,
-    SingularOperatorError or an ArithmeticError (a non-finite operator, a
-    division by zero, an overflow) when the numerics fail.
-    Nothing is written unless the command completes.  The warnings the
-    command raises are counted into the report, not shown.
+    Raises ConfigError for quad_n outside [8, 512], threads outside
+    [0, MAX_THREADS] (before any thread starts), or a [kernel] or [grid]
+    key the command does not read, DomainError for parameters outside a
+    computation's domain, and QuadratureFailure, SingularOperatorError or
+    an ArithmeticError (a non-finite operator, a division by zero, an
+    overflow) when the numerics fail.  Nothing is written unless the
+    command completes.  The warnings the command raises are counted into
+    the report, not shown.
     """
     if cfg.quad_n is not None and not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
-    if cfg.threads < 0:
-        raise ConfigError(f"threads = {cfg.threads} is negative; use 0 for one "
-                          "thread per CPU")
+    if not 0 <= cfg.threads <= MAX_THREADS:
+        raise ConfigError(f"threads = {cfg.threads} outside [0, {MAX_THREADS}]; "
+                          "use 0 for one thread per CPU")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         header, rows, entries, worst, quad_n = COMMANDS[cfg.command](cfg)

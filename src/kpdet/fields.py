@@ -20,7 +20,7 @@ import numpy as np
 
 from . import DomainError
 from .fredholm import assemble, log_det_one_minus
-from .kernels import KernelSpec, SpikedRules, build_block_kernel, sweep_rules
+from .kernels import BlockKernel, KernelSpec, SpikedRules, sweep_rules
 from .painleve import HMSolution, log_f_gue
 
 __all__ = [
@@ -61,8 +61,7 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     for idx in groups.values():
         group = [specs[i] for i in idx]
         rules = sweep_rules(group)
-        vals = mapper(lambda spec: value(assemble(build_block_kernel(spec, rules),
-                                                  n_quad)), group)
+        vals = mapper(lambda spec: value(assemble(BlockKernel(spec, rules), n_quad)), group)
         for i, v in zip(idx, vals):
             out[i] = v
     return np.array(out)

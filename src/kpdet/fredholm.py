@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BlockKernel, build_block_kernel
+from .kernels import BlockKernel
 from .quadrature import QuadRule, panel_rule
 
 __all__ = [
@@ -52,7 +52,7 @@ def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
     if not (8 <= n_quad <= 512):
         raise ValueError("n_quad must lie in [8, 512]")
     kernel = (spec_or_kernel if hasattr(spec_or_kernel, "block")
-              else build_block_kernel(spec_or_kernel))
+              else BlockKernel(spec_or_kernel))
     rule = panel_rule((0.0, getattr(kernel.spec, "domain_cut", 0.0) or np.inf), n_quad, 4.0)
     n = kernel.n_blocks
     sw = np.sqrt(rule.weights)

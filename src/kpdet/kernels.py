@@ -31,7 +31,7 @@ Blocks are shifted per observation point: entry (a, b) is evaluated at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "SpikedKernel",
     "BlockKernel",
     "sweep_rules",
-    "build_block_kernel",
 ]
 
 class KernelDomainError(DomainError):
@@ -79,18 +78,6 @@ def heat_kernel_log(l, u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return -((u - v) ** 2) / (4.0 * l) - 0.5 * np.log(4.0 * np.pi * l)
-
-
-def _check_layout(xs, rs, wedges):
-    """Raise KernelDomainError unless xs is strictly increasing, rs matches
-    xs and the wedge positions are strictly increasing."""
-    if len(xs) > 1 and np.any(np.diff(np.asarray(xs, dtype=float)) <= 0):
-        raise KernelDomainError("xs must be strictly increasing")
-    if len(rs) != len(xs):
-        raise KernelDomainError("rs must match xs")
-    a = np.asarray([w[0] for w in wedges], dtype=float)
-    if a.size > 1 and np.any(np.diff(a) <= 0):
-        raise KernelDomainError("wedge positions must be strictly increasing")
 
 
 def _s_log_pm(t, x, u):
@@ -192,7 +179,13 @@ class KernelSpec:
             raise KernelDomainError(f"unknown family {self.family!r}")
         if self.t <= 0:
             raise KernelDomainError("t must be positive")
-        _check_layout(self.xs, self.rs, self.wedges)
+        if len(self.xs) > 1 and np.any(np.diff(np.asarray(self.xs, dtype=float)) <= 0):
+            raise KernelDomainError("xs must be strictly increasing")
+        if len(self.rs) != len(self.xs):
+            raise KernelDomainError("rs must match xs")
+        a = np.asarray([w[0] for w in self.wedges], dtype=float)
+        if a.size > 1 and np.any(np.diff(a) <= 0):
+            raise KernelDomainError("wedge positions must be strictly increasing")
         if self.family != "nw_fixed_point" and len(self.xs) != 1:
             raise KernelDomainError(f"{self.family} takes one point, not {len(self.xs)}")
         if self.family == "nw_fixed_point" and not self.wedges:
@@ -643,22 +636,24 @@ class SpikedKernel:
 # block kernel wrapper consumed by the Fredholm layer
 # ----------------------------------------------------------------------------
 
-@dataclass
 class BlockKernel:
-    """n x n operator-valued kernel with a uniform block evaluator.
+    """n x n operator-valued kernel of spec, n = len(spec.xs), with a uniform
+    block evaluator.
 
-    nw_fixed_point and kpz_narrow_wedge keep their factors in _factors,
-    keyed by the points they were evaluated on, and kpz_spiked keeps there
-    the one SpikedKernel whose factor grids are keyed by side and points, so
-    each factor is computed once per kernel: assembly evaluates them on the
-    quadrature nodes and the boundary resolvent reuses those, adding only
-    the boundary point 0.
+    rules are the ``sweep_rules`` of the sweep spec belongs to; without them
+    the spec is a one-point sweep.  nw_fixed_point and kpz_narrow_wedge keep
+    their factors in _factors, keyed by the points they were evaluated on,
+    and kpz_spiked keeps there the one SpikedKernel whose factor grids are
+    keyed by side and points, so each factor is computed once per kernel:
+    assembly evaluates them on the quadrature nodes and the boundary
+    resolvent reuses those, adding only the boundary point 0.
     """
 
-    spec: KernelSpec
-    n_blocks: int
-    rules: SpikedRules | tuple | None = None
-    _factors: dict = field(default_factory=dict)
+    def __init__(self, spec: KernelSpec, rules=None):
+        self.spec = spec
+        self.n_blocks = len(spec.xs)
+        self.rules = sweep_rules((spec,)) if rules is None else rules
+        self._factors: dict = {}
 
     def block(self, a: int, b: int, u, v) -> np.ndarray:
         spec = self.spec
@@ -698,9 +693,3 @@ def sweep_rules(specs):
     return fermi_rule(min(wi - 10.0 * np.cbrt(s.t) for wi, s in zip(w, specs)),
                       max(np.sqrt((Y_HI - wi) / s.t) for wi, s in zip(w, specs)), 0.75)
 
-
-def build_block_kernel(spec: KernelSpec, rules=None) -> BlockKernel:
-    """BlockKernel of spec on the sweep_rules of the sweep it belongs to;
-    without them the spec is a one-point sweep."""
-    rules = sweep_rules((spec,)) if rules is None else rules
-    return BlockKernel(spec, len(spec.xs), rules)

@@ -23,13 +23,10 @@ exponential phase; the rest of both corrections is added in Fourier space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy import fft
 
 __all__ = [
-    "SpectralState",
     "KPSolver",
     "BlowUpError",
     "soliton_profile",
@@ -48,15 +45,6 @@ _TAYLOR = (np.stack([(_N + 2) * (_N + 3) / 2.0 ** (_N + 1), (_N + 1) ** 2, _N + 
 
 class BlowUpError(RuntimeError):
     """Solution sup-norm exceeded the blow-up guard."""
-
-
-@dataclass
-class SpectralState:
-    """rfft2 modes of phi on the periodic (x, r) box, and phi itself once known."""
-
-    phi_hat: np.ndarray     # shape (n_x, n_r // 2 + 1), complex
-    time: float
-    phi: np.ndarray | None = None   # irfft2(phi_hat), shape (n_x, n_r)
 
 
 def soliton_profile(r, c):
@@ -220,9 +208,10 @@ class KPSolver:
         nl_hat[:, 0] += (0.25 * self.n_r) * anchor_hat
         return nl_hat
 
-    def step(self, state: SpectralState) -> SpectralState:
-        v = state.phi_hat
-        n0 = self._nonlinear(v, state.phi)
+    def step(self, v, phi=None):
+        """One step of dt from the half spectrum v: (the new half spectrum,
+        its phi).  phi, if given, is irfft2(v) and saves that transform."""
+        n0 = self._nonlinear(v, phi)
         # a = e_half v + q_half n0, b = e_half v + q_half na,
         # c = e_half a + q_half (2 nb - n0) and
         # out = e_full v + f1 n0 + 2 f2 (na + nb) + f3 nc, formed in place;
@@ -248,10 +237,7 @@ class KPSolver:
         out += na
         nc *= self.f3
         out += nc
-        phi = self._irfft(out)
-        if np.max(np.abs(phi)) > 1e6:
-            raise BlowUpError(f"|phi| = {np.max(np.abs(phi)):.3g} at t={state.time}")
-        return SpectralState(out, state.time + self.dt, phi)
+        return out, self._irfft(out)
 
     def evolve(self, phi0: np.ndarray, n_steps: int) -> np.ndarray:
         phi = phi0.astype(float)
@@ -259,10 +245,12 @@ class KPSolver:
             raise ValueError(f"step gain kx_max^2 len_r dt / 4 = {self.step_gain:.3g} "
                              f"above {_MAX_STEP_GAIN:g} for an x-dependent field; "
                              "reduce dt or n_x")
-        state = SpectralState(self._rfft(phi), 0.0, phi)
-        for _ in range(n_steps):
-            state = self.step(state)
-        return state.phi
+        v = self._rfft(phi)
+        for k in range(1, n_steps + 1):
+            v, phi = self.step(v, phi)
+            if np.max(np.abs(phi)) > 1e6:
+                raise BlowUpError(f"|phi| = {np.max(np.abs(phi)):.3g} at t={k * self.dt:.6g}")
+        return phi
 
 
 def evolve_and_compare(phi_builder, t0: float, t1: float):

@@ -9,22 +9,21 @@ centres, asks the caller's evaluator ``value`` for exactly those points in
 one call, and combines the values, so no other point of the lattice is
 evaluated.  The caller places the points: ``value(points)`` gets the index
 triples (tuples of ints, in lexicographic order) and returns one value per
-point (a number, or a matrix for matrix KP).  Residuals are reported both
-raw and normalized by the largest participating term, since the identities
-are exact and only relative smallness is meaningful.  The r-antiderivative
-in the scalar equation is realized through derivatives of log F (exact, no
-integration constants), never by numerical antidifferentiation.
+point (a number, or a matrix for matrix KP).  Each check returns a report
+dict (``_report``) holding the residual both raw and normalized by the
+largest participating term, since the identities are exact and only
+relative smallness is meaningful.  The r-antiderivative in the scalar
+equation is realized through derivatives of log F (exact, no integration
+constants), never by numerical antidifferentiation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import numpy as np
 
 from . import DomainError
 
 __all__ = [
-    "ResidualReport",
     "StencilError",
     "hirota_residual",
     "kp_scalar_residual",
@@ -40,30 +39,6 @@ class StencilError(DomainError):
 
 class InsufficientRangeError(DomainError):
     """Tail fit requires data reaching deep into the left tail."""
-
-
-@dataclass
-class ResidualReport:
-    """Residual magnitudes of one identity check."""
-
-    identity: str
-    residual_sup: float
-    residual_l2: float
-    normalized_sup: float
-    term_magnitudes: list
-    steps: tuple
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "identity": self.identity,
-            "residual_sup": self.residual_sup,
-            "residual_l2": self.residual_l2,
-            "normalized_sup": self.normalized_sup,
-            "term_magnitudes": list(self.term_magnitudes),
-            "steps": list(self.steps),
-            **self.extra,
-        }
 
 
 # lattice axes; matrix KP reads its (t, y, a) lattice on the same three
@@ -143,17 +118,19 @@ def _centres(dims, least, margins, identity):
     return margins, tuple(n - 2 * m for n, m in zip(dims, margins))
 
 
-def _report(identity, terms, names, steps) -> ResidualReport:
+def _report(identity, terms, names, steps) -> dict:
+    """The report of one identity check: the sup, root mean square and
+    normalized sup of the summed terms, and each term's name and sup."""
     total = sum(terms)
     mags = [float(np.max(np.abs(term))) for term in terms]
     sup = float(np.max(np.abs(total)))
-    l2 = float(np.sqrt(np.mean(total ** 2)))
-    norm = sup / max(max(mags), 1e-300)
-    return ResidualReport(identity, sup, l2, norm, mags, steps,
-                          {"term_names": list(names)})
+    return {"identity": identity, "residual_sup": sup,
+            "residual_l2": float(np.sqrt(np.mean(total ** 2))),
+            "normalized_sup": sup / max(max(mags), 1e-300), "term_magnitudes": mags,
+            "steps": list(steps), "term_names": list(names)}
 
 
-def hirota_residual(value, steps, dims) -> ResidualReport:
+def hirota_residual(value, steps, dims) -> dict:
     """Bilinear identity for the distribution function F itself:
 
         F F_tr - F_t F_r + (1/12) F F_rrrr - (1/3) F_r F_rrr
@@ -170,10 +147,10 @@ def hirota_residual(value, steps, dims) -> ResidualReport:
              0.25 * Frr ** 2, 0.25 * F * Fxx, -0.25 * Fx ** 2]
     names = ["F F_tr", "-F_t F_r", "F F_rrrr/12", "-F_r F_rrr/3",
              "F_rr^2/4", "F F_xx/4", "-F_x^2/4"]
-    return _report("hirota", terms, names, tuple(steps))
+    return _report("hirota", terms, names, steps)
 
 
-def kp_scalar_residual(value, steps, dims) -> ResidualReport:
+def kp_scalar_residual(value, steps, dims) -> dict:
     """Scalar KP residual for G = log F:
 
         d_t d_r^2 G + d_r^2 G * d_r^3 G + (1/12) d_r^5 G + (1/4) d_x^2 d_r G = 0
@@ -187,10 +164,10 @@ def kp_scalar_residual(value, steps, dims) -> ResidualReport:
         [((T, 1), (R, 2)), ((R, 2),), ((R, 3),), ((R, 5),), ((X, 2), (R, 1))])
     terms = [Gtrr, Grr * Grrr, Grrrrr / 12.0, 0.25 * Gxxr]
     names = ["d_t phi", "phi d_r phi", "d_r^3 phi/12", "d_r^-1 d_x^2 phi/4"]
-    return _report("kp_scalar", terms, names, tuple(steps))
+    return _report("kp_scalar", terms, names, steps)
 
 
-def matrix_kp_residual(value, steps, dims) -> ResidualReport:
+def matrix_kp_residual(value, steps, dims) -> dict:
     """Matrix KP residual at the centre of a (t, y, a) lattice of Q-matrices.
 
     value gives Q(t, y, a); the directional derivatives are simultaneous
@@ -210,7 +187,7 @@ def matrix_kp_residual(value, steps, dims) -> ResidualReport:
     terms = [dt_q, 0.5 * (q @ da_q + da_q @ q), da3_q / 12.0, 0.25 * dy2_Q,
              0.5 * (q @ dy_Q - dy_Q @ q)]
     names = ["d_t q", "(q Dq + Dq q)/2", "D^3 q/12", "Dx^2 Q/4", "commutator/2"]
-    rep = _report("matrix_kp", terms, names, tuple(steps))
+    rep = _report("matrix_kp", terms, names, steps)
     ratio = trace_rel = 0.0
     if q.shape[0] > 1:
         sv = np.linalg.svd(q, compute_uv=False)
@@ -218,11 +195,11 @@ def matrix_kp_residual(value, steps, dims) -> ResidualReport:
         lhs = np.trace(q @ da_q)
         rhs = np.trace(q) * np.trace(da_q)
         trace_rel = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    rep.extra.update(sv_ratio=ratio, trace_identity_rel=trace_rel)
+    rep.update(sv_ratio=ratio, trace_identity_rel=trace_rel)
     return rep
 
 
-def cylindrical_kdv_residual(value, t0, steps, dims) -> ResidualReport:
+def cylindrical_kdv_residual(value, t0, steps, dims) -> dict:
     """Residual of the cylindrical KdV equation for the shifted field.
 
     value gives G_hat(t, r) = log G along the x-independent shifted frame
@@ -244,7 +221,7 @@ def cylindrical_kdv_residual(value, t0, steps, dims) -> ResidualReport:
 
     terms = [phi_t, inv2t * phi_r, phi * phi_r, phi_rrr / 12.0, inv2t * phi]
     names = ["d_t phi", "d_r phi/(2t)", "phi d_r phi", "d_r^3 phi/12", "phi/(2t)"]
-    return _report("cylindrical_kdv", terms, names, tuple(steps))
+    return _report("cylindrical_kdv", terms, names, steps)
 
 
 def tail_slope_fit(r: np.ndarray, log_f: np.ndarray):

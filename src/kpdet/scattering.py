@@ -11,17 +11,17 @@ determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .fredholm import assemble, boundary_resolvent
-from .kernels import KernelSpec, _check_layout, heat_kernel, scattering_part_logmat
+from .kernels import KernelSpec, heat_kernel, scattering_part_logmat
 from .quadrature import panel_rule
 
 __all__ = [
-    "WedgeConfig",
     "OrderingError",
+    "profile_at",
     "constrained_bridge_density",
     "rk_limit_check",
     "t0_kernel_decay_check",
@@ -33,58 +33,48 @@ class OrderingError(ValueError):
     """Raised when x_i >= x_j where a left-to-right transition is required."""
 
 
-@dataclass(frozen=True)
-class WedgeConfig:
-    """Narrow wedge collection with observation positions and levels."""
-
-    wedges: tuple
-    xs: tuple
-    rs: tuple
-
-    def __post_init__(self):
-        _check_layout(self.xs, self.rs, self.wedges)
-
-    def profile_at(self, x: float) -> float:
-        """Initial profile value: b_k at wedge points, -inf elsewhere."""
-        for (a, b) in self.wedges:
-            if abs(x - a) < 1e-12:
-                return float(b)
-        return -np.inf
+def profile_at(spec: KernelSpec, x: float) -> float:
+    """Initial profile of spec's wedges: b_k at wedge points, -inf elsewhere."""
+    for (a, b) in spec.wedges:
+        if abs(x - a) < 1e-12:
+            return float(b)
+    return -np.inf
 
 
 # ----------------------------------------------------------------------------
 # constrained bridge density (matrix KP initial data)
 # ----------------------------------------------------------------------------
 
-def _interior_constraints(cfg: WedgeConfig, i: int, j: int):
+def _interior_constraints(spec: KernelSpec, i: int, j: int):
     """Sorted interior points with their (lower, upper) constraints."""
-    xi, xj = cfg.xs[i], cfg.xs[j]
+    xi, xj = spec.xs[i], spec.xs[j]
     pts = {}
-    for (a, b) in cfg.wedges:
+    for (a, b) in spec.wedges:
         if xi < a < xj:
             lo, hi = pts.get(a, (-np.inf, np.inf))
             pts[a] = (max(lo, b), hi)
-    for k, xn in enumerate(cfg.xs):
+    for k, xn in enumerate(spec.xs):
         if xi < xn < xj:
             lo, hi = pts.get(xn, (-np.inf, np.inf))
-            pts[xn] = (lo, min(hi, cfg.rs[k]))
+            pts[xn] = (lo, min(hi, spec.rs[k]))
     return sorted(pts.items())
 
 
-def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int):
+def constrained_bridge_density(spec: KernelSpec, i: int, j: int):
     """Density of B(x_j) at r_j for B from (x_i, r_i), staying above every
-    wedge level and below every intermediate observation level.
+    wedge level and below every intermediate observation level, for the
+    wedges, xs and rs of spec (its t is not read).
 
     Exact finite-dimensional Gaussian integral: the profile is -inf off the
     wedge points, so the constraints are pointwise.
     """
-    xi, xj = cfg.xs[i], cfg.xs[j]
+    xi, xj = spec.xs[i], spec.xs[j]
     if xi >= xj:
         raise OrderingError("need x_i < x_j")
-    ri, rj = cfg.rs[i], cfg.rs[j]
-    if cfg.profile_at(xi) > ri or cfg.profile_at(xj) > rj:
+    ri, rj = spec.rs[i], spec.rs[j]
+    if profile_at(spec, xi) > ri or profile_at(spec, xj) > rj:
         return 0.0
-    pts = _interior_constraints(cfg, i, j)
+    pts = _interior_constraints(spec, i, j)
     if any(lo > hi for (_, (lo, hi)) in pts):
         return 0.0
     width = 3.0 * np.sqrt(2.0 * (xj - xi))
@@ -101,23 +91,22 @@ def constrained_bridge_density(cfg: WedgeConfig, i: int, j: int):
 # t -> 0 checks
 # ----------------------------------------------------------------------------
 
-def rk_limit_check(cfg: WedgeConfig, t_seq, n_quad: int = 64):
-    """Compare boundary resolvent entries against the small-time limit.
+def rk_limit_check(spec: KernelSpec, t_seq, n_quad: int = 64):
+    """Compare boundary resolvent entries of the nw_fixed_point spec, at
+    each t of t_seq in place of its own, against the small-time limit.
 
     For each t: off-diagonal (i<j) entries of Q approach minus the
     constrained bridge density, all other entries approach 0.  Returns a
     list of dicts with per-entry errors.
     """
-    n = len(cfg.xs)
+    n = len(spec.xs)
     target = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            target[i, j] = -constrained_bridge_density(cfg, i, j)
+            target[i, j] = -constrained_bridge_density(spec, i, j)
     rows = []
     for t in t_seq:
-        spec = KernelSpec("nw_fixed_point", float(t), cfg.xs, cfg.rs,
-                          tuple(cfg.wedges))
-        q = boundary_resolvent(assemble(spec, n_quad))
+        q = boundary_resolvent(assemble(replace(spec, t=float(t)), n_quad))
         err = np.abs(q - target)
         rows.append({
             "t": float(t),

@@ -178,12 +178,14 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_importing_every_module_loads_no_argparse():
-    # only cli.main parses argv; the library and cli.run import no argparse
+    # only cli.main parses argv; the library and cli.run import no argparse,
+    # and only det-eval's pool imports concurrent.futures (and with it logging)
     proc = _fresh_python("-c", "import importlib, sys, kpdet\n"
                          "for m in kpdet.__all__: importlib.import_module(f'kpdet.{m}')\n"
-                         "print('argparse' in sys.modules)")
+                         "print([m in sys.modules for m in "
+                         "('argparse', 'concurrent.futures', 'logging')])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 def test_run_loads_no_numpy_ma(tmp_path):
@@ -387,13 +389,16 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_threads_exit_2(self, tmp_path, capsys, where):
+        # also a pool above cli.MAX_THREADS, refused before any thread starts
         text = "[run]\ncommand = det-eval\n[grid]\nnr = 2\n"
-        if where == "config":
-            code, out = _run_main(tmp_path, text.replace("[grid]", "threads = -1\n[grid]"))
-        else:
-            code, out = _run_main(tmp_path, text, "--threads", "-1")
-        assert "threads" in self._assert_config_error(capsys, code)
-        assert not out.exists()
+        for value in ("-1", "1000000"):
+            if where == "config":
+                code, out = _run_main(tmp_path, text.replace("[grid]",
+                                                             f"threads = {value}\n[grid]"))
+            else:
+                code, out = _run_main(tmp_path, text, "--threads", value)
+            assert "threads" in self._assert_config_error(capsys, code)
+            assert not out.exists()
 
     @pytest.mark.parametrize("family, key, use", [
         ("nw_fixed_point", "t", "[grid] t0"),
@@ -565,6 +570,7 @@ class TestErrorContract:
         ("det-eval", "nr = 0"),
         ("tw-table", "r_step = 0"),
         ("tail-fit", "r_min = -5.0\nr_max = -7.0"),  # an empty r range
+        ("tw-table", "r_min = 4.0\nr_max = -6.0"),    # also an empty r range
         # more points than cli.MAX_POINTS, refused before any is allocated
         ("tw-table", "r_step = 1e-300"),
         ("tail-fit", "r_step = 5e-324"),           # the count overflows to inf

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpdet import fredholm, kernels, painleve
-from kpdet.kernels import KernelSpec, build_block_kernel
+from kpdet.kernels import BlockKernel, KernelSpec
 
 
 class RankOneToy:
@@ -131,7 +131,7 @@ class TestBoundaryResolvent:
         nodes, sw, zero = disc.rule.nodes, np.sqrt(disc.rule.weights), np.zeros(1)
 
         def block(a, b, u, v):
-            return build_block_kernel(spec).block(a, b, u, v)
+            return BlockKernel(spec).block(a, b, u, v)
 
         m = np.block([[sw[:, None] * block(a, b, nodes, nodes) * sw
                        for b in range(2)] for a in range(2)])

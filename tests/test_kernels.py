@@ -12,13 +12,13 @@ from scipy.special import airy
 
 from kpdet import fields, fredholm, kernels
 from kpdet.kernels import (
+    BlockKernel,
     KernelDomainError,
     ETA_PANELS,
     KernelSpec,
     LogMat,
     SpikedKernel,
     SpikedRules,
-    build_block_kernel,
     flat_kernel,
     heat_kernel,
     log_matmul,
@@ -40,13 +40,13 @@ def nw_block(t, x, a, b, u, v, **kw):
     """One-point narrow-wedge kernel at x, wedge (a, b), level 0, on (u, v):
     K(u, v) = int_{-inf}^{b} S[t, a - x](l - u) S[t, x - a](l - v) dl."""
     spec = KernelSpec("nw_fixed_point", t, (x,), (0.0,), ((a, b),), **kw)
-    return build_block_kernel(spec).block(0, 0, u, v)
+    return BlockKernel(spec).block(0, 0, u, v)
 
 
 def kpz_block(t, x, r, u, v):
     """KPZ narrow-wedge generating-function kernel on (u, v)."""
     spec = KernelSpec("kpz_narrow_wedge", t, (x,), (r,))
-    return build_block_kernel(spec).block(0, 0, u, v)
+    return BlockKernel(spec).block(0, 0, u, v)
 
 
 def airy_kernel(a, b):
@@ -120,7 +120,7 @@ class TestSKernel:
         comp = ((nw_block(t, x, 0.0, 0.0, u, w.nodes) * w.weights[None, :])
                 @ heat_kernel(y, w.nodes[:, None], v[None, :]))
         spec = KernelSpec("nw_fixed_point", t, (x, x + y), (0.0, 0.0))
-        part = (build_block_kernel(spec).block(0, 1, u, v)
+        part = (BlockKernel(spec).block(0, 1, u, v)
                 + heat_kernel(y, u[:, None], v[None, :]))
         assert np.max(np.abs(comp - part)) < 1e-12
 
@@ -188,7 +188,7 @@ class TestMultiwedge:
     def test_single_wedge_reduces(self):
         spec = KernelSpec("nw_fixed_point", 1.0, (0.2,), (0.5,), ((0.0, 0.0),))
         u = np.linspace(0.0, 2.0, 5)
-        blk = build_block_kernel(spec).block(0, 0, u, u)
+        blk = BlockKernel(spec).block(0, 0, u, u)
         direct = nw_block(1.0, 0.2, 0.0, 0.0, u + 0.5, u + 0.5)
         assert np.max(np.abs(blk - direct)) < 1e-12
 
@@ -205,26 +205,22 @@ class TestMultiwedge:
 
     def test_small_time_hits_scattering_limit(self):
         from hit_kernels import hit_kernel
-
-        from kpdet.scattering import WedgeConfig
         spec = KernelSpec("nw_fixed_point", 1e-2, (-1.0, 1.0), (0.0, 0.0),
                           ((0.0, 0.0),), inner_n=96)
         u = np.array([0.6])
         v = np.array([0.9])
         blk = scattering_part_logmat(spec, 0, 1, u, v).to_linear()
-        cfg = WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (0.0, 0.0))
-        ref = hit_kernel(cfg, 0, 1, u, v)
+        ref = hit_kernel(spec, 0, 1, u, v)
         assert abs(blk[0, 0] - float(ref)) < 1e-3
 
     def test_small_time_limit_through_two_wedges(self):
         # block (0, 1) renews its left factor at the first of two wedges
         # between the points; it tends to the hit kernel at rate t
         from hit_kernels import hit_kernel
-
-        from kpdet.scattering import WedgeConfig
         wedges = ((-0.4, 0.1), (0.3, -0.2))
         u, v = np.array([0.0, 0.6, 1.2]), np.array([0.3, 0.9])
-        ref = hit_kernel(WedgeConfig(wedges, (-1.0, 1.0), (0.0, 0.0)), 0, 1, u, v)
+        ref = hit_kernel(KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (0.0, 0.0), wedges),
+                         0, 1, u, v)
         errs = []
         for t in (0.01, 0.005):
             spec = KernelSpec("nw_fixed_point", t, (-1.0, 1.0), (0.0, 0.0), wedges,
@@ -237,7 +233,7 @@ class TestMultiwedge:
         spec = KernelSpec("nw_fixed_point", 1.0, (-0.5, 0.5), (0.0, 0.0),
                           ((0.0, -8.0),))
         u = np.linspace(0.0, 2.0, 4)
-        kernel = build_block_kernel(spec)
+        kernel = BlockKernel(spec)
         blk = kernel.block(0, 1, u, u)
         ref = -heat_kernel(1.0, u[:, None], u[None, :])
         assert np.max(np.abs(blk - ref)) < 1e-6
@@ -269,7 +265,7 @@ class TestMultiwedge:
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
                           tuple((-2.0 + 0.5 * p, 0.1 * (-1) ** p) for p in range(k)))
         u = np.linspace(0.0, 2.0, 5)
-        blk = build_block_kernel(spec).block(0, 0, u, u)
+        blk = BlockKernel(spec).block(0, 0, u, u)
         assert np.all(np.isfinite(blk))
         assert len(calls) <= k * (k + 1) // 2
 
@@ -278,7 +274,7 @@ class TestMultiwedge:
         disc = fredholm.assemble(spec, 64)
         cut = np.quantile(disc.rule.nodes, 0.95)
         far = disc.rule.nodes[disc.rule.nodes > cut][:3]
-        k = build_block_kernel(spec).block(0, 0, far, far)
+        k = BlockKernel(spec).block(0, 0, far, far)
         assert np.max(np.abs(k)) < 1e-10
 
 
@@ -312,7 +308,7 @@ def test_two_point_block_matches_scipy_quadrature(t):
         for j in range(2):
             ref = np.array([[two_point_block_reference(t, xs, rs, i, j, a, b)
                              for b in v] for a in u])
-            err = np.max(np.abs(build_block_kernel(spec).block(i, j, u, v) - ref))
+            err = np.max(np.abs(BlockKernel(spec).block(i, j, u, v) - ref))
             assert err <= 1e-9 * np.max(np.abs(ref)) + 1e-15
 
 
@@ -649,7 +645,7 @@ class TestQuadratureFailureGuard:
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (-3.0,), ((0.0, 0.0),),
                           inner_n=8)
         with pytest.raises(QuadratureFailure):
-            build_block_kernel(spec).block(0, 0, np.array([0.0]), np.array([0.0]))
+            BlockKernel(spec).block(0, 0, np.array([0.0]), np.array([0.0]))
 
 
 class TestThreeWedges:

@@ -10,7 +10,7 @@ from kpdet.kernels import KernelDomainError, KernelSpec, heat_kernel
 from kpdet.quadrature import panel_rule
 
 
-def mc_bridge_density(cfg, i, j, n_paths=100_000, seed=0):
+def mc_bridge_density(spec, i, j, n_paths=100_000, seed=0):
     """Monte Carlo oracle for constrained_bridge_density: (estimate, stderr).
 
     Samples Brownian motion (diffusivity 2) from (x_i, r_i) exactly at the
@@ -19,16 +19,16 @@ def mc_bridge_density(cfg, i, j, n_paths=100_000, seed=0):
     weights the surviving paths by the heat kernel to (x_j, r_j), so the
     estimate is unbiased.
     """
-    xi, xj = cfg.xs[i], cfg.xs[j]
+    xi, xj = spec.xs[i], spec.xs[j]
     bounds = {}
-    for a, b in cfg.wedges:
+    for a, b in spec.wedges:
         if xi < a < xj:
             bounds[a] = (b, bounds.get(a, (-np.inf, np.inf))[1])
-    for xn, rn in zip(cfg.xs, cfg.rs):
+    for xn, rn in zip(spec.xs, spec.rs):
         if xi < xn < xj:
             bounds[xn] = (bounds.get(xn, (-np.inf, np.inf))[0], rn)
     rng = np.random.default_rng(seed)
-    pos = np.full(n_paths, float(cfg.rs[i]))
+    pos = np.full(n_paths, float(spec.rs[i]))
     alive = np.ones(n_paths, dtype=bool)
     prev_x = xi
     for x, (lo, hi) in sorted(bounds.items()):
@@ -36,7 +36,7 @@ def mc_bridge_density(cfg, i, j, n_paths=100_000, seed=0):
         alive &= (pos >= lo) & (pos <= hi)
         prev_x = x
     d = xj - prev_x
-    heat = np.exp(-(pos - cfg.rs[j]) ** 2 / (4.0 * d)) / np.sqrt(4.0 * np.pi * d)
+    heat = np.exp(-(pos - spec.rs[j]) ** 2 / (4.0 * d)) / np.sqrt(4.0 * np.pi * d)
     w = np.where(alive, heat, 0.0)
     return float(np.mean(w)), float(np.std(w) / np.sqrt(n_paths))
 
@@ -46,38 +46,36 @@ def mc_bridge_density(cfg, i, j, n_paths=100_000, seed=0):
     ((0.0, 1.0), (0.0,), ((0.0, 0.0),), "rs must match xs"),
     ((0.0,), (0.0,), ((0.5, 0.0), (0.5, 1.0)), "wedge positions must be strictly increasing"),
 ], ids=["xs", "rs", "wedges"])
-def test_wedge_config_and_kernel_spec_share_layout_checks(xs, rs, wedges, message):
-    with pytest.raises(KernelDomainError, match=message):
-        scattering.WedgeConfig(wedges, xs, rs)
+def test_kernel_spec_layout_checks(xs, rs, wedges, message):
     with pytest.raises(KernelDomainError, match=message):
         KernelSpec("nw_fixed_point", 1.0, xs, rs, wedges)
 
 
 @pytest.fixture(scope="module")
-def cfg_single():
-    return scattering.WedgeConfig(((0.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
+def spec_single():
+    return KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (1.0, 1.2), ((0.0, 0.0),))
 
 
 class TestHitKernel:
     def test_wedge_outside_window(self):
-        cfg = scattering.WedgeConfig(((5.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
-        assert hit_kernel(cfg, 0, 1, 1.0, 1.0) == 0.0
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (1.0, 1.2), ((5.0, 0.0),))
+        assert hit_kernel(spec, 0, 1, 1.0, 1.0) == 0.0
 
-    def test_direct_quadrature_oracle(self, cfg_single):
-        val = hit_kernel(cfg_single, 0, 1, 1.0, 1.0)
+    def test_direct_quadrature_oracle(self, spec_single):
+        val = hit_kernel(spec_single, 0, 1, 1.0, 1.0)
         rule = panel_rule((-np.inf, 0.0), 200, 4.0)
         direct = np.sum(heat_kernel(1.0, 1.0, rule.nodes)
                         * heat_kernel(1.0, rule.nodes, 1.0) * rule.weights)
         assert abs(val - direct) < 1e-12
 
     def test_high_level_forces_hit(self):
-        cfg = scattering.WedgeConfig(((0.0, 8.0),), (-1.0, 1.0), (1.0, 1.2))
-        assert abs(hit_kernel(cfg, 0, 1, 1.0, 1.0)
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (1.0, 1.2), ((0.0, 8.0),))
+        assert abs(hit_kernel(spec, 0, 1, 1.0, 1.0)
                    - heat_kernel(2.0, 1.0, 1.0)) < 1e-8
 
-    def test_ordering_error(self, cfg_single):
+    def test_ordering_error(self, spec_single):
         with pytest.raises(scattering.OrderingError):
-            hit_kernel(cfg_single, 1, 0, 0.0, 0.0)
+            hit_kernel(spec_single, 1, 0, 0.0, 0.0)
 
 
 def _hit_chain(xi, xj, pos, lev, u, v):
@@ -103,11 +101,11 @@ def _hit_chain(xi, xj, pos, lev, u, v):
     return pre_u[:, None] * mat * pre_v[None, :]
 
 
-def inclusion_exclusion_hit(cfg, i, j, u, v):
+def inclusion_exclusion_hit(spec, i, j, u, v):
     """P^{Hit} as the alternating sum over the nonempty subsets of the
     wedges in [x_i, x_j] of chains with cutoffs (-inf, b]."""
-    xi, xj = cfg.xs[i], cfg.xs[j]
-    inside = [w for w in cfg.wedges if xi <= w[0] <= xj]
+    xi, xj = spec.xs[i], spec.xs[j]
+    inside = [w for w in spec.wedges if xi <= w[0] <= xj]
     out = np.zeros((u.size, v.size))
     for n in range(1, len(inside) + 1):
         for subset in combinations(inside, n):
@@ -134,9 +132,9 @@ class TestKilledChain:
     def test_one_wedge_matches_mpmath(self, b, points):
         """hit is the mass of heat x heat over (-inf, b], no-hit the heat
         kernel minus it, both to rounding also far above b."""
-        cfg = scattering.WedgeConfig(((0.0, b),), (-1.0, 1.0), (0.0, 0.0))
-        hit = hit_kernel(cfg, 0, 1, points, points)
-        no_hit = no_hit_kernel(cfg, 0, 1, points, points)
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (0.0, 0.0), ((0.0, b),))
+        hit = hit_kernel(spec, 0, 1, points, points)
+        no_hit = no_hit_kernel(spec, 0, 1, points, points)
         with mp.workdps(30):
             for p, u in enumerate(map(mp.mpf, points)):
                 for q, v in enumerate(map(mp.mpf, points)):
@@ -155,19 +153,19 @@ class TestKilledChain:
     ], ids=["one", "two_at_xi", "two_at_xj", "three_at_both_ends",
             "three_interior", "outside_window"])
     def test_matches_inclusion_exclusion(self, wedges):
-        cfg = scattering.WedgeConfig(wedges, (-1.0, 1.0), (0.0, 0.0))
-        ref = inclusion_exclusion_hit(cfg, 0, 1, _POINTS, _POINTS)
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (0.0, 0.0), wedges)
+        ref = inclusion_exclusion_hit(spec, 0, 1, _POINTS, _POINTS)
         heat = heat_kernel(2.0, _POINTS[:, None], _POINTS[None, :])
-        hit = hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
-        no_hit = no_hit_kernel(cfg, 0, 1, _POINTS, _POINTS)
+        hit = hit_kernel(spec, 0, 1, _POINTS, _POINTS)
+        no_hit = no_hit_kernel(spec, 0, 1, _POINTS, _POINTS)
         assert np.max(np.abs(hit - ref)) < 1e-15
         assert np.max(np.abs(no_hit - (heat - ref))) < 1e-15
 
     def test_no_hit_between_zero_and_heat(self):
-        cfg = scattering.WedgeConfig(((-0.6, -0.4), (0.1, 0.3), (0.7, -1.0)),
-                                     (-1.0, 1.0), (0.0, 0.0))
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (0.0, 0.0),
+                          ((-0.6, -0.4), (0.1, 0.3), (0.7, -1.0)))
         u = np.linspace(-4.0, 4.0, 41)
-        no_hit = no_hit_kernel(cfg, 0, 1, u, u)
+        no_hit = no_hit_kernel(spec, 0, 1, u, u)
         heat = heat_kernel(2.0, u[:, None], u[None, :])
         assert np.all(no_hit >= 0.0)
         assert np.all(no_hit <= heat)
@@ -175,41 +173,41 @@ class TestKilledChain:
 
 class TestBridgeDensity:
     def test_free_case_is_heat(self):
-        cfg = scattering.WedgeConfig(((5.0, 0.0),), (-1.0, 1.0), (1.0, 1.2))
-        val = scattering.constrained_bridge_density(cfg, 0, 1)
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (1.0, 1.2), ((5.0, 0.0),))
+        val = scattering.constrained_bridge_density(spec, 0, 1)
         assert abs(val - heat_kernel(2.0, 1.0, 1.2)) < 1e-14
 
-    def test_monte_carlo_oracle_single_wedge(self, cfg_single):
-        quad = scattering.constrained_bridge_density(cfg_single, 0, 1)
-        est, se = mc_bridge_density(cfg_single, 0, 1, 100_000, seed=11)
+    def test_monte_carlo_oracle_single_wedge(self, spec_single):
+        quad = scattering.constrained_bridge_density(spec_single, 0, 1)
+        est, se = mc_bridge_density(spec_single, 0, 1, 100_000, seed=11)
         assert abs(quad - est) < 3.0 * se
 
     def test_monte_carlo_oracle_with_intermediate(self):
-        cfg = scattering.WedgeConfig(((-0.5, -0.3), (0.5, 0.1)),
-                                     (-1.0, 0.0, 1.0), (0.6, 0.8, 1.0))
-        quad = scattering.constrained_bridge_density(cfg, 0, 2)
-        est, se = mc_bridge_density(cfg, 0, 2, 100_000, seed=5)
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 0.0, 1.0), (0.6, 0.8, 1.0),
+                          ((-0.5, -0.3), (0.5, 0.1)))
+        quad = scattering.constrained_bridge_density(spec, 0, 2)
+        est, se = mc_bridge_density(spec, 0, 2, 100_000, seed=5)
         assert abs(quad - est) < 3.0 * se
 
     def test_impossible_constraint(self):
-        cfg = scattering.WedgeConfig(((0.0, 9.0),), (-1.0, 1.0), (1.0, 1.2))
-        assert scattering.constrained_bridge_density(cfg, 0, 1) < 1e-12
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (1.0, 1.2), ((0.0, 9.0),))
+        assert scattering.constrained_bridge_density(spec, 0, 1) < 1e-12
 
-    def test_density_bounded_by_heat(self, cfg_single):
-        val = scattering.constrained_bridge_density(cfg_single, 0, 1)
+    def test_density_bounded_by_heat(self, spec_single):
+        val = scattering.constrained_bridge_density(spec_single, 0, 1)
         assert 0.0 < val <= heat_kernel(2.0, 1.0, 1.2)
 
 
 class TestSmallTimeLimits:
-    def test_rk_limit_decreasing(self, cfg_single):
-        rows = scattering.rk_limit_check(cfg_single, (0.1, 0.05, 0.02, 0.01))
+    def test_rk_limit_decreasing(self, spec_single):
+        rows = scattering.rk_limit_check(spec_single, (0.1, 0.05, 0.02, 0.01))
         errs = [row["max_err"] for row in rows]
         assert all(np.diff(errs) < 0)
         assert errs[-1] < 5e-3
         assert all(row["max_lower_err"] < 1e-8 for row in rows)
 
-    def test_offdiagonal_sign(self, cfg_single):
-        rows = scattering.rk_limit_check(cfg_single, (0.02,))
+    def test_offdiagonal_sign(self, spec_single):
+        rows = scattering.rk_limit_check(spec_single, (0.02,))
         q = rows[0]["q"]
         assert q[0, 1] <= 0.0
 
@@ -238,8 +236,9 @@ class TestInitialDataDeterminant:
         spec = KernelSpec("nw_fixed_point", 1e-3, xs, rs, wedges)
         return fredholm.det_one_minus(fredholm.assemble(spec, 64))
 
-    def test_generic_levels(self, cfg_single):
-        assert abs(self.det(cfg_single.wedges, cfg_single.xs, cfg_single.rs) - 1.0) < 1e-8
+    def test_generic_levels(self, spec_single):
+        s = spec_single
+        assert abs(self.det(s.wedges, s.xs, s.rs) - 1.0) < 1e-8
 
     def test_observation_below_wedge(self):
         assert abs(self.det(((0.0, 0.5),), (-1.0, 0.0, 1.0), (1.0, -0.2, 1.2))) < 1e-8
@@ -284,8 +283,8 @@ class TestPathIntegral:
 
 class TestTwoWedgeLimit:
     def test_rk_limit_with_two_wedges(self):
-        cfg = scattering.WedgeConfig(((-0.4, -0.2), (0.5, 0.0)),
-                                     (-1.0, 1.0), (0.8, 1.0))
-        rows = scattering.rk_limit_check(cfg, (0.05, 0.02, 0.01))
+        spec = KernelSpec("nw_fixed_point", 1.0, (-1.0, 1.0), (0.8, 1.0),
+                          ((-0.4, -0.2), (0.5, 0.0)))
+        rows = scattering.rk_limit_check(spec, (0.05, 0.02, 0.01))
         errs = [row["max_err"] for row in rows]
         assert all(np.diff(errs) < 0) and errs[-1] < 5e-3
