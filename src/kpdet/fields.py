@@ -64,6 +64,8 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
         vals = mapper(lambda spec: value(assemble(BlockKernel(spec, rules), n_quad)), group)
         for i, v in zip(idx, vals):
             out[i] = v
+        # the next group's rules are built without this one's
+        del rules
     return np.array(out)
 
 

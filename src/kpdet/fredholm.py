@@ -7,15 +7,15 @@ sqrt(w_i) K(u_i, u_j) sqrt(w_j).  The boundary resolvent
     Q[a, b] = [(I - K)^(-1) K]_{ab}(0, 0)
 
 is evaluated through the resolvent identity R = K + K (I-K)^(-1) K, with the
-kernel evaluated directly at the boundary points (exact, no node
-extrapolation).  Its trace is the simultaneous-level logarithmic derivative
-of the determinant.
+kernel at the boundary point 0 exact (no node extrapolation): assembly
+evaluates each block on the quadrature nodes and 0 together and keeps the
+boundary row, column and corner.  The trace of Q is the simultaneous-level
+logarithmic derivative of the determinant.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,34 +38,39 @@ class SingularOperatorError(RuntimeError):
     """det(I - K) vanished where the resolvent was required."""
 
 
-@dataclass
 class Discretization:
-    """Assembled symmetric-scaled Nystrom matrix for det(I - K)."""
+    """Assembled symmetric-scaled Nystrom matrix for det(I - K), with the
+    kernel at the boundary point 0: row[a, (c, j)] = K_ac(0, u_j) sqrt(w_j),
+    col[(c, i), b] = sqrt(w_i) K_cb(u_i, 0) and corner[a, b] = K_ab(0, 0)."""
 
-    kernel: BlockKernel
-    rule: QuadRule
-    matrix: np.ndarray
+    def __init__(self, kernel, rule: QuadRule, matrix, row, col, corner):
+        self.kernel, self.rule, self.matrix = kernel, rule, matrix
+        self.row, self.col, self.corner = row, col, corner
 
 
 def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
-    """Assemble the scaled Nystrom matrix for a KernelSpec or BlockKernel."""
+    """Assemble the scaled Nystrom matrix for a KernelSpec or BlockKernel,
+    each block evaluated once, on the nodes and 0; only the matrix must be
+    finite."""
     if not (8 <= n_quad <= 512):
         raise ValueError("n_quad must lie in [8, 512]")
     kernel = (spec_or_kernel if hasattr(spec_or_kernel, "block")
               else BlockKernel(spec_or_kernel))
     rule = panel_rule((0.0, getattr(kernel.spec, "domain_cut", 0.0) or np.inf), n_quad, 4.0)
-    n = kernel.n_blocks
+    n, nq = kernel.n_blocks, n_quad
+    pts = np.append(rule.nodes, 0.0)
+    # ext[a, i, b, j] = K_ab(pts_i, pts_j); index nq is the boundary point
+    ext = np.block([[kernel.block(a, b, pts, pts) for b in range(n)]
+                    for a in range(n)]).reshape(n, nq + 1, n, nq + 1)
     sw = np.sqrt(rule.weights)
-    m = np.empty((n * n_quad, n * n_quad))
-    for a in range(n):
-        for b in range(n):
-            blk = kernel.block(a, b, rule.nodes, rule.nodes)
-            m[a * n_quad:(a + 1) * n_quad, b * n_quad:(b + 1) * n_quad] = (
-                sw[:, None] * blk * sw[None, :]
-            )
+    m = sw[:, None, None] * ext[:, :nq, :, :nq]
+    m *= sw
+    row = (ext[:, nq, :, :nq] * sw).reshape(n, n * nq)
+    col = (ext[:, :nq, :, nq] * sw[:, None]).reshape(n * nq, n)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("non-finite entries in Nystrom matrix")
-    return Discretization(kernel, rule, m)
+    return Discretization(kernel, rule, m.reshape(n * nq, n * nq), row, col,
+                          ext[:, nq, :, nq].copy())
 
 
 def _slogdet(disc: Discretization) -> tuple[float, float]:
@@ -91,29 +96,15 @@ def det_one_minus(disc: Discretization) -> float:
 def boundary_resolvent(disc: Discretization) -> np.ndarray:
     """Q[a,b] = K_ab(0,0) + sum_c int K_ac(0,s) [(I-K)^(-1)K]_cb(s,0) ds.
 
-    The boundary blocks come from the assembled kernel, so a factored
-    kernel reuses the factors it cached on the nodes and adds only those
-    at the boundary point 0.
+    The boundary row, column and corner come with the assembly, so the
+    resolvent evaluates no kernel: it is one solve against the column.
     """
     sign, logdet = _slogdet(disc)
     det = sign * np.exp(logdet)
     if abs(det) < 1e-12 or not np.isfinite(det):
         raise SingularOperatorError(f"det(I-K) = {det}: resolvent undefined")
-    kernel, rule, nq = disc.kernel, disc.rule, disc.rule.n
-    n = kernel.n_blocks
-    sw = np.sqrt(rule.weights)
-    zero = np.zeros(1)
-    # boundary rows/columns against the quadrature nodes
-    row = np.empty((n, n * nq))     # K_ac(0, u_j), scaled
-    col = np.empty((n * nq, n))     # K_cb(u_i, 0), scaled
-    k00 = np.empty((n, n))
-    for a in range(n):
-        for c in range(n):
-            row[a, c * nq:(c + 1) * nq] = kernel.block(a, c, zero, rule.nodes)[0] * sw
-            col[c * nq:(c + 1) * nq, a] = kernel.block(c, a, rule.nodes, zero)[:, 0] * sw
-            k00[a, c] = kernel.block(a, c, zero, zero)[0, 0]
-    resolv = np.linalg.solve(np.eye(n * nq) - disc.matrix, col)
-    return k00 + row @ resolv
+    resolv = np.linalg.solve(np.eye(disc.matrix.shape[0]) - disc.matrix, disc.col)
+    return disc.corner + disc.row @ resolv
 
 
 # ----------------------------------------------------------------------------

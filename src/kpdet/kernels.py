@@ -19,7 +19,8 @@ exponentials appearing at small t cancel analytically before exponentiation.
 The narrow-wedge blocks are factored kernels sum_p A_p R_p^T
 over the wedges p, A_p = L_p - sum_{q<p} A_q H_qp the left S-factor renewed
 by the weighted heat matrices H_qp; the factors are cached per kernel, and
-the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``).
+the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``);
+each A_p R_p^T is one product for all n^2 blocks, stacked over the levels.
 
 Both KPZ equation families integrate a Fermi factor on a ``fermi_rule`` in
 y; the points of a sweep share rules sized for its worst point (``sweep_rules``),
@@ -98,12 +99,11 @@ def _s_log_pm(t, x, u):
 # signed log-space matrices for S / heat / cutoff chains
 # ----------------------------------------------------------------------------
 
-@dataclass
 class LogMat:
     """Matrix stored as (log|entries|, sign)."""
 
-    logabs: np.ndarray
-    sign: np.ndarray
+    def __init__(self, logabs: np.ndarray, sign: np.ndarray):
+        self.logabs, self.sign = logabs, sign
 
     def to_linear(self) -> np.ndarray:
         with np.errstate(under="ignore"):
@@ -137,11 +137,12 @@ def log_matmul(a: LogMat, b: LogMat) -> LogMat:
     with np.errstate(under="ignore"):
         acc = ((a.sign * np.exp(a.logabs - ma[:, None]))
                @ (b.sign * np.exp(b.logabs - mb[None, :])))
-    mag = np.abs(acc)
-    with np.errstate(divide="ignore"):
-        logabs = ma[:, None] + mb[None, :] + np.log(mag)
     sign = np.sign(acc)
+    mag = np.abs(acc, out=acc)
     i, j = np.nonzero(mag < _SCALED_TINY)
+    logabs = ma[:, None] + mb[None, :]
+    with np.errstate(divide="ignore"):
+        logabs += np.log(mag, out=mag)
     if i.size:
         t = a.logabs[i] + b.logabs[:, j].T
         s = a.sign[i] * b.sign[:, j].T
@@ -300,29 +301,43 @@ def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
     # tail estimate: contribution of the deepest lambda node of the last
     # cutoff integral (node 0 of the half-line-down rule)
     tail = left.logabs[:, 0:1] + right_t.logabs[0:1, :]
-    live = np.isfinite(out.logabs) & np.isfinite(tail)
-    if np.any(tail[live] - out.logabs[live] > np.log(1e-12)):
+    with np.errstate(invalid="ignore"):
+        tail -= out.logabs
+    if np.any((tail > np.log(1e-12)) & np.isfinite(out.logabs)):
         raise QuadratureFailure(
             "cutoff integral tail above 1e-12 of the value: the cutoff rule "
             "does not resolve the integrand's decay")
     return out
 
 
-def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V,
-                           cache: dict | None = None) -> LogMat:
+def _stacked_part(spec: KernelSpec, cache: dict, left, right) -> LogMat:
+    """The scattering part of the levels and points (i, U) of left against
+    those (j, V) of right: per wedge p, one chain of the A_p stacked over
+    left and the R_p^T stacked over right.  log_matmul scales each row and
+    column by its own maximum, so each entry is that of its block's own
+    chain up to the BLAS summation order."""
+    def stack(mats, axis):
+        if len(mats) == 1:   # as it is: a copy would add to the peak memory
+            return mats[0]
+        return LogMat(np.concatenate([m.logabs for m in mats], axis),
+                      np.concatenate([m.sign for m in mats], axis))
+
+    return reduce(_log_add, (
+        _chain_logmat(stack([_renewed_left(spec, cache, p, i, U) for i, U in left], 0),
+                      stack([_s_factors(spec, cache, p, j, V)[1] for j, V in right], 1))
+        for p in range(len(spec.wedges))))
+
+
+def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V) -> LogMat:
     """log-space value of block (i, j) of e^{-x_i d^2} K_t e^{x_j d^2}:
     the sum over the wedges p of A_p R_p^T (``_renewed_left``).
 
     U, V are absolute coordinates (the level shifts r_i, r_j must already be
-    folded in by the caller).  cache keeps the factors of one spec between
-    calls (BlockKernel passes its own); without it they are built afresh.
+    folded in by the caller); the factors are built afresh on each call.
     """
     U = np.atleast_1d(np.asarray(U, dtype=float))
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    cache = {} if cache is None else cache
-    return reduce(_log_add, (_chain_logmat(_renewed_left(spec, cache, p, i, U),
-                                           _s_factors(spec, cache, p, j, V)[1])
-                             for p in range(len(spec.wedges))))
+    return _stacked_part(spec, {}, [(i, U)], [(j, V)])
 
 
 def flat_kernel(t, u, v):
@@ -641,12 +656,12 @@ class BlockKernel:
     block evaluator.
 
     rules are the ``sweep_rules`` of the sweep spec belongs to; without them
-    the spec is a one-point sweep.  nw_fixed_point and kpz_narrow_wedge keep
-    their factors in _factors, keyed by the points they were evaluated on,
-    and kpz_spiked keeps there the one SpikedKernel whose factor grids are
-    keyed by side and points, so each factor is computed once per kernel:
-    assembly evaluates them on the quadrature nodes and the boundary
-    resolvent reuses those, adding only the boundary point 0.
+    the spec is a one-point sweep.  Each factor is computed once per kernel
+    and kept in _factors, keyed by its points: nw_fixed_point keeps its
+    S-factors and, per (u, v), the scattering part of all n^2 blocks from
+    one stacked chain per wedge (``_stacked_part``), which ``block`` slices;
+    kpz_narrow_wedge its half factors; kpz_spiked the one SpikedKernel whose
+    factor grids are keyed by side and points.
     """
 
     def __init__(self, spec: KernelSpec, rules=None):
@@ -661,11 +676,16 @@ class BlockKernel:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if fam == "nw_fixed_point":
-            # the extended kernel: the scattering part at the levels, minus
-            # the heat kernel above the diagonal
-            U, V = u + spec.rs[a], v + spec.rs[b]
-            part = scattering_part_logmat(spec, a, b, U, V, self._factors).to_linear()
+            # the extended kernel: block (a, b) of the scattering part of all
+            # levels on (u + r_a, v + r_b), kept read-only, minus the heat
+            # kernel above the diagonal
+            full = _memo(self._factors, ("K", u.tobytes(), v.tobytes()), lambda: _stacked_part(
+                spec, self._factors, [(i, u + r) for i, r in enumerate(spec.rs)],
+                [(j, v + r) for j, r in enumerate(spec.rs)]).to_linear())
+            full.flags.writeable = False
+            part = full[a * u.size:(a + 1) * u.size, b * v.size:(b + 1) * v.size]
             if a < b:
+                U, V = u + spec.rs[a], v + spec.rs[b]
                 part = part - heat_kernel(spec.xs[b] - spec.xs[a], U[:, None], V[None, :])
             return part
         if fam == "flat_fixed_point":

@@ -180,18 +180,19 @@ def path_integral_determinant(t: float, xs, rs):
     ends = xs[:1] + xs[1:][-1:]
     spec_c = KernelSpec("nw_fixed_point", t, ends, (0.0,) * len(ends),
                         ((0.0, 0.0),), inner_n=64)
-    c_mat = scattering_part_logmat(spec_c, len(ends) - 1, 0, nodes, nodes).to_linear()
-    free = c_mat
-    chain = (nodes <= rs[-1]).astype(float)[:, None] * c_mat
+    # N x N results are updated in place where a new array would live
+    # alongside the old: this function sets the peak memory of its runs
+    free = scattering_part_logmat(spec_c, len(ends) - 1, 0, nodes, nodes).to_linear()
+    chain = (nodes <= rs[-1]).astype(float)[:, None] * free
     for k in range(m - 2, -1, -1):
-        hk = heat_kernel(xs[k + 1] - xs[k], nodes[:, None], nodes[None, :])
-        a_k = hk * weights[None, :]
+        a_k = heat_kernel(xs[k + 1] - xs[k], nodes[:, None], nodes[None, :])
+        a_k *= weights[None, :]
         free = a_k @ free
         chain = a_k @ chain
         if k > 0:
-            chain = (nodes <= rs[k]).astype(float)[:, None] * chain
-    chain = (nodes <= rs[0]).astype(float)[:, None] * chain
-    op = free - chain
+            chain *= (nodes <= rs[k]).astype(float)[:, None]
+    chain *= (nodes <= rs[0]).astype(float)[:, None]
+    op = np.subtract(free, chain, out=free)
     sw = np.sqrt(weights)
     sign, logdet = np.linalg.slogdet(np.eye(nodes.size) - sw[:, None] * op * sw[None, :])
     return float(sign * np.exp(logdet))

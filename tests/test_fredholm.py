@@ -146,8 +146,8 @@ class TestBoundaryResolvent:
         assert np.max(np.abs(q_disc - q)) < 1e-13
 
     def test_resolvent_reuses_assembly_factors(self, monkeypatch):
-        # after assembly only the boundary point 0 needs new Airy values:
-        # one cutoff rule (inner_n nodes) per observation point
+        # assembly evaluated the kernel at the boundary point 0 too, so the
+        # resolvent needs no new Airy values
         spec = KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
                           ((0.0, 0.0),))
         disc = fredholm.assemble(spec, 48)
@@ -160,11 +160,11 @@ class TestBoundaryResolvent:
 
         monkeypatch.setattr(kernels, "airy_ai_log_abs", counting)
         fredholm.boundary_resolvent(disc)
-        assert sum(points) == 2 * spec.inner_n
+        assert points == []
 
     def test_spiked_resolvent_reuses_assembly_factors(self, monkeypatch):
-        # after assembly only the boundary point 0 needs new factor grids,
-        # one per side, and the resolvent is the one of grids made afresh
+        # assembly made the factor grids on the nodes and 0 together, so the
+        # resolvent makes none, and it is the one of grids made afresh
         spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,))
         disc = fredholm.assemble(spec, 32)
         sizes = []
@@ -176,7 +176,7 @@ class TestBoundaryResolvent:
 
         monkeypatch.setattr(kernels.SpikedKernel, "_factor_grid", counting)
         q = fredholm.boundary_resolvent(disc)
-        assert sorted(sizes) == [("f", 1), ("g", 1)]
+        assert sizes == []
         monkeypatch.setattr(kernels, "_memo", lambda cache, key, make: make())
         assert np.array_equal(fredholm.boundary_resolvent(fredholm.assemble(spec, 32)), q)
 
@@ -198,6 +198,80 @@ class TestBoundaryResolvent:
             warnings.simplefilter("error")
             with pytest.raises(fredholm.SingularOperatorError):
                 fredholm.boundary_resolvent(disc)
+
+
+# (levels, wedges) of the narrow-wedge kernels whose blocks come from one
+# stacked chain per wedge
+STACKED_SPECS = {
+    "2pt-1w": KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8), ((0.0, 0.0),)),
+    "3pt-1w": KernelSpec("nw_fixed_point", 1.0, (-0.5, 0.1, 0.6), (0.2, 0.9, -0.3),
+                         ((0.0, 0.0),)),
+    "2pt-2w": KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
+                         ((-0.6, 0.1), (0.5, -0.2))),
+    "3pt-2w": KernelSpec("nw_fixed_point", 1.0, (-0.5, 0.1, 0.6), (0.2, 0.9, -0.3),
+                         ((-0.6, 0.1), (0.5, -0.2))),
+}
+
+
+class TestOneEvaluationPerAssembly:
+    @pytest.mark.parametrize("spec", STACKED_SPECS.values(), ids=STACKED_SPECS.keys())
+    def test_stacked_matrix_equals_per_block_chains(self, spec):
+        # every Nystrom entry equals its block's own chain: each row and
+        # column of the stack keeps its own scale.  Only the BLAS summation
+        # order may differ, since it depends on the product's shape (with 2
+        # levels the entries here are bitwise equal, with 3 a few differ by
+        # an ulp)
+        disc = fredholm.assemble(spec, 16)
+        nodes, sw = disc.rule.nodes, np.sqrt(disc.rule.weights)
+        n = len(spec.xs)
+        ref = np.empty_like(disc.matrix)
+        for a in range(n):
+            for b in range(n):
+                u, v = nodes + spec.rs[a], nodes + spec.rs[b]
+                blk = kernels.scattering_part_logmat(spec, a, b, u, v).to_linear()
+                if a < b:
+                    blk = blk - kernels.heat_kernel(spec.xs[b] - spec.xs[a],
+                                                    u[:, None], v[None, :])
+                ref[a * 16:(a + 1) * 16, b * 16:(b + 1) * 16] = sw[:, None] * blk * sw[None, :]
+        assert np.max(np.abs(disc.matrix - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_one_log_matmul_for_assembly_and_resolvent(self, monkeypatch):
+        # two levels, one wedge: one product A R^T for all four blocks on
+        # the nodes and 0
+        calls = []
+        log_matmul = kernels.log_matmul
+
+        def counted(a, b):
+            calls.append(a.logabs.shape[0])
+            return log_matmul(a, b)
+
+        monkeypatch.setattr(kernels, "log_matmul", counted)
+        fredholm.boundary_resolvent(fredholm.assemble(STACKED_SPECS["2pt-1w"], 16))
+        assert calls == [2 * 17]
+
+    @pytest.mark.parametrize("spec", [
+        STACKED_SPECS["2pt-2w"],
+        KernelSpec("flat_fixed_point", 1.0, (0.0,), (-1.0,)),
+        KernelSpec("kpz_narrow_wedge", 1.0, (0.1,), (1.0,)),
+        KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,)),
+    ], ids=["nw", "flat", "kpz", "spiked"])
+    def test_boundary_entries_are_the_kernel_at_zero(self, spec):
+        # the stored row, column and corner against each block evaluated
+        # at the boundary point 0 by a kernel of its own
+        disc = fredholm.assemble(spec, 16)
+        nodes, sw, zero = disc.rule.nodes, np.sqrt(disc.rule.weights), np.zeros(1)
+        kernel = BlockKernel(spec)
+        n = kernel.n_blocks
+        row = np.block([[kernel.block(a, b, zero, nodes) * sw for b in range(n)]
+                        for a in range(n)])
+        col = np.block([[kernel.block(a, b, nodes, zero) * sw[:, None] for b in range(n)]
+                        for a in range(n)])
+        corner = np.array([[kernel.block(a, b, zero, zero)[0, 0] for b in range(n)]
+                           for a in range(n)])
+        scale = np.max(np.abs(np.concatenate((row.ravel(), col.ravel(), corner.ravel()))))
+        assert scale > 1e-2
+        for got, ref in ((disc.row, row), (disc.col, col), (disc.corner, corner)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale
 
 
 class TestBracketIdentity:
