@@ -36,6 +36,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -170,11 +171,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _write_csv(path, header, rows):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    kinds = [tuple([isinstance(v, float) for v in row]) for row in rows]
-    fmts = {k: ",".join("%.17g" if f else "%s" for f in k) + "\n" for k in set(kinds)}
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([fmts[k] % tuple(row) for k, row in zip(kinds, rows)]))
+        # one % per run of consecutive rows whose values are of the same kinds
+        for kinds, run in groupby(rows, lambda row: [isinstance(v, float) for v in row]):
+            run = list(run)
+            fh.write((",".join("%.17g" if f else "%s" for f in kinds) + "\n") * len(run)
+                     % tuple(chain.from_iterable(run)))
 
 
 def _kernel_spec(cfg: ExperimentConfig, family: str, **placed) -> KernelSpec:

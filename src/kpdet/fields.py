@@ -8,7 +8,8 @@ and pass through finite-difference stencils without noise amplification:
 * kpz_narrow_wedge and kpz_spiked: the Fermi y-rule, and the spiked contour
   rules with every contour factor that does not depend on (t, x, r), are
   built once per sweep for its worst point; a spiked determinant adds only
-  a diagonal on the contour nodes.
+  a diagonal on the contour nodes, and a kpz_narrow_wedge one only its
+  Fermi weight on the Airy grid the sweep builds once per t.
 * the other families keep their node counts (Nystrom n, the spec's inner_n)
   fixed; the narrow-wedge cutoff map's scale ``kernels.INNER_SCALE *
   t^(1/3)`` moves smoothly with t, with no integer jumps.
@@ -49,8 +50,8 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     names the point and n_quad, unless the determinant is positive).  The
     specs of one family (and, for kpz_spiked, of one spikes and anchor)
     form a group with one set of rules (``kernels.sweep_rules``); the
-    groups are evaluated one after another, so only one group's rules are
-    held at a time.  mapper maps the per-point evaluation over a group's
+    groups are evaluated one after another, so only one group's rules, and
+    the factors kept on them, are held at a time.  mapper maps the per-point evaluation over a group's
     specs: the builtin map, or a thread pool's map (values do not change).
     """
     specs = list(specs)

@@ -23,8 +23,9 @@ the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``);
 each A_p R_p^T is one product for all n^2 blocks, stacked over the levels.
 
 Both KPZ equation families integrate a Fermi factor on a ``fermi_rule`` in
-y; the points of a sweep share rules sized for its worst point (``sweep_rules``),
-for kpz_spiked with every contour factor that does not depend on (t, x, r).
+y; the points of a sweep share rules sized for its worst point (``sweep_rules``)
+with the factors that do not depend on (x, r) for kpz_narrow_wedge, whose
+rule lies in y - r - x^2/t, or on (t, x, r) for the kpz_spiked contours.
 
 Blocks are shifted per observation point: entry (a, b) is evaluated at
 (u + r_a, v + r_b) and lives on L^2[0, inf).
@@ -48,6 +49,7 @@ __all__ = [
     "heat_kernel",
     "heat_kernel_log",
     "flat_kernel",
+    "KPZRules",
     "SpikedRules",
     "SpikedKernel",
     "BlockKernel",
@@ -139,11 +141,13 @@ def log_matmul(a: LogMat, b: LogMat) -> LogMat:
                @ (b.sign * np.exp(b.logabs - mb[None, :])))
     sign = np.sign(acc)
     mag = np.abs(acc, out=acc)
-    i, j = np.nonzero(mag < _SCALED_TINY)
+    tiny = mag < _SCALED_TINY
     logabs = ma[:, None] + mb[None, :]
     with np.errstate(divide="ignore"):
         logabs += np.log(mag, out=mag)
-    if i.size:
+    # finding the entries costs ten times the test; few products have any
+    if tiny.any():
+        i, j = np.nonzero(tiny)
         t = a.logabs[i] + b.logabs[:, j].T
         s = a.sign[i] * b.sign[:, j].T
         m = np.max(t, axis=1)
@@ -365,30 +369,54 @@ Y_HI = 36.0
 FERMI_FREQ = 4.5
 
 
-def fermi_rule(y_lo: float, freq: float, per_freq: float):
-    """Rule (y0, loc, nodes, logw) for int dy (1+e^y)^(-1) f(y) on [y_lo, Y_HI],
+def fermi_rule(y_lo: float, y_hi: float, freq: float, per_freq: float):
+    """Rule (y0, loc, nodes, logw) for int dy Fermi(y) f(y) on [y_lo, y_hi],
     f of frequency up to freq: equal panels about 8 wide sharing one Gauss
     base of per_freq * max(freq, FERMI_FREQ) nodes per unit length, so node
-    (p, k) is y0[p] + loc[k]; logw holds the Fermi factor.  Raises
-    KernelDomainError when a panel would need more than 512 nodes."""
-    span = Y_HI - y_lo
+    (p, k) is y0[p] + loc[k]; logw holds the log weights, to which the
+    caller adds its Fermi factor.  Raises KernelDomainError when a panel
+    would need more than 512 nodes."""
+    span = y_hi - y_lo
     n_panels = max(6, int(span / 8.0))
     per = int(per_freq * max(freq, FERMI_FREQ) * span / n_panels)
     if per > 512:
         raise KernelDomainError(f"Fermi y-rule of {per} > 512 nodes per panel: t too small or r too low")
     loc = panel_rule((0.0, span / n_panels), per)
-    y0 = np.linspace(y_lo, Y_HI, n_panels + 1)[:-1]
+    y0 = np.linspace(y_lo, y_hi, n_panels + 1)[:-1]
     y = (y0[:, None] + loc.nodes[None, :]).ravel()
-    return y0, loc.nodes, y, np.log(np.tile(loc.weights, n_panels)) - np.logaddexp(0.0, y)
+    return y0, loc.nodes, y, np.log(np.tile(loc.weights, n_panels))
 
 
-def kpz_nw_half_factor(spec: KernelSpec, pts, rule):
+class KPZRules:
+    """The y-rule of a kpz_narrow_wedge sweep, in y' = y - w with w = r + x^2/t.
+
+    The kernel is t^(-2/3) int dy' (1 + e^(y'+w))^(-1) Ai((u - y')/t^(1/3))
+    Ai((v - y')/t^(1/3)): the rule covers the union of the points' ranges,
+    and the points that share (t, pts) share one Airy grid, kept in ``airy``.
+    """
+
+    def __init__(self, specs):
+        t = np.array([s.t for s in specs])
+        w = np.array([s.rs[0] + s.xs[0] ** 2 / s.t for s in specs])
+        # Ai((u - y')/t^(1/3)) < 1e-9 for y' below min(w, 0) - w - 10 t^(1/3) at
+        # every u >= 0, and its frequency in y' is <= sqrt((Y_HI - min(w, 0))/t)
+        w0 = np.minimum(w, 0.0)
+        self.y0, self.loc, self.y, self.logw = fermi_rule(
+            np.min(w0 - 10.0 * np.cbrt(t) - w), Y_HI - np.min(w),
+            np.max(np.sqrt((Y_HI - w0) / t)), 0.75)
+        self.airy: dict = {}
+
+
+def kpz_nw_half_factor(spec: KernelSpec, pts, rules: KPZRules):
     """Matrix A[q, i] with K = A^T A for the KPZ narrow wedge kernel on the
-    ``fermi_rule`` of its sweep."""
-    t, x, r = spec.t, spec.xs[0], spec.rs[0]
-    _, _, y, logw = rule
-    arg = (pts[None, :] + r - y[:, None]) / np.cbrt(t) + x * x / np.cbrt(t ** 4)
-    return np.exp(0.5 * logw)[:, None] / np.cbrt(t) * airy_ai(arg)
+    ``KPZRules`` of its sweep: the sweep's Airy grid of (t, pts), built once
+    (on a thread pool at worst twice, with the same values), scaled by the
+    point's Fermi weight."""
+    ct = np.cbrt(spec.t)
+    grid = _memo(rules.airy, (spec.t, pts.tobytes()),
+                 lambda: airy_ai((pts[None, :] - rules.y[:, None]) / ct) / ct)
+    w = spec.rs[0] + spec.xs[0] ** 2 / spec.t
+    return np.exp(0.5 * (rules.logw - np.logaddexp(0.0, rules.y + w)))[:, None] * grid
 
 
 # ----------------------------------------------------------------------------
@@ -469,7 +497,8 @@ class SpikedRules:
         self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
         # twice kpz_narrow_wedge's nodes per frequency: with 0.75, log det at
         # (t, x, r) = (1.5, -1.35, -3) is 1e-12 off a doubled rule; with 1.5, 2e-13
-        self.y0, self.y_loc, self.fermi_nodes, self.fermi_logw = fermi_rule(self.y_lo, freq, 1.5)
+        self.y0, self.y_loc, self.fermi_nodes, logw = fermi_rule(self.y_lo, Y_HI, freq, 1.5)
+        self.fermi_logw = logw - np.logaddexp(0.0, self.fermi_nodes)
         self.mid = np.exp(self.fermi_nodes * (self.a_eta - self.a_xi) + self.fermi_logw)
         self._sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
                        "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
@@ -702,14 +731,9 @@ class BlockKernel:
 
 def sweep_rules(specs):
     """The rules the points of one sweep share, sized for its worst point:
-    ``SpikedRules`` for kpz_spiked points of one group_key, the y-rule for
+    ``SpikedRules`` for kpz_spiked points of one group_key, ``KPZRules`` for
     kpz_narrow_wedge points, None for the families whose rules do not
     depend on the point."""
-    if specs[0].family != "kpz_narrow_wedge":
-        return SpikedRules(specs) if specs[0].family == "kpz_spiked" else None
-    # with w = min(r + x^2/t, 0), Ai((u + w - y)/t^(1/3)) < 1e-9 for y below
-    # w - 10 t^(1/3) at every u >= 0, and its frequency in y is <= sqrt((Y_HI - w)/t)
-    w = [min(s.rs[0] + s.xs[0] ** 2 / s.t, 0.0) for s in specs]
-    return fermi_rule(min(wi - 10.0 * np.cbrt(s.t) for wi, s in zip(w, specs)),
-                      max(np.sqrt((Y_HI - wi) / s.t) for wi, s in zip(w, specs)), 0.75)
-
+    if specs[0].family == "kpz_narrow_wedge":
+        return KPZRules(specs)
+    return SpikedRules(specs) if specs[0].family == "kpz_spiked" else None

@@ -256,13 +256,14 @@ class KPSolver:
 def evolve_and_compare(phi_builder, t0: float, t1: float):
     """Embed a determinant field at t0, evolve under KP-II, compare at t1.
 
-    phi_builder(t, x_grid, r_grid) -> phi array of shape (n_x, n_r) on the
-    periodic box: 512 r points on the window [-8, 6] padded by 6 below and
-    3.5 above, and 64 x points on [-4.5, 4.5], stepped at the dt nearest
-    5e-3 that divides t1 - t0.  The comparison happens on the central 60%
-    of the window [-8, 6] x [-3, 3] in both directions; returns a dict with
-    the interior sup/L2 errors, the embedding metadata, and under "fields"
-    the interior rows [x, r, evolved phi, target phi, |difference|].
+    phi_builder(t, x_grid, r_grid) -> phi of shape (x_grid.size, r_grid.size)
+    is called at t0 on the periodic box (512 r points on the window [-8, 6]
+    padded by 6 below and 3.5 above, 64 x points on [-4.5, 4.5]), stepped at
+    the dt nearest 5e-3 that divides t1 - t0, and at t1 only where the two are
+    compared: the central 60% of the window [-8, 6] x [-3, 3] in both
+    directions.  Returns a dict with the interior sup/L2 errors, the
+    embedding metadata, and under "fields" the interior rows [x, r, evolved
+    phi, target phi, |difference|].
     """
     if t1 - t0 > 0.2 + 1e-12:
         raise ValueError("t1 - t0 must be <= 0.2")
@@ -284,13 +285,13 @@ def evolve_and_compare(phi_builder, t0: float, t1: float):
     phi0 = phi_raw * taper[None, :]
     phi_end = solver.evolve(phi0, n_steps) if n_steps else phi0
 
-    target = phi_builder(t1, x, r)
     r_span = window_r[1] - window_r[0]
     x_span = window_x[1] - window_x[0]
     mask_r = (r >= window_r[0] + 0.2 * r_span) & (r <= window_r[1] - 0.2 * r_span)
     mask_x = (x >= window_x[0] + 0.2 * x_span) & (x <= window_x[1] - 0.2 * x_span)
     interior = np.ix_(mask_x, mask_r)
-    diff = (phi_end - target)[interior]
+    target = phi_builder(t1, x[mask_x], r[mask_r])
+    diff = phi_end[interior] - target
     xi, ri = np.meshgrid(x[mask_x], r[mask_r], indexing="ij")
     return {
         "sup_error": float(np.max(np.abs(diff))),
@@ -302,6 +303,6 @@ def evolve_and_compare(phi_builder, t0: float, t1: float):
         "box_r": box_r,
         "interior_r": (float(ri[0, 0]), float(ri[0, -1])),
         "edge_taper_max_change": float(np.max(np.abs(phi0 - phi_raw)[interior])),
-        "fields": np.stack([xi, ri, phi_end[interior], target[interior], np.abs(diff)],
+        "fields": np.stack([xi, ri, phi_end[interior], target, np.abs(diff)],
                            axis=-1).reshape(-1, 5).tolist(),
     }

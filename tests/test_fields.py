@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kpdet import cli, fields, fredholm, painleve
+from kpdet import cli, fields, fredholm, kernels, painleve
 from kpdet.kernels import KernelSpec, SpikedRules, sweep_rules
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance"
@@ -50,26 +50,33 @@ def test_sweep_mixes_families_and_contour_groups():
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def acceptance_sweeps(monkeypatch, tmp_path, config):
+    """The spec lists of the sweeps one acceptance config asks for, in order."""
+    seen = []
+    sweep = fields.sweep
+
+    def spy(specs, *args, **kwargs):
+        seen.append(list(specs))
+        return sweep(seen[-1], *args, **kwargs)
+
+    monkeypatch.setattr(fields, "sweep", spy)
+    assert cli.main(["--config", str(CONFIG_DIR / f"{config}.cfg"),
+                     "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(fields, "sweep", sweep)
+    return seen
+
+
 @pytest.mark.parametrize("config, most", [("c04b_kp_kpz", 256), ("c07_cyl_kdv", 256),
                                           ("c13_spiked", 600)])
 def test_acceptance_sweeps_share_one_y_rule(tmp_path, monkeypatch, config, most):
     # the points of each sweep's group (one family, one spikes and anchor)
     # share one rules object, whose y-rule has at most `most` nodes and
-    # resolves every point: a kpz_narrow_wedge point's own y-rule starts no
-    # lower and has no more nodes per panel
-    seen = []
-    sweep = fields.sweep
-
-    def spy(specs, n_quad=64, value=fields._logdet, mapper=map):
-        specs, used = list(specs), []
-        sweep(specs, 8, lambda disc: used.append((disc.kernel.spec, disc.kernel.rules)) or 0.0)
-        seen.append(used)
-        return sweep(specs, n_quad, value, mapper)
-
-    monkeypatch.setattr(fields, "sweep", spy)
-    assert cli.main(["--config", str(CONFIG_DIR / f"{config}.cfg"),
-                     "--out", str(tmp_path)]) == 0
-    for used in seen:
+    # resolves every point: a kpz_narrow_wedge point's own y-rule (in
+    # y - r - x^2/t) lies inside it and has no more nodes per panel
+    seen = acceptance_sweeps(monkeypatch, tmp_path, config)
+    for specs in seen:
+        used = []
+        fields.sweep(specs, 8, lambda disc: used.append((disc.kernel.spec, disc.kernel.rules)) or 0.0)
         groups: dict = {}
         for s, r in used:
             groups.setdefault((s.family, s.spikes, s.contour_anchor), set()).add(id(r))
@@ -78,12 +85,35 @@ def test_acceptance_sweeps_share_one_y_rule(tmp_path, monkeypatch, config, most)
             if isinstance(r, SpikedRules):
                 assert r.fermi_nodes.size <= most
             else:
-                y0, loc, nodes, _ = r
-                own_y0, own_loc, _, _ = sweep_rules([s])
-                assert nodes.size <= most
-                assert own_y0[0] >= y0[0] and own_loc.size <= loc.size
+                own = sweep_rules([s])
+                assert r.y.size <= most
+                assert own.y0[0] >= r.y0[0] and own.loc.size <= r.loc.size
+                hi, own_hi = (q.y0[-1] + (q.y0[1] - q.y0[0]) for q in (r, own))
+                assert own_hi <= hi + 1e-12
     if config == "c04b_kp_kpz":
-        assert [len(used) for used in seen] == [17]
+        assert [len(specs) for specs in seen] == [17]
+
+
+def test_kpz_sweep_evaluates_one_airy_grid_per_t(tmp_path, monkeypatch):
+    # the 17 points of c04b's stencil share 3 values of t: (x, r) enter
+    # only the Fermi weight, so the sweep evaluates Ai once per t
+    specs, = acceptance_sweeps(monkeypatch, tmp_path, "c04b_kp_kpz")
+    calls = []
+    airy = kernels.airy_ai
+    monkeypatch.setattr(kernels, "airy_ai", lambda z: calls.append(z.shape) or airy(z))
+    fields.sweep(specs, 64)
+    assert len(specs) == 17 and len({s.t for s in specs}) == 3
+    assert len(calls) == 3
+
+
+def test_kpz_mixed_t_sweep_matches_one_point_sweeps():
+    # every point of a sweep over three t and spread (x, r) is its
+    # one-point sweep's value: the union y-rule changes only the rounding
+    specs = [KernelSpec("kpz_narrow_wedge", t, (x,), (r,))
+             for t in (0.5, 1.0, 2.0) for x, r in ((0.0, 0.5), (0.3, -2.0), (-0.6, 1.5))]
+    got = fields.sweep(specs, 64)
+    want = [fields.sweep([s], 64)[0] for s in specs]
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("t", [1.0, 1.1])

@@ -400,7 +400,7 @@ def doubled_y_rules():
     """Patch in the kernels' Fermi y-rules with twice the nodes per frequency."""
     rule = kernels.fermi_rule
     return mock.patch.object(kernels, "fermi_rule",
-                             lambda y_lo, freq, per_freq: rule(y_lo, freq, 2 * per_freq))
+                             lambda y_lo, y_hi, freq, per_freq: rule(y_lo, y_hi, freq, 2 * per_freq))
 
 
 def sweep_pair(spec):
@@ -419,9 +419,11 @@ class TestKPZNarrowWedge:
     @given(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(-3.0, 2.0))
     def test_log_det_converged_in_the_y_rule(self, t, x, r):
         specs = sweep_pair(KernelSpec("kpz_narrow_wedge", t, (x,), (r,)))
-        base = fields.sweep(specs, 64)
+        base, nodes = fields.sweep(specs, 64), kernels.sweep_rules(specs).y.size
         with doubled_y_rules():
             fine = fields.sweep(specs, 64)
+            # the patch reaches the rule the family integrates on
+            assert kernels.sweep_rules(specs).y.size >= 2 * nodes
         assert np.max(np.abs(base - fine)) <= 1e-14
 
     def test_symmetry(self):

@@ -320,6 +320,24 @@ class TestEvolveAndCompare:
         assert (rep["n_x"], rep["n_r"], rep["n_steps"]) == (64, 512, 2)
         assert rep["dt"] == (1.01 - 1.0) / 2
 
+    def test_target_is_built_on_the_interior_only(self):
+        # the t1 builder call gets only the compared points: x in [-1.8, 1.8],
+        # r in [-5.2, 3.2], each row and column of the report's table
+        grids = []
+
+        def builder(t, x, r):
+            grids.append((x, r))
+            return np.exp(-r[None, :] ** 2) * np.ones((x.size, 1))
+
+        rep = kpsolver.evolve_and_compare(builder, 1.0, 1.01)
+        (x0, r0), (x1, r1) = grids
+        assert (x0.size, r0.size) == (64, 512)
+        assert np.min(x1) >= -1.8 and np.max(x1) <= 1.8
+        assert np.min(r1) >= -5.2 and np.max(r1) <= 3.2
+        table = np.array(rep["fields"])
+        assert np.array_equal(np.unique(table[:, 0]), x1)
+        assert np.array_equal(np.unique(table[:, 1]), r1)
+
     def test_horizon_guard(self, hm_wide):
         with pytest.raises(ValueError):
             kpsolver.evolve_and_compare(

@@ -243,12 +243,15 @@ class TestPanelRule:
         assert np.allclose(w, ref.weights, rtol=1e-13, atol=0.0)
 
     def test_fermi_rule_matches_mpmath(self):
-        # a Fermi-weighted Gaussian on the rule for frequency 6 (t = 1)
-        _, _, y, logw = fermi_rule(-10.0, 6.0, 0.75)
+        # a Fermi-weighted Gaussian on the rule for frequency 6 (t = 1), laid
+        # in y' = y - w over [-10, Y_HI] - w as kpz_narrow_wedge lays it
+        w = 1.5
+        _, _, y, logw = fermi_rule(-10.0 - w, Y_HI - w, 6.0, 0.75)
         with mpmath.workdps(30):
             want = mpmath.quad(lambda y: mpmath.exp(-(y - 3) ** 2) / (1 + mpmath.exp(y)),
                                [-mpmath.inf, 3, mpmath.inf])
-        assert abs(np.sum(np.exp(logw - (y - 3.0) ** 2)) - float(want)) < 1e-15
+        got = np.sum(np.exp(logw - np.logaddexp(0.0, y + w) - (y + w - 3.0) ** 2))
+        assert abs(got - float(want)) < 1e-15
 
 
 class TestHalfLineConvergence:
