@@ -8,9 +8,9 @@ Sections: [run] (command, out, tolerance, threads, quad_n),
 h, nt, nx, nr, r_min, r_max, r_step).  ``_KINDS`` gives each key the one
 kind its value is parsed by: integer, number (finite or positive where
 the key needs it), string, number list or list of a:b pairs.
-A key outside its section's table, a value not of its key's kind, or a
-[kernel] or [grid] key the command does not read is a config error, so
-no key is silently ignored.
+A key outside its section's table or set twice, a section opened twice,
+a value not of its key's kind, or a [kernel] or [grid] key the command
+does not read is a config error, so no key is silently ignored.
 
 ``COMMANDS`` maps each command name to a private function of the config
 that returns its CSV header and rows, its report entries, ``worst`` (the
@@ -65,18 +65,16 @@ def _pair(raw):
     return _finite(a), _finite(b)
 
 
-# the kinds of config value, as (name, parse, format); parse raises
-# ValueError on a value not of the kind
-_INT = ("an integer", int, str)
-_COUNT = ("a positive integer", _checked(int, lambda v: v > 0), str)
-_NUM = ("a number", _checked(float, lambda v: not math.isnan(v)), repr)
-_FINITE = ("a finite number", _finite, repr)
-_STEP = ("a positive number", _checked(float, lambda v: 0 < v < math.inf), repr)
-_STR = ("a string", str, str)
-_NUMS = ("a list of numbers", lambda raw: tuple(map(_finite, raw.split(","))),
-         lambda v: ",".join(map(repr, v)))
-_PAIRS = ("a list of a:b pairs", lambda raw: tuple(map(_pair, raw.split(","))),
-          lambda v: ",".join(f"{a!r}:{b!r}" for a, b in v))
+# the kinds of config value, as (name, parse); parse raises ValueError on a
+# value not of the kind
+_INT = ("an integer", int)
+_COUNT = ("a positive integer", _checked(int, lambda v: v > 0))
+_NUM = ("a number", _checked(float, lambda v: not math.isnan(v)))
+_FINITE = ("a finite number", _finite)
+_STEP = ("a positive number", _checked(float, lambda v: 0 < v < math.inf))
+_STR = ("a string", str)
+_NUMS = ("a list of numbers", lambda raw: tuple(map(_finite, raw.split(","))))
+_PAIRS = ("a list of a:b pairs", lambda raw: tuple(map(_pair, raw.split(","))))
 
 # section -> key -> kind: every key a config can set
 _KINDS = {
@@ -124,19 +122,9 @@ class ExperimentConfig:
     kernel: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
-    def to_text(self) -> str:
-        run = {key: getattr(self, key) for key in _KINDS["run"]
-               if getattr(self, key) is not None}
-        lines = []
-        for name, sect in (("run", run), ("kernel", self.kernel), ("grid", self.grid)):
-            if sect:
-                lines.append(f"[{name}]")
-                lines.extend(f"{k} = {_KINDS[name][k][2](v)}" for k, v in sect.items())
-        return "\n".join(lines) + "\n"
-
 
 def parse_config(text: str) -> ExperimentConfig:
-    section = None
+    section, opened = None, set()
     data: dict = {name: {} for name in _KINDS}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -146,6 +134,9 @@ def parse_config(text: str) -> ExperimentConfig:
             section = line[1:-1].strip()
             if section not in data:
                 raise ConfigError(f"line {ln}: unknown section [{section}]")
+            if section in opened:
+                raise ConfigError(f"line {ln}: section [{section}] opened twice")
+            opened.add(section)
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key = value")
@@ -156,6 +147,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in kinds:
             raise ConfigError(f"line {ln}: [{section}] has no key {key!r}; its keys are "
                               + ", ".join(kinds))
+        if key in data[section]:
+            raise ConfigError(f"line {ln}: {key} set twice in [{section}]")
         try:
             data[section][key] = kinds[key][1](raw)
         except ValueError:

@@ -465,10 +465,9 @@ class SpikedRules:
         # the vertical eta contour needs t*anchor + x > 0 for Gaussian decay;
         # shift the anchor right for negative x (the eta side has no poles)
         self.a_eta = max(max(spec.contour_anchor, -s.xs[0] / s.t + 0.25) for s in specs)
+        # KernelSpec keeps the anchor right of every spike, so a_xi clears them
         self.a_xi = spec.contour_anchor + 0.5
-        if self.a_xi <= np.max(self.b):
-            raise KernelDomainError("xi anchor not right of all spikes")
-        if np.min(np.abs(self.a_eta - self.b)) < 1e-9 or np.min(np.abs(self.a_xi - self.b)) < 1e-9:
+        if np.min(np.abs(self.a_eta - self.b)) < 1e-9:
             raise KernelDomainError("contour anchor collides with a spike")
         # y range: Fermi weight kills y -> +inf, Airy decay of F kills y -> -inf
         self.y_lo = min(min(s.rs[0], 0.0) for s in specs) - 16.0
@@ -634,10 +633,6 @@ class SpikedKernel:
             raise KernelDomainError("spec is not a point of the rules' sweep")
         self.spec = spec
         self.rules = rules
-        self.t = spec.t
-        self.x = spec.xs[0]
-        self.r = spec.rs[0]
-        self._grids = {}
 
     def _factor_grid(self, pts, which):
         """Mantissa M[i, q] of F or G at w = pts[i] + r - y[q].
@@ -654,7 +649,8 @@ class SpikedKernel:
         """
         rows, side = self.rules.side(pts, which)
         z, zc, sgn = side["z"], side["zc"], side["sgn"]
-        c = side["gw"] * np.exp(sgn * (self.r * zc - self.t * z ** 3 / 3.0 - self.x * z * z))
+        t, x, r = self.spec.t, self.spec.xs[0], self.spec.rs[0]
+        c = side["gw"] * np.exp(sgn * (r * zc - t * z ** 3 / 3.0 - x * z * z))
         # the complex columns viewed as interleaved (Re, Im) pairs meet the
         # rows' (Im, Re) pairs: one real product gives the imaginary part
         vals = rows @ (side["e_loc"] * c[None, :]).view(np.float64).T
@@ -668,11 +664,9 @@ class SpikedKernel:
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        rules = self.rules
-        left = _memo(self._grids, ("f", u.tobytes()), lambda: self._factor_grid(u, "f")
-                     * np.exp(-(u + self.r) * rules.a_eta)[:, None])
-        right = _memo(self._grids, ("g", v.tobytes()), lambda: self._factor_grid(v, "g")
-                      * np.exp((v + self.r) * rules.a_xi)[:, None])
+        rules, r = self.rules, self.spec.rs[0]
+        left = self._factor_grid(u, "f") * np.exp(-(u + r) * rules.a_eta)[:, None]
+        right = self._factor_grid(v, "g") * np.exp((v + r) * rules.a_xi)[:, None]
         return (left * rules.mid[None, :]) @ right.T
 
 
@@ -689,8 +683,8 @@ class BlockKernel:
     and kept in _factors, keyed by its points: nw_fixed_point keeps its
     S-factors and, per (u, v), the scattering part of all n^2 blocks from
     one stacked chain per wedge (``_stacked_part``), which ``block`` slices;
-    kpz_narrow_wedge its half factors; kpz_spiked the one SpikedKernel whose
-    factor grids are keyed by side and points.
+    kpz_narrow_wedge its half factors; kpz_spiked the one SpikedKernel, whose
+    one ``matrix`` call builds each side's factor grid once.
     """
 
     def __init__(self, spec: KernelSpec, rules=None):

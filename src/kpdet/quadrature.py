@@ -77,8 +77,6 @@ def gauss_legendre(n: int) -> QuadRule:
     """Gauss-Legendre rule on [-1, 1]; 1 <= n <= 512."""
     if not (1 <= n <= 512):
         raise QuadratureSizeError(f"n={n} outside [1, 512]")
-    if n == 1:
-        return QuadRule(np.zeros(1), np.full(1, 2.0))
     x, w = _gl_nodes_weights(int(n))
     return QuadRule(x.copy(), w.copy())
 

@@ -494,8 +494,12 @@ class TestSpiked:
             assert abs(ds - dn) < tol
 
     def test_validation(self):
-        with pytest.raises(KernelDomainError):
+        # the anchor right of every spike keeps the xi anchor clear of them
+        with pytest.raises(KernelDomainError, match="right of all spikes"):
             KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.5,))
+        with pytest.raises(KernelDomainError, match="collides"):
+            SpikedRules([KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.3,),
+                                    contour_anchor=0.3 + 5e-10)])
         with pytest.raises(KernelDomainError):
             KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.1, 0.1))
         with pytest.raises(KernelDomainError):
@@ -532,13 +536,13 @@ def spiked_reference(sk, u, v):
     zx, wx = full(rules.xi_nodes, rules.xi_w)
     lg_e = sum(log_gamma(ze - b) for b in rules.b)
     lg_x = sum(log_gamma(zx - b) for b in rules.b)
-    f_base = np.exp(sk.t * ze ** 3 / 3 + sk.x * ze ** 2 - lg_e) * we
-    g_base = np.exp(-sk.t * zx ** 3 / 3 - sk.x * zx ** 2 + lg_x) * wx
+    f_base = np.exp(sk.spec.t * ze ** 3 / 3 + sk.spec.xs[0] * ze ** 2 - lg_e) * we
+    g_base = np.exp(-sk.spec.t * zx ** 3 / 3 - sk.spec.xs[0] * zx ** 2 + lg_x) * wx
     y = rules.fermi_nodes
     # one row of arguments w = u_i + r - y at a time keeps memory small
-    f = np.array([(np.exp(-np.outer(ui + sk.r - y, ze)) * f_base).sum(-1)
+    f = np.array([(np.exp(-np.outer(ui + sk.spec.rs[0] - y, ze)) * f_base).sum(-1)
                   for ui in u]) / (2j * np.pi)
-    g = np.array([(np.exp(np.outer(vj + sk.r - y, zx)) * g_base).sum(-1)
+    g = np.array([(np.exp(np.outer(vj + sk.spec.rs[0] - y, zx)) * g_base).sum(-1)
                   for vj in v]) / (2j * np.pi)
     fermi_w = np.exp(rules.fermi_logw)
     return np.sum(f.real[:, None, :] * g.real[None, :, :] * fermi_w, axis=2)
