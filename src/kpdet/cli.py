@@ -452,14 +452,14 @@ def _solve_kp(cfg):
     _checked_grid(cfg, {}, (), {})
     # line soliton at dt and 2 dt, whose error ratio checks the order
     # (2^4 = 16; measured 16.04), plus the determinant-field closure test
-    big_t, dt, n_x = 2.0, 1e-2, 1
-    err, coarse_err = (kpsolver.soliton_sup_error(h, n_x, big_t) for h in (dt, 2 * dt))
+    big_t, dt = 2.0, 1e-2
+    err, coarse_err = (kpsolver.soliton_sup_error(h, big_t) for h in (dt, 2 * dt))
     hm = painleve.hastings_mcleod()
     report = kpsolver.evolve_and_compare(
         lambda t, x, r: fields.phi_window_narrow_wedge(hm, t, x, r), 1.0, 1.1)
     table = report.pop("fields")
     report.update({"soliton_sup_error": err, "soliton_order_ratio": coarse_err / err,
-                   "soliton_n_x": n_x, "soliton_n_r": 512,
+                   "soliton_n_x": 1, "soliton_n_r": 512,
                    "soliton_n_steps": round(big_t / dt), "soliton_dt": dt})
     ok = err < 1e-6 and 15.5 <= report["soliton_order_ratio"] <= 16.5
     return (["x", "r", "phi_evolved", "phi_target", "abs_err"], table,

@@ -7,8 +7,8 @@ The equation
 is integrated with a fourth-order exponential (ETDRK4) scheme: the linear
 phase exp(dt (i k_r^3/12 - i k_x^2/(4 k_r))) is applied exactly, the
 nonlinear term -(1/2) d_r(phi^2) is dealiased by the 2/3 rule.  phi is
-real, so the state is its rfft2 half spectrum (k_r >= 0 columns only) and
-each stage costs one irfft2 and one rfft2 (on one row, irfft and rfft).
+real and even in x, so the state is the rows k_x >= 0 of its rfft-in-r
+spectrum, whose x transform is a cosine matrix (Boyd, ch. 8).
 
 Determinant-derived fields ride on a ramp (phi ~ r/(2t) as r -> -inf), so
 the plain zero-mean spectral antiderivative would misrepresent dr^{-1} by a
@@ -52,13 +52,12 @@ def soliton_profile(r, c):
     return 3.0 * c / np.cosh(np.sqrt(3.0 * c) * r) ** 2
 
 
-def soliton_sup_error(dt, n_x, big_t):
+def soliton_sup_error(dt, big_t):
     """Sup error at big_t of the line soliton soliton_profile(r, 0.5) on the
-    512-point box r in [-20, 20], x in [-0.5, 0.5] with n_x rows, after
+    512-point box r in [-20, 20], x in [-0.5, 0.5] with one row, after
     round(big_t / dt) steps of dt, against its exact periodic translate."""
-    solver = KPSolver((-20.0, 20.0), (-0.5, 0.5), 512, n_x, dt)
-    phi0 = np.broadcast_to(soliton_profile(solver.r, 0.5), (n_x, 512))
-    out = solver.evolve(phi0, round(big_t / dt))
+    solver = KPSolver((-20.0, 20.0), (-0.5, 0.5), 512, 1, dt)
+    out = solver.evolve(soliton_profile(solver.r, 0.5)[None, :], round(big_t / dt))
     ref = soliton_profile((solver.r - 0.5 * big_t + 20.0) % 40.0 - 20.0, 0.5)
     return float(np.max(np.abs(out - ref)))
 
@@ -94,24 +93,19 @@ def _etd_coeffs(lam, dt):
     return e_full, e_half, q_half, f1, f2, f3
 
 
-def _hermitian_part(z):
-    """fft(ifft(z).real) without the transforms: (z_k + conj(z_{-k mod n})) / 2."""
-    return 0.5 * (z + np.concatenate((z[:1], z[:0:-1])).conj())
-
-
 # The anchored dr^{-1} corrections, less their kr = 0 diagonal, are stepped
-# explicitly, with a gain of about S = kx_max^2 len_r dt / 4 per stage; up
-# to S = 40 the half- and full-spectrum formulations agree to 1e-13 of
-# max|.|, beyond it rounding grows with S (2e-12 at S = 100).
+# explicitly, with a gain of about S = kx_max^2 len_r dt / 4 per stage; up to
+# S = 40 even-half and full-spectrum steps agree to 1e-13 of max|.|; beyond,
+# rounding grows with S (1e-17 in rows kx != 0 became 0.035 in 100 steps at 101).
 _MAX_STEP_GAIN = 40.0
 
 
 class KPSolver:
-    """ETDRK4 stepper on a fixed periodic box, on the rfft2 half spectrum.
+    """ETDRK4 stepper on a fixed periodic box, for fields even in x.
 
-    step_gain is S = kx_max^2 len_r dt / 4; evolve refuses an x-dependent
-    field above S = 40, which bounds rounding; the solve-kp closure field
-    (S = 14.7 at dt = 5e-3) runs stably up to S = 39.9 (dt = 1.36e-2).
+    The field is kept on its rows x_0 .. x_{n_x // 2}, the state on the rows
+    kx >= 0 of its r-half spectrum.  The constructor refuses step_gain
+    S = kx_max^2 len_r dt / 4 > 40 (the closure's is 14.7, stable to 39.9).
     """
 
     def __init__(self, box_r, box_x, n_r, n_x, dt):
@@ -123,21 +117,23 @@ class KPSolver:
         self.r = self.r_lo + self.len_r * np.arange(n_r) / n_r
         self.x = self.x_lo + self.len_x * np.arange(n_x) / n_x
         self.dt = dt
-        self._rfft, self._irfft = ((fft.rfft, lambda a: fft.irfft(a, n_r)) if n_x == 1
-                                   else (fft.rfft2, lambda a: fft.irfft2(a, s=(n_x, n_r))))
         n_h = n_r // 2 + 1
-        # fftfreq's kr on the rfft columns: for even n_r the Nyquist column
-        # carries the negative frequency, as in the full spectrum (the
-        # linear operator is odd in kr)
+        # fftfreq's kr on the rfft columns: the Nyquist column of an even n_r
+        # takes the negative kr, as in the full spectrum (the operator is odd in kr)
         kr = 2.0 * np.pi * np.fft.fftfreq(n_r, d=self.len_r / n_r)[:n_h]
-        kx = 2.0 * np.pi * np.fft.fftfreq(n_x, d=self.len_x / n_x)
+        k = np.arange(n_x // 2 + 1)   # rows kx >= 0; only kx^2 enters
+        kx = 2.0 * np.pi * k / self.len_x
         self._kx2 = kx ** 2
-        self.step_gain = float(np.max(self._kx2) * self.len_r * dt / 4.0)
-        # the linear operator depends on kx through kx^2: its coefficients
-        # are evaluated on the rows kx >= 0 and shared with the rows -kx
-        kx2_u = self._kx2[:n_x // 2 + 1, None]
+        self.step_gain = float(self._kx2[-1] * self.len_r * dt / 4.0)
+        if self.step_gain > _MAX_STEP_GAIN:
+            raise ValueError(f"step gain {self.step_gain:.3g} above 40; reduce dt or n_x")
+        # the DFT in x of an even field folded onto rows k >= 0 (DCT-I for
+        # even n_x); rows 0 and n_x / 2 stand for one grid row, the others two
+        cos = np.cos(2.0 * np.pi * (np.outer(k, k) % n_x) / n_x)
+        self._cos = cos * np.where((k == 0) | (2 * k == n_x), 1.0, 2.0)
+        self._cos_inv = self._cos / n_x
         with np.errstate(divide="ignore", invalid="ignore"):
-            lin = 1j * kr ** 3 / 12.0 - 1j * kx2_u / (4.0 * kr)
+            lin = 1j * kr ** 3 / 12.0 - 1j * self._kx2[:, None] / (4.0 * kr)
         # anchored antiderivative machinery; the anchor row sits just below
         # the pseudo-ramp's return dip (top ~10% of the box)
         anchor_r = self.r_lo + 0.88 * self.len_r
@@ -146,19 +142,17 @@ class KPSolver:
         # the kr = 0 column of the pseudo-ramp correction is the diagonal
         # (kx^2/4) mean(pseudo_ramp) <= 0 (-1281 on the closure's Nyquist
         # row): stepped exactly here, so the ramp enters _nonlinear mean-free
-        lin[:, 0] = 0.25 * kx2_u[:, 0] * np.mean(self.pseudo_ramp)
+        lin[:, 0] = 0.25 * self._kx2 * np.mean(self.pseudo_ramp)
         self._ramp_hat = fft.rfft(self.pseudo_ramp)
         self._ramp_hat[0] = 0.0
-        rows = np.minimum(np.arange(n_x), n_x - np.arange(n_x))
-        (self.e_full, self.e_half, self.q_half, self.f1, f2, self.f3) = (
-            c[rows] for c in _etd_coeffs(dt * lin, dt))
+        self.e_full, self.e_half, self.q_half, self.f1, f2, self.f3 = _etd_coeffs(dt * lin, dt)
         self.two_f2 = 2.0 * f2
         # -(1/2) d_r with the 2/3 dealiasing mask
         mask_r = np.abs(kr) <= (2.0 / 3.0) * np.max(np.abs(kr))
-        mask_x = np.abs(kx) <= (2.0 / 3.0) * np.max(np.abs(kx)) if n_x > 3 else np.ones(n_x, bool)
+        mask_x = (kx <= (2.0 / 3.0) * kx[-1]) | (n_x <= 3)
         self._half_dr = (-0.5j * kr) * (mask_x[:, None] & mask_r[None, :])
         # irfft weights of the anchor row times 1/(i kr): the anchor row of
-        # dr^{-1} of a field with half spectrum Y is Re ifft_x(Y @ w)
+        # dr^{-1} of a field with half spectrum Y has cosine rows Re(Y @ w)
         w = 2.0 * np.exp(2j * np.pi * np.arange(n_h) * self._anchor_idx / n_r) / n_r
         if n_r % 2 == 0:
             w[-1] = (-1.0) ** self._anchor_idx / n_r
@@ -186,31 +180,33 @@ class KPSolver:
         ramp = ramp / slope
         return ramp - ramp[self._anchor_idx]
 
-    def _nonlinear(self, phi_hat, phi=None):
-        """-(1/2) d_r phi^2 plus the anchored-dr^{-1} corrections, in Fourier.
+    def _forward(self, phi):
+        """Half spectrum of the even field whose rows x_0 .. x_{n_x // 2} are phi."""
+        return fft.rfft(self._cos @ phi)
 
-        phi, if given, is irfft2(phi_hat).
-        """
+    def _inverse(self, v):
+        """Rows x_0 .. x_{n_x // 2} of the even field with half spectrum v."""
+        return self._cos_inv @ fft.irfft(v, self.n_r)
+
+    def _nonlinear(self, phi_hat, phi=None):
+        """-(1/2) d_r phi^2 plus the anchored-dr^{-1} corrections, in Fourier
+        (phi, if given, is _inverse(phi_hat))."""
         if phi is None:
-            phi = self._irfft(phi_hat)
-        nl_hat = self._half_dr * self._rfft(phi * phi)
-        if self.n_x == 1:   # kx^2 = [0]: every correction below vanishes
-            return nl_hat
+            phi = self._inverse(phi_hat)
+        nl_hat = self._half_dr * self._forward(phi * phi)
         # corrections making dr^{-1}(phi_xx) anchored at the top row,
-        # -(1/4)(means (x) pseudo_ramp - a_anchor (x) 1): column means of
-        # phi_xx ride the pseudo-ramp, the mean-free spectral antiderivative
-        # is shifted to vanish at the anchor row
-        # (both are real in x, so they enter through the Hermitian part
-        # in x of their spectra; -kx^2 is even in kx and commutes with it)
-        means_hat = _hermitian_part(-self._kx2 * phi_hat[:, 0]) / self.n_r
-        anchor_hat = _hermitian_part(-self._kx2 * (phi_hat @ self._w_anchor))
+        # -(1/4)(means (x) pseudo_ramp - a_anchor (x) 1): column means of phi_xx
+        # ride the pseudo-ramp, the mean-free spectral antiderivative is shifted
+        # to vanish at the anchor row; both are real, so are their cosine rows
+        means_hat = (-self._kx2 * phi_hat[:, 0]).real / self.n_r
+        anchor_hat = (-self._kx2 * (phi_hat @ self._w_anchor)).real
         nl_hat -= 0.25 * means_hat[:, None] * self._ramp_hat
         nl_hat[:, 0] += (0.25 * self.n_r) * anchor_hat
         return nl_hat
 
     def step(self, v, phi=None):
         """One step of dt from the half spectrum v: (the new half spectrum,
-        its phi).  phi, if given, is irfft2(v) and saves that transform."""
+        its phi).  phi, if given, is _inverse(v) and saves that transform."""
         n0 = self._nonlinear(v, phi)
         # a = e_half v + q_half n0, b = e_half v + q_half na,
         # c = e_half a + q_half (2 nb - n0) and
@@ -237,20 +233,23 @@ class KPSolver:
         out += na
         nc *= self.f3
         out += nc
-        return out, self._irfft(out)
+        return out, self._inverse(out)
 
     def evolve(self, phi0: np.ndarray, n_steps: int) -> np.ndarray:
-        phi = phi0.astype(float)
-        if self.step_gain > _MAX_STEP_GAIN and np.any(phi != phi[:1]):
-            raise ValueError(f"step gain kx_max^2 len_r dt / 4 = {self.step_gain:.3g} "
-                             f"above {_MAX_STEP_GAIN:g} for an x-dependent field; "
-                             "reduce dt or n_x")
-        v = self._rfft(phi)
+        """phi0 of shape (n_x, n_r), even in x, after n_steps steps of dt."""
+        if n_steps < 0:
+            raise ValueError(f"n_steps = {n_steps} is negative")
+        mirror = np.minimum(np.arange(self.n_x), self.n_x - np.arange(self.n_x))
+        phi = np.asarray(phi0, dtype=float)
+        if not np.array_equal(phi, phi[mirror], equal_nan=True):
+            raise ValueError("phi0 is not even in x: phi0[k] != phi0[-k mod n_x]")
+        phi = phi[:self.n_x // 2 + 1]
+        v = self._forward(phi)
         for k in range(1, n_steps + 1):
             v, phi = self.step(v, phi)
             if np.max(np.abs(phi)) > 1e6:
                 raise BlowUpError(f"|phi| = {np.max(np.abs(phi)):.3g} at t={k * self.dt:.6g}")
-        return phi
+        return phi[mirror]
 
 
 def evolve_and_compare(phi_builder, t0: float, t1: float):
@@ -265,8 +264,8 @@ def evolve_and_compare(phi_builder, t0: float, t1: float):
     embedding metadata, and under "fields" the interior rows [x, r, evolved
     phi, target phi, |difference|].
     """
-    if t1 - t0 > 0.2 + 1e-12:
-        raise ValueError("t1 - t0 must be <= 0.2")
+    if not 0.0 <= t1 - t0 <= 0.2 + 1e-12:
+        raise ValueError(f"t1 - t0 = {t1 - t0:.6g} must lie in [0, 0.2]")
     window_r, window_x = (-8.0, 6.0), (-3.0, 3.0)
     pad_lo, pad_hi = 6.0, 3.5
     box_r = (window_r[0] - pad_lo, window_r[1] + pad_hi)
@@ -283,7 +282,7 @@ def evolve_and_compare(phi_builder, t0: float, t1: float):
 
     phi_raw = phi_builder(t0, x, r)
     phi0 = phi_raw * taper[None, :]
-    phi_end = solver.evolve(phi0, n_steps) if n_steps else phi0
+    phi_end = solver.evolve(phi0, n_steps)
 
     r_span = window_r[1] - window_r[0]
     x_span = window_x[1] - window_x[0]

@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from kpdet import fields, kpsolver, painleve
@@ -74,11 +74,16 @@ def test_etd_coeffs_match_closed_forms(sign):
 
 
 @pytest.mark.parametrize("n_x", [1, 4, 5, 64])
-def test_hermitian_part_is_fft_of_real_part(n_x):
-    rng = np.random.default_rng(n_x)
-    z = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
-    want = np.fft.fft(np.fft.ifft(z).real)
-    assert np.max(np.abs(kpsolver._hermitian_part(z) - want)) <= 1e-14 * np.max(np.abs(z))
+def test_cosine_pair_is_rfft2_of_even_field(n_x):
+    # the stepper's transforms act on the rows x_0 .. x_{n_x // 2} of a field
+    # even in x; forward is the rows kx >= 0 of its rfft2, inverse undoes it
+    solver = kpsolver.KPSolver((-10.0, 10.0), (-1.0, 1.0), 32, n_x, 1e-4)
+    half = np.random.default_rng(n_x).normal(size=(n_x // 2 + 1, 32))
+    full = half[np.minimum(np.arange(n_x), n_x - np.arange(n_x))]
+    want = np.fft.rfft2(full)[: n_x // 2 + 1]
+    got = solver._forward(half)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(solver._inverse(got) - half)) <= 1e-14 * np.max(np.abs(half))
 
 
 def full_spectrum_reference(solver):
@@ -134,15 +139,16 @@ def full_spectrum_reference(solver):
 # The anchored-dr^{-1} corrections (all but their kr = 0 diagonal) are
 # linear in phi but stepped explicitly, with a gain of about
 # S = kx_max^2 len_r dt / 4 per stage, and both formulations amplify their
-# rounding by it.  The boxes here keep S <= 50 (the solve-kp closure has
-# S = 14.7, its one-row soliton box S = 0); at
-# S ~ 100 the two drift apart by 2e-12 of max|.|.  n_x = 1 is the one-row
-# path, with transforms in r only.
+# rounding by it.  KPSolver refuses S > 40, so the draws keep S <= 40 (the
+# solve-kp closure has S = 14.7, its one-row soliton box S = 0); at S ~ 100
+# the two drift apart by 2e-12 of max|.|.  The fields are even in x, as the
+# stepper needs, and n_x = 1 and 5 are the trivial and the odd-size cases.
 @settings(max_examples=20, deadline=None)
-@given(n_x=st.sampled_from([1, 4, 16]), len_r=st.floats(10.0, 60.0),
+@given(n_x=st.sampled_from([1, 4, 5, 16]), len_r=st.floats(10.0, 60.0),
        len_x=st.floats(2.0, 10.0), dt=st.floats(1e-4, 5e-3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_half_spectrum_matches_full_spectrum(n_x, len_r, len_x, dt, seed):
+    assume((2.0 * np.pi * (n_x // 2) / len_x) ** 2 * len_r * dt / 4.0 <= 40.0)
     n_r = 64
     solver = kpsolver.KPSolver((-0.6 * len_r, 0.4 * len_r), (-len_x / 2, len_x / 2),
                                n_r, n_x, dt)
@@ -154,17 +160,20 @@ def test_half_spectrum_matches_full_spectrum(n_x, len_r, len_x, dt, seed):
               + 1j * rng.normal(size=(n_x, n_r // 2 + 1)))
              * np.exp(-0.5 * (kx ** 2 + (kr / 3.0) ** 2)))
     phi = np.fft.irfft2(modes, s=(n_x, n_r))
+    phi = 0.5 * (phi + phi[-np.arange(n_x) % n_x])    # its even part in x
     phi *= 2.0 / np.max(np.abs(phi))
     nonlinear, step = full_spectrum_reference(solver)
     v_full = np.fft.fft2(phi)
-    n_half = n_r // 2 + 1
+    # the rows kx >= 0 and columns kr >= 0 of the full spectrum
+    rows, n_half = n_x // 2 + 1, n_r // 2 + 1
+    v = solver._forward(phi[:rows])
 
-    want = nonlinear(v_full)[:, :n_half]
-    got = solver._nonlinear(np.fft.rfft2(phi))
+    want = nonlinear(v_full)[:rows, :n_half]
+    got = solver._nonlinear(v)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    want = step(v_full)[:, :n_half]
-    got = solver.step(np.fft.rfft2(phi))[0]
+    want = step(v_full)[:rows, :n_half]
+    got = solver.step(v)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -179,19 +188,32 @@ class TestStepper:
 
     @pytest.mark.parametrize("gain", [39.0, 41.0])
     def test_step_gain_guard(self, gain):
-        # n_x = 4 on a unit box: kx_max = 4 pi; len_r = 40
+        # n_x = 4 on a unit box: kx_max = 4 pi; len_r = 40.  The box is
+        # refused when it is built, whatever field it would step
         dt = 4.0 * gain / ((4.0 * np.pi) ** 2 * 40.0)
+        if gain > 40.0:
+            with pytest.raises(ValueError, match="step gain"):
+                kpsolver.KPSolver((-20.0, 20.0), (-0.5, 0.5), 64, 4, dt)
+            return
         solver = kpsolver.KPSolver((-20.0, 20.0), (-0.5, 0.5), 64, 4, dt)
         bump = 0.1 * np.exp(-solver.r ** 2)
         flat = np.broadcast_to(bump[None, :], (4, 64)).copy()
         wavy = flat * (1.0 + 0.5 * np.cos(2.0 * np.pi * solver.x))[:, None]
-        # the corrections vanish on x-independent fields, whatever the gain
-        solver.evolve(flat, 1)
-        if gain > 40.0:
-            with pytest.raises(ValueError, match="step gain"):
-                solver.evolve(wavy, 1)
-        else:
-            solver.evolve(wavy, 1)
+        for phi in (flat, wavy):
+            assert np.all(np.isfinite(solver.evolve(phi, 1)))
+
+    def test_odd_field_is_refused(self, monkeypatch):
+        solver = kpsolver.KPSolver((-10.0, 10.0), (-1.0, 1.0), 64, 4, 1e-2)
+        phi = np.exp(-solver.r ** 2)[None, :] * np.ones((4, 1))
+        phi[1] *= 1.5   # phi[1] != phi[-1]
+        monkeypatch.setattr(solver, "step", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="not even in x"):
+            solver.evolve(phi, 5)
+
+    def test_negative_step_count_is_refused(self):
+        solver = kpsolver.KPSolver((-10.0, 10.0), (-1.0, 1.0), 64, 4, 1e-2)
+        with pytest.raises(ValueError, match="n_steps"):
+            solver.evolve(np.zeros((4, 64)), -1)
 
     def test_zero_field(self):
         solver = kpsolver.KPSolver((-10, 10), (-1, 1), 128, 8, 1e-2)
@@ -199,7 +221,7 @@ class TestStepper:
         assert np.max(np.abs(out)) == 0.0
 
     def test_line_soliton(self):
-        assert kpsolver.soliton_sup_error(5e-3, 4, 2.0) < 1e-6
+        assert kpsolver.soliton_sup_error(5e-3, 2.0) < 1e-6
 
     def test_x_independent_soliton_needs_one_row(self):
         # the solve-kp soliton runs use n_x = 1: on 4 rows each row is the same
@@ -232,29 +254,30 @@ class TestStepper:
         assert abs(i1[1] - i0[1]) / T < 1e-8
 
     def test_fourth_order_in_time(self):
-        errs = [kpsolver.soliton_sup_error(dt, 4, 1.0) for dt in (1e-2, 5e-3)]
+        errs = [kpsolver.soliton_sup_error(dt, 1.0) for dt in (1e-2, 5e-3)]
         assert errs[0] / errs[1] >= 8.0
 
     def test_one_two_three_rescaling(self):
         # phi_a(t, x, r) = a^-2 phi(a^-3 t, a^-2 x, a^-1 r) maps solutions to
-        # solutions; verified on an x-independent Gaussian pulse (KdV slice)
+        # solutions; verified on an x-independent Gaussian pulse (KdV slice).
+        # The rescaled box has S = 101 on 4 rows, so it runs on one
         a, T, dt = 2.0, 0.4, 4e-3
         s1 = kpsolver.KPSolver((-20, 20), (-0.5, 0.5), 512, 4, dt)
         phi0 = 0.8 * np.exp(-0.25 * s1.r ** 2)
         out1 = s1.evolve(np.broadcast_to(phi0[None, :], (4, 512)).copy(),
                          int(T / dt))[0]
-        s2 = kpsolver.KPSolver((-40, 40), (-0.5, 0.5), 1024, 4, dt * a ** 3)
+        s2 = kpsolver.KPSolver((-40, 40), (-0.5, 0.5), 1024, 1, dt * a ** 3)
         phi0b = 0.8 * np.exp(-0.25 * (s2.r / a) ** 2) / a ** 2
-        out2 = s2.evolve(np.broadcast_to(phi0b[None, :], (4, 1024)).copy(),
-                         int(T / dt))[0]
+        out2 = s2.evolve(phi0b[None, :], int(T / dt))[0]
         interp = CubicSpline(s2.r, out2)
         mid = (np.abs(s1.r) < 15)
         err = np.max(np.abs(interp(a * s1.r[mid]) * a * a - out1[mid]))
         assert err < 5e-5
 
     def test_blow_up_guard(self):
-        solver = kpsolver.KPSolver((-5, 5), (-0.5, 0.5), 64, 4, 0.5)
-        bad = 1e4 * np.ones((4, 64)) * np.sin(solver.r)[None, :]
+        # one row: on 4 rows this box has S = 197, which is refused
+        solver = kpsolver.KPSolver((-5, 5), (-0.5, 0.5), 64, 1, 0.5)
+        bad = 1e4 * np.sin(solver.r)[None, :]
         with pytest.raises(kpsolver.BlowUpError):
             solver.evolve(bad, 50)
 
@@ -343,3 +366,16 @@ class TestEvolveAndCompare:
             kpsolver.evolve_and_compare(
                 lambda t, x, r: fields.phi_window_narrow_wedge(hm_wide, t, x, r),
                 1.0, 1.5)
+
+    def test_backward_horizon_is_refused(self):
+        # t1 < t0 would be a negative step count and a field never evolved
+        with pytest.raises(ValueError, match="t1 - t0"):
+            kpsolver.evolve_and_compare(
+                lambda t, x, r: np.exp(-r[None, :] ** 2) * np.ones((x.size, 1)), 1.0, 0.9)
+
+    def test_closure_table_is_even_in_x(self, closure):
+        # the stepper keeps the even half, so phi_evolved at x is the one at -x
+        table = np.array(closure["fields"])
+        grid = table.reshape(np.unique(table[:, 0]).size, -1, 5)
+        assert np.array_equal(grid[:, 0, 0], -grid[::-1, 0, 0])
+        assert np.array_equal(grid[:, :, 2], grid[::-1, :, 2])
