@@ -7,9 +7,9 @@ and pass through finite-difference stencils without noise amplification:
 
 * kpz_narrow_wedge and kpz_spiked: the Fermi y-rule, and the spiked contour
   rules with every contour factor that does not depend on (t, x, r), are
-  built once per sweep for its worst point; a spiked determinant adds only
-  a diagonal on the contour nodes, and a kpz_narrow_wedge one only its
-  Fermi weight on the Airy grid the sweep builds once per t.
+  built once per sweep for its worst point; a determinant adds only its
+  Fermi weight, on the F and G grids a spiked sweep builds once per (t, x)
+  or on the Airy grid a kpz_narrow_wedge sweep builds once per t.
 * the other families keep their node counts (Nystrom n, the spec's inner_n)
   fixed; the narrow-wedge cutoff map's scale ``kernels.INNER_SCALE *
   t^(1/3)`` moves smoothly with t, with no integer jumps.
@@ -36,10 +36,12 @@ def _logdet(disc) -> float:
     sign, logdet = log_det_one_minus(disc)
     if sign <= 0:
         s = disc.kernel.spec
+        cond = np.linalg.cond(np.eye(disc.matrix.shape[0]) - disc.matrix)
         raise FloatingPointError(
             f"non-positive determinant in a field sweep: {s.family} at t = {s.t:.6g}, "
             f"x = {', '.join(f'{v:.6g}' for v in s.xs)}, "
-            f"r = {', '.join(f'{v:.6g}' for v in s.rs)}, n = {disc.rule.n}")
+            f"r = {', '.join(f'{v:.6g}' for v in s.rs)}, n = {disc.rule.n}, "
+            f"cond(I - K) = {cond:.2g}")
     return logdet
 
 

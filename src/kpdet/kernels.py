@@ -25,7 +25,7 @@ each A_p R_p^T is one product for all n^2 blocks, stacked over the levels.
 Both KPZ equation families integrate a Fermi factor on a ``fermi_rule`` in
 y; the points of a sweep share rules sized for its worst point (``sweep_rules``)
 with the factors that do not depend on (x, r) for kpz_narrow_wedge, whose
-rule lies in y - r - x^2/t, or on (t, x, r) for the kpz_spiked contours.
+rule lies in y - r - x^2/t, or on r for kpz_spiked, whose rule lies in y - r.
 
 Blocks are shifted per observation point: entry (a, b) is evaluated at
 (u + r_a, v + r_b) and lives on L^2[0, inf).
@@ -434,21 +434,23 @@ class SpikedRules:
 
     * the vertical eta contour, anchored at the largest a_eta of the points,
     * the xi rays, anchored at a_xi = contour_anchor + 1/2,
-    * the Fermi y-rule (``fermi_rule``) and the log-Gamma offset.
+    * the Fermi y'-rule (``fermi_rule``) in y' = y - r, on the union of the
+      points' ranges, and the log-Gamma offset.
 
-    Each size (eta half-height, ray length, y range, y-panel node count) is
-    the largest any point asks for, and the rules do not jump between the
+    Each size (eta half-height, ray length, y' range, y'-panel node count)
+    is the largest any point asks for, and the rules do not jump between the
     points of a finite-difference stencil.  A point's own eta rule spends
     nodes at a rate proportional to its phase rate t s^2 + |w| up to its
     half-height; the shared eta panels follow the largest of these node
     rates at each height s (``eta_profiles``), so every point gets at least
     as many nodes on each stretch of the contour as from rules of its own
     (up to the 512-node panel cap).  With the rules and the Nystrom nodes
-    fixed, (t, x, r) enter only as a diagonal on the contour nodes; the
-    rest of each side's contour sum (Gamma factors times weights, the
-    ``exp(-y loc zc)`` grid and the ``(pts, panel)`` rows) is computed here
-    once.  A single spec is a one-point sweep.  Raises KernelDomainError
-    when the eta or xi rule keeps no nodes.
+    fixed, (t, x) enter the diagonal on the contour nodes, r only the Fermi
+    weight (``mid``): ``grids`` keeps the F and G grids of each (pts, t, x),
+    and the rest of each side's contour sum (Gamma factors times weights
+    and the ``exp(-y' loc zc)`` grid) is computed here once.  A single spec
+    is a one-point sweep.
+    Raises KernelDomainError when the eta or xi rule keeps no nodes.
     """
 
     def __init__(self, specs):
@@ -469,8 +471,10 @@ class SpikedRules:
         self.a_xi = spec.contour_anchor + 0.5
         if np.min(np.abs(self.a_eta - self.b)) < 1e-9:
             raise KernelDomainError("contour anchor collides with a spike")
-        # y range: Fermi weight kills y -> +inf, Airy decay of F kills y -> -inf
-        self.y_lo = min(min(s.rs[0], 0.0) for s in specs) - 16.0
+        # y'-rule on the union of the points' ranges [min(r, 0) - 16, Y_HI] - r:
+        # the Fermi weight kills y -> +inf, and F's Airy decay y -> -inf
+        self.y_lo = -16.0 - max(max(s.rs[0], 0.0) for s in specs)
+        self.y_hi = Y_HI - min(s.rs[0] for s in specs)
         sizes = [self._sizes(s) for s in specs]
         self.eta_profiles = [sz[:4] for sz in sizes]
         self.half_height, _, _, _, ray, freq = np.max(sizes, axis=0)
@@ -496,12 +500,18 @@ class SpikedRules:
         self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
         # twice kpz_narrow_wedge's nodes per frequency: with 0.75, log det at
         # (t, x, r) = (1.5, -1.35, -3) is 1e-12 off a doubled rule; with 1.5, 2e-13
-        self.y0, self.y_loc, self.fermi_nodes, logw = fermi_rule(self.y_lo, Y_HI, freq, 1.5)
-        self.fermi_logw = logw - np.logaddexp(0.0, self.fermi_nodes)
-        self.mid = np.exp(self.fermi_nodes * (self.a_eta - self.a_xi) + self.fermi_logw)
-        self._sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
-                       "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
-        self._rows: dict = {}
+        self.y0, self.y_loc, self.fermi_nodes, self.logw = fermi_rule(self.y_lo, self.y_hi, freq, 1.5)
+        self.sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
+                      "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
+        self.grids: dict = {}
+
+    def mid(self, r):
+        """Diagonal w'_q e^{y'_q (a_eta - a_xi)} / (1 + e^{y'_q + r}) of the point
+        at r, zero above the top y' = Y_HI - r of its own range: beyond it the
+        xi rays do not resolve G, whose error grows faster than Fermi falls."""
+        y = self.fermi_nodes
+        logw = np.where(y + r <= Y_HI, self.logw, -np.inf)
+        return np.exp(y * (self.a_eta - self.a_xi) + logw - np.logaddexp(0.0, y + r))
 
     @staticmethod
     def group_key(spec: KernelSpec):
@@ -511,10 +521,11 @@ class SpikedRules:
 
     def _sizes(self, spec):
         """(eta half-height H, t, |w| bound, eta nodes per unit phase of its
-        own rule, ray length, y-rule frequency) that the point spec asks for."""
-        t, x, r = spec.t, spec.xs[0], spec.rs[0]
-        w_min = min(r, 0.0) - Y_HI                # most negative argument
-        w_max = spec.domain_cut + r - self.y_lo   # most positive
+        own rule, ray length, y'-rule frequency) that the point spec asks for."""
+        t, x = spec.t, spec.xs[0]
+        # the arguments w = u - y' of F and G on the union y'-rule; the
+        # negative end stays at or below -Y_HI, as a point at r >= 0 asks
+        w_min, w_max = min(-self.y_hi, -Y_HI), spec.domain_cut - self.y_lo
         w_bound = max(abs(w_min), abs(w_max))
         # vertical eta rule: half-height from the decay profile, node count
         # from the total phase (rate s^2 + |w|)
@@ -557,37 +568,15 @@ class SpikedRules:
         return edges, count[-1]
 
     def _side(self, z, w, anchor, sgn):
-        """Point-independent factors of one contour: Gamma factors times
-        weights, and e_loc = exp(-sgn loc zc) on (loc, contour node)."""
+        """Point-independent factors of one contour: (z, zc = z - anchor, sgn,
+        anchor, Gamma factors times weights, e_loc = exp(-sgn loc zc) on
+        (y' loc, contour node))."""
         lg = np.zeros_like(z)
         for bk in self.b:
             lg = lg + log_gamma(z - bk)
-        gw = np.exp(sgn * (lg - self.lg_offset)) * w
         zc = z - anchor
-        return {"z": z, "zc": zc, "sgn": sgn, "gw": gw,
-                "e_loc": np.exp(-sgn * self.y_loc[:, None] * zc[None, :])}
-
-    def side(self, pts, which):
-        """Factors of side which ("f": eta, "g": xi) on the points pts.
-
-        Returns (rows, factors): rows holds exp(sgn pts zc) exp(-sgn y0 zc)
-        on (pts, panel) rows as interleaved (Im, Re) pairs per contour node,
-        computed once per sweep for each pts.
-        """
-        side = self._sides[which]
-        key = (which, pts.tobytes())
-        rows = self._rows.get(key)
-        if rows is None:
-            # kernels on a thread pool may build the same rows twice; either
-            # copy is the same array of values
-            zc, sgn = side["zc"], side["sgn"]
-            e_pts = np.exp(sgn * pts[:, None] * zc[None, :])
-            rows = np.empty((pts.size, self.y0.size, zc.size, 2))
-            for p, y0 in enumerate(self.y0):
-                lhs = e_pts * np.exp(-sgn * y0 * zc)[None, :]
-                rows[:, p, :, 0], rows[:, p, :, 1] = lhs.imag, lhs.real
-            rows = self._rows[key] = rows.reshape(-1, 2 * zc.size)
-        return rows, side
+        return (z, zc, sgn, anchor, np.exp(sgn * (lg - self.lg_offset)) * w,
+                np.exp(-sgn * self.y_loc[:, None] * zc[None, :]))
 
 
 def _ray_length(t, x, w_neg):
@@ -608,7 +597,10 @@ class SpikedKernel:
     with F the eta-side contour integral (entire, 1/Gamma factors, vertical
     contour) and G the xi-side one (Gamma factors, rays at +-2pi/3 anchored
     right of the spikes).  At m = 0 this reduces exactly to the narrow-wedge
-    generating-function kernel (F = G = Airy convolution kernel).
+    generating-function kernel (F = G = Airy convolution kernel).  In
+    y' = y - r it reads int dy' (1+e^(y'+r))^(-1) F(u-y') G(v-y'): (t, x)
+    enter the F and G grids, r only the Fermi weight, so the points of a
+    sweep at one (t, x) share one grid pair.
 
     Reading the double-contour form with the xi contour half a unit to the
     right of the eta contour instead differs from this by an identity
@@ -635,39 +627,55 @@ class SpikedKernel:
         self.rules = rules
 
     def _factor_grid(self, pts, which):
-        """Mantissa M[i, q] of F or G at w = pts[i] + r - y[q].
+        """Row-scaled mantissa M[i, q] e^{-pts[i] a_eta} of F, or
+        M[i, q] e^{pts[i] a_xi} of G, at w = pts[i] - y'[q].
 
         F(w) = M e^{-w a_eta} and G(w) = M e^{w a_xi}.  The contour's
-        exponential separates over (pts, y), and over the panels of the
-        y-rule, exp(c y) = exp(c y0_p) exp(c loc_k), so the contour sum is
-        one matmul with (pts, panel) rows and loc columns.  Only the
-        diagonal d = exp(sgn (r zc - t z^3/3 - x z^2)) on the contour nodes
-        depends on the point; it scales the loc columns.  The integrands are
-        real-analytic and the contours conjugate-symmetric, so the full
-        contour sum over 2 pi i is Im(upper half sum) / pi, taken as one
-        real product.
+        exponential separates over (pts, y'), and over the panels of the
+        y'-rule, exp(c y') = exp(c y0_p) exp(c loc_k), so the contour sum is
+        one matmul of (pts, panel) rows and loc columns scaled by the diagonal
+        exp(-sgn (t z^3/3 + x z^2)) on the contour nodes.  F and G are real,
+        so the sum over 2 pi i is Im(upper half sum) / pi, one real product.
+        The first call on pts builds the rows, and from them the grids of
+        every (t, x) of the sweep, kept on the rules (on a thread pool
+        perhaps twice, with the same values).
         """
-        rows, side = self.rules.side(pts, which)
-        z, zc, sgn = side["z"], side["zc"], side["sgn"]
-        t, x, r = self.spec.t, self.spec.xs[0], self.spec.rs[0]
-        c = side["gw"] * np.exp(sgn * (r * zc - t * z ** 3 / 3.0 - x * z * z))
-        # the complex columns viewed as interleaved (Re, Im) pairs meet the
-        # rows' (Im, Re) pairs: one real product gives the imaginary part
-        vals = rows @ (side["e_loc"] * c[None, :]).view(np.float64).T
-        return vals.reshape(pts.size, -1) / np.pi
+        rules = self.rules
+        z, zc, sgn, anchor, gw, e_loc = rules.sides[which]
+
+        def grids():
+            # (pts, panel) rows of exp(sgn pts zc) exp(-sgn y0 zc), (Im, Re) per node
+            e_pts = np.exp(sgn * pts[:, None] * zc[None, :])
+            rows = np.empty((pts.size, rules.y0.size, zc.size, 2))
+            for p, y0 in enumerate(rules.y0):
+                lhs = e_pts * np.exp(-sgn * y0 * zc)[None, :]
+                rows[:, p, :, 0], rows[:, p, :, 1] = lhs.imag, lhs.real
+            del e_pts, lhs      # before the columns: the build sets a sweep's peak memory
+            rows = rows.reshape(-1, 2 * zc.size)
+            out = {}
+            for t, x in dict.fromkeys((s.t, s.xs[0]) for s in rules.specs):
+                c = gw * np.exp(-sgn * (t * z ** 3 / 3.0 + x * z * z))
+                # the complex columns viewed as interleaved (Re, Im) pairs meet
+                # the rows' (Im, Re) pairs: one real product gives the imaginary part
+                vals = rows @ (e_loc * c[None, :]).view(np.float64).T
+                out[t, x] = vals.reshape(pts.size, -1) / np.pi
+                out[t, x] *= np.exp(sgn * pts * anchor)[:, None]
+            return out
+
+        return _memo(rules.grids, (which, pts.tobytes()), grids)[self.spec.t, self.spec.xs[0]]
 
     def matrix(self, u, v):
-        """Kernel matrix K(u_i, v_j) = int dy Fermi(y) F(u+r-y) G(v+r-y); real.
+        """Kernel matrix K(u_i, v_j) = int dy' Fermi(y' + r) F(u-y') G(v-y'); real.
 
-        The exponents of F and G separate over (u, y) and (v, y), so K is
-        the contraction (L diag(mid)) R^T of the row-scaled mantissas.
+        The exponents of F and G separate over (u, y') and (v, y'), so K is
+        the contraction (L diag(mid)) R^T of the row-scaled mantissas of the
+        sweep's grids at (t, x); r enters only the middle diagonal
+        ``rules.mid(r)``.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        rules, r = self.rules, self.spec.rs[0]
-        left = self._factor_grid(u, "f") * np.exp(-(u + r) * rules.a_eta)[:, None]
-        right = self._factor_grid(v, "g") * np.exp((v + r) * rules.a_xi)[:, None]
-        return (left * rules.mid[None, :]) @ right.T
+        left = self._factor_grid(u, "f") * self.rules.mid(self.spec.rs[0])[None, :]
+        return left @ self._factor_grid(v, "g").T
 
 
 # ----------------------------------------------------------------------------
@@ -684,7 +692,7 @@ class BlockKernel:
     S-factors and, per (u, v), the scattering part of all n^2 blocks from
     one stacked chain per wedge (``_stacked_part``), which ``block`` slices;
     kpz_narrow_wedge its half factors; kpz_spiked the one SpikedKernel, whose
-    one ``matrix`` call builds each side's factor grid once.
+    factor grids the sweep's rules keep for each (t, x).
     """
 
     def __init__(self, spec: KernelSpec, rules=None):

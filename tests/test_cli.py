@@ -554,15 +554,21 @@ class TestErrorContract:
         assert not out.exists()
 
     def test_non_positive_determinant_names_the_point(self, tmp_path, capsys):
-        # the flat kernel's Nystrom determinant at r = -7 needs n > 64
-        code, out = _run_main(
-            tmp_path, "[run]\ncommand = tail-fit\nquad_n = 48\n"
-            "[kernel]\nfamily = flat_fixed_point\n")
-        assert code == 2
-        assert capsys.readouterr().err.strip() == (
-            "numerical error: non-positive determinant in a field sweep: "
-            "flat_fixed_point at t = 1, x = 0, r = -7, n = 48")
-        assert not out.exists()
+        # the flat kernel's Nystrom determinant at r = -7 needs n > 64; the
+        # message names cond(I - K): about 7e8 at n = 48, where the rule is
+        # too coarse, and 4e13 at n = 64, at the rounding floor
+        for n, low, high in ((48, 1e8, 1e10), (64, 1e12, 1e15)):
+            code, out = _run_main(
+                tmp_path, "[run]\ncommand = tail-fit\n"
+                "[kernel]\nfamily = flat_fixed_point\n", "--quad-n", str(n))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            head, cond = err.strip().split(", cond(I - K) = ")
+            assert head == ("numerical error: non-positive determinant in a field sweep: "
+                            f"flat_fixed_point at t = 1, x = 0, r = -7, n = {n}")
+            assert low < float(cond) < high
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, lines", [
         ("det-eval", "r0 = -20.0\nnr = 2"),        # F_GUE reference below its interval

@@ -106,6 +106,36 @@ def test_kpz_sweep_evaluates_one_airy_grid_per_t(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+def test_spiked_sweeps_build_one_grid_pair_per_t_x(tmp_path, monkeypatch):
+    # c13's two sweeps evaluate 20 points at 7 distinct (t, x) per rules
+    # object: r enters only the Fermi weight, so each rules object builds
+    # one F and one G grid per (t, x) and keeps it for its other points
+    seen = acceptance_sweeps(monkeypatch, tmp_path, "c13_spiked")
+    grids = []
+    for specs in seen:
+        used = {}
+        fields.sweep(specs, 64, lambda disc: used.setdefault(id(disc.kernel.rules),
+                                                             disc.kernel.rules) and 0.0)
+        # one entry per grid built: a sweep's map runs its points one by one
+        grids += [key[0] for rules in used.values() for key, tx in rules.grids.items()
+                  for _ in tx]
+    distinct = sum(len({(SpikedRules.group_key(s), s.t, s.xs) for s in specs}) for specs in seen)
+    assert sum(map(len, seen)) == 20 and distinct == 7
+    assert grids.count("f") == grids.count("g") == 7 and len(grids) == 14
+
+
+def test_spiked_mixed_sweep_matches_one_point_sweeps():
+    # every point of a sweep over three t and spread (x, r) is its one-point
+    # sweep's value: the union y'-rule moves it only by rounding and by the
+    # xi rays' error in G at arguments below about -30 (1.0e-11 here at
+    # (t, x, r) = (0.9, 0, 0.5); 1.6e-14 on rays of 200 nodes per unit panel)
+    specs = [KernelSpec("kpz_spiked", t, (x,), (r,), spikes=(0.0,))
+             for t in (0.9, 1.2, 2.0) for x, r in ((0.0, 0.5), (0.3, -2.0), (0.6, 1.5))]
+    got = fields.sweep(specs, 64)
+    want = [fields.sweep([s], 64)[0] for s in specs]
+    assert np.max(np.abs(got - want)) <= 2e-11
+
+
 def test_kpz_mixed_t_sweep_matches_one_point_sweeps():
     # every point of a sweep over three t and spread (x, r) is its
     # one-point sweep's value: the union y-rule changes only the rounding

@@ -538,13 +538,15 @@ def spiked_reference(sk, u, v):
     lg_x = sum(log_gamma(zx - b) for b in rules.b)
     f_base = np.exp(sk.spec.t * ze ** 3 / 3 + sk.spec.xs[0] * ze ** 2 - lg_e) * we
     g_base = np.exp(-sk.spec.t * zx ** 3 / 3 - sk.spec.xs[0] * zx ** 2 + lg_x) * wx
-    y = rules.fermi_nodes
+    r = sk.spec.rs[0]
+    # the rule lies in y' = y - r
+    y = rules.fermi_nodes + r
     # one row of arguments w = u_i + r - y at a time keeps memory small
-    f = np.array([(np.exp(-np.outer(ui + sk.spec.rs[0] - y, ze)) * f_base).sum(-1)
+    f = np.array([(np.exp(-np.outer(ui + r - y, ze)) * f_base).sum(-1)
                   for ui in u]) / (2j * np.pi)
-    g = np.array([(np.exp(np.outer(vj + sk.spec.rs[0] - y, zx)) * g_base).sum(-1)
+    g = np.array([(np.exp(np.outer(vj + r - y, zx)) * g_base).sum(-1)
                   for vj in v]) / (2j * np.pi)
-    fermi_w = np.exp(rules.fermi_logw)
+    fermi_w = np.exp(rules.logw - np.logaddexp(0.0, y))
     return np.sum(f.real[:, None, :] * g.real[None, :, :] * fermi_w, axis=2)
 
 
@@ -586,7 +588,9 @@ def assert_resolves_every_point(swept, own):
         assert np.all(per >= (1.0 - 1e-6) * need)
         assert r.half_height <= swept.half_height
         assert abs(r.xi_nodes[-1] - r.a_xi) <= abs(swept.xi_nodes[-1] - swept.a_xi)
-        assert r.y_lo >= swept.y_lo and r.y_loc.size <= swept.y_loc.size
+        # the point's own y' = y - r range lies inside the shared one
+        assert swept.y_lo <= r.y_lo and r.y_hi <= swept.y_hi
+        assert r.y_loc.size <= swept.y_loc.size
         assert r.a_eta <= swept.a_eta
 
 

@@ -234,12 +234,12 @@ class TestPanelRule:
                                     spikes=(spike,))])
         y = k.fermi_nodes
         assert y.tobytes() == (k.y0[:, None] + k.y_loc[None, :]).ravel().tobytes()
-        # the shared-base form is the panel rule on equal-width panels, to
-        # rounding of the node positions
-        edges = np.linspace(k.y_lo, Y_HI, k.y0.size + 1)
+        # the shared-base form is the panel rule on equal-width panels of
+        # the point's y' = y - r range, to rounding of the node positions
+        edges = np.linspace(k.y_lo, Y_HI - r, k.y0.size + 1)
         ref = panel_rule(edges, k.y_loc.size)
         assert np.max(np.abs(y - ref.nodes)) <= 8 * np.spacing(np.max(np.abs(edges)))
-        w = np.exp(k.fermi_logw + np.logaddexp(0.0, y))
+        w = np.exp(k.logw)
         assert np.allclose(w, ref.weights, rtol=1e-13, atol=0.0)
 
     def test_fermi_rule_matches_mpmath(self):
