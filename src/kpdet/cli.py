@@ -262,8 +262,7 @@ def _tw_table(cfg):
     g = _checked_grid(cfg, {"r_min": -6.0, "r_max": 4.0, "r_step": 0.1}, (), {})
     hm = painleve.hastings_mcleod()
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
-    fgue = painleve.f_gue(r, hm)
-    fgoe = painleve.f_goe(r, hm)
+    fgue, fgoe = np.exp(painleve.log_f(r, hm))
     monotone = bool(np.all(np.diff(fgue) > 0) and np.all(np.diff(fgoe) > 0))
     return (["r", "f_gue", "f_goe"],
             list(zip(r.tolist(), fgue.tolist(), fgoe.tolist())),

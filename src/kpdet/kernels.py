@@ -612,16 +612,14 @@ class SpikedKernel:
     Both F and G are real by conjugate symmetry, so the assembled kernel is
     real and the determinant's imaginary part is identically zero.
 
-    rules are the SpikedRules of the sweep the spec belongs to; without
-    them the spec is a one-point sweep.
+    rules are the SpikedRules of the sweep the spec belongs to
+    (``SpikedRules((spec,))`` for a one-point sweep).
     """
 
-    def __init__(self, spec: KernelSpec, rules: SpikedRules | None = None):
+    def __init__(self, spec: KernelSpec, rules: SpikedRules):
         if spec.family != "kpz_spiked":
             raise KernelDomainError("expected a kpz_spiked spec")
-        if rules is None:
-            rules = SpikedRules((spec,))
-        elif not any(spec is s for s in rules.specs):
+        if not any(spec is s for s in rules.specs):
             raise KernelDomainError("spec is not a point of the rules' sweep")
         self.spec = spec
         self.rules = rules
@@ -644,14 +642,12 @@ class SpikedKernel:
         z, zc, sgn, anchor, gw, e_loc = rules.sides[which]
 
         def grids():
-            # (pts, panel) rows of exp(sgn pts zc) exp(-sgn y0 zc), (Im, Re) per node
-            e_pts = np.exp(sgn * pts[:, None] * zc[None, :])
-            rows = np.empty((pts.size, rules.y0.size, zc.size, 2))
-            for p, y0 in enumerate(rules.y0):
-                lhs = e_pts * np.exp(-sgn * y0 * zc)[None, :]
-                rows[:, p, :, 0], rows[:, p, :, 1] = lhs.imag, lhs.real
-            del e_pts, lhs      # before the columns: the build sets a sweep's peak memory
-            rows = rows.reshape(-1, 2 * zc.size)
+            # (pts, panel) rows w = exp(sgn pts zc) exp(-sgn y0 zc), turned in
+            # place into i conj(w), whose (Re, Im) pairs are w's (Im, Re)
+            w = np.exp(sgn * pts[:, None, None] * zc) * np.exp(-sgn * rules.y0[:, None] * zc)
+            np.conjugate(w, out=w)
+            w *= 1j
+            rows = w.reshape(-1, zc.size).view(np.float64)
             out = {}
             for t, x in dict.fromkeys((s.t, s.xs[0]) for s in rules.specs):
                 c = gw * np.exp(-sgn * (t * z ** 3 / 3.0 + x * z * z))

@@ -17,8 +17,8 @@ d_r log F -> 0: the mean-free part is inverted spectrally and shifted to
 vanish at the anchor row, and the per-column mean of phi_xx is carried by
 an explicit smooth pseudo-ramp that is exact over the trusted window and
 returns to periodicity inside the pads.  Both corrections are rank one in
-(x, r).  The stiff kr = 0 diagonal of the pseudo-ramp term is part of the
-exponential phase; the rest of both corrections is added in Fourier space.
+(x, r) and vanish at kx = 0.  The pseudo-ramp term's stiff kr = 0 diagonal is
+in the exponential phase; the rest is one real rank-two product in Fourier space.
 """
 
 from __future__ import annotations
@@ -143,22 +143,23 @@ class KPSolver:
         # (kx^2/4) mean(pseudo_ramp) <= 0 (-1281 on the closure's Nyquist
         # row): stepped exactly here, so the ramp enters _nonlinear mean-free
         lin[:, 0] = 0.25 * self._kx2 * np.mean(self.pseudo_ramp)
-        self._ramp_hat = fft.rfft(self.pseudo_ramp)
-        self._ramp_hat[0] = 0.0
         self.e_full, self.e_half, self.q_half, self.f1, f2, self.f3 = _etd_coeffs(dt * lin, dt)
         self.two_f2 = 2.0 * f2
         # -(1/2) d_r with the 2/3 dealiasing mask
         mask_r = np.abs(kr) <= (2.0 / 3.0) * np.max(np.abs(kr))
         mask_x = (kx <= (2.0 / 3.0) * kx[-1]) | (n_x <= 3)
         self._half_dr = (-0.5j * kr) * (mask_x[:, None] & mask_r[None, :])
-        # irfft weights of the anchor row times 1/(i kr): the anchor row of
-        # dr^{-1} of a field with half spectrum Y has cosine rows Re(Y @ w)
+        # the corrections are one rank-two product Re(-kx^2 Y R) S of a half
+        # spectrum Y: R's columns read the column means and the anchor row of
+        # dr^{-1} (the irfft weights w of that row over i kr); S lays them on
+        # -rfft(ramp)/4 (its kr = 0 entry is stepped above) and on kr = 0
         w = 2.0 * np.exp(2j * np.pi * np.arange(n_h) * self._anchor_idx / n_r) / n_r
         if n_r % 2 == 0:
             w[-1] = (-1.0) ** self._anchor_idx / n_r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._w_anchor = w / (1j * kr)
-        self._w_anchor[0] = 0.0
+        self._corr_r, self._corr_s = np.zeros((n_h, 2), complex), np.zeros((2, n_h), complex)
+        self._corr_r[0, 0], self._corr_s[1, 0] = 1.0 / n_r, 0.25 * n_r
+        self._corr_r[1:, 1] = w[1:] / (1j * kr[1:])
+        self._corr_s[0, 1:] = -0.25 * fft.rfft(self.pseudo_ramp)[1:]
 
     def _build_pseudo_ramp(self):
         """Periodic pseudo-ramp with slope 1 everywhere except a C-infinity
@@ -197,11 +198,9 @@ class KPSolver:
         # corrections making dr^{-1}(phi_xx) anchored at the top row,
         # -(1/4)(means (x) pseudo_ramp - a_anchor (x) 1): column means of phi_xx
         # ride the pseudo-ramp, the mean-free spectral antiderivative is shifted
-        # to vanish at the anchor row; both are real, so are their cosine rows
-        means_hat = (-self._kx2 * phi_hat[:, 0]).real / self.n_r
-        anchor_hat = (-self._kx2 * (phi_hat @ self._w_anchor)).real
-        nl_hat -= 0.25 * means_hat[:, None] * self._ramp_hat
-        nl_hat[:, 0] += (0.25 * self.n_r) * anchor_hat
+        # to vanish at the anchor row; both are real, so are their cosine rows,
+        # and both vanish on the row kx = 0
+        nl_hat[1:] += (-self._kx2[1:, None] * (phi_hat[1:] @ self._corr_r)).real @ self._corr_s
         return nl_hat
 
     def step(self, v, phi=None):

@@ -41,6 +41,7 @@ __all__ = [
     "hastings_mcleod",
     "f_gue",
     "f_goe",
+    "log_f",
     "log_f_gue",
     "log_f_goe",
 ]
@@ -142,8 +143,8 @@ def _airy_tails(R):
             -rule.integrate(airy_ai(rule.nodes)))
 
 
-def _log_f(s, hm: HMSolution):
-    """(log F_GUE(s), log F_GOE(s)), with s checked against [-L + 1, R - 1]."""
+def log_f(s, hm: HMSolution):
+    """(log F_GUE(s), log F_GOE(s)) from one quadrature, s in [-L + 1, R - 1]."""
     s = np.asarray(s, dtype=float)
     if np.any(s < hm.left + 1.0 - 1e-9) or np.any(s > hm.right - 1.0 + 1e-9):
         raise OutOfGridError(
@@ -161,7 +162,7 @@ def _log_f(s, hm: HMSolution):
 
 def log_f_gue(s, hm: HMSolution):
     """log F_GUE(s) = -int_s^R (u-s) q^2 du - Airy tail beyond R."""
-    return _log_f(s, hm)[0]
+    return log_f(s, hm)[0]
 
 
 def f_gue(s, hm: HMSolution):
@@ -176,7 +177,7 @@ def log_f_goe(s, hm: HMSolution):
     convention; our q ~ -Ai is its negative, hence the sign flip (verified
     against the flat-kernel determinant identity).
     """
-    return _log_f(s, hm)[1]
+    return log_f(s, hm)[1]
 
 
 def f_goe(s, hm: HMSolution):

@@ -227,13 +227,16 @@ def cylindrical_kdv_residual(value, t0, steps, dims) -> dict:
 def tail_slope_fit(r: np.ndarray, log_f: np.ndarray):
     """Least-squares fit of -log F against |r|^3 on the deepest 30% of r.
 
-    Returns (slope, r2).
+    Returns (slope, r2).  Raises InsufficientRangeError when r does not reach
+    -5 or fewer than 3 points fall in the window, which a line fits with r2 = 1.
     """
     r = np.asarray(r, dtype=float)
     if not np.any(r <= -5.0):
         raise InsufficientRangeError("tail fit needs r reaching -5")
     depth = np.min(r) + 0.3 * (np.max(r) - np.min(r))
     mask = r <= depth
+    if np.count_nonzero(mask) < 3:
+        raise InsufficientRangeError(f"tail fit needs 3 points in its window r <= {depth:.6g}")
     xfit = np.abs(r[mask]) ** 3
     yfit = -np.asarray(log_f)[mask]
     a = np.vstack([xfit, np.ones_like(xfit)]).T

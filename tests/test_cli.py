@@ -94,6 +94,15 @@ class TestMain:
         report = json.loads((out / "tw-table.json").read_text())
         assert report["passed"] is True
 
+    def test_tw_table_evaluates_the_painleve_integrals_once(self, tmp_path, monkeypatch):
+        # both columns come from one log_f call, so one set of Airy tails
+        from kpdet import painleve
+        calls = []
+        tails = painleve._airy_tails
+        monkeypatch.setattr(painleve, "_airy_tails", lambda R: calls.append(R) or tails(R))
+        code, _ = _run_main(tmp_path, GOOD_CONFIG)
+        assert code == 0 and len(calls) == 1
+
     def test_warnings_counted_not_printed(self, tmp_path):
         # F_GUE(-9) ~ 3e-27: det_one_minus warns that det(I - K) < 1e-14,
         # on a worker thread of det-eval's pool
@@ -532,6 +541,14 @@ class TestErrorContract:
         # the last value would otherwise win without a word
         code, out = _run_main(tmp_path, text)
         assert self._assert_config_error(capsys, code) == f"config error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["r_step = 0.5", "r_max = -6.9"])
+    def test_tail_fit_window_of_fewer_than_3_points_exit_2(self, tmp_path, capsys, grid):
+        # 2 and 1 points fall in the fit window, which a line fits with r2 = 1
+        code, out = _run_main(tmp_path, "[run]\ncommand = tail-fit\n"
+                              f"[kernel]\nfamily = nw_fixed_point\n[grid]\n{grid}\n")
+        assert "tail fit needs 3 points" in self._assert_config_error(capsys, code)
         assert not out.exists()
 
     @pytest.mark.parametrize("command, kernel", ARITHMETIC_ERRORS)

@@ -561,7 +561,7 @@ def test_spiked_matrix_matches_unfactored_sum(kw):
     args = {"xs": (0.0,), "rs": (0.0,), "spikes": (0.0,)}
     args.update(kw)
     spec = KernelSpec("kpz_spiked", 1.0, args.pop("xs"), args.pop("rs"), **args)
-    sk = SpikedKernel(spec)
+    sk = SpikedKernel(spec, SpikedRules((spec,)))
     u = panel_rule((0.0, spec.domain_cut), 8).nodes
     ref = spiked_reference(sk, u, u)
     assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -620,9 +620,11 @@ def test_spiked_rules_resolve_every_point_of_a_wide_t_range():
 
 def test_spiked_kernel_accepts_list_valued_spikes():
     spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=[0.0])
-    want = SpikedKernel(KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,)))
+    tuple_spec = KernelSpec("kpz_spiked", 1.0, (0.0,), (0.0,), spikes=(0.0,))
+    want = SpikedKernel(tuple_spec, SpikedRules((tuple_spec,)))
     u = np.array([0.0, 1.0])
-    assert np.array_equal(SpikedKernel(spec).matrix(u, u), want.matrix(u, u))
+    got = SpikedKernel(spec, SpikedRules((spec,)))
+    assert np.array_equal(got.matrix(u, u), want.matrix(u, u))
 
 
 def test_spiked_kernel_rejects_a_point_outside_its_sweep():

@@ -348,6 +348,13 @@ class TestTailFit:
         with pytest.raises(residuals.InsufficientRangeError):
             residuals.tail_slope_fit(np.array([-3.0, -2.0]), np.array([-1., -0.5]))
 
+    @pytest.mark.parametrize("r", [np.arange(-7.0, -4.9, 0.5), np.array([-7.0])],
+                             ids=["two_in_window", "one_point"])
+    def test_fewer_than_three_points_in_window(self, r):
+        # a line through one or two points fits with r2 = 1 whatever the data
+        with pytest.raises(residuals.InsufficientRangeError):
+            residuals.tail_slope_fit(r, np.cos(r))
+
 
 class TestStepHalving:
     def test_scalar_kp_halving(self, hm):
