@@ -559,10 +559,9 @@ def main(argv=None) -> int:
     import argparse     # only main parses argv; run and the library never do
     ap = argparse.ArgumentParser(prog="kpdet", description=__doc__)
     ap.add_argument("--config", required=True)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--threads", type=int, default=None)
-    ap.add_argument("--quad-n", type=int, default=None)
-    ap.add_argument("--tolerance", type=float, default=None)
+    flags = ("out", "threads", "quad_n", "tolerance")
+    for key in flags:
+        ap.add_argument("--" + key.replace("_", "-"))
     try:
         args = ap.parse_args(argv)
     except SystemExit:
@@ -570,12 +569,17 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+        for key in flags:   # each overrides its [run] key, parsed by its kind
+            kind, parse = _KINDS["run"][key]
+            raw = getattr(args, key)
+            try:
+                if raw is not None:
+                    setattr(cfg, key, parse(raw))
+            except ValueError:
+                raise ConfigError(f"--{key.replace('_', '-')} {raw} is not {kind}") from None
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for key in ("out", "threads", "quad_n", "tolerance"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
     try:
         code, paths = run(cfg)
     except (ConfigError, DomainError) as exc:

@@ -49,9 +49,9 @@ class Discretization:
 
 
 def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
-    """Assemble the scaled Nystrom matrix for a KernelSpec or BlockKernel,
-    each block evaluated once, on the nodes and 0; only the matrix must be
-    finite."""
+    """Assemble the scaled Nystrom matrix for a KernelSpec or BlockKernel
+    from one evaluation of the whole operator, on the nodes and 0; only the
+    matrix must be finite."""
     if not (8 <= n_quad <= 512):
         raise ValueError("n_quad must lie in [8, 512]")
     kernel = (spec_or_kernel if hasattr(spec_or_kernel, "block")
@@ -60,8 +60,7 @@ def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
     n, nq = kernel.n_blocks, n_quad
     pts = np.append(rule.nodes, 0.0)
     # ext[a, i, b, j] = K_ab(pts_i, pts_j); index nq is the boundary point
-    ext = np.block([[kernel.block(a, b, pts, pts) for b in range(n)]
-                    for a in range(n)]).reshape(n, nq + 1, n, nq + 1)
+    ext = kernel.block(pts, pts).reshape(n, nq + 1, n, nq + 1)
     sw = np.sqrt(rule.weights)
     m = sw[:, None, None] * ext[:, :nq, :, :nq]
     m *= sw

@@ -18,23 +18,24 @@ exponentials appearing at small t cancel analytically before exponentiation.
 
 The narrow-wedge blocks are factored kernels sum_p A_p R_p^T
 over the wedges p, A_p = L_p - sum_{q<p} A_q H_qp the left S-factor renewed
-by the weighted heat matrices H_qp; the factors are cached per kernel, and
-the k(k+1)/2 products are BLAS products of scaled mantissas (``log_matmul``);
-each A_p R_p^T is one product for all n^2 blocks, stacked over the levels.
+by the weighted heat matrices H_qp, built in one pass over the wedges per
+call; the k(k+1)/2 products are BLAS products of scaled mantissas
+(``log_matmul``); each A_p R_p^T is one product for all n^2 blocks, stacked
+over the levels.
 
 Both KPZ equation families integrate a Fermi factor on a ``fermi_rule`` in
 y; the points of a sweep share rules sized for its worst point (``sweep_rules``)
 with the factors that do not depend on (x, r) for kpz_narrow_wedge, whose
 rule lies in y - r - x^2/t, or on r for kpz_spiked, whose rule lies in y - r.
 
-Blocks are shifted per observation point: entry (a, b) is evaluated at
-(u + r_a, v + r_b) and lives on L^2[0, inf).
+``BlockKernel.block`` returns the whole operator; its blocks are shifted
+per observation point: block (a, b) is evaluated at (u + r_a, v + r_b) and
+lives on L^2[0, inf).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -232,34 +233,6 @@ def _memo(cache, key, make):
 INNER_SCALE = 4.0
 
 
-def _wedge_rules(spec: KernelSpec, cache):
-    """Cutoff rule on (-inf, b_p] of each wedge p, cached."""
-    def make():
-        scale = INNER_SCALE * np.cbrt(spec.t)
-        rules = []
-        for (a, b) in spec.wedges:
-            r = panel_rule((-np.inf, b), spec.inner_n, scale)
-            rules.append({"a": a, "nodes": r.nodes, "weights": r.weights})
-        return rules
-    return _memo(cache, "rules", make)
-
-
-def _s_factors(spec, cache, p, i, pts):
-    """(L, R^T) of point i and wedge p on the absolute points pts, cached.
-
-    L[k, q] = S[t, a_p - x_i](lam_q - pts_k) w_q (the cutoff weights folded
-    in) and R^T[q, k] = S[t, x_i - a_p](lam_q - pts_k), on the cutoff nodes
-    lam of wedge p; both come from one Airy evaluation.
-    """
-    def make():
-        rule = _wedge_rules(spec, cache)[p]
-        plus, minus, sg = _s_log_pm(spec.t, rule["a"] - spec.xs[i],
-                                    rule["nodes"][None, :] - pts[:, None])
-        left = LogMat(plus + np.log(rule["weights"])[None, :], sg)
-        return left, LogMat(minus.T, sg.T)
-    return _memo(cache, ("S", p, i, pts.tobytes()), make)
-
-
 def _log_add(a: LogMat, b: LogMat, sgn: float = 1.0) -> LogMat:
     """a + sgn b in signed log space."""
     m = np.maximum(a.logabs, b.logabs)
@@ -269,28 +242,6 @@ def _log_add(a: LogMat, b: LogMat, sgn: float = 1.0) -> LogMat:
     with np.errstate(divide="ignore"):
         return LogMat(np.where(np.isfinite(m), m_safe + np.log(np.abs(val)), -np.inf),
                       np.sign(val))
-
-
-def _renewed_left(spec, cache, p, i, pts):
-    """A_p = L_p - sum_{q<p} A_q H_qp on (pts, cutoff nodes of wedge p), cached.
-
-    H_qp, the heat kernel from wedge q's cutoff nodes to wedge p's with p's
-    weights, is built once per kernel.  Expanded, A_p is the alternating sum
-    of L H ... H over the wedge subsets that end at p.
-    """
-    def make():
-        rules = _wedge_rules(spec, cache)
-        rp = rules[p]
-        out = _s_factors(spec, cache, p, i, pts)[0]
-        for q, rq in enumerate(rules[:p]):
-            hk = _memo(cache, ("H", q, p), lambda: heat_kernel_log(
-                rp["a"] - rq["a"], rq["nodes"][:, None], rp["nodes"][None, :])
-                + np.log(rp["weights"])[None, :])
-            hit = log_matmul(_renewed_left(spec, cache, q, i, pts),
-                             LogMat(hk, np.ones_like(hk)))
-            out = _log_add(out, hit, -1.0)
-        return out
-    return _memo(cache, ("A", p, i, pts.tobytes()), make)
 
 
 def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
@@ -314,34 +265,67 @@ def _chain_logmat(left: LogMat, right_t: LogMat) -> LogMat:
     return out
 
 
-def _stacked_part(spec: KernelSpec, cache: dict, left, right) -> LogMat:
+def _stacked_part(spec: KernelSpec, left, right) -> LogMat:
     """The scattering part of the levels and points (i, U) of left against
-    those (j, V) of right: per wedge p, one chain of the A_p stacked over
-    left and the R_p^T stacked over right.  log_matmul scales each row and
-    column by its own maximum, so each entry is that of its block's own
-    chain up to the BLAS summation order."""
+    those (j, V) of right, in one pass over the wedges p in order.
+
+    Per wedge, on the cutoff rule on (-inf, b_p]: L[k, q] = S[t, a_p -
+    x_i](lam_q - U_k) w_q (the cutoff weights folded in) and R^T[q, k] =
+    S[t, x_j - a_p](lam_q - V_k) come from one Airy evaluation per distinct
+    (i, U), so equal left and right points share it; each left point's
+    A_p = L_p - sum_{q<p} A_q H_qp is renewed from its kept A_q by the heat
+    matrices H_qp from wedge q's cutoff nodes to p's, with p's weights (the
+    alternating sum of L H ... H over the wedge subsets that end at p); and
+    the term A_p R_p^T is one chain of the A_p stacked over left and the
+    R_p^T stacked over right.  log_matmul scales each row and column by its
+    own maximum, so each entry is that of its block's own chain up to the
+    BLAS summation order.  The terms are summed in wedge order.
+    """
     def stack(mats, axis):
         if len(mats) == 1:   # as it is: a copy would add to the peak memory
             return mats[0]
         return LogMat(np.concatenate([m.logabs for m in mats], axis),
                       np.concatenate([m.sign for m in mats], axis))
 
-    return reduce(_log_add, (
-        _chain_logmat(stack([_renewed_left(spec, cache, p, i, U) for i, U in left], 0),
-                      stack([_s_factors(spec, cache, p, j, V)[1] for j, V in right], 1))
-        for p in range(len(spec.wedges))))
+    scale = INNER_SCALE * np.cbrt(spec.t)
+    kept, total = [], None   # kept: (a_q, cutoff nodes, A_q of each left point)
+    for a, b in spec.wedges:
+        rule = panel_rule((-np.inf, b), spec.inner_n, scale)
+        logw = np.log(rule.weights)
+        factors = {}   # (i, points bytes) -> (L, R^T), one Airy evaluation each
+        for i, pts in left + right:
+            key = (i, pts.tobytes())
+            if key not in factors:
+                plus, minus, sg = _s_log_pm(spec.t, a - spec.xs[i],
+                                            rule.nodes[None, :] - pts[:, None])
+                factors[key] = LogMat(plus + logw[None, :], sg), LogMat(minus.T, sg.T)
+        heat = []
+        for aq, nodes_q, _ in kept:
+            hk = heat_kernel_log(a - aq, nodes_q[:, None], rule.nodes[None, :]) + logw[None, :]
+            heat.append(LogMat(hk, np.ones_like(hk)))
+        renewed = []
+        for k, (i, U) in enumerate(left):
+            out = factors[i, U.tobytes()][0]
+            for (_, _, prev), hk in zip(kept, heat):
+                out = _log_add(out, log_matmul(prev[k], hk), -1.0)
+            renewed.append(out)
+        term = _chain_logmat(stack(renewed, 0),
+                             stack([factors[j, V.tobytes()][1] for j, V in right], 1))
+        total = term if total is None else _log_add(total, term)
+        kept.append((a, rule.nodes, renewed))
+    return total
 
 
 def scattering_part_logmat(spec: KernelSpec, i: int, j: int, U, V) -> LogMat:
     """log-space value of block (i, j) of e^{-x_i d^2} K_t e^{x_j d^2}:
-    the sum over the wedges p of A_p R_p^T (``_renewed_left``).
+    the sum over the wedges p of A_p R_p^T (``_stacked_part``).
 
     U, V are absolute coordinates (the level shifts r_i, r_j must already be
-    folded in by the caller); the factors are built afresh on each call.
+    folded in by the caller).
     """
     U = np.atleast_1d(np.asarray(U, dtype=float))
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    return _stacked_part(spec, {}, [(i, U)], [(j, V)])
+    return _stacked_part(spec, [(i, U)], [(j, V)])
 
 
 def flat_kernel(t, u, v):
@@ -374,11 +358,16 @@ def fermi_rule(y_lo: float, y_hi: float, freq: float, per_freq: float):
     f of frequency up to freq: equal panels about 8 wide sharing one Gauss
     base of per_freq * max(freq, FERMI_FREQ) nodes per unit length, so node
     (p, k) is y0[p] + loc[k]; logw holds the log weights, to which the
-    caller adds its Fermi factor.  Raises KernelDomainError when a panel
-    would need more than 512 nodes."""
+    caller adds its Fermi factor.  Raises KernelDomainError, before any
+    array is built, when the rule would hold fewer than 6 or more than 32768
+    nodes, or a panel more than 512."""
     span = y_hi - y_lo
+    count = per_freq * max(freq, FERMI_FREQ) * span
+    if not 6 <= count <= 32768:
+        raise KernelDomainError(
+            f"Fermi y-rule of {count:.3g} nodes outside [6, 32768]: t or r out of range")
     n_panels = max(6, int(span / 8.0))
-    per = int(per_freq * max(freq, FERMI_FREQ) * span / n_panels)
+    per = int(count / n_panels)
     if per > 512:
         raise KernelDomainError(f"Fermi y-rule of {per} > 512 nodes per panel: t too small or r too low")
     loc = panel_rule((0.0, span / n_panels), per)
@@ -679,51 +668,47 @@ class SpikedKernel:
 # ----------------------------------------------------------------------------
 
 class BlockKernel:
-    """n x n operator-valued kernel of spec, n = len(spec.xs), with a uniform
-    block evaluator.
+    """n x n operator-valued kernel of spec, n = len(spec.xs), evaluated
+    whole by ``block``.
 
     rules are the ``sweep_rules`` of the sweep spec belongs to; without them
-    the spec is a one-point sweep.  Each factor is computed once per kernel
-    and kept in _factors, keyed by its points: nw_fixed_point keeps its
-    S-factors and, per (u, v), the scattering part of all n^2 blocks from
-    one stacked chain per wedge (``_stacked_part``), which ``block`` slices;
-    kpz_narrow_wedge its half factors; kpz_spiked the one SpikedKernel, whose
-    factor grids the sweep's rules keep for each (t, x).
+    the spec is a one-point sweep.  Nothing is kept between calls:
+    nw_fixed_point builds its S-factors and the scattering part of all n^2
+    blocks in one pass over the wedges (``_stacked_part``); kpz_narrow_wedge
+    its half factors on the Airy grids its ``KPZRules`` keep; kpz_spiked a
+    SpikedKernel on the factor grids its ``SpikedRules`` keep for each (t, x).
     """
 
     def __init__(self, spec: KernelSpec, rules=None):
         self.spec = spec
         self.n_blocks = len(spec.xs)
         self.rules = sweep_rules((spec,)) if rules is None else rules
-        self._factors: dict = {}
 
-    def block(self, a: int, b: int, u, v) -> np.ndarray:
+    def block(self, u, v) -> np.ndarray:
+        """The whole operator on (u, v): the (n len(u)) x (n len(v)) matrix
+        whose block (a, b) is K_ab(u + r_a, v + r_b)."""
         spec = self.spec
         fam = spec.family
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if fam == "nw_fixed_point":
-            # the extended kernel: block (a, b) of the scattering part of all
-            # levels on (u + r_a, v + r_b), kept read-only, minus the heat
-            # kernel above the diagonal
-            full = _memo(self._factors, ("K", u.tobytes(), v.tobytes()), lambda: _stacked_part(
-                spec, self._factors, [(i, u + r) for i, r in enumerate(spec.rs)],
-                [(j, v + r) for j, r in enumerate(spec.rs)]).to_linear())
-            full.flags.writeable = False
-            part = full[a * u.size:(a + 1) * u.size, b * v.size:(b + 1) * v.size]
-            if a < b:
+            # the extended kernel: the scattering part of all levels minus
+            # the heat kernel above the diagonal
+            full = _stacked_part(spec, [(i, u + r) for i, r in enumerate(spec.rs)],
+                                 [(j, v + r) for j, r in enumerate(spec.rs)]).to_linear()
+            for a, b in zip(*np.triu_indices(self.n_blocks, 1)):
                 U, V = u + spec.rs[a], v + spec.rs[b]
-                part = part - heat_kernel(spec.xs[b] - spec.xs[a], U[:, None], V[None, :])
-            return part
+                full[a * u.size:(a + 1) * u.size, b * v.size:(b + 1) * v.size] -= heat_kernel(
+                    spec.xs[b] - spec.xs[a], U[:, None], V[None, :])
+            return full
         if fam == "flat_fixed_point":
             return flat_kernel(spec.t, u[:, None] + spec.rs[0], v[None, :] + spec.rs[0])
         if fam == "kpz_narrow_wedge":
-            au, av = (_memo(self._factors, ("kpz", p.tobytes()),
-                            lambda p=p: kpz_nw_half_factor(spec, p, self.rules)) for p in (u, v))
-            return au.T @ av
+            # the same array on both sides when v is u: numpy's symmetric product
+            au = kpz_nw_half_factor(spec, u, self.rules)
+            return au.T @ (au if v is u else kpz_nw_half_factor(spec, v, self.rules))
         if fam == "kpz_spiked":
-            return _memo(self._factors, "spiked",
-                         lambda: SpikedKernel(spec, self.rules)).matrix(u, v)
+            return SpikedKernel(spec, self.rules).matrix(u, v)
         raise KernelDomainError(fam)
 
 

@@ -388,6 +388,19 @@ class TestErrorContract:
         self._assert_config_error(capsys, code)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--tolerance", "nan", "a number"),
+        ("--quad-n", "1.5", "an integer"),
+        ("--threads", "two", "an integer"),
+    ])
+    def test_flag_of_wrong_kind_exit_2(self, tmp_path, capsys, flag, value, kind):
+        # a flag is parsed by its [run] key's kind, as the config line is
+        code, out = _run_main(tmp_path, "[run]\ncommand = det-eval\n[grid]\nnr = 2\n",
+                              flag, value)
+        assert self._assert_config_error(capsys, code) == (
+            f"config error: {flag} {value} is not {kind}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_threads_exit_2(self, tmp_path, capsys, where):
         # also a pool above cli.MAX_THREADS, refused before any thread starts
@@ -611,6 +624,11 @@ class TestErrorContract:
         # a Fermi y-rule past 512 nodes per panel, refused before it is built
         ("det-eval", "[kernel]\nfamily = kpz_narrow_wedge\nt = 1e-9\n[grid]\nnr = 1"),
         ("spiked-check", "[kernel]\nspikes = 0.0\nt = 1e-3"),
+        # a Fermi y-rule of more than 32768 nodes, or of none (its span
+        # rounds to 0), refused before any array is built
+        ("det-eval", "[kernel]\nfamily = kpz_narrow_wedge\nt = 1e300\n[grid]\nnr = 1"),
+        ("cyl-kdv", "r0 = 1e300"),
+        ("cyl-kdv", "t0 = 1e300"),
     ])
     def test_domain_error_exit_2(self, tmp_path, capsys, command, lines):
         # lines are [grid] lines, or whole sections where they start with one

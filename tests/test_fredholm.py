@@ -20,7 +20,7 @@ class RankOneToy:
         xs = (0.0,)
         rs = (0.0,)
 
-    def block(self, a, b, u, v):
+    def block(self, u, v):
         u, v = np.atleast_1d(u), np.atleast_1d(v)
         return np.exp(-u)[:, None] * np.exp(-v)[None, :]
 
@@ -33,7 +33,7 @@ class ZeroKernel:
         xs = (0.0,)
         rs = (0.0,)
 
-    def block(self, a, b, u, v):
+    def block(self, u, v):
         return np.zeros((np.atleast_1d(u).size, np.atleast_1d(v).size))
 
 
@@ -114,33 +114,26 @@ class TestBoundaryResolvent:
         rule, nq = disc.rule, disc.rule.n
         sw = np.sqrt(rule.weights)
         kern = disc.kernel
-        col = kern.block(0, 0, rule.nodes, np.zeros(1))[:, 0] * sw
+        col = kern.block(rule.nodes, np.zeros(1))[:, 0] * sw
         resolv_nodes = np.linalg.solve(np.eye(nq) - disc.matrix, col)
         # Nystrom interpolation of R(0, 0) = K(0,0) + int K(0,s) R(s,0) ds
-        row = kern.block(0, 0, np.zeros(1), rule.nodes)[0] * sw
-        q_interp = kern.block(0, 0, np.zeros(1), np.zeros(1))[0, 0] + row @ resolv_nodes
+        row = kern.block(np.zeros(1), rule.nodes)[0] * sw
+        q_interp = kern.block(np.zeros(1), np.zeros(1))[0, 0] + row @ resolv_nodes
         assert abs(q_interp - q[0, 0]) < 1e-10
 
     def test_two_point_resolvent_matches_direct_blocks(self):
-        # reference: every block evaluated afresh (no factor cache), the
-        # boundary ones directly at 0
+        # reference: the operator evaluated on the nodes and at the boundary
+        # point 0 apart, not together as in the assembly
         spec = KernelSpec("nw_fixed_point", 1.0, (-0.3, 0.4), (0.5, 0.8),
                           ((0.0, 0.0),))
         disc = fredholm.assemble(spec, 48)
         q_disc = fredholm.boundary_resolvent(disc)
-        nodes, sw, zero = disc.rule.nodes, np.sqrt(disc.rule.weights), np.zeros(1)
-
-        def block(a, b, u, v):
-            return BlockKernel(spec).block(a, b, u, v)
-
-        m = np.block([[sw[:, None] * block(a, b, nodes, nodes) * sw
-                       for b in range(2)] for a in range(2)])
-        row = np.block([[block(a, c, zero, nodes) * sw
-                         for c in range(2)] for a in range(2)])
-        col = np.block([[block(c, b, nodes, zero) * sw[:, None]
-                         for b in range(2)] for c in range(2)])
-        k00 = np.array([[block(a, b, zero, zero)[0, 0]
-                         for b in range(2)] for a in range(2)])
+        nodes, sw, zero = disc.rule.nodes, np.tile(np.sqrt(disc.rule.weights), 2), np.zeros(1)
+        kernel = BlockKernel(spec)
+        m = sw[:, None] * kernel.block(nodes, nodes) * sw
+        row = kernel.block(zero, nodes) * sw
+        col = kernel.block(nodes, zero) * sw[:, None]
+        k00 = kernel.block(zero, zero)
         q = k00 + row @ np.linalg.solve(np.eye(96) - m, col)
         assert np.max(np.abs(disc.matrix - m)) < 1e-15
         assert np.max(np.abs(q_disc - q)) < 1e-13
@@ -182,7 +175,7 @@ class TestBoundaryResolvent:
 
     def test_singularity_guard(self):
         class UnitKernel(ZeroKernel):
-            def block(self, a, b, u, v):
+            def block(self, u, v):
                 u, v = np.atleast_1d(u), np.atleast_1d(v)
                 return 2.0 * np.exp(-u)[:, None] * np.exp(-v)[None, :]
         # det(I-K) = 1 - 2*1/2 = 0: resolvent must refuse
@@ -249,6 +242,20 @@ class TestOneEvaluationPerAssembly:
         fredholm.boundary_resolvent(fredholm.assemble(STACKED_SPECS["2pt-1w"], 16))
         assert calls == [2 * 17]
 
+    def test_one_kernel_call_per_assembly(self, monkeypatch):
+        # the whole two-level operator, on the nodes and 0, in one call
+        calls = []
+        block = BlockKernel.block
+
+        def spy(self, u, v):
+            calls.append((u.size, v.size))
+            return block(self, u, v)
+
+        monkeypatch.setattr(BlockKernel, "block", spy)
+        disc = fredholm.assemble(STACKED_SPECS["2pt-1w"], 16)
+        assert calls == [(17, 17)]
+        assert disc.matrix.shape == (32, 32)
+
     @pytest.mark.parametrize("spec", [
         STACKED_SPECS["2pt-2w"],
         KernelSpec("flat_fixed_point", 1.0, (0.0,), (-1.0,)),
@@ -262,12 +269,9 @@ class TestOneEvaluationPerAssembly:
         nodes, sw, zero = disc.rule.nodes, np.sqrt(disc.rule.weights), np.zeros(1)
         kernel = BlockKernel(spec)
         n = kernel.n_blocks
-        row = np.block([[kernel.block(a, b, zero, nodes) * sw for b in range(n)]
-                        for a in range(n)])
-        col = np.block([[kernel.block(a, b, nodes, zero) * sw[:, None] for b in range(n)]
-                        for a in range(n)])
-        corner = np.array([[kernel.block(a, b, zero, zero)[0, 0] for b in range(n)]
-                           for a in range(n)])
+        row = kernel.block(zero, nodes) * np.tile(sw, n)
+        col = kernel.block(nodes, zero) * np.tile(sw, n)[:, None]
+        corner = kernel.block(zero, zero)
         scale = np.max(np.abs(np.concatenate((row.ravel(), col.ravel(), corner.ravel()))))
         assert scale > 1e-2
         for got, ref in ((disc.row, row), (disc.col, col), (disc.corner, corner)):

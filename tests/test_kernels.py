@@ -40,13 +40,19 @@ def nw_block(t, x, a, b, u, v, **kw):
     """One-point narrow-wedge kernel at x, wedge (a, b), level 0, on (u, v):
     K(u, v) = int_{-inf}^{b} S[t, a - x](l - u) S[t, x - a](l - v) dl."""
     spec = KernelSpec("nw_fixed_point", t, (x,), (0.0,), ((a, b),), **kw)
-    return BlockKernel(spec).block(0, 0, u, v)
+    return BlockKernel(spec).block(u, v)
+
+
+def block_of(kernel, a, b, u, v):
+    """Block (a, b) of the kernel's whole operator on (u, v): K_ab on
+    (u + r_a, v + r_b)."""
+    return kernel.block(u, v)[a * u.size:(a + 1) * u.size, b * v.size:(b + 1) * v.size]
 
 
 def kpz_block(t, x, r, u, v):
     """KPZ narrow-wedge generating-function kernel on (u, v)."""
     spec = KernelSpec("kpz_narrow_wedge", t, (x,), (r,))
-    return BlockKernel(spec).block(0, 0, u, v)
+    return BlockKernel(spec).block(u, v)
 
 
 def airy_kernel(a, b):
@@ -120,7 +126,7 @@ class TestSKernel:
         comp = ((nw_block(t, x, 0.0, 0.0, u, w.nodes) * w.weights[None, :])
                 @ heat_kernel(y, w.nodes[:, None], v[None, :]))
         spec = KernelSpec("nw_fixed_point", t, (x, x + y), (0.0, 0.0))
-        part = (BlockKernel(spec).block(0, 1, u, v)
+        part = (block_of(BlockKernel(spec), 0, 1, u, v)
                 + heat_kernel(y, u[:, None], v[None, :]))
         assert np.max(np.abs(comp - part)) < 1e-12
 
@@ -188,7 +194,7 @@ class TestMultiwedge:
     def test_single_wedge_reduces(self):
         spec = KernelSpec("nw_fixed_point", 1.0, (0.2,), (0.5,), ((0.0, 0.0),))
         u = np.linspace(0.0, 2.0, 5)
-        blk = BlockKernel(spec).block(0, 0, u, u)
+        blk = BlockKernel(spec).block(u, u)
         direct = nw_block(1.0, 0.2, 0.0, 0.0, u + 0.5, u + 0.5)
         assert np.max(np.abs(blk - direct)) < 1e-12
 
@@ -234,10 +240,10 @@ class TestMultiwedge:
                           ((0.0, -8.0),))
         u = np.linspace(0.0, 2.0, 4)
         kernel = BlockKernel(spec)
-        blk = kernel.block(0, 1, u, u)
+        blk = block_of(kernel, 0, 1, u, u)
         ref = -heat_kernel(1.0, u[:, None], u[None, :])
         assert np.max(np.abs(blk - ref)) < 1e-6
-        diag = kernel.block(0, 0, u, u)
+        diag = block_of(kernel, 0, 0, u, u)
         assert np.max(np.abs(diag)) < 1e-6
 
     def test_no_wedges(self):
@@ -265,7 +271,7 @@ class TestMultiwedge:
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,),
                           tuple((-2.0 + 0.5 * p, 0.1 * (-1) ** p) for p in range(k)))
         u = np.linspace(0.0, 2.0, 5)
-        blk = BlockKernel(spec).block(0, 0, u, u)
+        blk = BlockKernel(spec).block(u, u)
         assert np.all(np.isfinite(blk))
         assert len(calls) <= k * (k + 1) // 2
 
@@ -274,7 +280,7 @@ class TestMultiwedge:
         disc = fredholm.assemble(spec, 64)
         cut = np.quantile(disc.rule.nodes, 0.95)
         far = disc.rule.nodes[disc.rule.nodes > cut][:3]
-        k = BlockKernel(spec).block(0, 0, far, far)
+        k = BlockKernel(spec).block(far, far)
         assert np.max(np.abs(k)) < 1e-10
 
 
@@ -308,7 +314,7 @@ def test_two_point_block_matches_scipy_quadrature(t):
         for j in range(2):
             ref = np.array([[two_point_block_reference(t, xs, rs, i, j, a, b)
                              for b in v] for a in u])
-            err = np.max(np.abs(BlockKernel(spec).block(i, j, u, v) - ref))
+            err = np.max(np.abs(block_of(BlockKernel(spec), i, j, u, v) - ref))
             assert err <= 1e-9 * np.max(np.abs(ref)) + 1e-15
 
 
@@ -657,7 +663,7 @@ class TestQuadratureFailureGuard:
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (-3.0,), ((0.0, 0.0),),
                           inner_n=8)
         with pytest.raises(QuadratureFailure):
-            BlockKernel(spec).block(0, 0, np.array([0.0]), np.array([0.0]))
+            BlockKernel(spec).block(np.array([0.0]), np.array([0.0]))
 
 
 class TestThreeWedges:
