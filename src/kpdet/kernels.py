@@ -412,7 +412,9 @@ def kpz_nw_half_factor(spec: KernelSpec, pts, rules: KPZRules):
 # spiked KPZ kernel
 # ----------------------------------------------------------------------------
 
-ETA_PANELS = 14     # panels of the vertical eta contour's upper half
+# Gauss nodes of a contour panel about PANEL_WIDTH wide: NODES_PER_RATE per
+# unit of the exponent's rate |t z^2 + 2 x z - w| times its width, plus NODES_BASE
+NODES_PER_RATE, NODES_BASE, PANEL_WIDTH = 0.4, 8, 0.5
 
 
 class SpikedRules:
@@ -421,25 +423,25 @@ class SpikedRules:
     One set of rules serves every point (t, x, r) of a sweep whose specs
     share the spikes and the contour anchor (``group_key``):
 
-    * the vertical eta contour, anchored at the largest a_eta of the points,
-    * the xi rays, anchored at a_xi = contour_anchor + 1/2,
+    * the eta contour: vertical from the largest a_eta of the points up to
+      the bend height s1, then the Airy ray a_eta + i s1 + rho e^{i pi/3},
+    * the xi rays at 2pi/3, anchored at a_xi = contour_anchor + 1/2,
     * the Fermi y'-rule (``fermi_rule``) in y' = y - r, on the union of the
       points' ranges, and the log-Gamma offset.
 
-    Each size (eta half-height, ray length, y' range, y'-panel node count)
-    is the largest any point asks for, and the rules do not jump between the
-    points of a finite-difference stencil.  A point's own eta rule spends
-    nodes at a rate proportional to its phase rate t s^2 + |w| up to its
-    half-height; the shared eta panels follow the largest of these node
-    rates at each height s (``eta_profiles``), so every point gets at least
-    as many nodes on each stretch of the contour as from rules of its own
-    (up to the 512-node panel cap).  With the rules and the Nystrom nodes
-    fixed, (t, x) enter the diagonal on the contour nodes, r only the Fermi
-    weight (``mid``): ``grids`` keeps the F and G grids of each (pts, t, x),
-    and the rest of each side's contour sum (Gamma factors times weights
-    and the ``exp(-y' loc zc)`` grid) is computed here once.  A single spec
-    is a one-point sweep.
-    Raises KernelDomainError when the eta or xi rule keeps no nodes.
+    The arguments w = u - y' of F and G range over the union's ``w_range``.
+    Above s1 the saddle points of e^{t z^3/3 + x z^2 - w z} lie below the
+    eta contour for every point and every such w, so its integrand falls
+    along the whole ray (``_lengths``).  Every panel of the eta contour and
+    of the xi rays beyond 3 holds Gauss nodes sized from the exponent's rate
+    over the points and the argument range (``_nodes``).  With the rules and
+    the Nystrom nodes fixed, (t, x) enter the diagonal on the contour nodes,
+    r only the Fermi weight (``mid``): ``grids`` keeps the F and G grids of
+    each (pts, t, x), and the rest of each side's contour sum (Gamma
+    factors times weights and the ``exp(-y' loc zc)`` grid) is computed
+    here once.  A single spec is a one-point sweep.
+    Raises KernelDomainError, before any contour is built, when the bend
+    height is not finite or a panel needs more than 512 nodes.
     """
 
     def __init__(self, specs):
@@ -452,9 +454,8 @@ class SpikedRules:
         self.specs = specs
         spec = specs[0]
         self.b = np.asarray(key[0])
-        self.m = self.b.size
-        # the vertical eta contour needs t*anchor + x > 0 for Gaussian decay;
-        # shift the anchor right for negative x (the eta side has no poles)
+        # the eta contour needs t*anchor + x > 0 to fall along its vertical
+        # part; shift the anchor right for negative x (the eta side has no poles)
         self.a_eta = max(max(spec.contour_anchor, -s.xs[0] / s.t + 0.25) for s in specs)
         # KernelSpec keeps the anchor right of every spike, so a_xi clears them
         self.a_xi = spec.contour_anchor + 0.5
@@ -464,32 +465,31 @@ class SpikedRules:
         # the Fermi weight kills y -> +inf, and F's Airy decay y -> -inf
         self.y_lo = -16.0 - max(max(s.rs[0], 0.0) for s in specs)
         self.y_hi = Y_HI - min(s.rs[0] for s in specs)
-        sizes = [self._sizes(s) for s in specs]
-        self.eta_profiles = [sz[:4] for sz in sizes]
-        self.half_height, _, _, _, ray, freq = np.max(sizes, axis=0)
-        self.eta_edges, count = self._eta_edges(self.eta_profiles)
-        # the 1e-12 keeps a one-point sweep's count from rounding up
-        per = int(np.ceil(count * (1.0 - 1e-12) / ETA_PANELS))
-        # upper half of the vertical eta contour
-        half = panel_rule(self.eta_edges, min(per, 512))
-        self.eta_nodes, self.eta_w = self.a_eta + 1j * half.nodes, 1j * half.weights
+        # the arguments w = u - y' of F and G on the union y'-rule; the
+        # negative end stays at or below -Y_HI, as a point at r >= 0 asks
+        self.w_range = np.array([min(-self.y_hi, -Y_HI), spec.domain_cut - self.y_lo])
+        self.t, self.x = np.array(list(dict.fromkeys((s.t, s.xs[0]) for s in specs))).T[:, :, None]
+        bend, eta_len, xi_len = self._lengths()
+        # kpz_narrow_wedge's nodes per frequency, enough once the xi rays resolve G:
+        # log det at (t, x, r) = (1.5, -1.35, -3) is 8.4e-13 off a doubled rule
+        freq = np.sqrt(np.max(np.abs(self.w_range)) / np.min(self.t))
+        self.y0, self.y_loc, self.fermi_nodes, self.logw = fermi_rule(self.y_lo, self.y_hi, freq, 0.75)
+        # (start, direction, edges in rho, nodes per panel) of the eta contour's
+        # vertical part and Airy ray, and of the xi rays beyond their inner panels
+        self.pieces = [(start, rot, edges, self._nodes(start, rot, edges)) for start, rot, edges in (
+            (self.a_eta, 1j, _edges(0.0, bend)),
+            (self.a_eta + 1j * bend, np.exp(1j * np.pi / 3), _edges(0.0, eta_len)),
+            (self.a_xi, np.exp(2j * np.pi / 3), _edges(3.0, xi_len)))]
+        vert, ray, far = (self._panelled_ray(*p) for p in self.pieces)
+        self.eta_nodes, self.eta_w = (np.concatenate(p) for p in zip(vert, ray))
         # xi rule: rays at 2pi/3 anchored right of the spikes, panelled
         # densely near the anchor because the nearest Gamma pole sits only
         # 0.87*(anchor - b_max) away from the contour
-        self.xi_nodes, self.xi_w = self._panelled_ray(self.a_xi, 2.0 * np.pi / 3.0, ray)
-        # panel_rule drops panels narrower than 1e-10: a contour that short
-        # (t or the anchor so large that the eta half-height vanishes) has
-        # no nodes left to resolve the kernel
-        if not (self.eta_nodes.size and self.xi_nodes.size):
-            raise KernelDomainError(
-                f"a spiked contour rule has no nodes (eta half-height {self.half_height:.3g}); "
-                "t or the contour anchor is too large")
+        near = self._panelled_ray(self.a_xi, np.exp(2j * np.pi / 3), (0.0, 0.15, 0.45, 1.2, 3.0), 72)
+        self.xi_nodes, self.xi_w = (np.concatenate(p) for p in zip(near, far))
         # balance Gamma(B)-scale factors between the two sides (K is invariant
         # under F -> cF, G -> G/c); keeps both integrands O(1) for far spikes
         self.lg_offset = float(sum(log_gamma(self.a_xi - bk).real for bk in self.b))
-        # twice kpz_narrow_wedge's nodes per frequency: with 0.75, log det at
-        # (t, x, r) = (1.5, -1.35, -3) is 1e-12 off a doubled rule; with 1.5, 2e-13
-        self.y0, self.y_loc, self.fermi_nodes, self.logw = fermi_rule(self.y_lo, self.y_hi, freq, 1.5)
         self.sides = {"f": self._side(self.eta_nodes, self.eta_w, self.a_eta, -1.0),
                       "g": self._side(self.xi_nodes, self.xi_w, self.a_xi, 1.0)}
         self.grids: dict = {}
@@ -497,7 +497,7 @@ class SpikedRules:
     def mid(self, r):
         """Diagonal w'_q e^{y'_q (a_eta - a_xi)} / (1 + e^{y'_q + r}) of the point
         at r, zero above the top y' = Y_HI - r of its own range: beyond it the
-        xi rays do not resolve G, whose error grows faster than Fermi falls."""
+        error of G on the xi rays grows faster than Fermi falls."""
         y = self.fermi_nodes
         logw = np.where(y + r <= Y_HI, self.logw, -np.inf)
         return np.exp(y * (self.a_eta - self.a_xi) + logw - np.logaddexp(0.0, y + r))
@@ -508,53 +508,62 @@ class SpikedRules:
         return (tuple(np.sort(np.asarray(spec.spikes, dtype=float))),
                 spec.contour_anchor)
 
-    def _sizes(self, spec):
-        """(eta half-height H, t, |w| bound, eta nodes per unit phase of its
-        own rule, ray length, y'-rule frequency) that the point spec asks for."""
-        t, x = spec.t, spec.xs[0]
-        # the arguments w = u - y' of F and G on the union y'-rule; the
-        # negative end stays at or below -Y_HI, as a point at r >= 0 asks
-        w_min, w_max = min(-self.y_hi, -Y_HI), spec.domain_cut - self.y_lo
-        w_bound = max(abs(w_min), abs(w_max))
-        # vertical eta rule: half-height from the decay profile, node count
-        # from the total phase (rate s^2 + |w|)
-        c2 = t * self.a_eta + x
-        m = self.m
-        big_h = (m * np.pi / 4 + np.sqrt((m * np.pi / 4) ** 2 + 42.0 * c2)) / c2
-        n_vert = max(256, 1.3 * (t * big_h ** 3 / 3 + w_bound * big_h) / np.pi)
-        per = min(max(32, int(n_vert / ETA_PANELS) + 8), 512)
-        phase = self._eta_edges([(big_h, t, w_bound, 1.0)])[1]
-        ray = _ray_length(t, x, abs(w_min) + 2.0)
-        freq = np.sqrt(w_bound / t)
-        return big_h, t, w_bound, ETA_PANELS * per / phase, ray, freq
+    def _lengths(self):
+        """(bend height s1, eta ray length, xi ray length) of the sweep.
 
-    @staticmethod
-    def _panelled_ray(anchor, angle, length):
-        """Upper ray of the bent-ray contour, GL panels refined toward the anchor."""
-        edges = [e for e in (0.0, 0.15, 0.45, 1.2, 3.0) if e < length] + [length]
-        ray = panel_rule(edges, 72)
-        rot = np.exp(1j * angle)
-        return anchor + ray.nodes * rot, ray.weights * rot
-
-    @staticmethod
-    def _eta_edges(profiles):
-        """Edges of ETA_PANELS panels in s holding equal node counts, and
-        the total count, for the profiles (H, t, w, density).
-
-        The node rate at s is the largest density * (t s^2 + w) of the
-        profiles with s <= H: the local phase rate of the vertical contour
-        is ~ t s^2 + w, so panels shrink toward the top of the contour
-        where the cubic phase spins fastest.  The trapezoid sum on a grid
-        holding every H never undercounts that rate's integral.
+        s1 is the height from which the eta ray at pi/3 falls for every
+        point and every w >= w_min: Re(phi'(z) e^{i pi/3}) <= 0 at
+        z = a_eta + i s1, phi = t z^3/3 + x z^2 - w z, a quadratic in s1.
+        Each ray ends where its integrand is e^{-45} below its size on the
+        real axis for every point and w, or at 60.
         """
-        heights = [h for h, _, _, _ in profiles]
-        s = np.sort(np.concatenate((np.linspace(0.0, max(heights), 2048), heights)))
-        s = s[np.concatenate(([True], s[1:] != s[:-1]))]
-        rate = np.max([np.where(s <= h, d * (t * s * s + w), 0.0)
-                       for h, t, w, d in profiles], axis=0)
-        count = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(s))])
-        edges = np.interp(np.linspace(0.0, count[-1], ETA_PANELS + 1), count, s)
-        return edges, count[-1]
+        t, x, a = self.t, self.x, np.float64(self.a_eta)
+        w_min = self.w_range[0]
+        # c2 = t a + x >= t/4 > 0; s1 = q / (sqrt(3 c2^2 + t q) + sqrt(3) c2) in
+        # a form that overflows only when q does (the anchor near 1e300)
+        c2 = t * a + x
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.maximum(t * a * a + 2.0 * x * a - w_min, 0.0) / c2
+            bend = float(np.max(q / (np.sqrt(3.0 + q * t / c2) + np.sqrt(3.0))))
+        if not np.isfinite(bend):
+            raise KernelDomainError(
+                f"spiked eta contour bend height {bend}: the contour anchor is too large")
+        # the eta exponent falls by c2 s^2 up the vertical part and then along
+        # the ray, while each spike's 1/Gamma grows as e^{pi Im z/2}; a bend too
+        # high for double precision (t * t underflows) raises FloatingPointError
+        rho = np.arange(0.25, 60.0, 0.25)
+        z = a + 1j * bend + rho * np.exp(1j * np.pi / 3)
+        with np.errstate(over="raise"):
+            drop = [-(t * (z ** 3 - a ** 3) / 3 + x * (z * z - a * a) - w * (z - a)).real
+                    - self.b.size * np.pi * z.imag / 2 for w in self.w_range]
+        eta_len = _ray_length(rho, drop)
+        rho = rho[rho >= 4.0]
+        xi_len = _ray_length(rho, t * rho ** 3 / 3.0 - np.abs(x) * rho ** 2 - (2.0 - w_min) * rho / 2.0)
+        return bend, eta_len, xi_len
+
+    def _nodes(self, start, rot, edges):
+        """Gauss nodes of each panel between edges in rho on the contour
+        start + rho rot: NODES_PER_RATE per unit of the largest rate
+        |t z^2 + 2 x z - w| of the exponent at the panel's ends over the
+        sweep's points and argument range, times the panel width, plus
+        NODES_BASE, rounded up to a multiple of 8 (few distinct Gauss rules).
+        Raises KernelDomainError when a panel needs more than 512."""
+        z = start + edges * rot
+        lin = self.t * z * z + 2.0 * self.x * z
+        rate = np.max([np.abs(lin - w) for w in self.w_range], axis=(0, 1))
+        need = NODES_PER_RATE * np.maximum(rate[1:], rate[:-1]) * np.diff(edges) + NODES_BASE
+        if not np.all(need <= 512):
+            raise KernelDomainError(
+                f"a spiked contour panel needs {np.max(need):.3g} > 512 nodes: "
+                "t or the contour anchor is too large")
+        return 8 * np.ceil(need / 8.0).astype(int)
+
+    @staticmethod
+    def _panelled_ray(start, rot, edges, per):
+        """Upper contour start + rho rot, |rot| = 1: Gauss panels between the
+        edges in rho holding per nodes each; (nodes, weights)."""
+        rule = panel_rule(edges, per)
+        return start + rule.nodes * rot, rule.weights * rot
 
     def _side(self, z, w, anchor, sgn):
         """Point-independent factors of one contour: (z, zc = z - anchor, sgn,
@@ -568,12 +577,16 @@ class SpikedRules:
                 np.exp(-sgn * self.y_loc[:, None] * zc[None, :]))
 
 
-def _ray_length(t, x, w_neg):
-    """Smallest ray length with t L^3/3 - |x| L^2 - w_neg L/2 >= 45."""
-    for el in np.arange(4.0, 60.0, 0.25):
-        if t * el ** 3 / 3.0 - abs(x) * el ** 2 - w_neg * el / 2.0 >= 45.0:
-            return float(el)
-    return 60.0
+def _edges(lo, hi):
+    """Edges of equal panels about PANEL_WIDTH wide from lo to hi."""
+    return np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / PANEL_WIDTH - 1e-9))) + 1)
+
+
+def _ray_length(rho, drop):
+    """Smallest rho at which the log-size drops (one row per case) reach 45
+    in every case, or 60."""
+    ok = np.all(np.reshape(drop, (-1, rho.size)) >= 45.0, axis=0)
+    return float(rho[np.argmax(ok)]) if ok.any() else 60.0
 
 
 class SpikedKernel:
@@ -584,7 +597,7 @@ class SpikedKernel:
         K(u, v) = int dy (1+e^y)^(-1) F(u+r-y) G(v+r-y)
 
     with F the eta-side contour integral (entire, 1/Gamma factors, vertical
-    contour) and G the xi-side one (Gamma factors, rays at +-2pi/3 anchored
+    contour bent into the Airy rays) and G the xi-side one (Gamma factors, rays at +-2pi/3 anchored
     right of the spikes).  At m = 0 this reduces exactly to the narrow-wedge
     generating-function kernel (F = G = Airy convolution kernel).  In
     y' = y - r it reads int dy' (1+e^(y'+r))^(-1) F(u-y') G(v-y'): (t, x)

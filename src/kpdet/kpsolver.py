@@ -183,11 +183,11 @@ class KPSolver:
 
     def _forward(self, phi):
         """Half spectrum of the even field whose rows x_0 .. x_{n_x // 2} are phi."""
-        return fft.rfft(self._cos @ phi)
+        return fft.rfft(np.dot(self._cos, phi))
 
     def _inverse(self, v):
         """Rows x_0 .. x_{n_x // 2} of the even field with half spectrum v."""
-        return self._cos_inv @ fft.irfft(v, self.n_r)
+        return np.dot(self._cos_inv, fft.irfft(v, self.n_r))
 
     def _nonlinear(self, phi_hat, phi=None):
         """-(1/2) d_r phi^2 plus the anchored-dr^{-1} corrections, in Fourier

@@ -81,8 +81,9 @@ def gauss_legendre(n: int) -> QuadRule:
     return QuadRule(x.copy(), w.copy())
 
 
-def panel_rule(edges, n: int, tail_scale: float | None = None) -> QuadRule:
-    """n-point Gauss-Legendre rule on each panel between increasing edges.
+def panel_rule(edges, n, tail_scale: float | None = None) -> QuadRule:
+    """n-point Gauss-Legendre rule on each panel between increasing edges;
+    n is one count for every panel or a sequence of one count per panel.
 
     Panels narrower than 1e-10 are dropped.  An infinite first or last edge
     maps its panel onto the half-line by the algebraic map with scale
@@ -95,11 +96,11 @@ def panel_rule(edges, n: int, tail_scale: float | None = None) -> QuadRule:
         raise ValueError("need at least two increasing edges")
     if (np.isinf(edges[0]) or np.isinf(edges[-1])) and (tail_scale is None or not tail_scale > 0):
         raise ValueError("an infinite panel needs tail_scale > 0")
-    base = gauss_legendre(n)
-    x, w = base.nodes, base.weights
     # edges within 1e-10 of each other leave no panel and an empty rule
     nodes, weights = [np.zeros(0)], [np.zeros(0)]
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b, k in zip(edges[:-1], edges[1:], np.broadcast_to(n, (len(edges) - 1,))):
+        base = gauss_legendre(int(k))
+        x, w = base.nodes, base.weights
         if np.isinf(a) and np.isinf(b):
             raise ValueError("a panel needs a finite edge")
         if np.isinf(a) or np.isinf(b):

@@ -126,14 +126,23 @@ def test_spiked_sweeps_build_one_grid_pair_per_t_x(tmp_path, monkeypatch):
 
 def test_spiked_mixed_sweep_matches_one_point_sweeps():
     # every point of a sweep over three t and spread (x, r) is its one-point
-    # sweep's value: the union y'-rule moves it only by rounding and by the
-    # xi rays' error in G at arguments below about -30 (1.0e-11 here at
-    # (t, x, r) = (0.9, 0, 0.5); 1.6e-14 on rays of 200 nodes per unit panel)
+    # sweep's value: the union rules move it only by rounding (1.9e-14 here,
+    # at (t, x, r) = (2, 0.3, -2))
     specs = [KernelSpec("kpz_spiked", t, (x,), (r,), spikes=(0.0,))
              for t in (0.9, 1.2, 2.0) for x, r in ((0.0, 0.5), (0.3, -2.0), (0.6, 1.5))]
     got = fields.sweep(specs, 64)
     want = [fields.sweep([s], 64)[0] for s in specs]
-    assert np.max(np.abs(got - want)) <= 2e-11
+    assert np.max(np.abs(got - want)) <= 5e-14
+
+
+def test_spiked_mixed_r_pair_matches_one_point_sweeps():
+    # the pair (r, r + 0.5) at (t, x, r) = (0.85, 0.765, -3) was 5.2e-11 off
+    # its one-point sweeps while the xi rays did not resolve G below about
+    # -30, where the pair's union y'-rule reaches; now 7e-15
+    specs = [KernelSpec("kpz_spiked", 0.85, (0.765,), (r,), spikes=(0.0,)) for r in (-3.0, -2.5)]
+    got = fields.sweep(specs, 64)
+    want = [fields.sweep([s], 64)[0] for s in specs]
+    assert np.max(np.abs(got - want)) <= 5e-14
 
 
 def test_kpz_mixed_t_sweep_matches_one_point_sweeps():

@@ -77,8 +77,9 @@ class TestHalfLine:
 
 
 def eta_edges(big_h, t, w):
-    """Eta panel edges at equal increments of the phase t s^3/3 + w s."""
-    return SpikedRules._eta_edges([(big_h, t, w, 1.0)])[0]
+    """14 panel edges on [0, big_h] at equal increments of the phase t s^3/3 + w s."""
+    s = np.linspace(0.0, big_h, 2049)
+    return np.interp(np.linspace(0.0, t * big_h ** 3 / 3 + w * big_h, 15), t * s ** 3 / 3 + w * s, s)
 
 
 def vertical(anchor, edges, per):
@@ -124,19 +125,27 @@ class TestContours:
         assert np.exp((z ** 3).real / 3.0) < 1e-15
 
     def test_vertical_airy(self):
-        # a hand-built contour, and the eta contour a spiked kernel builds at t = 1
+        # a hand-built vertical contour, and the eta contour a spiked kernel
+        # builds at t = 1: vertical up to the bend, then the ray at pi/3
         k = SpikedRules([KernelSpec("kpz_spiked", 1.0, (0.2,), (0.3,), spikes=(0.0,))])
-        assert np.all(k.eta_nodes.real == k.a_eta) and np.all(np.diff(k.eta_nodes.imag) > 0)
+        vert, ray = (p[3].sum() for p in k.pieces[:2])
+        top = k.a_eta + 1j * k.pieces[1][0].imag
+        assert np.all(k.eta_nodes[:vert].real == k.a_eta) and np.all(np.diff(k.eta_nodes[:vert].imag) > 0)
+        assert np.allclose(np.angle(k.eta_nodes[vert:] - top), np.pi / 3, rtol=0.0, atol=1e-12)
+        assert k.eta_nodes.size == vert + ray
         for z, dz in (vertical(0.6, eta_edges(9.0, 1.0, 3.0), 50), (k.eta_nodes, k.eta_w)):
             for w in (-3.0, -1.0, 0.0, 2.0):
                 val = np.sum(np.exp(z ** 3 / 3.0 - w * z) * dz).imag / np.pi
                 assert abs(val - sp.airy(w)[0]) < 1e-14
 
     def test_bent_rays_airy(self):
-        z, dz = SpikedRules._panelled_ray(0.6, 2 * np.pi / 3, 10.0)
-        for w in (-3.0, -1.0, 0.0, 2.0):
-            val = np.sum(np.exp(-z ** 3 / 3.0 + w * z) * dz).imag / np.pi
-            assert abs(val - sp.airy(w)[0]) < 1e-14
+        # hand-placed panels, and the xi rays a spiked kernel builds at t = 1
+        k = SpikedRules([KernelSpec("kpz_spiked", 1.0, (0.2,), (0.3,), spikes=(0.0,))])
+        ray = SpikedRules._panelled_ray(0.6, np.exp(2j * np.pi / 3), [0.0, 0.15, 0.45, 1.2, 3.0, 10.0], 72)
+        for z, dz in (ray, (k.xi_nodes, k.xi_w)):
+            for w in (-3.0, -1.0, 0.0, 2.0):
+                val = np.sum(np.exp(-z ** 3 / 3.0 + w * z) * dz).imag / np.pi
+                assert abs(val - sp.airy(w)[0]) < 1e-14
 
 
 class TestCompositeLine:
