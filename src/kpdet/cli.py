@@ -260,9 +260,8 @@ def _term_table(rep):
 
 def _tw_table(cfg):
     g = _checked_grid(cfg, {"r_min": -6.0, "r_max": 4.0, "r_step": 0.1}, (), {})
-    hm = painleve.hastings_mcleod()
     r = np.arange(g["r_min"], g["r_max"] + 1e-12, g["r_step"])
-    fgue, fgoe = np.exp(painleve.log_f(r, hm))
+    fgue, fgoe = np.exp(painleve.log_f(r))
     monotone = bool(np.all(np.diff(fgue) > 0) and np.all(np.diff(fgoe) > 0))
     return (["r", "f_gue", "f_goe"],
             list(zip(r.tolist(), fgue.tolist(), fgoe.tolist())),
@@ -282,9 +281,9 @@ def _det_eval(cfg):
     if spec0.family == "nw_fixed_point" and spec0.wedges == ((0.0, 0.0),):
         x = spec0.xs[0]
         s = rvals / np.cbrt(spec0.t) + x * x / np.cbrt(spec0.t ** 4)
-        refs = painleve.f_gue(s, painleve.hastings_mcleod())
+        refs = np.exp(painleve.log_f(s)[0])
     elif spec0.family == "flat_fixed_point":
-        refs = painleve.f_goe(np.cbrt(4.0 / spec0.t) * rvals, painleve.hastings_mcleod())
+        refs = np.exp(painleve.log_f(np.cbrt(4.0 / spec0.t) * rvals)[1])
     quad_n = _quad_n(cfg)
     # imported here: concurrent.futures pulls in logging, which no other
     # command needs
@@ -304,12 +303,11 @@ def _det_eval(cfg):
 
 def _hirota_residual(cfg):
     g = _checked_grid(cfg, {"t0": 1.0, "x0": 0.2, "r0": 0.5, "h": 0.02}, (), {})
-    hm = painleve.hastings_mcleod()
 
     def at(h):
         corner = (g["t0"] - 2 * h, g["x0"] - 2 * h, g["r0"] - 3 * h)
         return residuals.hirota_residual(
-            lambda points: np.exp(fields.similarity_gue_log_f(hm, corner, (h, h, h), points)),
+            lambda points: np.exp(fields.similarity_gue_log_f(corner, (h, h, h), points)),
             (h, h, h), (5, 5, 7))
     rep = at(g["h"])
     ratio = rep["normalized_sup"] / max(at(g["h"] / 2.0)["normalized_sup"], 1e-300)
@@ -453,9 +451,7 @@ def _solve_kp(cfg):
     # (2^4 = 16; measured 16.04), plus the determinant-field closure test
     big_t, dt = 2.0, 1e-2
     err, coarse_err = (kpsolver.soliton_sup_error(h, big_t) for h in (dt, 2 * dt))
-    hm = painleve.hastings_mcleod()
-    report = kpsolver.evolve_and_compare(
-        lambda t, x, r: fields.phi_window_narrow_wedge(hm, t, x, r), 1.0, 1.1)
+    report = kpsolver.evolve_and_compare(fields.phi_window_narrow_wedge, 1.0, 1.1)
     table = report.pop("fields")
     report.update({"soliton_sup_error": err, "soliton_order_ratio": coarse_err / err,
                    "soliton_n_x": 1, "soliton_n_r": 512,
@@ -477,8 +473,7 @@ def _bracket_check(cfg):
     _checked_grid(cfg, {}, (), {})
     quad_n = _quad_n(cfg, 96)
     res = fredholm.boundary_bracket_product_check(
-        [[_gaussian()]], [[_gaussian(d_v=True)]], [[_gaussian()]],
-        [[_gaussian(d_u=True)]], quad_n)
+        _gaussian(), _gaussian(d_v=True), _gaussian(), _gaussian(d_u=True), quad_n)
     return ["quantity", "value"], [("residual", res)], {"residual": res}, res, quad_n
 
 

@@ -13,6 +13,10 @@ and pass through finite-difference stencils without noise amplification:
 * the other families keep their node counts (Nystrom n, the spec's inner_n)
   fixed; the narrow-wedge cutoff map's scale ``kernels.INNER_SCALE *
   t^(1/3)`` moves smoothly with t, with no integer jumps.
+
+The closed-form fields read the process's one Hastings-McLeod solution
+(``painleve.hastings_mcleod()``) themselves, so ``phi_window_narrow_wedge``
+is a KP solver builder ``(t, x, r) -> phi`` as it stands.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import DomainError
-from .fredholm import assemble, log_det_one_minus
+from .fredholm import _where, assemble, log_det_one_minus
 from .kernels import BlockKernel, KernelSpec, SpikedRules, sweep_rules
-from .painleve import HMSolution, log_f_gue
+from .painleve import hastings_mcleod, log_f
 
 __all__ = [
     "sweep",
@@ -35,13 +39,10 @@ __all__ = [
 def _logdet(disc) -> float:
     sign, logdet = log_det_one_minus(disc)
     if sign <= 0:
-        s = disc.kernel.spec
         cond = np.linalg.cond(np.eye(disc.matrix.shape[0]) - disc.matrix)
         raise FloatingPointError(
-            f"non-positive determinant in a field sweep: {s.family} at t = {s.t:.6g}, "
-            f"x = {', '.join(f'{v:.6g}' for v in s.xs)}, "
-            f"r = {', '.join(f'{v:.6g}' for v in s.rs)}, n = {disc.rule.n}, "
-            f"cond(I - K) = {cond:.2g}")
+            f"non-positive determinant in a field sweep: "
+            f"{_where(disc.kernel.spec, disc.rule.n)}, cond(I - K) = {cond:.2g}")
     return logdet
 
 
@@ -72,7 +73,7 @@ def sweep(specs, n_quad: int = 64, value=_logdet, mapper=map) -> np.ndarray:
     return np.array(out)
 
 
-def similarity_gue_log_f(hm: HMSolution, corner, steps, points) -> np.ndarray:
+def similarity_gue_log_f(corner, steps, points) -> np.ndarray:
     """log F at the lattice point corner + step * index of each index triple
     in points, F(t,x,r) = F_GUE(t^(-1/3) r + t^(-4/3) x^2).
 
@@ -83,7 +84,7 @@ def similarity_gue_log_f(hm: HMSolution, corner, steps, points) -> np.ndarray:
     index = np.asarray(points).T
     t, x, r = (c + h * np.ascontiguousarray(i) for c, h, i in zip(corner, steps, index))
     s = r / np.cbrt(t) + x * x / np.cbrt(t ** 4)
-    return log_f_gue(s, hm)
+    return log_f(s)[0]
 
 
 def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
@@ -93,12 +94,13 @@ def airy_two_point_spec(t, xs, rs, y, a) -> KernelSpec:
                       ((0.0, 0.0),))
 
 
-def phi_window_narrow_wedge(hm: HMSolution, t: float, x_grid, r_grid) -> np.ndarray:
+def phi_window_narrow_wedge(t: float, x_grid, r_grid) -> np.ndarray:
     """phi = d_r^2 log F = -t^(-2/3) q(s)^2 at s = t^(-1/3) r + t^(-4/3) x^2,
-    evaluated once per distinct x^2 and expanded to the rows of x_grid."""
+    q the memoized Hastings-McLeod solution, evaluated once per distinct
+    x^2 and expanded to the rows of x_grid."""
     x2 = np.asarray(x_grid, dtype=float) ** 2
     rows = np.sort(x2)
     rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
     s = r_grid[None, :] / np.cbrt(t) + rows[:, None] / np.cbrt(t ** 4)
-    q = hm.q_at(s.ravel()).reshape(s.shape)
+    q = hastings_mcleod().q_at(s.ravel()).reshape(s.shape)
     return (-q * q / np.cbrt(t * t))[np.searchsorted(rows, x2)]

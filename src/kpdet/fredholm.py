@@ -11,6 +11,10 @@ kernel at the boundary point 0 exact (no node extrapolation): assembly
 evaluates each block on the quadrature nodes and 0 together and keeps the
 boundary row, column and corner.  The trace of Q is the simultaneous-level
 logarithmic derivative of the determinant.
+
+The boundary bracket check takes its kernels in the same whole-operator
+form (u, v) -> (n |u|) x (n |v|) as ``BlockKernel.block``, so each bracket
+product is one matrix product.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "det_one_minus",
     "log_det_one_minus",
     "boundary_resolvent",
-    "bracket",
     "boundary_bracket_product_check",
 ]
 
@@ -46,6 +49,12 @@ class Discretization:
     def __init__(self, kernel, rule: QuadRule, matrix, row, col, corner):
         self.kernel, self.rule, self.matrix = kernel, rule, matrix
         self.row, self.col, self.corner = row, col, corner
+
+
+def _where(spec, n: int) -> str:
+    """The point of spec and the Nystrom size n, as refusals name them."""
+    return (f"{spec.family} at t = {spec.t:.6g}, x = {', '.join(f'{v:.6g}' for v in spec.xs)}, "
+            f"r = {', '.join(f'{v:.6g}' for v in spec.rs)}, n = {n}")
 
 
 def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
@@ -67,7 +76,8 @@ def assemble(spec_or_kernel, n_quad: int = 64) -> Discretization:
     row = (ext[:, nq, :, :nq] * sw).reshape(n, n * nq)
     col = (ext[:, :nq, :, nq] * sw[:, None]).reshape(n * nq, n)
     if not np.all(np.isfinite(m)):
-        raise FloatingPointError("non-finite entries in Nystrom matrix")
+        raise FloatingPointError(
+            f"non-finite entries in Nystrom matrix: {_where(kernel.spec, nq)}")
     return Discretization(kernel, rule, m.reshape(n * nq, n * nq), row, col,
                           ext[:, nq, :, nq].copy())
 
@@ -110,40 +120,22 @@ def boundary_resolvent(disc: Discretization) -> np.ndarray:
 # boundary bracket algebra on explicit test kernels
 # ----------------------------------------------------------------------------
 
-def bracket(blocks) -> np.ndarray:
-    """[A] = matrix of A_ab(0, 0) for a grid of callable blocks."""
-    n = len(blocks)
-    out = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = blocks[a][b](np.zeros(1), np.zeros(1))[0, 0]
-    return out
-
-
-def _bracket_of_product(ablocks, bblocks, rule: QuadRule) -> np.ndarray:
-    """[A B]_ab = sum_c int A_ac(0, s) B_cb(s, 0) ds on the rule."""
-    n = len(ablocks)
-    zero, s, w = np.zeros(1), rule.nodes, rule.weights
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                out[a, b] += ((ablocks[a][c](zero, s) * w[None, :])
-                              @ bblocks[c][b](s, zero))[0, 0]
-    return out
-
-
-def boundary_bracket_product_check(ablocks, d2_ablocks, bblocks, d1_bblocks,
-                                   n_quad: int = 96) -> float:
+def boundary_bracket_product_check(a, d2a, b, d1b, n_quad: int = 96) -> float:
     """Residual of the integration-by-parts identity
 
         [A][B] + [A D1B + D2A B] = 0
 
-    for block kernels given with analytic first partials.  Returns the
-    max-abs entry of the left-hand side.
+    for n-block kernels given, with analytic first partials, as whole-operator
+    callables (u, v) -> (n |u|) x (n |v|) like ``BlockKernel.block``:
+    [A] = A(0, 0) and [A B] = sum_c int A_ac(0, s) B_cb(s, 0) ds on one rule.
+    Returns the max-abs entry of the left-hand side.
     """
     rule = panel_rule((0.0, np.inf), n_quad, 2.0)
-    lhs = bracket(ablocks) @ bracket(bblocks)
-    ad1b = _bracket_of_product(ablocks, d1_bblocks, rule)
-    d2ab = _bracket_of_product(d2_ablocks, bblocks, rule)
-    return float(np.max(np.abs(lhs + ad1b + d2ab)))
+    zero, s = np.zeros(1), rule.nodes
+    w = np.tile(rule.weights, a(zero, zero).shape[0])
+
+    def product(x, y):
+        return (x(zero, s) * w) @ y(s, zero)
+
+    lhs = a(zero, zero) @ b(zero, zero) + product(a, d1b) + product(d2a, b)
+    return float(np.max(np.abs(lhs)))

@@ -109,8 +109,9 @@ class LogMat:
         self.logabs, self.sign = logabs, sign
 
     def to_linear(self) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return self.sign * np.exp(np.minimum(self.logabs, 700.0))
+        """The entries; one past double range is inf, which assemble refuses."""
+        with np.errstate(under="ignore", over="ignore"):
+            return self.sign * np.exp(self.logabs)
 
 
 # a scaled product below this may have lost its largest terms to subnormal

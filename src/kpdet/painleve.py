@@ -10,7 +10,8 @@ q(R) = -Ai(R) and the two-term left asymptote as boundary rows (shooting
 is unstable here).  q and its derivatives are exact polynomials, smooth
 on the whole interval (which downstream finite-difference stencils need).
 
-From q the distributions are assembled as
+From q the distributions are read by ``log_f``, the one Tracy-Widom
+reader, on the process's one memoized solution ``hastings_mcleod()``, as
 
     F_GUE(s) = exp(-int_s^inf (u-s) q(u)^2 du)
     F_GOE(s) = exp(-(1/2) int_s^inf q(u) du) * sqrt(F_GUE(s))
@@ -39,11 +40,7 @@ __all__ = [
     "OutOfGridError",
     "DEGREE",
     "hastings_mcleod",
-    "f_gue",
-    "f_goe",
     "log_f",
-    "log_f_gue",
-    "log_f_goe",
 ]
 
 # degree of the Chebyshev series of q: on every interval in use (L <= 24,
@@ -143,43 +140,32 @@ def _airy_tails(R):
             -rule.integrate(airy_ai(rule.nodes)))
 
 
-def log_f(s, hm: HMSolution):
-    """(log F_GUE(s), log F_GOE(s)) from one quadrature, s in [-L + 1, R - 1]."""
+def log_f(s):
+    """(log F_GUE(s), log F_GOE(s)) from one quadrature, s in [-L + 1, R - 1]
+    of the one memoized ``hastings_mcleod()`` solution, [-15, 9].
+
+    The GOE product formula is stated for the positive Hastings-McLeod
+    convention; our q ~ -Ai is its negative, hence the sign of the
+    int_s^inf q term (verified against the flat-kernel determinant
+    identity).  The points are evaluated in blocks of 256, so the
+    (points, DEGREE + 2) grids stay small for any number of points.
+    """
+    hm = hastings_mcleod()
     s = np.asarray(s, dtype=float)
     if np.any(s < hm.left + 1.0 - 1e-9) or np.any(s > hm.right - 1.0 + 1e-9):
         raise OutOfGridError(
             f"s must lie in [{hm.left + 1}, {hm.right - 1}]")
     rule = gauss_legendre(DEGREE + 2)
-    half = 0.5 * (hm.right - s)
-    q = hm.q(s[..., None] + half[..., None] * (1.0 + rule.nodes))
     tail_q2, tail_uq2, tail_q = _airy_tails(hm.right)
-    # -log F_GUE = int_s^inf (u - s) q^2, with u - s = half (1 + node) on [s, R]
-    neg_log_gue = (half * half * ((q * q) @ (rule.weights * (1.0 + rule.nodes)))
-                   + tail_uq2 - s * tail_q2)
-    i_q = half * (q @ rule.weights) + tail_q
-    return -neg_log_gue, 0.5 * (i_q - neg_log_gue)
-
-
-def log_f_gue(s, hm: HMSolution):
-    """log F_GUE(s) = -int_s^R (u-s) q^2 du - Airy tail beyond R."""
-    return log_f(s, hm)[0]
-
-
-def f_gue(s, hm: HMSolution):
-    """Tracy-Widom GUE distribution function."""
-    return np.exp(log_f_gue(s, hm))
-
-
-def log_f_goe(s, hm: HMSolution):
-    """log F_GOE(s) = -(1/2) int_s^inf |q| + (1/2) log F_GUE(s).
-
-    The product formula is stated for the positive Hastings-McLeod
-    convention; our q ~ -Ai is its negative, hence the sign flip (verified
-    against the flat-kernel determinant identity).
-    """
-    return log_f(s, hm)[1]
-
-
-def f_goe(s, hm: HMSolution):
-    """Tracy-Widom GOE distribution function."""
-    return np.exp(log_f_goe(s, hm))
+    flat = s.ravel()
+    gue, goe = np.empty_like(flat), np.empty_like(flat)
+    for i in range(0, flat.size, 256):
+        sb = flat[i:i + 256]
+        half = 0.5 * (hm.right - sb)
+        q = hm.q(sb[:, None] + half[:, None] * (1.0 + rule.nodes))
+        # -log F_GUE = int_s^inf (u - s) q^2, with u - s = half (1 + node) on [s, R]
+        neg_log_gue = (half * half * ((q * q) @ (rule.weights * (1.0 + rule.nodes)))
+                       + tail_uq2 - sb * tail_q2)
+        i_q = half * (q @ rule.weights) + tail_q
+        gue[i:i + 256], goe[i:i + 256] = -neg_log_gue, 0.5 * (i_q - neg_log_gue)
+    return gue.reshape(s.shape), goe.reshape(s.shape)

@@ -113,7 +113,6 @@ def rk_limit_check(spec: KernelSpec, t_seq, n_quad: int = 64):
             "q": q,
             "target": target.copy(),
             "max_err": float(np.max(err)),
-            "max_lower_err": float(np.max(np.abs(np.tril(q, -1)))),
         })
     return rows
 

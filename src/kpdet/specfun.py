@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "AI_ZERO1",
     "airy_ai",
     "airy_ai_prime",
     "airy_ai_log_abs",
@@ -37,8 +36,6 @@ __all__ = [
 # Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
 _AI0 = np.longdouble("0.35502805388781723926006318600418317639")
 _AIP0 = np.longdouble("-0.25881940379280679840518356018920396347")
-# first zero of Ai, for tests and for the oscillatory-region sanity checks
-AI_ZERO1 = -2.3381074104597670
 
 # core interval tiled by Taylor centers; asymptotics take over outside
 _X_NEG_SWITCH = -14.0

@@ -600,6 +600,14 @@ class TestErrorContract:
             assert low < float(cond) < high
             assert not out.exists()
 
+    def test_non_finite_nystrom_matrix_names_the_point(self, tmp_path, capsys):
+        # at t = 0.01 the spiked contour sums overflow on the way to the matrix
+        code, out = _run_main(tmp_path, "[run]\ncommand = spiked-check\n[kernel]\nt = 0.01\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical error:") and "t = 0.01" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, lines", [
         ("det-eval", "r0 = -20.0\nnr = 2"),        # F_GUE reference below its interval
         ("tw-table", "r_min = -20.0"),

@@ -166,5 +166,5 @@ def test_phi_window_matches_per_point_formula(t, x_grid, distinct):
     hm = painleve.hastings_mcleod()
     r = -14.0 + 23.5 * np.arange(512) / 512
     q = hm.q_at(r[None, :] / np.cbrt(t) + x_grid[:, None] ** 2 / np.cbrt(t ** 4))
-    got = fields.phi_window_narrow_wedge(hm, t, x_grid, r)
+    got = fields.phi_window_narrow_wedge(t, x_grid, r)
     assert np.array_equal(got, -q * q / np.cbrt(t * t))

@@ -37,11 +37,6 @@ class ZeroKernel:
         return np.zeros((np.atleast_1d(u).size, np.atleast_1d(v).size))
 
 
-@pytest.fixture(scope="module")
-def hm():
-    return painleve.hastings_mcleod()
-
-
 class TestAssembleAndDet:
     def test_rank_one_toy(self):
         disc = fredholm.assemble(RankOneToy(), 64)
@@ -66,10 +61,10 @@ class TestAssembleAndDet:
         assert disc.kernel.n_blocks == 2
         assert disc.matrix.shape == (64, 64)
 
-    def test_cross_oracle_f_gue(self, hm):
+    def test_cross_oracle_f_gue(self):
         spec = KernelSpec("nw_fixed_point", 1.0, (0.0,), (0.0,), ((0.0, 0.0),))
         det = fredholm.det_one_minus(fredholm.assemble(spec, 64))
-        assert abs(det - float(painleve.f_gue(0.0, hm))) < 1e-8
+        assert abs(det - float(np.exp(painleve.log_f(0.0)[0]))) < 1e-8
 
     def test_n_quad_range(self):
         with pytest.raises(ValueError):
@@ -281,26 +276,13 @@ class TestOneEvaluationPerAssembly:
 class TestBracketIdentity:
     @staticmethod
     def _gaussian_blocks(coef):
-        def make(c):
-            def f(u, v):
-                u, v = np.atleast_1d(u), np.atleast_1d(v)
-                return c * np.exp(-u * u)[:, None] * np.exp(-v * v)[None, :]
-            return f
-        def make_d1(c):
-            def f(u, v):
-                u, v = np.atleast_1d(u), np.atleast_1d(v)
-                return c * (-2 * u * np.exp(-u * u))[:, None] * np.exp(-v * v)[None, :]
-            return f
-        def make_d2(c):
-            def f(u, v):
-                u, v = np.atleast_1d(u), np.atleast_1d(v)
-                return c * np.exp(-u * u)[:, None] * (-2 * v * np.exp(-v * v))[None, :]
-            return f
-        n = len(coef)
-        blocks = [[make(coef[a][b]) for b in range(n)] for a in range(n)]
-        d1 = [[make_d1(coef[a][b]) for b in range(n)] for a in range(n)]
-        d2 = [[make_d2(coef[a][b]) for b in range(n)] for a in range(n)]
-        return blocks, d1, d2
+        """Whole-operator callables of the n x n block kernel with blocks
+        coef_ab exp(-u^2 - v^2), and of its partials in u and in v."""
+        def make(du, dv):
+            def side(w, d):
+                return -2 * w * np.exp(-w * w) if d else np.exp(-w * w)
+            return lambda u, v: np.kron(coef, side(u, du)[:, None] * side(v, dv)[None, :])
+        return make(False, False), make(True, False), make(False, True)
 
     def test_gaussian_pair(self):
         blocks, d1, d2 = self._gaussian_blocks([[1.0]])
@@ -317,6 +299,13 @@ class TestBracketIdentity:
         coef = [[1.0, 0.7], [0.0, 0.4]]
         blocks, d1, d2 = self._gaussian_blocks(coef)
         res = fredholm.boundary_bracket_product_check(blocks, d2, blocks, d1, 96)
+        assert res < 1e-7
+
+    def test_two_block_full(self):
+        # every block of both factors feeds every entry of the products
+        blocks, d1, d2 = self._gaussian_blocks([[1.0, -0.6], [0.3, 0.8]])
+        other, od1, _ = self._gaussian_blocks([[0.5, 0.9], [-1.2, 0.2]])
+        res = fredholm.boundary_bracket_product_check(blocks, d2, other, od1, 96)
         assert res < 1e-7
 
 

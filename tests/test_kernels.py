@@ -377,6 +377,11 @@ class TestLogMatmul:
         assert np.all(np.abs(got - acc) <= (1e-13 + 1e-15 * np.abs(scale)) * moduli)
         assert np.all((out.sign == 0) == (out.logabs == -np.inf))
 
+    def test_overflowing_entry_is_inf(self):
+        # no clamp: an entry past double range reaches assemble's refusal
+        out = LogMat(np.array([[800.0, 0.0]]), np.array([[-1.0, 1.0]])).to_linear()
+        assert np.array_equal(out, [[-np.inf, 1.0]])
+
     def test_underflowing_scaled_product_is_recovered(self):
         # scaled mantissas 1 * e^-800 + e^-800 * 1 underflow to 0 in double
         a = LogMat(np.array([[0.0, -800.0]]), np.ones((1, 2)))

@@ -8,25 +8,19 @@ from kpdet import fields, kpsolver, painleve
 
 
 @pytest.fixture(scope="module")
-def hm_wide():
-    return painleve.hastings_mcleod(L=16.0)
-
-
-@pytest.fixture(scope="module")
-def closure(hm_wide):
+def closure():
     """The solve-kp closure report: the narrow-wedge window from t = 1 to 1.1."""
-    return kpsolver.evolve_and_compare(
-        lambda t, x, r: fields.phi_window_narrow_wedge(hm_wide, t, x, r), 1.0, 1.1)
+    return kpsolver.evolve_and_compare(fields.phi_window_narrow_wedge, 1.0, 1.1)
 
 
-def closure_run(hm, dt, n_steps):
+def closure_run(dt, n_steps):
     """(solver, phi0, phi) of the solve-kp closure field embedded as
     evolve_and_compare embeds it (the window at t = 1, tapered in the pads
     of its 64 x 512 box), after n_steps of dt."""
     solver = kpsolver.KPSolver((-14.0, 9.5), (-4.5, 4.5), 512, 64, dt)
     taper = (kpsolver.smooth_window((solver.r + 14.0) / 4.5)
              * kpsolver.smooth_window((9.5 - solver.r) / 2.625))
-    phi0 = fields.phi_window_narrow_wedge(hm, 1.0, solver.x, solver.r) * taper
+    phi0 = fields.phi_window_narrow_wedge(1.0, solver.x, solver.r) * taper
     return solver, phi0, solver.evolve(phi0, n_steps)
 
 
@@ -292,27 +286,25 @@ class TestEvolveAndCompare:
         assert (closure["n_steps"], closure["dt"]) == (20, (1.1 - 1.0) / 20)
         assert abs(closure["sup_error"] - 3.2846e-5) <= 5e-7
 
-    def test_closure_time_error(self, hm_wide, closure):
+    def test_closure_time_error(self, closure):
         # c12's steps against eight times as many, on the compared interior;
         # measured 1.04e-6 at 20 steps
-        solver, _, fine = closure_run(hm_wide, closure["dt"] / 8, 8 * closure["n_steps"])
+        solver, _, fine = closure_run(closure["dt"] / 8, 8 * closure["n_steps"])
         x, r, evolved = np.array(closure["fields"])[:, :3].T
         at = np.searchsorted(solver.x, x), np.searchsorted(solver.r, r)
         assert np.max(np.abs(evolved - fine[at])) <= 1.5e-6
 
-    def test_closure_stable_near_step_gain_bound(self, hm_wide):
+    def test_closure_stable_near_step_gain_bound(self):
         # the kr = 0 diagonal of the pseudo-ramp correction reaches -1281
         # on the Nyquist row, past explicit RK4's stability at dt = 5e-3
         # (S = 14.7); in the linear phase the box runs 0.2 time units at
         # S = 39.9
-        solver, phi0, out = closure_run(hm_wide, 1.36e-2, 15)
+        solver, phi0, out = closure_run(1.36e-2, 15)
         assert 39.5 < solver.step_gain < 40.0
         assert np.max(np.abs(out)) <= np.max(np.abs(phi0))
 
-    def test_no_evolution_limit(self, hm_wide):
-        rep = kpsolver.evolve_and_compare(
-            lambda t, x, r: fields.phi_window_narrow_wedge(hm_wide, t, x, r),
-            1.0, 1.0)
+    def test_no_evolution_limit(self):
+        rep = kpsolver.evolve_and_compare(fields.phi_window_narrow_wedge, 1.0, 1.0)
         assert rep["sup_error"] < 1e-8
 
     def test_flat_kdv_reduction(self):
@@ -361,11 +353,9 @@ class TestEvolveAndCompare:
         assert np.array_equal(np.unique(table[:, 0]), x1)
         assert np.array_equal(np.unique(table[:, 1]), r1)
 
-    def test_horizon_guard(self, hm_wide):
+    def test_horizon_guard(self):
         with pytest.raises(ValueError):
-            kpsolver.evolve_and_compare(
-                lambda t, x, r: fields.phi_window_narrow_wedge(hm_wide, t, x, r),
-                1.0, 1.5)
+            kpsolver.evolve_and_compare(fields.phi_window_narrow_wedge, 1.0, 1.5)
 
     def test_backward_horizon_is_refused(self):
         # t1 < t0 would be a negative step count and a field never evolved

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,14 @@ from kpdet.specfun import airy_ai
 @pytest.fixture(scope="module")
 def hm():
     return painleve.hastings_mcleod()
+
+
+def f_gue(s):
+    return np.exp(painleve.log_f(s)[0])
+
+
+def f_goe(s):
+    return np.exp(painleve.log_f(s)[1])
 
 
 def gue_det(r, n=64):
@@ -86,34 +96,34 @@ class TestHastingsMcleod:
 
 
 class TestDistributions:
-    def test_gue_right_tail(self, hm):
-        assert 1.0 - float(painleve.f_gue(4.0, hm)) < 1e-4
+    def test_gue_right_tail(self):
+        assert 1.0 - float(f_gue(4.0)) < 1e-4
 
-    def test_gue_cross_oracle(self, hm):
-        assert abs(float(painleve.f_gue(0.0, hm)) - gue_det(0.0, 128)) < 1e-13
+    def test_gue_cross_oracle(self):
+        assert abs(float(f_gue(0.0)) - gue_det(0.0, 128)) < 1e-13
 
-    def test_gue_lower_tail_cubic(self, hm):
+    def test_gue_lower_tail_cubic(self):
         # -log F ~ |s|^3/12 with small corrections at s = -6
-        val = -float(painleve.log_f_gue(-6.0, hm))
+        val = -float(painleve.log_f(-6.0)[0])
         assert abs(val - 18.0) < 0.15 * 18.0
 
-    def test_goe_right_tail(self, hm):
-        assert 1.0 - float(painleve.f_goe(4.0, hm)) < 1e-3
+    def test_goe_right_tail(self):
+        assert 1.0 - float(f_goe(4.0)) < 1e-3
 
-    def test_goe_lower_tail_cubic(self, hm):
+    def test_goe_lower_tail_cubic(self):
         # -log F_GOE(s) = |s|^3/24 + |s|^{3/2}/(3 sqrt 2) + smaller terms;
         # the bare cubic misses by ~40% at s = -6, the two-term form works
-        val = -float(painleve.log_f_goe(-6.0, hm))
+        val = -float(painleve.log_f(-6.0)[1])
         two_term = 9.0 + 6.0 ** 1.5 / (3.0 * np.sqrt(2.0))
         assert abs(val - two_term) < 0.15 * 9.0
 
-    def test_goe_matches_flat_determinant(self, hm):
-        assert abs(float(painleve.f_goe(0.0, hm)) - goe_det(0.0, 128)) < 1e-13
+    def test_goe_matches_flat_determinant(self):
+        assert abs(float(f_goe(0.0)) - goe_det(0.0, 128)) < 1e-13
 
     def test_monotonicity_and_limits(self, hm):
         s = np.linspace(hm.left + 1.0, hm.right - 1.0, 400)
-        fg = painleve.f_gue(s, hm)
-        fo = painleve.f_goe(s, hm)
+        fg = f_gue(s)
+        fo = f_goe(s)
         # strictly increasing until the CDF saturates at double precision
         strict = s[:-1] < 6.0
         assert np.all(np.diff(fg)[strict] > 0) and np.all(np.diff(fo)[strict] > 0)
@@ -121,15 +131,27 @@ class TestDistributions:
         assert fg[0] < 1e-12 and fo[0] < 1e-9
         assert fg[-1] > 1.0 - 1e-4 and fo[-1] > 1.0 - 1e-3
 
-    def test_cross_oracle_uniform(self, hm):
+    def test_cross_oracle_uniform(self):
         # the Nystrom determinants at n = 128 are exact to rounding here
         for r in (-5.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
-            assert abs(float(painleve.f_gue(r, hm)) - gue_det(r, 128)) < 1e-13
-            assert abs(float(painleve.f_goe(r, hm)) - goe_det(r, 128)) < 1e-13
+            assert abs(float(f_gue(r)) - gue_det(r, 128)) < 1e-13
+            assert abs(float(f_goe(r)) - goe_det(r, 128)) < 1e-13
+
+    def test_many_points_in_bounded_memory(self):
+        # the points go through in blocks, not as one (9412, 194) grid
+        s = np.linspace(-15.0, 9.0, 9412)
+        painleve.log_f(s[:10])
+        tracemalloc.start()
+        try:
+            painleve.log_f(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_out_of_grid(self, hm):
         with pytest.raises(painleve.OutOfGridError):
-            painleve.f_gue(hm.left, hm)
+            painleve.log_f(hm.left)
 
 
 def selfsimilar_ode_residuals(hm, lo=-5.0, hi=5.0):

@@ -5,22 +5,17 @@ from hypothesis import given, settings, strategies as st
 from kpdet import fields, painleve, residuals
 
 
-@pytest.fixture(scope="module")
-def hm():
-    return painleve.hastings_mcleod()
-
-
 def reading(values):
     """Evaluator reading the whole-lattice array values at index triples."""
     return lambda points: np.array([values[p] for p in points])
 
 
-def similarity_field(hm, h, base=(1.0, 0.2, 0.5), dims=(5, 5, 7)):
+def similarity_field(h, base=(1.0, 0.2, 0.5), dims=(5, 5, 7)):
     """(log F evaluator, steps, dims) of the GUE similarity solution on a
     lattice centred at base."""
     corner = tuple(c - (n // 2) * h for c, n in zip(base, dims))
     steps = (h, h, h)
-    return (lambda points: fields.similarity_gue_log_f(hm, corner, steps, points),
+    return (lambda points: fields.similarity_gue_log_f(corner, steps, points),
             steps, dims)
 
 
@@ -228,13 +223,13 @@ class TestPointsRead:
 
 
 class TestHirota:
-    def test_similarity_solution(self, hm):
-        rep = hirota(*similarity_field(hm, 0.02))
+    def test_similarity_solution(self):
+        rep = hirota(*similarity_field(0.02))
         assert rep["normalized_sup"] < 1e-3
 
-    def test_step_halving(self, hm):
-        r1 = hirota(*similarity_field(hm, 0.02))
-        r2 = hirota(*similarity_field(hm, 0.01))
+    def test_step_halving(self):
+        r1 = hirota(*similarity_field(0.02))
+        r2 = hirota(*similarity_field(0.01))
         assert r1["normalized_sup"] / r2["normalized_sup"] >= 3.0
 
     def test_constant_field(self):
@@ -242,26 +237,26 @@ class TestHirota:
                                         (0.02, 0.02, 0.02), (5, 5, 7))
         assert rep["residual_sup"] < 1e-9
 
-    def test_flat_field_kdv_reduction(self, hm):
+    def test_flat_field_kdv_reduction(self):
         # x-independent flat-data field: x-terms vanish identically
         h = 0.02
         t = 1.0 + h * (np.arange(5) - 2)
         r = 0.3 + h * (np.arange(7) - 3)
         s = np.cbrt(4.0 / t)[:, None] * r[None, :]
-        lf = painleve.log_f_goe(s.ravel(), hm).reshape(5, 7)
+        lf = painleve.log_f(s.ravel())[1].reshape(5, 7)
         vals = np.broadcast_to(np.exp(lf)[:, None, :], (5, 5, 7)).copy()
         rep = residuals.hirota_residual(reading(vals), (h, h, h), (5, 5, 7))
         assert rep["normalized_sup"] < 1e-3
         assert rep["term_magnitudes"][5] < 1e-12 and rep["term_magnitudes"][6] < 1e-12
 
-    def test_one_two_three_invariance(self, hm):
+    def test_one_two_three_invariance(self):
         # the identity holds at every scale point
         for t0 in (0.5, 1.0, 2.0):
-            rep = hirota(*similarity_field(hm, 0.02, base=(t0, 0.2, 0.5)))
+            rep = hirota(*similarity_field(0.02, base=(t0, 0.2, 0.5)))
             assert rep["normalized_sup"] < 2e-3
 
-    def test_report_invariant(self, hm):
-        rep = hirota(*similarity_field(hm, 0.02))
+    def test_report_invariant(self):
+        rep = hirota(*similarity_field(0.02))
         assert rep["residual_sup"] <= sum(rep["term_magnitudes"]) + 1e-15
 
     def test_stencil_error(self):
@@ -270,8 +265,8 @@ class TestHirota:
 
 
 class TestScalarKP:
-    def test_similarity_solution(self, hm):
-        rep = residuals.kp_scalar_residual(*similarity_field(hm, 0.02, dims=(3, 3, 7)))
+    def test_similarity_solution(self):
+        rep = residuals.kp_scalar_residual(*similarity_field(0.02, dims=(3, 3, 7)))
         assert rep["normalized_sup"] < 5e-3
 
     def test_quadratic_in_r_exact(self):
@@ -357,8 +352,8 @@ class TestTailFit:
 
 
 class TestStepHalving:
-    def test_scalar_kp_halving(self, hm):
+    def test_scalar_kp_halving(self):
         def at(h):
-            return residuals.kp_scalar_residual(*similarity_field(hm, h, dims=(3, 3, 7))
+            return residuals.kp_scalar_residual(*similarity_field(h, dims=(3, 3, 7))
                                                 )["normalized_sup"]
         assert at(0.02) / at(0.01) >= 3.0

@@ -204,7 +204,7 @@ class TestSmallTimeLimits:
         errs = [row["max_err"] for row in rows]
         assert all(np.diff(errs) < 0)
         assert errs[-1] < 5e-3
-        assert all(row["max_lower_err"] < 1e-8 for row in rows)
+        assert all(np.max(np.abs(np.tril(row["q"], -1))) < 1e-8 for row in rows)
 
     def test_offdiagonal_sign(self, spec_single):
         rows = scattering.rk_limit_check(spec_single, (0.02,))
@@ -248,18 +248,13 @@ class TestInitialDataDeterminant:
         assert abs(self.det(((0.0, 0.5),), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.2)) - 1.0) < 1e-8
 
 
-@pytest.fixture(scope="module")
-def hm():
-    return painleve.hastings_mcleod()
-
-
 class TestPathIntegral:
 
-    def test_one_point_reduces_to_gue(self, hm):
+    def test_one_point_reduces_to_gue(self):
         for (t, x1, r1) in [(1.0, 0.0, 0.5), (2.0, 0.3, 1.0)]:
             val = scattering.path_integral_determinant(t, (x1,), (r1,))
             s = r1 / np.cbrt(t) + x1 * x1 / np.cbrt(t ** 4)
-            assert abs(val - float(painleve.f_gue(s, hm))) < 1e-6
+            assert abs(val - float(np.exp(painleve.log_f(s)[0]))) < 1e-6
 
     def test_two_point_matches_extended(self):
         for xs, rs, t in [((-0.3, 0.4), (0.5, 0.8), 1.0),
