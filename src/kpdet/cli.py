@@ -2,7 +2,7 @@
 a CSV data file plus a JSON report, and exits 0/1/2.
 
 Config format: plain ``key = value`` lines under ``[section]`` headers.
-Sections: [run] (command, out, tolerance, threads, quad_n),
+Sections: [run] (command, out, tolerance, quad_n),
 [kernel] (family, t, x/xs, r/rs, wedges "a:b,a:b", spikes, anchor),
 [grid] (the lattice keys of the command: t0, x0, r0, ht, hx, hy, hr, ha,
 h, nt, nx, nr, r_min, r_max, r_step).  ``_KINDS`` gives each key the one
@@ -16,8 +16,9 @@ does not read is a config error, so no key is silently ignored.
 that returns its CSV header and rows, its report entries, ``worst`` (the
 number held against the tolerance) and the Nystrom size ``quad_n`` it
 used; ``run`` then writes the CSV and the JSON report.  Exit codes: 0
-pass, 1 ``worst`` above tolerance, 2 usage/config error (including
-parameters outside a computation's domain, ``kpdet.DomainError``) or
+pass or ``--help``, 1 ``worst`` above tolerance, 2 usage/config error
+(including parameters outside a computation's domain,
+``kpdet.DomainError``, and an ``out`` that cannot be written) or
 numerical failure (an unresolved quadrature tail, a singular or
 non-finite operator); nothing is written when a run exits 2.  The JSON
 report records the ``quad_n`` actually used (null for commands that
@@ -78,8 +79,7 @@ _PAIRS = ("a list of a:b pairs", lambda raw: tuple(map(_pair, raw.split(","))))
 
 # section -> key -> kind: every key a config can set
 _KINDS = {
-    "run": {"command": _STR, "out": _STR, "tolerance": _NUM, "threads": _INT,
-            "quad_n": _INT},
+    "run": {"command": _STR, "out": _STR, "tolerance": _NUM, "quad_n": _INT},
     "kernel": {"family": _STR, "t": _FINITE, "x": _FINITE, "xs": _NUMS, "r": _FINITE,
                "rs": _NUMS, "wedges": _PAIRS, "spikes": _NUMS, "anchor": _FINITE},
     "grid": {"t0": _FINITE, "x0": _FINITE, "r0": _FINITE, "ht": _STEP, "hx": _STEP,
@@ -104,8 +104,6 @@ _SPEC_FAMILIES = tuple(f for f in _FAMILY_KEYS if f != "airy_process")
 # the most points a command's [grid] may ask for: its lattice (the product
 # of nt, nx and nr) or its r range; a hundred times tw-table's 101 rows
 MAX_POINTS = 10_000
-# the largest thread pool det-eval may be configured to start
-MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -117,7 +115,6 @@ class ExperimentConfig:
     command: str
     out: str = "."
     tolerance: float = float("inf")
-    threads: int = 0
     quad_n: int | None = None   # None: the command's own default (_quad_n)
     kernel: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
@@ -288,7 +285,7 @@ def _det_eval(cfg):
     # imported here: concurrent.futures pulls in logging, which no other
     # command needs
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=cfg.threads or (os.cpu_count() or 1)) as ex:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as ex:
         dets = fields.sweep(specs, quad_n, fredholm.det_one_minus, ex.map).tolist()
     report = {"values": dets}
     if refs is None:
@@ -521,32 +518,31 @@ COMMANDS = {
 def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (exit_code, artifact paths).
 
-    Raises ConfigError for quad_n outside [8, 512], threads outside
-    [0, MAX_THREADS] (before any thread starts), or a [kernel] or [grid]
-    key the command does not read, DomainError for parameters outside a
-    computation's domain, and QuadratureFailure, SingularOperatorError or
-    an ArithmeticError (a non-finite operator, a division by zero, an
-    overflow) when the numerics fail.  Nothing is written unless the
-    command completes.  The warnings the command raises are counted into
-    the report, not shown.
+    Raises ConfigError for quad_n outside [8, 512], a [kernel] or [grid]
+    key the command does not read, or an out that cannot be written,
+    DomainError for parameters outside a computation's domain, and
+    QuadratureFailure, SingularOperatorError or an ArithmeticError (a
+    non-finite operator, a division by zero, an overflow) when the
+    numerics fail.  Nothing is written unless the command completes; the
+    warnings it raises are counted into the report, not shown.
     """
     if cfg.quad_n is not None and not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
-    if not 0 <= cfg.threads <= MAX_THREADS:
-        raise ConfigError(f"threads = {cfg.threads} outside [0, {MAX_THREADS}]; "
-                          "use 0 for one thread per CPU")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         header, rows, entries, worst, quad_n = COMMANDS[cfg.command](cfg)
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
     json_path = os.path.join(cfg.out, f"{cfg.command}.json")
-    _write_csv(csv_path, header, rows)
     report = {"command": cfg.command, **entries,
               "quad_n": quad_n, "worst": float(worst), "tolerance": cfg.tolerance,
               "passed": bool(worst <= cfg.tolerance), "warnings": len(caught)}
-    with open(json_path, "w") as fh:
-        json.dump(_json_safe(report), fh, indent=2, sort_keys=True,
-                  default=str, allow_nan=False)
+    try:
+        _write_csv(csv_path, header, rows)
+        with open(json_path, "w") as fh:
+            json.dump(_json_safe(report), fh, indent=2, sort_keys=True,
+                      default=str, allow_nan=False)
+    except OSError as exc:
+        raise ConfigError(f"out = {cfg.out} cannot be written: {exc}") from None
     return (0 if report["passed"] else 1), (csv_path, json_path)
 
 
@@ -554,14 +550,15 @@ def main(argv=None) -> int:
     import argparse     # only main parses argv; run and the library never do
     ap = argparse.ArgumentParser(prog="kpdet", description=__doc__)
     ap.add_argument("--config", required=True)
-    flags = ("out", "threads", "quad_n", "tolerance")
+    flags = ("out", "quad_n", "tolerance")
     for key in flags:
         ap.add_argument("--" + key.replace("_", "-"))
+
+    def usage_error(message):   # one config error line, not argparse's usage
+        raise ConfigError(message)
+    ap.error = usage_error
     try:
         args = ap.parse_args(argv)
-    except SystemExit:
-        return 2
-    try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         for key in flags:   # each overrides its [run] key, parsed by its kind
@@ -572,6 +569,8 @@ def main(argv=None) -> int:
                     setattr(cfg, key, parse(raw))
             except ValueError:
                 raise ConfigError(f"--{key.replace('_', '-')} {raw} is not {kind}") from None
+    except SystemExit:  # --help, printed; a usage error is a ConfigError
+        return 0
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ r_step = 0.1
 KIND_LINES = [
     ("run", "command = tw-table", "tw-table"),
     ("run", "tolerance = inf", float("inf")),
-    ("run", "threads = -1", -1),
+    ("run", "quad_n = -1", -1),
     ("kernel", "t = -2.5e-3", -2.5e-3),
     ("kernel", "xs = -0.3", (-0.3,)),
     ("kernel", "wedges = 0:0.5,1:-0.2", ((0.0, 0.5), (1.0, -0.2))),
@@ -45,9 +46,8 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("[run]\ncommand = frobnicate\n")
 
-    def test_unset_threads_and_quad_n_defaults(self):
-        cfg = cli.parse_config("[run]\ncommand = tw-table\n")
-        assert cfg.threads == 0 and cfg.quad_n is None
+    def test_unset_quad_n_defaults_to_none(self):
+        assert cli.parse_config("[run]\ncommand = tw-table\n").quad_n is None
 
     @pytest.mark.parametrize("section, line, expected", KIND_LINES)
     def test_literal_line_parses_to_its_kind(self, section, line, expected):
@@ -331,20 +331,19 @@ class TestConfiguredKeys:
         report = json.loads((out / f"{command}.json").read_text())
         assert report["quad_n"] == 96
 
-    @pytest.mark.parametrize("threads", ["0", "1", "2"])
-    @pytest.mark.parametrize("kernel", ["family = nw_fixed_point",
-                                        "family = kpz_spiked\nspikes = 0.0"])
-    def test_threads_do_not_change_outputs(self, tmp_path, threads, kernel):
-        # det-eval maps its r values over a pool of that many threads; the
-        # spiked points share one set of rules across the pool
-        text = ("[run]\ncommand = det-eval\nquad_n = 16\nthreads = {}\n"
-                f"[kernel]\n{kernel}\n[grid]\nnr = 3\n")
-        (tmp_path / "serial").mkdir()
-        (tmp_path / "pool").mkdir()
-        code, out = _run_main(tmp_path / "serial", text.format(1))
-        code_n, out_n = _run_main(tmp_path / "pool", text.format(threads))
-        assert code == code_n == 0
-        assert (out / "det-eval.csv").read_bytes() == (out_n / "det-eval.csv").read_bytes()
+    @pytest.mark.parametrize("kernel, spec", [
+        ("family = nw_fixed_point", KernelSpec("nw_fixed_point", 1.0)),
+        ("family = kpz_spiked\nspikes = 0.0", KernelSpec("kpz_spiked", 1.0, spikes=(0.0,))),
+    ], ids=["nw_fixed_point", "kpz_spiked"])
+    def test_pooled_det_eval_equals_serial_sweep(self, tmp_path, kernel, spec):
+        # det-eval maps its r values over one thread per CPU; the spiked
+        # points share one set of rules across the pool
+        code, out = _run_main(tmp_path, "[run]\ncommand = det-eval\nquad_n = 16\n"
+                              f"[kernel]\n{kernel}\n[grid]\nnr = 3\n")
+        assert code == 0
+        rows = np.loadtxt(out / "det-eval.csv", delimiter=",", skiprows=1)
+        specs = [replace(spec, rs=(r,)) for r in rows[:, 0].tolist()]
+        assert rows[:, 1].tolist() == fields.sweep(specs, 16, fredholm.det_one_minus).tolist()
 
     def test_solve_kp_report_records_sizes(self, tmp_path):
         code, out = _run_main(tmp_path, "[run]\ncommand = solve-kp\ntolerance = 5e-3\n")
@@ -391,7 +390,6 @@ class TestErrorContract:
     @pytest.mark.parametrize("flag, value, kind", [
         ("--tolerance", "nan", "a number"),
         ("--quad-n", "1.5", "an integer"),
-        ("--threads", "two", "an integer"),
     ])
     def test_flag_of_wrong_kind_exit_2(self, tmp_path, capsys, flag, value, kind):
         # a flag is parsed by its [run] key's kind, as the config line is
@@ -401,18 +399,48 @@ class TestErrorContract:
             f"config error: {flag} {value} is not {kind}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_negative_threads_exit_2(self, tmp_path, capsys, where):
-        # also a pool above cli.MAX_THREADS, refused before any thread starts
+    @pytest.mark.parametrize("where, expected", [
+        ("config", "config error: line 3: [run] has no key 'threads';"),
+        ("flag", "config error: unrecognized arguments: --threads 2"),
+    ], ids=["config", "flag"])
+    def test_threads_is_not_a_key(self, tmp_path, capsys, where, expected):
+        # det-eval's pool is one thread per CPU, which no config sets
         text = "[run]\ncommand = det-eval\n[grid]\nnr = 2\n"
-        for value in ("-1", "1000000"):
-            if where == "config":
-                code, out = _run_main(tmp_path, text.replace("[grid]",
-                                                             f"threads = {value}\n[grid]"))
-            else:
-                code, out = _run_main(tmp_path, text, "--threads", value)
-            assert "threads" in self._assert_config_error(capsys, code)
-            assert not out.exists()
+        if where == "config":
+            code, out = _run_main(tmp_path, text.replace("[grid]", "threads = 2\n[grid]"))
+        else:
+            code, out = _run_main(tmp_path, text, "--threads", "2")
+        assert self._assert_config_error(capsys, code).startswith(expected)
+        assert not out.exists()
+
+    def test_help_exit_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        printed = capsys.readouterr()
+        assert printed.out.startswith("usage: kpdet") and printed.err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--config", "c.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--config", "c.cfg", "--out"], "argument --out: expected one argument"),
+        (["--out", "out"], "the following arguments are required: --config"),
+    ], ids=["unknown-flag", "no-value", "no-config"])
+    def test_usage_error_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        # one config error line in place of argparse's usage message
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(GOOD_CONFIG)
+        code = cli.main(argv)
+        assert self._assert_config_error(capsys, code) == f"config error: {message}"
+        assert os.listdir(tmp_path) == ["c.cfg"]
+
+    @pytest.mark.parametrize("sub", ["afile", "afile/sub"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, sub):
+        # out under a regular file: refused after the computation, not a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "c.cfg").write_text(GOOD_CONFIG)
+        code = cli.main(["--config", "c.cfg", "--out", sub])
+        assert self._assert_config_error(capsys, code).startswith(
+            f"config error: out = {sub} cannot be written:")
+        assert sorted(os.listdir(tmp_path)) == ["afile", "c.cfg"]
 
     @pytest.mark.parametrize("family, key, use", [
         ("nw_fixed_point", "t", "[grid] t0"),
@@ -498,10 +526,9 @@ class TestErrorContract:
                 or f"{command} does not take family" in err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["quad_n = 64.7", "threads = 1.5",
-                                      "tolerance = tight"])
+    @pytest.mark.parametrize("line", ["quad_n = 64.7", "tolerance = tight"])
     def test_non_numeric_run_value_exit_2(self, tmp_path, capsys, line):
-        # a non-integer threads or quad_n is neither truncated nor a traceback
+        # a non-integer quad_n is neither truncated nor a traceback
         code, out = _run_main(tmp_path, f"[run]\ncommand = tw-table\n{line}\n")
         err = self._assert_config_error(capsys, code)
         assert err == f"config error: line 3: {line} is not " + (
