@@ -345,6 +345,22 @@ class TestConfiguredKeys:
         specs = [replace(spec, rs=(r,)) for r in rows[:, 0].tolist()]
         assert rows[:, 1].tolist() == fields.sweep(specs, 16, fredholm.det_one_minus).tolist()
 
+    @pytest.mark.parametrize("threads", ["0", "1", "2"])
+    @pytest.mark.parametrize("kernel", ["family = nw_fixed_point"])
+    def test_threads_do_not_change_outputs(self, tmp_path, monkeypatch, threads, kernel):
+        # det-eval's pool has one thread per CPU that os.cpu_count reports,
+        # one thread when it reports 0
+        text = ("[run]\ncommand = det-eval\nquad_n = 16\n"
+                f"[kernel]\n{kernel}\n[grid]\nnr = 3\n")
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "pool").mkdir()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        code, out = _run_main(tmp_path / "serial", text)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: int(threads))
+        code_n, out_n = _run_main(tmp_path / "pool", text)
+        assert code == code_n == 0
+        assert (out / "det-eval.csv").read_bytes() == (out_n / "det-eval.csv").read_bytes()
+
     def test_solve_kp_report_records_sizes(self, tmp_path):
         code, out = _run_main(tmp_path, "[run]\ncommand = solve-kp\ntolerance = 5e-3\n")
         assert code == 0
