@@ -31,6 +31,7 @@ Non-finite floats in the JSON report are written as the strings "inf",
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -159,15 +160,37 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**run, kernel=data["kernel"], grid=data["grid"])
 
 
-def _write_csv(path, header, rows):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        # one % per run of consecutive rows whose values are of the same kinds
-        for kinds, run in groupby(rows, lambda row: [isinstance(v, float) for v in row]):
-            run = list(run)
-            fh.write((",".join("%.17g" if f else "%s" for f in kinds) + "\n") * len(run)
-                     % tuple(chain.from_iterable(run)))
+def _csv_chunks(header, rows):
+    yield ",".join(header) + "\n"
+    # one % per run of consecutive rows whose values are of the same kinds
+    for kinds, run in groupby(rows, lambda row: [isinstance(v, float) for v in row]):
+        run = list(run)
+        yield ((",".join("%.17g" if f else "%s" for f in kinds) + "\n") * len(run)
+               % tuple(chain.from_iterable(run)))
+
+
+def _write_all(out, texts):
+    """Write each {file name: text chunks} into the directory out, all or
+    none: the texts go to temporary names, renamed into place once all are
+    written.  On an OSError it removes what it made and raises ConfigError."""
+    made, head = [], os.path.abspath(out)
+    while not os.path.lexists(head):    # the directories to make, outermost first
+        made[:0], head = [head], os.path.dirname(head)
+    try:
+        for d in made:
+            os.mkdir(d)
+        for name, chunks in texts.items():
+            with open(os.path.join(out, "." + name), "w") as fh:
+                made.append(fh.name)
+                fh.writelines(chunks)
+        for name in texts:
+            os.replace(os.path.join(out, "." + name), os.path.join(out, name))
+            made.append(os.path.join(out, name))
+    except OSError as exc:
+        for path in reversed(made):     # a renamed temporary is gone already
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(path) else os.remove)(path)
+        raise ConfigError(f"out = {out} cannot be written: {exc}") from None
 
 
 def _kernel_spec(cfg: ExperimentConfig, family: str, **placed) -> KernelSpec:
@@ -523,27 +546,22 @@ def run(cfg: ExperimentConfig):
     DomainError for parameters outside a computation's domain, and
     QuadratureFailure, SingularOperatorError or an ArithmeticError (a
     non-finite operator, a division by zero, an overflow) when the
-    numerics fail.  Nothing is written unless the command completes; the
-    warnings it raises are counted into the report, not shown.
+    numerics fail.  Nothing is written unless the command completes and
+    both its files can be; its warnings are counted in the report, not shown.
     """
     if cfg.quad_n is not None and not 8 <= cfg.quad_n <= 512:
         raise ConfigError(f"quad_n = {cfg.quad_n} outside [8, 512]")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         header, rows, entries, worst, quad_n = COMMANDS[cfg.command](cfg)
-    csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
-    json_path = os.path.join(cfg.out, f"{cfg.command}.json")
     report = {"command": cfg.command, **entries,
               "quad_n": quad_n, "worst": float(worst), "tolerance": cfg.tolerance,
               "passed": bool(worst <= cfg.tolerance), "warnings": len(caught)}
-    try:
-        _write_csv(csv_path, header, rows)
-        with open(json_path, "w") as fh:
-            json.dump(_json_safe(report), fh, indent=2, sort_keys=True,
-                      default=str, allow_nan=False)
-    except OSError as exc:
-        raise ConfigError(f"out = {cfg.out} cannot be written: {exc}") from None
-    return (0 if report["passed"] else 1), (csv_path, json_path)
+    texts = {f"{cfg.command}.csv": _csv_chunks(header, rows),
+             f"{cfg.command}.json": [json.dumps(_json_safe(report), indent=2, sort_keys=True,
+                                                default=str, allow_nan=False)]}
+    _write_all(cfg.out, texts)
+    return (0 if report["passed"] else 1), tuple(os.path.join(cfg.out, n) for n in texts)
 
 
 def main(argv=None) -> int:
@@ -569,14 +587,10 @@ def main(argv=None) -> int:
                     setattr(cfg, key, parse(raw))
             except ValueError:
                 raise ConfigError(f"--{key.replace('_', '-')} {raw} is not {kind}") from None
+        code, paths = run(cfg)
     except SystemExit:  # --help, printed; a usage error is a ConfigError
         return 0
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code, paths = run(cfg)
-    except (ConfigError, DomainError) as exc:
+    except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureFailure, SingularOperatorError, ArithmeticError) as exc:

@@ -199,8 +199,9 @@ class KPSolver:
         # -(1/4)(means (x) pseudo_ramp - a_anchor (x) 1): column means of phi_xx
         # ride the pseudo-ramp, the mean-free spectral antiderivative is shifted
         # to vanish at the anchor row; both are real, so are their cosine rows,
-        # and both vanish on the row kx = 0
-        nl_hat[1:] += (-self._kx2[1:, None] * (phi_hat[1:] @ self._corr_r)).real @ self._corr_s
+        # and both vanish on the row kx = 0, so a one-row state skips them
+        if len(phi_hat) > 1:
+            nl_hat[1:] += (-self._kx2[1:, None] * (phi_hat[1:] @ self._corr_r)).real @ self._corr_s
         return nl_hat
 
     def step(self, v, phi=None):

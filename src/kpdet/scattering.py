@@ -6,7 +6,7 @@ Gaussian integral (the initial profile is -inf off the wedge points, so
 staying above it is a pointwise constraint).  This module provides it
 together with the checks that the finite-t scattering blocks converge as
 t -> 0, and the whole-line path-integral form of the fixed point
-determinant.
+determinant at one or two points, formed with one masked heat product.
 """
 
 from __future__ import annotations
@@ -146,52 +146,36 @@ def t0_kernel_decay_check(a: float, b: float, x_i: float, x_j: float):
 # ----------------------------------------------------------------------------
 
 def path_integral_determinant(t: float, xs, rs):
-    """Fixed point distribution for a narrow wedge at the origin via the
-    path-integral determinant on L^2(R):
+    """Fixed point distribution for a narrow wedge at the origin, at one or
+    two points, via the path-integral determinant on L^2(R):
 
-        F = det(I - K_{t,x1} + Pbar_{r1} e^{(x2-x1)d^2} ... Pbar_{rm}
-                e^{(x1-xm)d^2} K_{t,x1})
+        F = det(I - K_{t,x1} + Pbar_{r1} e^{(x2-x1)d^2} Pbar_{r2} e^{(x1-x2)d^2} K_{t,x1})
 
-    The backward heat factor is absorbed into the Airy convolution kernel
-    analytically; cutoff indicators are exact on the panel-split rule.  The
-    kernels grow like exp(|u| max|x| / t) toward the left edge of the
-    domain, so the panel resolution is kept high and the left edge no deeper
-    than the constraint-cancellation tail requires.
+    With the backward heat factor absorbed into the Airy convolution kernel,
+    C = S[-t,-x_m] Pbar_0 S[t,x_1], the operator is M C: M is the weighted
+    heat matrix e^{(x2-x1)d^2} zeroed where u <= r1 and v <= r2, or 1{u > r1}
+    for one point, so free minus constrained is exact in each entry of M
+    (two N x N products would cancel their deep-left rows, unresolved
+    oscillatory integrals, only to rounding).  Cutoffs are exact on the
+    panel-split rule; the kernels grow like exp(|u| max|x| / t) to the left,
+    so the left edge is no deeper than the constraint tail requires.
     """
-    xs = tuple(float(x) for x in xs)
-    rs = tuple(float(r) for r in rs)
+    xs, rs = (tuple(map(float, v)) for v in (xs, rs))
     m = len(xs)
-    if m > 3:
-        raise ValueError("at most 3 observation points")
-    dxs = np.diff(xs)
-    if m > 1 and np.any(dxs <= 0):
-        raise OrderingError("xs must be strictly increasing")
-    span = (xs[-1] - xs[0]) if m > 1 else 0.0
-    left = min(min(rs), 0.0) - max(5.0, 8.0 * np.sqrt(2.0 * span) if m > 1 else 0.0)
+    if m > 2 or len(rs) != m:
+        raise ValueError("at most 2 observation points, each with one level")
+    # KernelSpec refuses xs that are not strictly increasing
+    spec_c = KernelSpec("nw_fixed_point", t, xs, (0.0,) * m, ((0.0, 0.0),), inner_n=64)
+    left = min(min(rs), 0.0) - max(5.0, 8.0 * np.sqrt(2.0 * (xs[-1] - xs[0])))
     rule = panel_rule([left, *sorted(set(rs)), np.inf], 72, 4.0)
     nodes, weights = rule.nodes, rule.weights
-
-    # Backward heat absorbed: C = S[-t,-x_m] Pbar_0 S[t,x_1] (for m = 1 the
-    # one-point K_{t,x1}).  The free kernel K_{t,x1} is rebuilt from the
-    # SAME discrete heat factors so that the two terms cancel exactly at
-    # deep-left rows, where each is separately an unresolved oscillatory
-    # integral; for m = 1 the chain is empty and free - chain = 1{u > r} K.
-    ends = xs[:1] + xs[1:][-1:]
-    spec_c = KernelSpec("nw_fixed_point", t, ends, (0.0,) * len(ends),
-                        ((0.0, 0.0),), inner_n=64)
-    # N x N results are updated in place where a new array would live
-    # alongside the old: this function sets the peak memory of its runs
-    free = scattering_part_logmat(spec_c, len(ends) - 1, 0, nodes, nodes).to_linear()
-    chain = (nodes <= rs[-1]).astype(float)[:, None] * free
-    for k in range(m - 2, -1, -1):
-        a_k = heat_kernel(xs[k + 1] - xs[k], nodes[:, None], nodes[None, :])
-        a_k *= weights[None, :]
-        free = a_k @ free
-        chain = a_k @ chain
-        if k > 0:
-            chain *= (nodes <= rs[k]).astype(float)[:, None]
-    chain *= (nodes <= rs[0]).astype(float)[:, None]
-    op = np.subtract(free, chain, out=free)
+    op = scattering_part_logmat(spec_c, m - 1, 0, nodes, nodes).to_linear()
+    if m == 1:
+        op *= (nodes > rs[0])[:, None]
+    else:
+        heat = heat_kernel(xs[1] - xs[0], nodes[:, None], nodes[None, :]) * weights[None, :]
+        heat[(nodes <= rs[0])[:, None] & (nodes <= rs[1])[None, :]] = 0.0
+        op = heat @ op
     sw = np.sqrt(weights)
     sign, logdet = np.linalg.slogdet(np.eye(nodes.size) - sw[:, None] * op * sw[None, :])
     return float(sign * np.exp(logdet))

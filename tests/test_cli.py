@@ -223,11 +223,9 @@ def _csv_per_value(header, rows):
     [("normalized_sup", 8.7e-4), ("passed", True), ("count", 3), ("ratio", 1 / 3)],
     [(0.1, 1), (1, 0.1), (10 ** 20, "a%s")],
 ], ids=["empty", "str-columns", "non-finite", "mixed-columns", "swapped"])
-def test_write_csv_matches_per_value_formatting(tmp_path, rows):
+def test_write_csv_matches_per_value_formatting(rows):
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
-    path = tmp_path / "t.csv"
-    cli._write_csv(str(path), header, rows)
-    assert path.read_text() == _csv_per_value(header, rows)
+    assert "".join(cli._csv_chunks(header, rows)) == _csv_per_value(header, rows)
 
 
 class TestConfiguredKeys:
@@ -457,6 +455,32 @@ class TestErrorContract:
         assert self._assert_config_error(capsys, code).startswith(
             f"config error: out = {sub} cannot be written:")
         assert sorted(os.listdir(tmp_path)) == ["afile", "c.cfg"]
+
+    @pytest.mark.parametrize("blocked", ["tw-table.json", "tw-table.csv"])
+    def test_blocked_output_writes_nothing(self, tmp_path, capsys, monkeypatch, blocked):
+        # one output's name is a directory: the other output is not left behind
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(GOOD_CONFIG)
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        code = cli.main(["--config", "c.cfg", "--out", "o"])
+        assert self._assert_config_error(capsys, code).startswith(
+            "config error: out = o cannot be written:")
+        assert [sorted(os.listdir(d)) for d in (tmp_path, tmp_path / "o")] == [
+            ["c.cfg", "o"], [blocked]]
+        assert os.listdir(tmp_path / "o" / blocked) == []
+
+    def test_new_out_directories_are_removed_on_failure(self, tmp_path, monkeypatch):
+        # a write that fails inside out = a/b, which the run made, leaves no a
+        monkeypatch.chdir(tmp_path)
+        cfg = cli.parse_config(GOOD_CONFIG)
+        cfg.out = os.path.join("a", "b")
+
+        def full(*args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.os, "replace", full)
+        with pytest.raises(cli.ConfigError, match="out = a/b cannot be written"):
+            cli.run(cfg)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("family, key, use", [
         ("nw_fixed_point", "t", "[grid] t0"),

@@ -258,11 +258,35 @@ class TestPathIntegral:
 
     def test_two_point_matches_extended(self):
         for xs, rs, t in [((-0.3, 0.4), (0.5, 0.8), 1.0),
-                          ((-0.5, 0.2), (0.0, 0.3), 1.0)]:
+                          ((-0.5, 0.2), (0.0, 0.3), 1.0),
+                          ((0.1, 0.9), (1.0, 0.6), 2.0)]:
             val = scattering.path_integral_determinant(t, xs, rs)
             spec = KernelSpec("nw_fixed_point", t, xs, rs, ((0.0, 0.0),))
             ref = fredholm.det_one_minus(fredholm.assemble(spec, 64))
             assert abs(val - ref) < 1e-6
+
+    @pytest.mark.parametrize("t, xs, rs", [
+        (0.7, (-1.0, 1.0), (0.0, 0.2)),
+        (0.5, (-0.8, 0.8), (0.3, 0.5)),
+        (0.3, (-0.5, 0.5), (0.2, 0.4)),
+    ], ids=["t0.7", "t0.5", "t0.3"])
+    def test_two_point_accuracy_off_the_mild_cases(self, t, xs, rs):
+        # wide spans at small t, where the deep-left rows of the heat
+        # product are largest; the extended determinant agrees with itself
+        # at n = 64, 96 and 128 to 1e-15 here
+        val = scattering.path_integral_determinant(t, xs, rs)
+        spec = KernelSpec("nw_fixed_point", t, xs, rs, ((0.0, 0.0),))
+        assert abs(val - fredholm.det_one_minus(fredholm.assemble(spec, 64))) < 1e-8
+
+    @pytest.mark.parametrize("xs, rs, message", [
+        ((-0.3, 0.0, 0.4), (0.5, 0.6, 0.8), "at most 2 observation points"),
+        ((-0.3, 0.4), (0.5,), "at most 2 observation points, each with one level"),
+        ((-0.3,), (0.5, 0.8), "at most 2 observation points, each with one level"),
+        ((0.4, -0.3), (0.8, 0.5), "xs must be strictly increasing"),
+    ], ids=["three-points", "fewer-levels", "more-levels", "decreasing"])
+    def test_points_refused(self, xs, rs, message):
+        with pytest.raises(ValueError, match=message):
+            scattering.path_integral_determinant(1.0, xs, rs)
 
     def test_released_constraint(self):
         val = scattering.path_integral_determinant(1.0, (-0.3, 0.4), (8.0, 0.8))
