@@ -253,12 +253,12 @@ def _quad_n(cfg: ExperimentConfig, default: int = 64) -> int:
     return default if cfg.quad_n is None else cfg.quad_n
 
 
-def _lattice(spec_at, corner, steps, quad_n, value=fields._logdet):
+def _lattice(spec_at, corner, steps, quad_n, value=fields._logdet, head=()):
     """Evaluator at lattice index triples: one ``fields.sweep`` of the specs
-    spec_at(t, x, r) at the points corner + step * index, with the given
-    value (by default log det(I - K))."""
+    head, then spec_at(t, x, r) at the points corner + step * index, with
+    the given value (by default log det(I - K))."""
     return lambda points: fields.sweep(
-        [spec_at(*(c + h * i for c, h, i in zip(corner, steps, p))) for p in points],
+        [*head, *(spec_at(*(c + h * i for c, h, i in zip(corner, steps, p))) for p in points)],
         quad_n, value)
 
 
@@ -501,17 +501,22 @@ def _spiked_check(cfg):
     _checked_grid(cfg, {}, ("kpz_spiked",), {"xs": "[kernel] x", "r": None, "rs": None})
     # the one spike at 0 unless spikes is set
     base = _kernel_spec(cfg, "kpz_spiked", spikes=cfg.kernel.get("spikes", (0.0,)))
-    anchor, quad_n = base.contour_anchor, _quad_n(cfg)
-    d0, d1, d0_moved = fields.sweep(
-        [replace(base, rs=(r,), contour_anchor=anc)
-         for r, anc in ((0.0, anchor), (1.0, anchor), (0.0, anchor + 0.1))],
-        quad_n, fredholm.det_one_minus).tolist()
+    quad_n, h = _quad_n(cfg), 0.02
+    # the moved anchor needs rules of its own: a one-point sweep, run first
+    (d0_moved,) = fields.sweep([replace(base, rs=(0.0,), contour_anchor=base.contour_anchor + 0.1)],
+                               quad_n, fredholm.det_one_minus)
+    lattice = _lattice(lambda t, x, r: replace(base, t=t, xs=(x,), rs=(r,)),
+                       (base.t - h, base.xs[0] + 0.2 - h, 0.3 - 3 * h), (h, h, h), quad_n,
+                       head=[replace(base, rs=(r,)) for r in (0.0, 1.0)])
+    logs = []
+
+    def stencil(points):
+        # r = 0 and 1 join the points the stencil reads: one sweep, one set of rules
+        logs[:] = lattice(points)
+        return logs[2:]
+    res = residuals.kp_scalar_residual(stencil, (h, h, h), (3, 3, 7))["normalized_sup"]
+    d0, d1 = np.exp(logs[:2]).tolist()
     anchor_dev = abs(d0 - d0_moved)
-    h = 0.02
-    res = residuals.kp_scalar_residual(
-        _lattice(lambda t, x, r: replace(base, t=t, xs=(x,), rs=(r,)),
-                 (base.t - h, base.xs[0] + 0.2 - h, 0.3 - 3 * h), (h, h, h), quad_n),
-        (h, h, h), (3, 3, 7))["normalized_sup"]
     report = {"det_r0": d0, "det_r1": d1, "anchor_dev": anchor_dev,
               "imag_part": 0.0, "kp_residual": res}
     ok = (0.0 < d0 < d1 < 1.0) and anchor_dev < 1e-8

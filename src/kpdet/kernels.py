@@ -416,6 +416,8 @@ def kpz_nw_half_factor(spec: KernelSpec, pts, rules: KPZRules):
 # Gauss nodes of a contour panel about PANEL_WIDTH wide: NODES_PER_RATE per
 # unit of the exponent's rate |t z^2 + 2 x z - w| times its width, plus NODES_BASE
 NODES_PER_RATE, NODES_BASE, PANEL_WIDTH = 0.4, 8, 0.5
+# (t, x) pairs whose factor grid columns one product takes at most
+PAIR_GROUP = 8
 
 
 class SpikedRules:
@@ -439,8 +441,9 @@ class SpikedRules:
     the Nystrom nodes fixed, (t, x) enter the diagonal on the contour nodes,
     r only the Fermi weight (``mid``): ``grids`` keeps the F and G grids of
     each (pts, t, x), and the rest of each side's contour sum (Gamma
-    factors times weights and the ``exp(-y' loc zc)`` grid) is computed
-    here once.  A single spec is a one-point sweep.
+    factors times weights and the ``exp(-y' loc zc)`` grid, turned once
+    into ``i conj(.)`` for the grids' real products) is computed here once.
+    A single spec is a one-point sweep.
     Raises KernelDomainError, before any contour is built, when the bend
     height is not finite or a panel needs more than 512 nodes.
     """
@@ -568,14 +571,14 @@ class SpikedRules:
 
     def _side(self, z, w, anchor, sgn):
         """Point-independent factors of one contour: (z, zc = z - anchor, sgn,
-        anchor, Gamma factors times weights, e_loc = exp(-sgn loc zc) on
-        (y' loc, contour node))."""
+        anchor, Gamma factors times weights, e_loc = i conj(exp(-sgn loc zc))
+        on (y' loc, contour node), turned for ``SpikedKernel._factor_grid``)."""
         lg = np.zeros_like(z)
         for bk in self.b:
             lg = lg + log_gamma(z - bk)
         zc = z - anchor
         return (z, zc, sgn, anchor, np.exp(sgn * (lg - self.lg_offset)) * w,
-                np.exp(-sgn * self.y_loc[:, None] * zc[None, :]))
+                1j * np.exp(-sgn * self.y_loc[:, None] * np.conj(zc)[None, :]))
 
 
 def _edges(lo, hi):
@@ -633,33 +636,33 @@ class SpikedKernel:
 
         F(w) = M e^{-w a_eta} and G(w) = M e^{w a_xi}.  The contour's
         exponential separates over (pts, y'), and over the panels of the
-        y'-rule, exp(c y') = exp(c y0_p) exp(c loc_k), so the contour sum is
-        one matmul of (pts, panel) rows and loc columns scaled by the diagonal
-        exp(-sgn (t z^3/3 + x z^2)) on the contour nodes.  F and G are real,
-        so the sum over 2 pi i is Im(upper half sum) / pi, one real product.
-        The first call on pts builds the rows, and from them the grids of
-        every (t, x) of the sweep, kept on the rules (on a thread pool
+        y'-rule, exp(c y') = exp(c y0_p) exp(c loc_k), so on panel p the
+        contour sum is one product of the rows exp(sgn pts zc) exp(-sgn y0_p
+        zc) and the loc columns scaled by the diagonal c = exp(-sgn (t z^3/3
+        + x z^2)) on the contour nodes.  F and G are real, so the sum over
+        2 pi i is Im(upper half sum) / pi: the columns e_loc conj(c), with
+        the rules' turned e_loc, viewed as interleaved (Re, Im) pairs meet
+        the rows' pairs in one real product that gives the imaginary part.
+        The first call on pts builds the grids of every (t, x) of the sweep,
+        one product per y'-panel for each group of at most PAIR_GROUP (t, x)
+        columns stacked, and keeps them on the rules (on a thread pool
         perhaps twice, with the same values).
         """
         rules = self.rules
         z, zc, sgn, anchor, gw, e_loc = rules.sides[which]
 
         def grids():
-            # (pts, panel) rows w = exp(sgn pts zc) exp(-sgn y0 zc), turned in
-            # place into i conj(w), whose (Re, Im) pairs are w's (Im, Re)
-            w = np.exp(sgn * pts[:, None, None] * zc) * np.exp(-sgn * rules.y0[:, None] * zc)
-            np.conjugate(w, out=w)
-            w *= 1j
-            rows = w.reshape(-1, zc.size).view(np.float64)
-            out = {}
-            for t, x in dict.fromkeys((s.t, s.xs[0]) for s in rules.specs):
-                c = gw * np.exp(-sgn * (t * z ** 3 / 3.0 + x * z * z))
-                # the complex columns viewed as interleaved (Re, Im) pairs meet
-                # the rows' (Im, Re) pairs: one real product gives the imaginary part
-                vals = rows @ (e_loc * c[None, :]).view(np.float64).T
-                out[t, x] = vals.reshape(pts.size, -1) / np.pi
-                out[t, x] *= np.exp(sgn * pts * anchor)[:, None]
-            return out
+            # one row of conj(c) per (t, x) pair of the sweep, in the rules' order
+            diag = np.conj(gw * np.exp(-sgn * (rules.t * z ** 3 / 3.0 + rules.x * z * z)))
+            rows, n_loc = np.exp(sgn * pts[:, None] * zc), e_loc.shape[0]
+            out = np.empty((len(diag), pts.size, rules.y0.size, n_loc))
+            for g in range(0, len(diag), PAIR_GROUP):
+                cols = (e_loc * diag[g:g + PAIR_GROUP, None]).reshape(-1, zc.size).view(np.float64)
+                for p, y0 in enumerate(rules.y0):
+                    vals = (rows * np.exp(-sgn * y0 * zc)).view(np.float64) @ cols.T
+                    out[g:g + PAIR_GROUP, :, p] = vals.reshape(pts.size, -1, n_loc).swapaxes(0, 1)
+            out *= np.exp(sgn * pts * anchor)[:, None, None] / np.pi
+            return dict(zip(zip(rules.t.flat, rules.x.flat), out.reshape(len(diag), pts.size, -1)))
 
         return _memo(rules.grids, (which, pts.tobytes()), grids)[self.spec.t, self.spec.xs[0]]
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kpdet import cli, fields, fredholm
+from kpdet import cli, fields, fredholm, kernels
 from kpdet.kernels import KernelSpec, QuadratureFailure
 
 
@@ -280,14 +280,33 @@ class TestConfiguredKeys:
         assert code == 0
         report = json.loads((out / "spiked-check.json").read_text())
 
-        def det(t, x, anchor):
-            spec = KernelSpec("kpz_spiked", t, (x,), (0.0,), spikes=(0.0,),
+        def det(t, x, anchor, r=0.0):
+            spec = KernelSpec("kpz_spiked", t, (x,), (r,), spikes=(0.0,),
                               contour_anchor=anchor)
             return fredholm.det_one_minus(fredholm.assemble(spec, 16))
 
+        # r = 0 and r = 1 are points of the stencil's sweep; a one-point sweep
+        # of each gives the same determinant
         assert abs(report["det_r0"] - det(1.2, 0.1, 0.3)) < 1e-13
+        assert abs(report["det_r1"] - det(1.2, 0.1, 0.3, 1.0)) <= 1e-12 * report["det_r1"]
         assert abs(report["det_r0"] - det(1.0, 0.0, 0.25)) > 1e-3
         assert report["quad_n"] == 16
+
+    def test_spiked_check_builds_two_rule_sets(self, tmp_path, monkeypatch):
+        # r = 0 and r = 1 join the 17 points the KP stencil reads on one set
+        # of contour rules; the moved anchor has its own, built first
+        built = []
+        init = kernels.SpikedRules.__init__
+
+        def counting(self, specs):
+            built.append(len(specs))
+            init(self, specs)
+
+        monkeypatch.setattr(kernels.SpikedRules, "__init__", counting)
+        code, _ = _run_main(tmp_path, "[run]\ncommand = spiked-check\nquad_n = 16\n"
+                            "[kernel]\nspikes = 0.0\n")
+        assert code == 0
+        assert built == [1, 19]
 
     @pytest.mark.parametrize("command, kernel", [
         ("tail-fit", "[kernel]\nfamily = nw_fixed_point\n"),
@@ -666,6 +685,28 @@ class TestErrorContract:
                             f"flat_fixed_point at t = 1, x = 0, r = -7, n = {n}")
             assert low < float(cond) < high
             assert not out.exists()
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_spiked_check_non_positive_determinant_names_the_point(
+            self, tmp_path, capsys, monkeypatch, r):
+        # the r = 0 and r = 1 determinants are points of the stencil's sweep,
+        # refused as its other points are
+        slogdet = fredholm._slogdet
+
+        def flipped(disc):
+            sign, logdet = slogdet(disc)
+            spec = disc.kernel.spec
+            return (-sign if spec.rs == (r,) and spec.contour_anchor == 0.25 else sign), logdet
+
+        monkeypatch.setattr(fredholm, "_slogdet", flipped)
+        code, out = _run_main(tmp_path, "[run]\ncommand = spiked-check\nquad_n = 16\n"
+                              "[kernel]\nspikes = 0.0\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical error: non-positive determinant in a field sweep: "
+                              f"kpz_spiked at t = 1, x = 0, r = {r:g}, n = 16, cond(I - K) = ")
+        assert not out.exists()
 
     def test_non_finite_nystrom_matrix_names_the_point(self, tmp_path, capsys):
         # at t = 0.01 the spiked contour sums overflow on the way to the matrix

@@ -704,13 +704,17 @@ def test_spiked_kernel_rejects_a_point_outside_its_sweep():
                                           spikes=(0.0,), contour_anchor=0.35)])
 
 
-def test_spiked_sweep_matrix_matches_unfactored_sum():
+@pytest.mark.parametrize("index", [0, -2], ids=["first_pair_group", "second_pair_group"])
+def test_spiked_sweep_matrix_matches_unfactored_sum(index):
     # a point away from the one the rules' anchors and y range come from,
-    # evaluated with the sweep's shared rules and factors
+    # evaluated with the sweep's shared rules and factors; the sweep has 10
+    # (t, x) pairs, so (0.98, 0.18) and (1.02, 0.22) fall in different
+    # groups of the factor grids' products
     specs = c13_stencil_specs() + [
         KernelSpec("kpz_spiked", 1.0, (-0.5,), (-1.0,), spikes=(0.0,))]
     rules = SpikedRules(specs)
-    sk = SpikedKernel(specs[-2], rules)    # t = 1.02, x = 0.22, r = 0.36
+    assert len(dict.fromkeys((s.t, s.xs[0]) for s in specs)) > kernels.PAIR_GROUP
+    sk = SpikedKernel(specs[index], rules)    # r = 0.24 at index 0, 0.36 at -2
     u = panel_rule((0.0, specs[0].domain_cut), 8).nodes
     ref = spiked_reference(sk, u, u)
     assert np.max(np.abs(sk.matrix(u, u) - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -765,3 +769,36 @@ def test_skew_time_reversal_of_multiwedge_determinant(t, wedges, x, r):
     k_point = KernelSpec("nw_fixed_point", t, tuple(a for a, _ in wedges),
                          tuple(r - b for _, b in wedges), ((x, 0.0),))
     assert abs(det_of(one_point) - det_of(k_point)) <= 1e-12
+
+
+@st.composite
+def unit_points_and_wedges(draw):
+    """1 to 3 points (x, r) and 1 to 3 wedges (a, b) at unit scale, the
+    positions increasing at least 0.3 apart."""
+    def increasing(k):
+        gaps = draw(st.lists(st.floats(0.3, 1.0), min_size=k - 1, max_size=k - 1))
+        return draw(st.floats(-1.0, 0.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rs = draw(st.lists(st.floats(-2.0, 1.0), min_size=m, max_size=m))
+    bs = draw(st.lists(st.floats(-0.5, 0.5), min_size=k, max_size=k))
+    return increasing(m), np.array(rs), increasing(k), np.array(bs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.floats(0.05, 4.0), unit=unit_points_and_wedges())
+def test_one_two_three_scaling_of_multiwedge_determinant(t, unit):
+    # 1:2:3 scaling (Matetski-Quastel-Remenik): F(t, xs, rs) from the wedges
+    # (a, b) is F(1, t^(-2/3) xs, t^(-1/3) rs) from (t^(-2/3) a, t^(-1/3) b).
+    # The t-side is placed at unit scale times (t^(2/3), t^(1/3)), so F is
+    # away from 1; log F differs by at most 3.1e-15 over 150 such draws
+    xs, rs, a, b = unit
+    x_scale, r_scale = t ** (2.0 / 3.0), np.cbrt(t)
+    xs, rs, a, b = xs * x_scale, rs * r_scale, a * x_scale, b * r_scale
+    at_t = KernelSpec("nw_fixed_point", t, tuple(xs), tuple(rs), tuple(zip(a, b)))
+    at_1 = KernelSpec("nw_fixed_point", 1.0, tuple(xs / x_scale), tuple(rs / r_scale),
+                      tuple(zip(a / x_scale, b / r_scale)))
+    (s_t, log_t), (s_1, log_1) = (fredholm.log_det_one_minus(fredholm.assemble(s, 64))
+                                  for s in (at_t, at_1))
+    assert s_t == s_1 == 1.0
+    assert abs(log_t - log_1) <= 1e-12
